@@ -42,16 +42,6 @@ class JumpKind(enum.IntEnum):
     REPLAY = 1
 
 
-@dataclass
-class GBState:
-    """Running state of the path-resolved process."""
-
-    velocity_angle: float
-    last_deflection: float = 0.0
-    time_since_scatter: float = 0.0
-    scattered_yet: bool = False
-
-
 @dataclass(frozen=True)
 class GBPath:
     """One sampled velocity path.
@@ -100,7 +90,6 @@ def sample_velocity_path(mu: float, period: float, v0_angle: float,
         raise ValueError("mu and period must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else \
         _rng.generator(int(seed), _rng.STREAM_GB_PATH)
-    state = GBState(velocity_angle=v0_angle)
     times: list[float] = []
     kinds: list[int] = []
     defl: list[float] = []
@@ -117,10 +106,6 @@ def sample_velocity_path(mu: float, period: float, v0_angle: float,
             kinds.append(JumpKind.SCATTER)
             defl.append(theta)
             bpar.append(b)
-            state.last_deflection = theta
-            state.scattered_yet = True
-            state.time_since_scatter = 0.0
-            state.velocity_angle += theta
             wait = rng.exponential(1.0 / (2.0 * mu))
             n_replays = int(wait // period)
             for r in range(1, n_replays + 1):
@@ -131,7 +116,6 @@ def sample_velocity_path(mu: float, period: float, v0_angle: float,
                 kinds.append(JumpKind.REPLAY)
                 defl.append(theta)
                 bpar.append(math.nan)
-                state.velocity_angle += theta
             t += wait
     return GBPath(
         mu=mu, period=period, t_max=t_max, initial_angle=v0_angle,

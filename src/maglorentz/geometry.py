@@ -6,6 +6,11 @@ arc length equals elapsed time.  The orientation convention is fixed once:
 the guiding center sits 90 degrees counterclockwise from the velocity.
 All downstream modules inherit it.
 
+The first-hit kernels ``first_arc_hit`` (B > 0) and ``first_ray_entry``
+(B = 0) take arrays of obstacle centers and plain floats; they and
+``reflect`` are the only arc/ray-vs-disk arithmetic of the package, and
+the event-driven simulator calls them on every flight leg.
+
 Sign conventions used throughout:
 
 * the signed impact parameter of a collision is ``b = eps * cross(v, n)``
@@ -70,80 +75,9 @@ class ParticleState:
         return unit_vector(self.velocity_angle)
 
 
-@dataclass(frozen=True)
-class Disk:
-    """Hard-disk obstacle."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.shape != (2,) or not np.all(np.isfinite(c)):
-            raise ValueError("center must be a finite 2-vector")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", c)
-
-
-@dataclass(frozen=True)
-class LarmorArc:
-    """Counterclockwise circular arc traversed at unit speed.
-
-    The point at swept angle ``s`` along the arc is
-    ``center + radius * (cos(start_phase + s), sin(start_phase + s))`` and
-    is reached after time ``radius * s``.
-    """
-
-    center: np.ndarray
-    radius: float
-    start_phase: float
-    swept: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        if self.swept < 0.0:
-            raise ValueError("swept angle must be nonnegative")
-        object.__setattr__(self, "center", c)
-
-    def point_at(self, swept: float) -> np.ndarray:
-        phase = self.start_phase + swept
-        return self.center + self.radius * unit_vector(phase)
-
-
-@dataclass(frozen=True)
-class ScatterData:
-    """Impact data of one collision: normal, impact parameter, angles.
-
-    Invariants: ``b = eps * sin(phi)``, ``|deflection| = pi - 2|phi|`` and
-    ``cos(deflection) = 2 (b/eps)^2 - 1``.
-    """
-
-    impact_vector: np.ndarray
-    impact_parameter: float
-    incidence_angle: float
-    deflection: float
-
-    @classmethod
-    def from_impact(cls, velocity_angle: float, n: np.ndarray, eps: float
-                    ) -> "ScatterData":
-        v = unit_vector(velocity_angle)
-        n = np.asarray(n, dtype=float)
-        b_norm = float(v[0] * n[1] - v[1] * n[0])
-        b_norm = min(1.0, max(-1.0, b_norm))
-        phi = math.asin(b_norm)
-        return cls(
-            impact_vector=n,
-            impact_parameter=eps * b_norm,
-            incidence_angle=phi,
-            deflection=deflection_from_impact(b_norm),
-        )
-
-
-def larmor_center(state: ParticleState, b_magnitude: float) -> np.ndarray:
-    """Guiding center of the cyclotron orbit through ``state``.
+def larmor_center(position, velocity_angle: float, b_magnitude: float
+                  ) -> np.ndarray:
+    """Guiding center of the cyclotron orbit through ``position``.
 
     Lies at distance R = 1/B from the position, 90 degrees counterclockwise
     from the velocity, so the orbit is traversed counterclockwise at angular
@@ -152,8 +86,8 @@ def larmor_center(state: ParticleState, b_magnitude: float) -> np.ndarray:
     if b_magnitude <= 0.0:
         raise ValueError("no Larmor center in the straight-line regime B = 0")
     r = 1.0 / b_magnitude
-    a = state.velocity_angle
-    return state.position + r * np.array([-math.sin(a), math.cos(a)])
+    return position + r * np.array(
+        [-math.sin(velocity_angle), math.cos(velocity_angle)])
 
 
 def advance_free(state: ParticleState, b_magnitude: float, tau: float
@@ -171,7 +105,7 @@ def advance_free(state: ParticleState, b_magnitude: float, tau: float
             position=state.position + tau * state.velocity,
             velocity_angle=state.velocity_angle,
         )
-    center = larmor_center(state, b_magnitude)
+    center = larmor_center(state.position, state.velocity_angle, b_magnitude)
     r = 1.0 / b_magnitude
     phase = state.velocity_angle - 0.5 * math.pi + b_magnitude * tau
     return ParticleState(
@@ -180,65 +114,77 @@ def advance_free(state: ParticleState, b_magnitude: float, tau: float
     )
 
 
-def _ray_disk_entry(pos, v, disk: Disk, horizon):
-    """First entry time of the ray ``pos + t v`` into ``disk``, or None."""
-    d = disk.center - pos
-    proj = float(d @ v)
-    perp_sq = float(d @ d) - proj * proj
-    disc = disk.radius * disk.radius - perp_sq
-    if disc <= (disk.radius * GRAZING_TOL) ** 2:
-        return None  # miss, or grazing within tolerance
-    root = math.sqrt(disc)
-    tau = proj - root
-    if tau <= DEPARTURE_GUARD or tau > horizon:
-        return None
-    return tau
+def impact_normal(point, center, eps: float) -> np.ndarray:
+    """Outward unit normal at ``point`` on the disk of radius ``eps``."""
+    n = (point - center) / eps
+    return n / math.hypot(n[0], n[1])
 
 
-def first_arc_disk_hit(state: ParticleState, b_magnitude: float, disk: Disk,
-                       horizon: float):
-    """First impact of the free flight on ``disk`` within ``horizon``.
+def first_arc_hit(centers, orbit_center, velocity_angle: float,
+                  b_magnitude: float, eps: float):
+    """First impact of a counterclockwise orbit on disks of radius ``eps``.
 
-    Returns ``(tau, n)`` with the flight time to impact and the outward unit
-    normal there, or None when the flight misses the disk.  For B > 0 the
-    search covers at most one full revolution.  Grazing contacts (|v.n|
-    below ``GRAZING_TOL``) and stale contacts (times below
-    ``DEPARTURE_GUARD``) are treated as misses.
+    The orbit has radius R = 1/B about ``orbit_center`` and starts with
+    velocity angle ``velocity_angle``; ``centers`` is an (n, 2) array of
+    disk centers.  Only centers in the annulus R - eps < d < R + eps can be
+    hit.  Returns ``(sweep, k, n)``: the swept angle to impact, below one
+    revolution, the row of ``centers`` hit and the outward unit normal
+    there.  None when no disk is hit within one revolution.  Grazing
+    contacts (|v.n| below ``GRAZING_TOL``) and stale contacts (flight times
+    below ``DEPARTURE_GUARD``) are skipped.
     """
-    gap = float(np.hypot(*(state.position - disk.center)))
-    if gap < disk.radius - 1e-12:
-        raise ValueError("flight must start outside the disk")
-    if b_magnitude == 0.0:
-        tau = _ray_disk_entry(state.position, state.velocity, disk, horizon)
-        if tau is None:
-            return None
-        n = (state.position + tau * state.velocity - disk.center)
-        n = n / np.hypot(*n)
-        return tau, n
-
-    center = larmor_center(state, b_magnitude)
     r = 1.0 / b_magnitude
-    rel = disk.center - center
-    d = float(np.hypot(*rel))
-    if abs(d - r) >= disk.radius:
-        return None  # orbit circle never reaches the disk
-    cos_gamma = (d * d + r * r - disk.radius * disk.radius) / (2.0 * d * r)
-    gamma = math.acos(min(1.0, max(-1.0, cos_gamma)))
-    phase0 = state.velocity_angle - 0.5 * math.pi
-    entry_phase = math.atan2(rel[1], rel[0]) - gamma
-    sweep = math.fmod(entry_phase - phase0, TWO_PI)
-    if sweep < 0.0:
-        sweep += TWO_PI
-    tau = sweep * r
-    if tau <= DEPARTURE_GUARD or tau > min(horizon, TWO_PI * r):
+    dx = centers[:, 0] - orbit_center[0]
+    dy = centers[:, 1] - orbit_center[1]
+    d_sq = dx * dx + dy * dy
+    mask = (d_sq > (r - eps) ** 2) & (d_sq < (r + eps) ** 2)
+    if not np.any(mask):
         return None
-    hit = center + r * unit_vector(phase0 + sweep)
-    n = (hit - disk.center)
-    n = n / np.hypot(*n)
-    v_hit = unit_vector(state.velocity_angle + sweep)
-    if float(v_hit @ n) >= -GRAZING_TOL:
-        return None  # tangential contact within tolerance
-    return tau, n
+    rows = np.flatnonzero(mask)
+    d = np.sqrt(d_sq[mask])
+    cos_g = (d * d + r * r - eps * eps) / (2.0 * d * r)
+    gamma = np.arccos(np.clip(cos_g, -1.0, 1.0))
+    phase0 = velocity_angle - 0.5 * math.pi
+    sweep = np.mod(np.arctan2(dy[mask], dx[mask]) - gamma - phase0, TWO_PI)
+    guard_sweep = DEPARTURE_GUARD * b_magnitude
+    for j in np.argsort(sweep):
+        sw = float(sweep[j])
+        if sw <= guard_sweep:
+            continue
+        hit_phase = phase0 + sw
+        hit = orbit_center + r * np.array([math.cos(hit_phase),
+                                           math.sin(hit_phase)])
+        k = int(rows[j])
+        n = impact_normal(hit, centers[k], eps)
+        v = unit_vector(velocity_angle + sw)
+        if float(v @ n) >= -GRAZING_TOL:
+            continue
+        return sw, k, n
+    return None
+
+
+def first_ray_entry(centers, position, v, eps: float, max_len: float):
+    """First entry of the ray ``position + tau v`` into disks of radius ``eps``.
+
+    ``centers`` is an (n, 2) array of disk centers and ``v`` a unit vector.
+    Returns ``(tau, k)`` with the flight time to impact, within
+    (``DEPARTURE_GUARD``, ``max_len``], and the row of ``centers`` hit; None
+    when no disk is entered.  Grazing lines (half-chord below
+    ``eps * GRAZING_TOL``) are misses.
+    """
+    rel = centers - position
+    proj = rel @ v
+    perp_sq = np.einsum("ij,ij->i", rel, rel) - proj * proj
+    disc = eps * eps - perp_sq
+    ok = disc > (eps * GRAZING_TOL) ** 2
+    if not np.any(ok):
+        return None
+    tau = proj[ok] - np.sqrt(disc[ok])
+    good = (tau > DEPARTURE_GUARD) & (tau <= max_len)
+    if not np.any(good):
+        return None
+    k = int(np.argmin(np.where(good, tau, math.inf)))
+    return float(tau[k]), int(np.flatnonzero(ok)[k])
 
 
 def reflect(velocity_angle: float, n: np.ndarray) -> float:
@@ -269,21 +215,3 @@ def deflection_from_impact(b_norm):
     if np.isscalar(b_norm) or getattr(b_norm, "shape", None) == ():
         return float(out)
     return out
-
-
-def self_recollision_angle(delta: float, larmor_radius: float, eps: float
-                           ) -> float:
-    """Half-angle at the obstacle center between successive impact points.
-
-    ``delta`` is the distance between the obstacle center and the guiding
-    center; the self-recollision geometry exists only for
-    ``delta`` strictly between R - eps and R + eps.
-    """
-    if not (larmor_radius > eps > 0.0):
-        raise ValueError("requires R > eps > 0")
-    if not (larmor_radius - eps < delta < larmor_radius + eps):
-        raise ValueError("no self-recollision geometry for this separation")
-    cos_beta = (delta * delta - larmor_radius * larmor_radius + eps * eps) / (
-        2.0 * delta * eps
-    )
-    return math.acos(min(1.0, max(-1.0, cos_beta)))

@@ -4,6 +4,9 @@ Exact dynamics: circular-arc (or straight) free flight between events,
 elastic reflection at each impact.  Obstacle queries enumerate only the
 grid cells a flight leg can reach, so trajectories of unbounded extent run
 against the infinite deterministic field of :mod:`maglorentz.medium`.
+The hit geometry and the reflection are those of
+:mod:`maglorentz.geometry`; this module walks the cells, runs the event
+loop and keeps the books.
 
 Event taxonomy per impact:
 
@@ -34,10 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .geometry import (DEPARTURE_GUARD, GRAZING_TOL, TWO_PI, ParticleState,
-                       advance_free, normalize_angle, unit_vector)
+from .geometry import (TWO_PI, ParticleState, advance_free, first_arc_hit,
+                       first_ray_entry, impact_normal, larmor_center, reflect,
+                       unit_vector)
 from .medium import (ObstacleField, ScalingParams, is_admissible_start,
-                     pack_obstacle_id, scaling_from)
+                     scaling_from)
 
 #: near-miss proxy distance, in units of the obstacle radius
 NEAR_MISS_FACTOR = 2.0
@@ -68,19 +72,10 @@ class TrajectoryStatus(enum.Enum):
 @dataclass(frozen=True)
 class CollisionEvent:
     hit_time: float
-    exit_time: float
     obstacle_id: int
     impact_vector: np.ndarray
     impact_parameter: float
     kind: EventKind
-
-
-@dataclass(frozen=True)
-class EventCounts:
-    fresh: int
-    self_recollisions: int
-    recollisions: int
-    daisy_leaf_max: int
 
 
 @dataclass(frozen=True)
@@ -93,73 +88,6 @@ class TrajectoryOutcome:
     sample_times: np.ndarray
     sample_positions: np.ndarray
     near_miss_count: int
-
-
-def classify_events(events) -> EventCounts:
-    """Tally event kinds from the obstacle-id sequence alone."""
-    fresh = selfr = recoll = 0
-    seen = set()
-    prev = None
-    run = 0
-    max_run = 0
-    for ev in events:
-        oid = ev.obstacle_id
-        if prev is not None and oid == prev:
-            selfr += 1
-            run += 1
-        else:
-            if oid in seen:
-                recoll += 1
-            else:
-                fresh += 1
-            run = 0
-        max_run = max(max_run, run)
-        seen.add(oid)
-        prev = oid
-    leaf_max = (max_run + 1) if events else 0
-    return EventCounts(fresh, selfr, recoll, leaf_max)
-
-
-class _FieldView:
-    """Per-trajectory cache of field cells and concatenated blocks."""
-
-    def __init__(self, field_):
-        self.field = field_
-        self.cell_size = field_.cell_size
-        self._cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._blocks: dict[tuple[int, int, int, int],
-                           tuple[np.ndarray, np.ndarray]] = {}
-
-    def cell(self, ix: int, iy: int):
-        key = (ix, iy)
-        got = self._cells.get(key)
-        if got is None:
-            pts = self.field.cell_points(ix, iy)
-            base = pack_obstacle_id(ix, iy, 0)
-            ids = base + np.arange(len(pts), dtype=np.int64)
-            got = (pts, ids)
-            self._cells[key] = got
-        return got
-
-    def block(self, x_lo, x_hi, y_lo, y_hi):
-        s = self.cell_size
-        key = (int(math.floor(x_lo / s)), int(math.floor(x_hi / s)),
-               int(math.floor(y_lo / s)), int(math.floor(y_hi / s)))
-        got = self._blocks.get(key)
-        if got is None:
-            pts_list, id_list = [], []
-            for ix in range(key[0], key[1] + 1):
-                for iy in range(key[2], key[3] + 1):
-                    pts, ids = self.cell(ix, iy)
-                    if len(pts):
-                        pts_list.append(pts)
-                        id_list.append(ids)
-            if pts_list:
-                got = (np.concatenate(pts_list), np.concatenate(id_list))
-            else:
-                got = (np.empty((0, 2)), np.empty(0, dtype=np.int64))
-            self._blocks[key] = got
-        return got
 
 
 def _point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):
@@ -190,7 +118,7 @@ class _Trajectory:
     def __init__(self, field_, start: ParticleState, t_max: float,
                  sample_times, k_max_leaves: int, max_events: int):
         params = field_.params
-        self.view = _FieldView(field_)
+        self.field = field_
         self.eps = params.eps
         self.b = params.b_magnitude
         self.radius = params.larmor_radius
@@ -201,10 +129,9 @@ class _Trajectory:
         self.k_max = k_max_leaves
         self.max_events = max_events
         self.events: list[CollisionEvent] = []
-        self.seen: set[int] = set()
         self.prev_id: int | None = None
-        self.hit_centers: list[np.ndarray] = []
-        self.hit_center_ids: list[int] = []
+        # centers of the obstacles hit so far, in order of first hit
+        self.hit_centers: dict[int, np.ndarray] = {}
         self.run: list[dict] = []
         self.near_miss = 0
         self.status = TrajectoryStatus.COMPLETED
@@ -231,15 +158,11 @@ class _Trajectory:
             v = unit_vector(self.alpha)
             self.sample_pos[self.cursor:hi] = self.pos + taus[:, None] * v
         else:
-            center = self._orbit_center()
+            center = larmor_center(self.pos, self.alpha, self.b)
             phase = self.alpha - 0.5 * math.pi + self.b * taus
             self.sample_pos[self.cursor:hi, 0] = center[0] + self.radius * np.cos(phase)
             self.sample_pos[self.cursor:hi, 1] = center[1] + self.radius * np.sin(phase)
         self.cursor = hi
-
-    def _orbit_center(self):
-        return self.pos + self.radius * np.array(
-            [-math.sin(self.alpha), math.cos(self.alpha)])
 
     def advance(self, duration: float):
         self.emit_samples(duration)
@@ -254,10 +177,8 @@ class _Trajectory:
         if not self.hit_centers:
             return
         exclude = {hit_id, self.prev_id}
-        centers = []
-        for oid, c in zip(self.hit_center_ids, self.hit_centers):
-            if oid not in exclude:
-                centers.append(c)
+        centers = [c for oid, c in self.hit_centers.items()
+                   if oid not in exclude]
         if not centers:
             return
         centers = np.asarray(centers)
@@ -266,8 +187,8 @@ class _Trajectory:
                 centers, self.pos, unit_vector(self.alpha), sweep_or_length)
         else:
             dist = _point_to_arc_distances(
-                centers, self._orbit_center(), self.radius,
-                self.alpha - 0.5 * math.pi, sweep_or_length)
+                centers, larmor_center(self.pos, self.alpha, self.b),
+                self.radius, self.alpha - 0.5 * math.pi, sweep_or_length)
         if np.any(dist <= NEAR_MISS_FACTOR * self.eps):
             self.near_miss += 1
 
@@ -279,46 +200,19 @@ class _Trajectory:
         None means the current orbit is free of obstacles (exactly periodic
         motion): the trajectory is circling forever.
         """
-        center = self._orbit_center()
+        center = larmor_center(self.pos, self.alpha, self.b)
         r, eps = self.radius, self.eps
-        pts, ids = self.view.block(center[0] - r - eps, center[0] + r + eps,
-                                   center[1] - r - eps, center[1] + r + eps)
-        if not len(pts):
+        pts, ids = self.field.block(center[0] - r - eps, center[0] + r + eps,
+                                    center[1] - r - eps, center[1] + r + eps)
+        found = first_arc_hit(pts, center, self.alpha, self.b, eps)
+        if found is None:
             return None
-        dx = pts[:, 0] - center[0]
-        dy = pts[:, 1] - center[1]
-        d_sq = dx * dx + dy * dy
-        mask = (d_sq > (r - eps) ** 2) & (d_sq < (r + eps) ** 2)
-        if not np.any(mask):
-            return None
-        cand = pts[mask]
-        cand_ids = ids[mask]
-        d = np.sqrt(d_sq[mask])
-        rel = np.stack([dx[mask], dy[mask]], axis=1)
-        cos_g = (d * d + r * r - eps * eps) / (2.0 * d * r)
-        gamma = np.arccos(np.clip(cos_g, -1.0, 1.0))
-        phase0 = self.alpha - 0.5 * math.pi
-        sweep = np.mod(np.arctan2(rel[:, 1], rel[:, 0]) - gamma - phase0, TWO_PI)
-        guard_sweep = DEPARTURE_GUARD * self.b
-        for j in np.argsort(sweep):
-            sw = float(sweep[j])
-            if sw <= guard_sweep:
-                continue
-            hit_phase = phase0 + sw
-            hit = center + r * np.array([math.cos(hit_phase), math.sin(hit_phase)])
-            n = (hit - cand[j]) / eps
-            norm = math.hypot(n[0], n[1])
-            n = n / norm
-            v = unit_vector(self.alpha + sw)
-            if float(v @ n) >= -GRAZING_TOL:
-                continue
-            return sw, int(cand_ids[j]), n, cand[j]
-        return None
+        sweep, k, n = found
+        return sweep, int(ids[k]), n, pts[k]
 
     def next_ray_hit(self, max_len: float):
         """(length, hit_id, normal, center) of the first impact, or None."""
-        s = self.view.cell_size
-        eps = self.eps
+        s = self.field.cell_size
         v = unit_vector(self.alpha)
         pos = self.pos
         best_tau = math.inf
@@ -341,25 +235,13 @@ class _Trajectory:
                     if (jx, jy) in checked:
                         continue
                     checked.add((jx, jy))
-                    pts, ids = self.view.cell(jx, jy)
+                    pts, ids = self.field.cell(jx, jy)
                     if not len(pts):
                         continue
-                    rel = pts - pos
-                    proj = rel @ v
-                    perp_sq = np.einsum("ij,ij->i", rel, rel) - proj * proj
-                    disc = eps * eps - perp_sq
-                    ok = disc > (eps * GRAZING_TOL) ** 2
-                    if not np.any(ok):
-                        continue
-                    tau = proj[ok] - np.sqrt(disc[ok])
-                    good = (tau > DEPARTURE_GUARD) & (tau <= max_len)
-                    if not np.any(good):
-                        continue
-                    k = int(np.argmin(np.where(good, tau, math.inf)))
-                    if tau[k] < best_tau:
-                        sub = np.flatnonzero(ok)
-                        best_tau = float(tau[k])
-                        best = (int(ids[sub[k]]), pts[sub[k]])
+                    found = first_ray_entry(pts, pos, v, self.eps, max_len)
+                    if found is not None and found[0] < best_tau:
+                        best_tau, k = found
+                        best = (int(ids[k]), pts[k])
             frontier = min(tx, ty)
             if best_tau <= frontier or frontier >= max_len:
                 break
@@ -369,29 +251,25 @@ class _Trajectory:
             else:
                 ty += tdy
                 iy += step_y
-        if best is None or best_tau > max_len:
+        if best is None:
             return None
         hit_id, c = best
-        hit = pos + best_tau * v
-        n = (hit - c) / eps
-        n = n / math.hypot(n[0], n[1])
+        n = impact_normal(pos + best_tau * v, c, self.eps)
         return best_tau, hit_id, n, c
 
     # -- daisy bookkeeping ---------------------------------------------------
 
-    def register_hit(self, hit_id, n, b_signed, hit_time):
-        if self.prev_id is not None and hit_id == self.prev_id:
+    def register_hit(self, hit_id, center, n, b_signed, hit_time):
+        if hit_id == self.prev_id:
             kind = EventKind.SELF_RECOLLISION
-        elif hit_id in self.seen:
+        elif hit_id in self.hit_centers:
             kind = EventKind.RECOLLISION
         else:
             kind = EventKind.FRESH
+            self.hit_centers[hit_id] = center
         self.events.append(CollisionEvent(
-            hit_time=hit_time, exit_time=hit_time, obstacle_id=hit_id,
-            impact_vector=n, impact_parameter=b_signed, kind=kind))
-        if hit_id not in self.seen:
-            self.seen.add(hit_id)
-            self.hit_center_ids.append(hit_id)
+            hit_time=hit_time, obstacle_id=hit_id, impact_vector=n,
+            impact_parameter=b_signed, kind=kind))
         self.prev_id = hit_id
         return kind
 
@@ -455,9 +333,7 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
         tr.advance(tau)
         v = unit_vector(tr.alpha)
         b_signed = tr.eps * float(v[0] * n[1] - v[1] * n[0])
-        if hit_id not in tr.seen:
-            tr.hit_centers.append(np.asarray(c, dtype=float))
-        kind = tr.register_hit(hit_id, n, b_signed, tr.t)
+        kind = tr.register_hit(hit_id, c, n, b_signed, tr.t)
 
         entry = tr.daisy_entry(b_signed, n, tr.t)
         closed_at = None
@@ -466,10 +342,7 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
         else:
             tr.run = []
 
-        # reflect
-        vn = float(v @ n)
-        tr.alpha = normalize_angle(math.atan2(v[1] - 2.0 * vn * n[1],
-                                              v[0] - 2.0 * vn * n[0]))
+        tr.alpha = reflect(tr.alpha, n)
 
         if closed_at is not None:
             tr.status = TrajectoryStatus.TRAPPED_DAISY

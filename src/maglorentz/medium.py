@@ -4,7 +4,8 @@ The field is deterministic: the obstacle list of every grid cell is a pure
 function of (master seed, cell index), drawn from a counter-based random
 stream.  Trajectories of unbounded extent therefore see one consistent
 infinite environment without it ever being stored, and concurrent readers
-need no coordination.
+need no coordination.  A field object memoizes the cells it has served,
+so its memory grows with the area queried; each replica gets its own.
 
 Obstacles may overlap each other; the underlying measure is pure Poisson
 with no hard-core thinning.
@@ -25,6 +26,7 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 #: packed obstacle ids: 20-bit offset cell coordinates plus a 20-bit index
 _ID_OFFSET = 1 << 19
+_ID_INDEX_LIMIT = 1 << 20
 
 
 class RegimeWarning(UserWarning):
@@ -105,8 +107,11 @@ def default_cell_size(params: ScalingParams) -> float:
 
 
 def pack_obstacle_id(cell_x: int, cell_y: int, index: int) -> int:
+    """One integer id per (cell, intra-cell index); distinct triples differ."""
     if not (-_ID_OFFSET <= cell_x < _ID_OFFSET and -_ID_OFFSET <= cell_y < _ID_OFFSET):
         raise ValueError("cell index outside the addressable range")
+    if not 0 <= index < _ID_INDEX_LIMIT:
+        raise ValueError("intra-cell index outside [0, 2**20)")
     return ((cell_x + _ID_OFFSET) << 40) | ((cell_y + _ID_OFFSET) << 20) | index
 
 
@@ -117,8 +122,53 @@ def unpack_obstacle_id(oid: int) -> tuple[int, int, int]:
             int(oid & 0xFFFFF))
 
 
+class _CellCache:
+    """Memo of drawn cells and of concatenated rectangles of cells.
+
+    Every query of a field object reads through here, so a replica's start
+    check and its flight draw each cell once.  Subclasses set ``_cells`` and
+    ``_blocks`` to empty dicts and provide ``cell_size`` and
+    ``cell_points``.
+    """
+
+    def cell(self, ix: int, iy: int):
+        """(points, packed ids) of one cell."""
+        key = (ix, iy)
+        got = self._cells.get(key)
+        if got is None:
+            pts = self.cell_points(ix, iy)
+            if len(pts) > _ID_INDEX_LIMIT:
+                raise ValueError(f"cell {key} holds {len(pts)} obstacles; "
+                                 "obstacle ids address at most 2**20 per cell")
+            base = pack_obstacle_id(ix, iy, 0)
+            got = (pts, base + np.arange(len(pts), dtype=np.int64))
+            self._cells[key] = got
+        return got
+
+    def block(self, x_lo, x_hi, y_lo, y_hi):
+        """(points, packed ids) of every cell meeting the rectangle."""
+        s = self.cell_size
+        key = (int(math.floor(x_lo / s)), int(math.floor(x_hi / s)),
+               int(math.floor(y_lo / s)), int(math.floor(y_hi / s)))
+        got = self._blocks.get(key)
+        if got is None:
+            pts_list, id_list = [], []
+            for ix in range(key[0], key[1] + 1):
+                for iy in range(key[2], key[3] + 1):
+                    pts, ids = self.cell(ix, iy)
+                    if len(pts):
+                        pts_list.append(pts)
+                        id_list.append(ids)
+            if pts_list:
+                got = (np.concatenate(pts_list), np.concatenate(id_list))
+            else:
+                got = (_EMPTY_POINTS, _EMPTY_IDS)
+            self._blocks[key] = got
+        return got
+
+
 @dataclass(frozen=True)
-class ObstacleField:
+class ObstacleField(_CellCache):
     """Deterministic lazy Poisson field keyed by a 64-bit master seed."""
 
     master_seed: int
@@ -126,6 +176,8 @@ class ObstacleField:
     cell_size: float = field(default=0.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "_cells", {})
+        object.__setattr__(self, "_blocks", {})
         if self.cell_size <= 0.0:
             object.__setattr__(self, "cell_size", default_cell_size(self.params))
         if self.params.b_magnitude > 0.0:
@@ -150,12 +202,8 @@ class ObstacleField:
         pts[:, 1] += cell_y
         return pts * self.cell_size
 
-    def cell_of(self, point) -> tuple[int, int]:
-        return (int(math.floor(point[0] / self.cell_size)),
-                int(math.floor(point[1] / self.cell_size)))
 
-
-class ExplicitField:
+class ExplicitField(_CellCache):
     """Field with a fixed obstacle list; same interface as ObstacleField.
 
     Used for validation runs where the environment must be laid out by hand.
@@ -164,59 +212,28 @@ class ExplicitField:
     def __init__(self, params: ScalingParams, centers, cell_size: float = 0.0):
         self.params = params
         self.cell_size = cell_size if cell_size > 0.0 else default_cell_size(params)
-        self._cells: dict[tuple[int, int], list] = {}
+        self._cells = {}
+        self._blocks = {}
+        self._centers: dict[tuple[int, int], list] = {}
+        s = self.cell_size
         for c in np.atleast_2d(np.asarray(centers, dtype=float)):
             if c.shape != (2,):
                 raise ValueError("centers must be 2-vectors")
-            key = self.cell_of(c)
-            self._cells.setdefault(key, []).append(c)
+            key = (int(math.floor(c[0] / s)), int(math.floor(c[1] / s)))
+            self._centers.setdefault(key, []).append(c)
 
     def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
-        pts = self._cells.get((cell_x, cell_y))
+        pts = self._centers.get((cell_x, cell_y))
         if not pts:
             return _EMPTY_POINTS
         return np.array(pts)
-
-    def cell_of(self, point) -> tuple[int, int]:
-        return (int(math.floor(point[0] / self.cell_size)),
-                int(math.floor(point[1] / self.cell_size)))
-
-
-def obstacles_in_cell(field_: ObstacleField, cell: tuple[int, int]) -> np.ndarray:
-    """Obstacle centers of the given cell as an (n, 2) array."""
-    return field_.cell_points(int(cell[0]), int(cell[1]))
-
-
-def _block_points(field_, x_lo, x_hi, y_lo, y_hi, with_ids=False):
-    """Concatenated points (and packed ids) of a rectangle of cells."""
-    s = field_.cell_size
-    ix0 = int(math.floor(x_lo / s))
-    ix1 = int(math.floor(x_hi / s))
-    iy0 = int(math.floor(y_lo / s))
-    iy1 = int(math.floor(y_hi / s))
-    chunks = []
-    ids = []
-    for ix in range(ix0, ix1 + 1):
-        for iy in range(iy0, iy1 + 1):
-            pts = field_.cell_points(ix, iy)
-            if len(pts):
-                chunks.append(pts)
-                if with_ids:
-                    base = pack_obstacle_id(ix, iy, 0)
-                    ids.append(base + np.arange(len(pts), dtype=np.int64))
-    if not chunks:
-        return (_EMPTY_POINTS, _EMPTY_IDS) if with_ids else _EMPTY_POINTS
-    pts = np.concatenate(chunks)
-    if with_ids:
-        return pts, np.concatenate(ids)
-    return pts
 
 
 def is_admissible_start(field_, x) -> bool:
     """True when every obstacle center is strictly farther than eps from x."""
     x = np.asarray(x, dtype=float)
     eps = field_.params.eps
-    pts = _block_points(field_, x[0] - eps, x[0] + eps, x[1] - eps, x[1] + eps)
+    pts, _ = field_.block(x[0] - eps, x[0] + eps, x[1] - eps, x[1] + eps)
     if not len(pts):
         return True
     d2 = np.min(np.sum((pts - x) ** 2, axis=1))

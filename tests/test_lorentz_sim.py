@@ -6,9 +6,8 @@ import pytest
 from maglorentz import _rng, medium
 from maglorentz import lorentz_sim as ls
 from maglorentz.geometry import ParticleState, advance_free, unit_vector
-from maglorentz.lorentz_sim import (ChatteringError, CollisionEvent,
-                                    EventKind, TrajectoryStatus,
-                                    classify_events, event_rate_study,
+from maglorentz.lorentz_sim import (ChatteringError, EventKind,
+                                    TrajectoryStatus, event_rate_study,
                                     msd_estimate, simulate_trajectory)
 from maglorentz.medium import ExplicitField, ObstacleField, scaling_from
 
@@ -20,29 +19,38 @@ def empty_params(eps=0.05, b=0.0):
                                 b_magnitude=b, larmor_radius=r, t_larmor=t)
 
 
-def ev(oid):
-    return CollisionEvent(0.0, 0.0, oid, np.array([1.0, 0.0]), 0.0,
-                          EventKind.FRESH)
+def register(ids):
+    """Trajectory after ``register_hit`` saw ``ids`` in order, and the kinds."""
+    tr = ls._Trajectory(ObstacleField(1, empty_params()),
+                        ParticleState(np.zeros(2), 0.0), 1.0, (), 8, 100)
+    kinds = [tr.register_hit(oid, np.array([float(oid), 0.0]),
+                             np.array([1.0, 0.0]), 0.0, float(i))
+             for i, oid in enumerate(ids)]
+    return tr, kinds
 
 
 class TestClassifyEvents:
+    """Event kinds as ``register_hit`` assigns them from the id sequence."""
+
     def test_empty(self):
-        counts = classify_events([])
-        assert (counts.fresh, counts.self_recollisions, counts.recollisions,
-                counts.daisy_leaf_max) == (0, 0, 0, 0)
+        tr, kinds = register([])
+        assert kinds == [] and tr.events == [] and tr.hit_centers == {}
 
     def test_triple_same_obstacle(self):
-        counts = classify_events([ev(1), ev(1), ev(1)])
-        assert counts.fresh == 1
-        assert counts.self_recollisions == 2
-        assert counts.recollisions == 0
-        assert counts.daisy_leaf_max == 3
+        tr, kinds = register([1, 1, 1])
+        assert kinds == [EventKind.FRESH, EventKind.SELF_RECOLLISION,
+                         EventKind.SELF_RECOLLISION]
+        assert [e.kind for e in tr.events] == kinds
+        assert list(tr.hit_centers) == [1]
 
     def test_nonadjacent_repeat(self):
-        counts = classify_events([ev(1), ev(2), ev(1)])
-        assert counts.fresh == 2
-        assert counts.recollisions == 1
-        assert counts.self_recollisions == 0
+        tr, kinds = register([1, 2, 1, 3, 2])
+        assert kinds == [EventKind.FRESH, EventKind.FRESH,
+                         EventKind.RECOLLISION, EventKind.FRESH,
+                         EventKind.RECOLLISION]
+        # first-hit order, which fixes the near-miss candidate order
+        assert list(tr.hit_centers) == [1, 2, 3]
+        assert tr.hit_centers[2].tolist() == [2.0, 0.0]
 
 
 class TestObstacleFreeFlight:
@@ -81,7 +89,6 @@ class TestSingleObstacle:
         event = out.events[0]
         assert event.kind is EventKind.FRESH
         assert event.hit_time == pytest.approx(4.9, abs=1e-12)
-        assert event.exit_time >= event.hit_time
         assert abs(event.impact_parameter) < 1e-12
         assert out.final_state.velocity_angle == pytest.approx(math.pi)
         assert out.final_state.position[0] == pytest.approx(-0.2, abs=1e-9)
@@ -117,8 +124,6 @@ class TestDaisyTrapping:
         kinds = [e.kind for e in out.events]
         assert kinds[0] is EventKind.FRESH
         assert all(k is EventKind.SELF_RECOLLISION for k in kinds[1:])
-        counts = classify_events(out.events)
-        assert counts.daisy_leaf_max == len(out.events)
         # trapped: every later sample stays within one orbit of the trap
         d = np.hypot(*(out.sample_positions - obstacle).T)
         assert d.max() <= 2 * (1.0 + 0.1) + 1e-9
@@ -146,12 +151,27 @@ class TestInvariants:
             out = simulate_trajectory(f, start, 4.0)
             times = [e.hit_time for e in out.events]
             assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
-            assert all(e.exit_time >= e.hit_time for e in out.events)
             assert all(abs(e.impact_parameter) <= params.eps for e in out.events)
             v = out.final_state.velocity
             assert float(v @ v) == pytest.approx(1.0, abs=1e-12)
             hits += len(out.events)
         assert hits > 50
+
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    def test_each_cell_drawn_once_per_replica(self, b):
+        # the start check and the flight read one cell cache
+        f = ObstacleField(_rng.mix(17, 0), scaling_from(0.02, 1.0, 1.0, b))
+        drawn = []
+        draw = f.cell_points
+
+        def counting(ix, iy):
+            drawn.append((ix, iy))
+            return draw(ix, iy)
+
+        object.__setattr__(f, "cell_points", counting)
+        start = ls._draw_start(f, _rng.generator(17, _rng.STREAM_START, 0))
+        simulate_trajectory(f, start, 4.0)
+        assert len(drawn) > 1 and len(drawn) == len(set(drawn))
 
     def test_no_self_recollision_without_field(self):
         params = scaling_from(0.05, 1.0, 1.0, 0.0)

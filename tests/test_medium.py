@@ -7,9 +7,8 @@ from maglorentz import medium
 from maglorentz.medium import (AnnulusVoidEstimate, ExplicitField,
                                ObstacleField, RegimeWarning,
                                empty_annulus_probability_mc,
-                               is_admissible_start, obstacles_in_cell,
-                               pack_obstacle_id, scaling_from,
-                               unpack_obstacle_id)
+                               is_admissible_start, pack_obstacle_id,
+                               scaling_from, unpack_obstacle_id)
 
 
 def empty_params(eps=0.05, b=0.0):
@@ -52,22 +51,22 @@ class TestScalingParams:
 class TestObstacleField:
     def test_empty_intensity(self):
         f = ObstacleField(1, empty_params())
-        assert len(obstacles_in_cell(f, (3, -2))) == 0
+        assert len(f.cell_points(3, -2)) == 0
 
     def test_determinism_same_cell(self):
         p = scaling_from(0.05, 1.0, 1.0)
         f1 = ObstacleField(99, p)
         f2 = ObstacleField(99, p)
-        a = obstacles_in_cell(f1, (5, 7))
-        b = obstacles_in_cell(f2, (5, 7))
+        a = f1.cell_points(5, 7)
+        b = f2.cell_points(5, 7)
         assert np.array_equal(a, b)
-        assert np.array_equal(a, obstacles_in_cell(f1, (5, 7)))
+        assert np.array_equal(a, f1.cell_points(5, 7))
 
     def test_query_order_irrelevant(self):
         p = scaling_from(0.05, 1.0, 1.0)
         cells = [(0, 0), (4, -3), (-2, 9), (1, 1)]
-        first = [obstacles_in_cell(ObstacleField(7, p), c) for c in cells]
-        second = [obstacles_in_cell(ObstacleField(7, p), c)
+        first = [ObstacleField(7, p).cell_points(*c) for c in cells]
+        second = [ObstacleField(7, p).cell_points(*c)
                   for c in reversed(cells)][::-1]
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
@@ -76,7 +75,7 @@ class TestObstacleField:
         p = scaling_from(0.05, 1.0, 1.0)
         f = ObstacleField(3, p)
         s = f.cell_size
-        pts = obstacles_in_cell(f, (-4, 2))
+        pts = f.cell_points(-4, 2)
         assert np.all(pts[:, 0] >= -4 * s) and np.all(pts[:, 0] < -3 * s)
         assert np.all(pts[:, 1] >= 2 * s) and np.all(pts[:, 1] < 3 * s)
 
@@ -119,6 +118,41 @@ class TestObstacleField:
     def test_id_packing_roundtrip(self):
         for triple in [(0, 0, 0), (-413, 977, 12), (12000, -12000, 55)]:
             assert unpack_obstacle_id(pack_obstacle_id(*triple)) == triple
+
+    def test_id_packing_index_bounds(self):
+        # the last index of a cell must not alias the next cell's first id
+        top = 2 ** 20 - 1
+        for cell in [(0, 0), (-5, 7), (2 ** 19 - 1, -2 ** 19)]:
+            oid = pack_obstacle_id(*cell, top)
+            assert unpack_obstacle_id(oid) == (*cell, top)
+        assert pack_obstacle_id(0, 0, top) != pack_obstacle_id(0, 1, 0)
+        for bad in (2 ** 20, -1):
+            with pytest.raises(ValueError, match="intra-cell index"):
+                pack_obstacle_id(0, 0, bad)
+
+    def test_oversize_cell_rejected(self):
+        # a cell the ids cannot address fails loudly instead of aliasing;
+        # only its length is read before the check, so nothing is drawn
+        class Oversize:
+            def __len__(self):
+                return 2 ** 20 + 1
+
+        f = ObstacleField(3, scaling_from(0.05, 1.0, 1.0))
+        object.__setattr__(f, "cell_points", lambda ix, iy: Oversize())
+        with pytest.raises(ValueError, match="at most 2"):
+            f.cell(0, 0)
+
+    def test_block_concatenates_cells_in_order(self):
+        p = scaling_from(0.05, 1.0, 1.0)
+        f = ObstacleField(9, p)
+        s = f.cell_size
+        pts, ids = f.block(-0.5 * s, 1.5 * s, 0.2 * s, 1.2 * s)
+        cells = [(ix, iy) for ix in (-1, 0, 1) for iy in (0, 1)]
+        assert np.array_equal(pts, np.concatenate(
+            [f.cell_points(*c) for c in cells]))
+        assert [unpack_obstacle_id(int(i))[:2] for i in ids] == [
+            c for c in cells for _ in range(len(f.cell_points(*c)))]
+        assert f.block(-0.5 * s, 1.5 * s, 0.2 * s, 1.2 * s)[0] is pts
 
 
 class TestAdmissibleStart:
