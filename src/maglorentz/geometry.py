@@ -10,6 +10,8 @@ The first-hit kernels ``first_arc_hit`` (B > 0) and ``first_ray_entry``
 (B = 0) take arrays of obstacle centers and plain floats; they and
 ``reflect`` are the only arc/ray-vs-disk arithmetic of the package, and
 the event-driven simulator calls them on every flight leg.
+``point_to_arc_distances`` and ``point_to_segment_distances`` measure how
+close a leg passes to given points, for the simulator's near-miss count.
 
 Sign conventions used throughout:
 
@@ -185,6 +187,29 @@ def first_ray_entry(centers, position, v, eps: float, max_len: float):
         return None
     k = int(np.argmin(np.where(good, tau, math.inf)))
     return float(tau[k]), int(np.flatnonzero(ok)[k])
+
+
+def point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):
+    """Distance from each point to the arc swept from phase0 by sweep (CCW)."""
+    rel = centers - orbit_center
+    d = np.hypot(rel[:, 0], rel[:, 1])
+    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]) - phase0, TWO_PI)
+    radial = np.abs(d - radius)
+    p_start = orbit_center + radius * np.array([math.cos(phase0), math.sin(phase0)])
+    p_end = orbit_center + radius * np.array(
+        [math.cos(phase0 + sweep), math.sin(phase0 + sweep)])
+    d_start = np.hypot(*(centers - p_start).T)
+    d_end = np.hypot(*(centers - p_end).T)
+    endpoint = np.minimum(d_start, d_end)
+    return np.where(ang <= sweep, radial, endpoint)
+
+
+def point_to_segment_distances(centers, p0, v, length):
+    """Distance from each point to the segment p0 + s v, s in [0, length]."""
+    rel = centers - p0
+    proj = np.clip(rel @ v, 0.0, length)
+    closest = p0 + proj[:, None] * v
+    return np.hypot(*(centers - closest).T)
 
 
 def reflect(velocity_angle: float, n: np.ndarray) -> float:

@@ -80,45 +80,26 @@ class SpectralGrid:
 
 
 class _History:
-    """Uniformly spaced buffer of past angle-mode fields.
+    """Fixed-capacity ring of past angle-mode fields, one per step of ``dt``.
 
-    Grows on demand and slides forward once entries age out of the retention
-    window, so memory tracks what the delayed terms can actually reach
-    rather than the worst-case span.
+    ``solve`` sizes the ring to what the delayed terms can reach, so it is
+    allocated once, before the first step, and never grows.
     """
 
     _GUARD_BYTES = 1_500_000_000
 
-    def __init__(self, shape, dt: float):
+    def __init__(self, shape, dt: float, capacity: int):
+        if capacity * int(np.prod(shape)) * 16 > self._GUARD_BYTES:
+            raise MemoryError(
+                "history buffer exceeds its memory guard; reduce the "
+                "delay span, the grid, or raise dt")
         self.dt = dt
-        self.shape = tuple(shape)
-        self.buf = np.empty((64,) + self.shape, dtype=complex)
-        self.lo = 0       # step index stored at buf[0]
+        self.buf = np.empty((capacity,) + tuple(shape), dtype=complex)
         self.count = 0    # total steps pushed so far
-        self.keep = 8     # retention window in steps
         self.prev_rhs: np.ndarray | None = None
 
-    def set_retention(self, steps: int):
-        self.keep = max(self.keep, steps)
-
     def push(self, hat: np.ndarray):
-        if self.count - self.lo >= len(self.buf):
-            drop = (self.count - self.keep) - self.lo
-            if drop > len(self.buf) // 4:
-                held = self.count - self.lo - drop
-                self.buf[:held] = self.buf[drop:drop + held]
-                self.lo += drop
-            else:
-                new_len = 2 * len(self.buf)
-                if new_len * int(np.prod(self.shape)) * 16 > self._GUARD_BYTES:
-                    raise MemoryError(
-                        "history buffer exceeds its memory guard; reduce the "
-                        "delay span, the grid, or raise dt")
-                new = np.empty((new_len,) + self.shape, dtype=complex)
-                held = self.count - self.lo
-                new[:held] = self.buf[:held]
-                self.buf = new
-        self.buf[self.count - self.lo] = hat
+        self.buf[self.count % len(self.buf)] = hat
         self.count += 1
 
     def modes_at(self, t: float) -> np.ndarray:
@@ -127,13 +108,14 @@ class _History:
         i0 = int(math.floor(x))
         i0 = min(max(i0, 0), self.count - 1)
         i1 = min(i0 + 1, self.count - 1)
-        if i0 < self.lo:
+        cap = len(self.buf)
+        if i0 < self.count - cap:
             raise RuntimeError("history no longer covers the requested delay")
         w = x - i0
-        a = self.buf[i0 - self.lo]
+        a = self.buf[i0 % cap]
         if i1 == i0 or w == 0.0:
             return a
-        return (1.0 - w) * a + w * self.buf[i1 - self.lo]
+        return (1.0 - w) * a + w * self.buf[i1 % cap]
 
 
 @dataclass
@@ -250,17 +232,14 @@ def step(fld: KineticField, dt: float, model: KineticModel) -> KineticField:
 
     Integrating-factor treatment of transport and rotation (exact), explicit
     second-order two-step update for collision and memory; the first step
-    uses a predictor-corrector start.  The field's history buffer must have
-    been filled by previous steps of the same spacing.
+    uses a predictor-corrector start.  The field's history ring, created by
+    ``solve``, must have been filled by previous steps of the same spacing:
+    a field without history or a different ``dt`` raises ``ValueError``.
     """
-    if fld.history is None:
-        fld.history = _History(fld.values_hat.shape, dt)
-        fld.history.push(fld.values_hat)
     hist = fld.history
+    if hist is None or dt != hist.dt:
+        raise ValueError("step needs the history of a solve at the same dt")
     t = fld.time
-    if model.k_cut:
-        span = min(model.k_cut * model.delay, t + 2.0 * dt)
-        hist.set_retention(int(math.ceil(span / dt)) + 4)
     rhs_now = model.collision_rhs(fld.values_hat, t, hist)
     if hist.prev_rhs is None:
         pred = model.propagate(fld.values_hat + dt * rhs_now, dt)
@@ -357,7 +336,12 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
     diffusivity = operators.spatial_diffusivity(op)
     rho0 = angle_average_modes(f0)
     grid = model.grid
-    fld = KineticField(grid, f0.values_hat.copy(), f0.time, None)
+    # the oldest delayed field read lies k_cut * delay back; delay is
+    # infinite without a field, where k_cut is 0
+    reach = math.ceil(model.k_cut * model.delay / dt) if model.k_cut else 0
+    hist = _History(f0.values_hat.shape, dt, min(n_steps + 1, reach + 4))
+    hist.push(f0.values_hat)
+    fld = KineticField(grid, f0.values_hat.copy(), f0.time, hist)
     norm0 = field_norm_hat(fld.values_hat, grid)
     snaps_wanted = sorted(float(s) for s in snapshot_times)
     snaps: list[tuple[float, np.ndarray]] = []
@@ -420,12 +404,7 @@ def hilbert_correctors(g0_modes: np.ndarray, op: "operators.AngularOperator",
     autocorrelation integral and is asserted here.
     """
     g0_modes = np.asarray(g0_modes, dtype=complex)
-    lam = op.fft_multipliers(grid.n_v)
-    safe = np.where(np.abs(lam) < 1e-13, 1.0, lam)
-    inv = np.where(np.abs(lam) < 1e-13, 0.0, 1.0 / safe)
-    if np.any((np.abs(lam) < 1e-13) & (grid.angular_modes != 0)):
-        raise operators.NearSingularOperatorError(
-            "collision operator not invertible on a nonzero harmonic")
+    inv = op.fft_inverse(grid.n_v)
     ikv = 1j * (grid.kvec[:, 0][:, None] * np.cos(grid.angles)[None, :]
                 + grid.kvec[:, 1][:, None] * np.sin(grid.angles)[None, :])
     rhs1 = ikv * g0_modes[:, None]

@@ -38,8 +38,9 @@ import numpy as np
 
 from . import _rng
 from .geometry import (TWO_PI, ParticleState, advance_free, first_arc_hit,
-                       first_ray_entry, impact_normal, larmor_center, reflect,
-                       unit_vector)
+                       first_ray_entry, impact_normal, larmor_center,
+                       point_to_arc_distances, point_to_segment_distances,
+                       reflect, unit_vector)
 from .medium import (ObstacleField, ScalingParams, is_admissible_start,
                      scaling_from)
 
@@ -88,28 +89,6 @@ class TrajectoryOutcome:
     sample_times: np.ndarray
     sample_positions: np.ndarray
     near_miss_count: int
-
-
-def _point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):
-    """Distance from each point to the arc swept from phase0 by sweep (CCW)."""
-    rel = centers - orbit_center
-    d = np.hypot(rel[:, 0], rel[:, 1])
-    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]) - phase0, TWO_PI)
-    radial = np.abs(d - radius)
-    p_start = orbit_center + radius * np.array([math.cos(phase0), math.sin(phase0)])
-    p_end = orbit_center + radius * np.array(
-        [math.cos(phase0 + sweep), math.sin(phase0 + sweep)])
-    d_start = np.hypot(*(centers - p_start).T)
-    d_end = np.hypot(*(centers - p_end).T)
-    endpoint = np.minimum(d_start, d_end)
-    return np.where(ang <= sweep, radial, endpoint)
-
-
-def _point_to_segment_distances(centers, p0, v, length):
-    rel = centers - p0
-    proj = np.clip(rel @ v, 0.0, length)
-    closest = p0 + proj[:, None] * v
-    return np.hypot(*(centers - closest).T)
 
 
 class _Trajectory:
@@ -183,10 +162,10 @@ class _Trajectory:
             return
         centers = np.asarray(centers)
         if self.b == 0.0:
-            dist = _point_to_segment_distances(
+            dist = point_to_segment_distances(
                 centers, self.pos, unit_vector(self.alpha), sweep_or_length)
         else:
-            dist = _point_to_arc_distances(
+            dist = point_to_arc_distances(
                 centers, larmor_center(self.pos, self.alpha, self.b),
                 self.radius, self.alpha - 0.5 * math.pi, sweep_or_length)
         if np.any(dist <= NEAR_MISS_FACTOR * self.eps):

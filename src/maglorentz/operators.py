@@ -97,9 +97,10 @@ def deflection_cosine_moments(j_max: int, order: int) -> np.ndarray:
 class AngularOperator:
     """Fourier-multiplier representation of an angular operator.
 
-    ``multipliers[m + m_modes]`` is the eigenvalue on the harmonic
-    ``exp(i m alpha)`` for m in [-m_modes, m_modes]; the sequence is real
-    and even.  ``period`` is infinite for memoryless operators.
+    ``multipliers[m]`` is the eigenvalue on the harmonics ``exp(+-i m alpha)``
+    for m in [0, m_modes]; the operator is real and even in m, so the
+    negative harmonics are not stored.  ``period`` is infinite for
+    memoryless operators.
     """
 
     multipliers: np.ndarray
@@ -110,21 +111,37 @@ class AngularOperator:
 
     @property
     def m_modes(self) -> int:
-        return (len(self.multipliers) - 1) // 2
+        return len(self.multipliers) - 1
 
     def mode(self, m: int) -> float:
         if abs(m) > self.m_modes:
             raise IndexError(f"harmonic {m} beyond truncation {self.m_modes}")
-        return float(self.multipliers[m + self.m_modes])
+        return float(self.multipliers[abs(m)])
 
     def fft_multipliers(self, n_grid: int) -> np.ndarray:
         """Multipliers reordered to match ``numpy.fft.fft`` output bins."""
-        m = np.fft.fftfreq(n_grid, 1.0 / n_grid).astype(int)
-        if np.max(np.abs(m)) > self.m_modes:
+        m = np.abs(np.fft.fftfreq(n_grid, 1.0 / n_grid).astype(int))
+        if np.max(m) > self.m_modes:
             raise ValueError(
                 f"grid of {n_grid} points needs harmonics up to {n_grid // 2}, "
                 f"operator holds {self.m_modes}")
-        return self.multipliers[np.abs(m) + 0 + self.m_modes]
+        return self.multipliers[m]
+
+    def fft_inverse(self, n_grid: int) -> np.ndarray:
+        """Reciprocal multipliers in FFT order, 0 on the mean (m = 0).
+
+        The one modewise inverse of the package: multiplying the FFT of a
+        zero-mean function by it solves ``op h = g`` on the zero-mean
+        subspace.  Raises if a harmonic m != 0 has a vanishing multiplier.
+        """
+        lam = self.fft_multipliers(n_grid)
+        small = np.abs(lam) < 1e-13
+        if np.any(small[1:]):
+            raise NearSingularOperatorError(
+                "a nonzero harmonic has a vanishing multiplier")
+        inv = np.where(small, 0.0, 1.0 / np.where(small, 1.0, lam))
+        inv[0] = 0.0
+        return inv
 
     def apply_grid(self, values: np.ndarray) -> np.ndarray:
         """Apply the operator to samples on a uniform angle grid (last axis)."""
@@ -134,17 +151,12 @@ class AngularOperator:
         return np.fft.ifft(coeffs, axis=-1)
 
 
-def _symmetric(vals_abs_m: np.ndarray) -> np.ndarray:
-    """Assemble the even sequence lambda_{-M}..lambda_{M} from m >= 0 values."""
-    return np.concatenate([vals_abs_m[:0:-1], vals_abs_m])
-
-
 def build_K(m_modes: int, quadrature_order: int = 256) -> AngularOperator:
     """Gain-only kernel: average of the post-collision value over impacts."""
     if quadrature_order < 32:
         raise ValueError("quadrature order below 32 is not supported")
     c = deflection_cosine_moments(m_modes, quadrature_order)
-    return AngularOperator(_symmetric(c), mu=math.nan, period=math.inf,
+    return AngularOperator(c, mu=math.nan, period=math.inf,
                            k_cut=0, quadrature_order=quadrature_order)
 
 
@@ -154,7 +166,7 @@ def build_L(mu: float, m_modes: int, quadrature_order: int = 256
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     c = deflection_cosine_moments(m_modes, quadrature_order)
-    return AngularOperator(_symmetric(2.0 * mu * (c - 1.0)), mu=mu,
+    return AngularOperator(2.0 * mu * (c - 1.0), mu=mu,
                            period=math.inf, k_cut=0,
                            quadrature_order=quadrature_order)
 
@@ -194,7 +206,7 @@ def build_M(mu: float, period: float, m_modes: int, k_cut: int | None = None,
             f"k_cut={k_cut} leaves a memory tail above {MEMORY_TOL:g}")
     rows = memory_mode_table(mu, period, m_modes, k_cut, quadrature_order)
     vals = rows.sum(axis=0) if len(rows) else np.zeros(m_modes + 1)
-    return AngularOperator(_symmetric(vals), mu=mu, period=period,
+    return AngularOperator(vals, mu=mu, period=period,
                            k_cut=k_cut, quadrature_order=quadrature_order)
 
 
@@ -216,25 +228,11 @@ def _check_zero_mean(g_hat_0: complex, scale: float):
         raise ValueError("input must have zero angular mean")
 
 
-def invert_LG_direct(op: AngularOperator, g_hat: np.ndarray) -> np.ndarray:
-    """Solve (L + M) h = g modewise for zero-mean g.
-
-    ``g_hat`` holds harmonics -M..M in the same layout as the multipliers.
-    """
-    g_hat = np.asarray(g_hat)
-    if len(g_hat) != len(op.multipliers):
-        raise ValueError("coefficient layout must match the operator")
-    mid = op.m_modes
-    _check_zero_mean(g_hat[mid], float(np.max(np.abs(g_hat))))
-    lam = op.multipliers.copy()
-    nonzero = np.abs(lam) >= 1e-13
-    nonzero[mid] = True
-    if not np.all(nonzero):
-        raise NearSingularOperatorError("a nonzero harmonic has a vanishing multiplier")
-    h_hat = np.zeros_like(g_hat, dtype=complex)
-    idx = np.arange(len(lam)) != mid
-    h_hat[idx] = g_hat[idx] / lam[idx]
-    return h_hat
+def invert_LG_direct(op: AngularOperator, g: np.ndarray) -> np.ndarray:
+    """Solve (L + M) h = g modewise for zero-mean g on a uniform angle grid."""
+    g = np.asarray(g, dtype=complex)
+    _check_zero_mean(np.mean(g), float(np.max(np.abs(g))))
+    return np.fft.ifft(np.fft.fft(g) * op.fft_inverse(len(g)))
 
 
 def neumann_contraction_factor(mu: float, period: float) -> float:
@@ -311,10 +309,8 @@ def invert_split_series(mu: float, period: float, g: np.ndarray,
             raise SeriesDivergenceError(
                 f"split-series bound {gain:.6f} >= 1: series not guaranteed "
                 "convergent")
-    g, n, kf, mf = _grid_series_setup(mu, period, g, quadrature_order)
-    ell = 2.0 * mu * (kf - 1.0)
-    mid_mask = np.abs(ell) < 1e-13
-    inv_ell = np.where(mid_mask, 0.0, 1.0 / np.where(mid_mask, 1.0, ell))
+    g, n, _, mf = _grid_series_setup(mu, period, g, quadrature_order)
+    inv_ell = build_L(mu, n // 2, quadrature_order).fft_inverse(n)
     u = np.fft.fft(g)
     total = u * inv_ell
     scale = float(np.max(np.abs(g))) or 1.0
@@ -351,14 +347,10 @@ def diffusion_tensor(op: AngularOperator, n_grid: int = 512) -> np.ndarray:
     n_grid = min(n_grid, 2 * op.m_modes)
     alpha = 2.0 * math.pi * np.arange(n_grid) / n_grid
     comps = [np.cos(alpha), np.sin(alpha)]
-    lam = op.fft_multipliers(n_grid)
+    inv = op.fft_inverse(n_grid)
     out = np.empty((2, 2))
     for j in range(2):
-        coeffs = np.fft.fft(comps[j])
-        mask = np.abs(lam) >= 1e-13
-        inv = np.zeros_like(coeffs)
-        inv[mask] = coeffs[mask] / (-lam[mask])
-        hj = np.fft.ifft(inv).real
+        hj = -np.fft.ifft(np.fft.fft(comps[j]) * inv).real
         for i in range(2):
             out[i, j] = float(np.mean(comps[i] * hj))
     return out

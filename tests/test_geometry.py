@@ -6,7 +6,9 @@ import pytest
 from maglorentz.geometry import (ParticleState, advance_free,
                                  deflection_from_impact, first_arc_hit,
                                  first_ray_entry, impact_normal,
-                                 larmor_center, reflect, unit_vector)
+                                 larmor_center, point_to_arc_distances,
+                                 point_to_segment_distances, reflect,
+                                 unit_vector)
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,6 +222,41 @@ class TestFirstArcDiskHit:
             assert refs[k] == pytest.approx(tau, abs=1e-8)
             n_checked += 1
         assert n_checked >= 25
+
+
+class TestNearMissDistances:
+    """Closed-form distances against the nearest of 20k points on the curve."""
+
+    N_SAMPLES = 20_000
+
+    def test_arc(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            center = rng.normal(size=2)
+            radius = rng.uniform(0.3, 2.0)
+            phase0 = rng.uniform(-math.pi, math.pi)
+            sweep = rng.uniform(0.05, TWO_PI)
+            pts = center + rng.uniform(-2.0, 2.0, size=(50, 2)) * radius
+            got = point_to_arc_distances(pts, center, radius, phase0, sweep)
+            phi = phase0 + np.linspace(0.0, sweep, self.N_SAMPLES)
+            curve = center + radius * np.column_stack([np.cos(phi), np.sin(phi)])
+            ref = np.min(np.hypot(pts[:, None, 0] - curve[None, :, 0],
+                                  pts[:, None, 1] - curve[None, :, 1]), axis=1)
+            assert np.max(np.abs(got - ref)) < 1e-3 * radius * sweep
+
+    def test_segment(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            p0 = rng.normal(size=2)
+            v = unit_vector(rng.uniform(0.0, TWO_PI))
+            length = rng.uniform(0.05, 3.0)
+            pts = p0 + rng.uniform(-1.5, 1.5, size=(50, 2)) * length
+            got = point_to_segment_distances(pts, p0, v, length)
+            s_ = np.linspace(0.0, length, self.N_SAMPLES)
+            curve = p0 + s_[:, None] * v
+            ref = np.min(np.hypot(pts[:, None, 0] - curve[None, :, 0],
+                                  pts[:, None, 1] - curve[None, :, 1]), axis=1)
+            assert np.max(np.abs(got - ref)) < 1e-3 * length
 
 
 class TestReflect:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maglorentz import kinetic_solver as ks
 from maglorentz import operators as ops
@@ -159,6 +161,72 @@ class TestStepOrder:
             errs.append(np.max(np.abs(got - ref)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.25)
+
+
+class TestHistory:
+    def test_step_at_other_dt_rejected(self, small_grid):
+        model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
+        f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
+        res = ks.solve(model, f0, 0.05, dt=0.01)
+        with pytest.raises(ValueError, match="same dt"):
+            ks.step(res.final, 0.02, model)
+
+    def test_step_without_history_rejected(self, small_grid):
+        model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
+        f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
+        with pytest.raises(ValueError, match="history"):
+            ks.step(f0, 0.01, model)
+
+    def test_wrapped_ring_matches_full_history(self, small_grid, monkeypatch):
+        # k_cut = 1 reaches one delay back, far less than the run: the ring
+        # wraps many times and must read the same fields as a ring that
+        # holds every step
+        model = ks.KineticModel(1.0, 2.0, 4.0, small_grid, k_cut=1)
+        f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
+        ring = ks.solve(model, f0, 2.0, dt=0.01)
+        assert ring.final.history.count > 2 * len(ring.final.history.buf)
+        init = ks._History.__init__
+        monkeypatch.setattr(ks._History, "__init__",
+                            lambda self, shape, dt, capacity:
+                            init(self, shape, dt, 1000))
+        full = ks.solve(model, f0, 2.0, dt=0.01)
+        assert np.array_equal(ring.final.values_hat, full.final.values_hat)
+
+    def test_guard_before_allocation(self):
+        # 10**12 slots: an allocation attempt would fail with numpy's own
+        # message, not the guard's
+        with pytest.raises(MemoryError, match="memory guard"):
+            ks._History((169, 64), 0.01, 10 ** 12)
+
+    def test_expired_time_rejected(self):
+        hist = ks._History((2, 3), 0.5, 4)
+        for i in range(10):
+            hist.push(np.full((2, 3), float(i)))
+        assert np.all(hist.modes_at(3.0) == 6.0)
+        with pytest.raises(RuntimeError, match="no longer covers"):
+            hist.modes_at(2.5)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 12), n_push=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ring_matches_list(self, capacity, n_push, seed):
+        # dt = 0.25 keeps step and half-step times exact in binary
+        dt = 0.25
+        rng = np.random.default_rng(seed)
+        ref = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+               for _ in range(n_push)]
+        hist = ks._History((2, 3), dt, capacity)
+        for hat in ref:
+            hist.push(hat)
+        oldest = max(0, n_push - capacity)
+        for i in range(oldest, n_push):
+            assert np.array_equal(hist.modes_at(i * dt), ref[i])
+            if i + 1 < n_push:
+                mid = 0.5 * ref[i] + 0.5 * ref[i + 1]
+                assert np.array_equal(hist.modes_at((i + 0.5) * dt), mid)
+        if oldest:
+            with pytest.raises(RuntimeError):
+                hist.modes_at((oldest - 1) * dt)
 
 
 class TestHeatReference:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maglorentz import operators as ops
 from maglorentz.geometry import deflection_from_impact
@@ -154,31 +156,64 @@ class TestPositivity:
 class TestDirectInversion:
     def test_zero_in_zero_out(self):
         lg = ops.build_LG(1.0, 1.0, 16)
-        g = np.zeros(33)
+        g = np.zeros(32)
         assert np.all(ops.invert_LG_direct(lg, g) == 0.0)
 
     def test_memoryless_first_harmonic(self):
         mu = 1.0
         lg = ops.build_LG(mu, math.inf, 16)
-        g = np.zeros(33)
-        g[17] = 1.0  # m = +1
-        h = ops.invert_LG_direct(lg, g)
-        assert h[17] == pytest.approx(-3.0 / (8.0 * mu), abs=1e-12)
+        alpha = 2.0 * math.pi * np.arange(32) / 32
+        h = ops.invert_LG_direct(lg, np.cos(alpha))
+        expected = -3.0 / (8.0 * mu) * np.cos(alpha)
+        assert np.max(np.abs(h - expected)) < 1e-12
 
     def test_roundtrip(self):
         lg = ops.build_LG(1.3, 0.9, 32)
         rng = np.random.default_rng(2)
-        g = rng.normal(size=65) + 1j * rng.normal(size=65)
-        g[32] = 0.0
+        g = rng.normal(size=64) + 1j * rng.normal(size=64)
+        g -= g.mean()
         h = ops.invert_LG_direct(lg, g)
-        back = h * lg.multipliers
-        assert np.max(np.abs(back - g)) < 1e-12
+        assert np.max(np.abs(lg.apply_grid(h) - g)) < 1e-12
 
     def test_mean_rejected(self):
         lg = ops.build_LG(1.0, 1.0, 8)
-        g = np.ones(17)
+        g = np.ones(16)
         with pytest.raises(ValueError):
             ops.invert_LG_direct(lg, g)
+
+
+class TestFftInverse:
+    def test_singular_harmonic_rejected(self):
+        op = ops.AngularOperator(np.array([0.0, 0.0, -1.0]), mu=1.0,
+                                 period=math.inf, k_cut=0, quadrature_order=256)
+        with pytest.raises(ops.NearSingularOperatorError):
+            op.fft_inverse(4)
+
+    def test_mean_maps_to_zero(self):
+        k = ops.build_K(8)
+        assert k.mode(0) == 1.0
+        inv = k.fft_inverse(16)
+        assert inv[0] == 0.0
+        assert inv[1] == 1.0 / k.mode(1)
+        assert inv[-1] == 1.0 / k.mode(-1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m_modes=st.integers(1, 48), data=st.data())
+def test_fft_layout_and_direct_roundtrip(m_modes, data):
+    # the m >= 0 layout read in FFT order equals mode() at each bin, and the
+    # modewise inverse undoes the operator on zero-mean grid functions
+    n = data.draw(st.integers(1, 2 * m_modes), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    lg = ops.build_LG(1.3, 0.9, m_modes)
+    lam = lg.fft_multipliers(n)
+    for k in range(n):
+        assert lam[k] == lg.mode(k if 2 * k < n else k - n)
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=n) + 1j * rng.normal(size=n)
+    g -= g.mean()
+    h = ops.invert_LG_direct(lg, g)
+    assert np.max(np.abs(lg.apply_grid(h) - g)) < 1e-12
 
 
 def random_zero_mean(rng, n):
@@ -197,11 +232,9 @@ class TestSeriesRoutes:
         mu, period = 1.0, 1.0
         rng = np.random.default_rng(9)
         lg = ops.build_LG(mu, period, 32)
-        lam = lg.fft_multipliers(64)
         for _ in range(20):
             g = random_zero_mean(rng, 64)
-            coeffs = np.fft.fft(g)
-            direct = np.fft.ifft(np.where(np.abs(lam) < 1e-13, 0.0, coeffs / np.where(np.abs(lam) < 1e-13, 1.0, lam)))
+            direct = ops.invert_LG_direct(lg, g)
             neumann = ops.invert_LG_neumann(mu, period, g, tol=1e-10)
             split = ops.invert_split_series(mu, period, g, tol=1e-10)
             assert np.max(np.abs(neumann - direct)) < 1e-8
