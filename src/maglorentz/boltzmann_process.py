@@ -164,6 +164,15 @@ class GreenKuboEstimate:
     n_paths: int
 
 
+def _trapezoid_grid(t_cut: float, dt_quad: float):
+    """Uniform grid on [0, t_cut] of spacing ``dt_quad``, trapezoid weights."""
+    t_grid = np.arange(0.0, t_cut + 0.5 * dt_quad, dt_quad)
+    trap_w = np.full(len(t_grid), dt_quad)
+    trap_w[0] *= 0.5
+    trap_w[-1] *= 0.5
+    return t_grid, trap_w
+
+
 def _generator_vacf_block(mu, leaf_escape_p, t_cut, t_grid, trap_w, n, rng):
     """VACF samples of the operator-generated jump process for one block.
 
@@ -181,32 +190,25 @@ def _generator_vacf_block(mu, leaf_escape_p, t_cut, t_grid, trap_w, n, rng):
     else:
         leaves = np.ones(total, dtype=np.int64)
     theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total)) * leaves
-    # per-path cumulative phase, with a phase-0 sentinel at t = 0
+    # path p's phase after its first c jumps: cs[starts[p] + c] - cs[starts[p]]
     ends = np.cumsum(counts)
     starts = ends - counts
     cs = np.concatenate([[0.0], np.cumsum(theta)])
-    flat_t = np.empty(total + n)
-    flat_ph = np.empty(total + n)
-    ins = starts + np.arange(n)  # sentinel slots after interleaving
-    flat_t[ins] = 0.0
-    flat_ph[ins] = 0.0
-    mask = np.ones(total + n, dtype=bool)
-    mask[ins] = False
-    flat_t[mask] = jt
-    flat_ph[mask] = cs[1:] - np.repeat(cs[starts], counts)
-    # encode path index into the time key; paths then share one searchsorted
-    span = t_cut * 1.0000001 + 1.0
-    offsets = np.arange(n) * span
-    keys = flat_t + np.repeat(offsets, counts + 1)
-    vsum = np.zeros(len(t_grid))
-    vsq = np.zeros(len(t_grid))
+    # a jump counts from the first grid time at or after it (n_grid: never)
+    n_grid = len(t_grid)
+    gbin = np.searchsorted(t_grid, jt, side="left")
+    vsum = np.zeros(n_grid)
+    vsq = np.zeros(n_grid)
     per_path = np.empty(n)
     chunk = 2500  # caps the (paths x grid) scratch arrays
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        grid_keys = (offsets[lo:hi, None] + t_grid[None, :]).ravel()
-        idx = np.searchsorted(keys, grid_keys, side="right") - 1
-        cosvals = np.cos(flat_ph[idx]).reshape(hi - lo, len(t_grid))
+        a, b = starts[lo], ends[hi - 1]
+        slot = (path_of[a:b] - lo) * (n_grid + 1) + gbin[a:b]
+        jumps = np.bincount(slot, minlength=(hi - lo) * (n_grid + 1))
+        c = np.cumsum(jumps.reshape(hi - lo, n_grid + 1)[:, :n_grid], axis=1)
+        first = starts[lo:hi, None]
+        cosvals = np.cos(cs[first + c] - cs[first])
         vsum += cosvals.sum(axis=0)
         vsq += (cosvals ** 2).sum(axis=0)
         per_path[lo:hi] = cosvals @ trap_w
@@ -232,10 +234,7 @@ def green_kubo_mc(mu: float, period: float, n_paths: int, t_cut: float,
     if mu <= 0.0 or period <= 0.0:
         raise ValueError("mu and period must be positive")
     w = math.exp(-2.0 * mu * period)
-    t_grid = np.arange(0.0, t_cut + 0.5 * dt_quad, dt_quad)
-    trap_w = np.full(len(t_grid), dt_quad)
-    trap_w[0] *= 0.5
-    trap_w[-1] *= 0.5
+    t_grid, trap_w = _trapezoid_grid(t_cut, dt_quad)
     vsum = np.zeros(len(t_grid))
     vsq = np.zeros(len(t_grid))
     integrals = []
@@ -285,10 +284,7 @@ def velocity_autocorrelation_paths(mu: float, period: float, n_paths: int,
     this route does not integrate to the operator value: replays spread
     over whole periods retard the angular decorrelation.
     """
-    t_grid = np.arange(0.0, t_cut + 0.5 * dt_quad, dt_quad)
-    trap_w = np.full(len(t_grid), dt_quad)
-    trap_w[0] *= 0.5
-    trap_w[-1] *= 0.5
+    t_grid, trap_w = _trapezoid_grid(t_cut, dt_quad)
     acc = np.zeros(len(t_grid))
     acc_sq = np.zeros(len(t_grid))
     integrals = []

@@ -171,6 +171,9 @@ def _semantic_errors(kind: str, config: dict) -> list[str]:
             if v is not None and v < 0:
                 errs.append(f"key '{name}' must be nonnegative")
 
+    if kind in ("msd", "scaling-study"):
+        positive("max_events")
+        nonnegative("k_max_leaves")
     if kind == "msd":
         positive("eps", "mu", "eta", "n_replicas")
         nonnegative("b")

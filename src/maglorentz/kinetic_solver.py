@@ -314,8 +314,7 @@ def angle_average_modes(fld: KineticField) -> np.ndarray:
 
 
 def solve(model: KineticModel, f0: KineticField, t_end: float,
-          dt: float | None = None, diag_every: int | None = None,
-          snapshot_times=()) -> SolveResult:
+          dt: float | None = None, snapshot_times=()) -> SolveResult:
     """Integrate to ``t_end`` and track the standard diagnostics.
 
     Diagnostics per sampled step: exact mass, L2 distance to the angular
@@ -329,8 +328,7 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
         dt = model.default_dt()
     n_steps = int(math.ceil(t_end / dt))
     dt = t_end / n_steps
-    if diag_every is None:
-        diag_every = max(1, n_steps // 400)
+    diag_every = max(1, n_steps // 400)
     op = operators.build_LG(model.mu, model.period,
                             m_modes=max(model.grid.n_v // 2, 8))
     diffusivity = operators.spatial_diffusivity(op)

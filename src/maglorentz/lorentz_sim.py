@@ -30,7 +30,9 @@ previously hit obstacle's center without touching it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -74,7 +76,6 @@ class TrajectoryStatus(enum.Enum):
 class CollisionEvent:
     hit_time: float
     obstacle_id: int
-    impact_vector: np.ndarray
     impact_parameter: float
     kind: EventKind
 
@@ -82,7 +83,6 @@ class CollisionEvent:
 @dataclass(frozen=True)
 class TrajectoryOutcome:
     final_state: ParticleState
-    elapsed: float
     status: TrajectoryStatus
     status_time: float
     events: list
@@ -95,7 +95,7 @@ class _Trajectory:
     """Mutable state of one event-driven run."""
 
     def __init__(self, field_, start: ParticleState, t_max: float,
-                 sample_times, k_max_leaves: int, max_events: int):
+                 sample_times, k_max_leaves: int):
         params = field_.params
         self.field = field_
         self.eps = params.eps
@@ -105,13 +105,13 @@ class _Trajectory:
         self.pos = start.position.copy()
         self.alpha = start.velocity_angle
         self.t = 0.0
-        self.k_max = k_max_leaves
-        self.max_events = max_events
         self.events: list[CollisionEvent] = []
         self.prev_id: int | None = None
         # centers of the obstacles hit so far, in order of first hit
         self.hit_centers: dict[int, np.ndarray] = {}
-        self.run: list[dict] = []
+        # the current self-recollision streak, one (b, normal phase, time,
+        # position, angle) per leaf, position and angle after the reflection
+        self.run: deque[tuple] = deque(maxlen=k_max_leaves)
         self.near_miss = 0
         self.status = TrajectoryStatus.COMPLETED
         self.status_time = t_max
@@ -238,7 +238,7 @@ class _Trajectory:
 
     # -- daisy bookkeeping ---------------------------------------------------
 
-    def register_hit(self, hit_id, center, n, b_signed, hit_time):
+    def register_hit(self, hit_id, center, b_signed, hit_time):
         if hit_id == self.prev_id:
             kind = EventKind.SELF_RECOLLISION
         elif hit_id in self.hit_centers:
@@ -247,24 +247,16 @@ class _Trajectory:
             kind = EventKind.FRESH
             self.hit_centers[hit_id] = center
         self.events.append(CollisionEvent(
-            hit_time=hit_time, obstacle_id=hit_id, impact_vector=n,
-            impact_parameter=b_signed, kind=kind))
+            hit_time=hit_time, obstacle_id=hit_id, impact_parameter=b_signed,
+            kind=kind))
         self.prev_id = hit_id
         return kind
 
-    def daisy_entry(self, b_signed, n, hit_time):
-        return {
-            "b": b_signed,
-            "n_phase": math.atan2(n[1], n[0]),
-            "time": hit_time,
-            "state": None,  # post-reflection state, filled after reflecting
-        }
-
-    def daisy_closure(self, entry):
+    def daisy_closure(self, b_signed, n_phase):
         """Index of the matching earlier leaf, or None."""
-        for i, old in enumerate(self.run):
-            db = abs(entry["b"] - old["b"])
-            dphi = abs(math.remainder(entry["n_phase"] - old["n_phase"], TWO_PI))
+        for i, (b_old, phase_old, *_) in enumerate(self.run):
+            db = abs(b_signed - b_old)
+            dphi = abs(math.remainder(n_phase - phase_old, TWO_PI))
             if db <= DAISY_CLOSURE_TOL and dphi <= DAISY_CLOSURE_TOL:
                 return i
         return None
@@ -279,7 +271,7 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
         raise ValueError("t_max must be positive")
     if not is_admissible_start(field_, start.position):
         raise ValueError("start position overlaps an obstacle")
-    tr = _Trajectory(field_, start, t_max, sample_times, k_max_leaves, max_events)
+    tr = _Trajectory(field_, start, t_max, sample_times, k_max_leaves)
 
     while tr.t < t_max:
         if len(tr.events) >= max_events:
@@ -312,14 +304,14 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
         tr.advance(tau)
         v = unit_vector(tr.alpha)
         b_signed = tr.eps * float(v[0] * n[1] - v[1] * n[0])
-        kind = tr.register_hit(hit_id, c, n, b_signed, tr.t)
+        kind = tr.register_hit(hit_id, c, b_signed, tr.t)
 
-        entry = tr.daisy_entry(b_signed, n, tr.t)
+        n_phase = math.atan2(n[1], n[0])
         closed_at = None
         if kind is EventKind.SELF_RECOLLISION:
-            closed_at = tr.daisy_closure(entry)
+            closed_at = tr.daisy_closure(b_signed, n_phase)
         else:
-            tr.run = []
+            tr.run.clear()
 
         tr.alpha = reflect(tr.alpha, n)
 
@@ -329,10 +321,7 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
             _replay_daisy(tr, closed_at)
             break
 
-        entry["state"] = (tr.pos.copy(), tr.alpha)
-        tr.run.append(entry)
-        if len(tr.run) > tr.k_max:
-            tr.run.pop(0)
+        tr.run.append((b_signed, n_phase, tr.t, tr.pos.copy(), tr.alpha))
 
     if tr.cursor < len(tr.sample_t):
         # stragglers within rounding distance of t_max
@@ -340,7 +329,7 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
         tr.cursor = len(tr.sample_t)
     final = ParticleState(tr.pos, tr.alpha)
     return TrajectoryOutcome(
-        final_state=final, elapsed=t_max, status=tr.status,
+        final_state=final, status=tr.status,
         status_time=tr.status_time, events=tr.events,
         sample_times=tr.sample_t, sample_positions=tr.sample_pos,
         near_miss_count=tr.near_miss)
@@ -348,11 +337,11 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
 
 def _replay_daisy(tr: _Trajectory, closed_at: int):
     """Fill remaining samples by cycling the detected periodic flower."""
-    cycle = tr.run[closed_at:]
+    cycle = list(tr.run)[closed_at:]
     durations = []
     for i, leaf in enumerate(cycle):
-        t_next = cycle[i + 1]["time"] if i + 1 < len(cycle) else tr.t
-        durations.append(t_next - leaf["time"])
+        t_next = cycle[i + 1][2] if i + 1 < len(cycle) else tr.t
+        durations.append(t_next - leaf[2])
     period = sum(durations)
     remaining_idx = range(tr.cursor, len(tr.sample_t))
     targets = list(tr.sample_t[tr.cursor:]) + [tr.t_max]
@@ -363,7 +352,7 @@ def _replay_daisy(tr: _Trajectory, closed_at: int):
         while k < len(durations) - 1 and rel > durations[k]:
             rel -= durations[k]
             k += 1
-        pos_k, alpha_k = cycle[k]["state"]
+        pos_k, alpha_k = cycle[k][3:]
         state = advance_free(ParticleState(pos_k, alpha_k), tr.b, max(rel, 0.0))
         out.append(state)
     for j, i in enumerate(remaining_idx):
@@ -384,6 +373,58 @@ def _draw_start(field_, rng, max_tries: int = 10_000) -> ParticleState:
     raise RuntimeError("could not draw an admissible start")
 
 
+def _replica_chunk(args):
+    """Run replicas ``lo..hi-1`` of one rung; one record per replica.
+
+    A record is ``(squared displacements at the sample times, status,
+    status time, any recollision, any near miss)``, or None when the
+    replica aborts on the event cap.
+    """
+    (params, seed, field_key, start_key, lo, hi, sample_times, t_max,
+     k_max, max_events) = args
+    records = []
+    for r in range(lo, hi):
+        field_ = ObstacleField(_rng.mix(seed, *field_key, r), params)
+        rng = _rng.generator(seed, _rng.STREAM_START, *start_key, r)
+        start = _draw_start(field_, rng)
+        try:
+            out = simulate_trajectory(field_, start, t_max, sample_times,
+                                      k_max_leaves=k_max, max_events=max_events)
+        except ChatteringError:
+            records.append(None)
+            continue
+        disp = out.sample_positions - start.position
+        recollided = any(ev.kind is EventKind.RECOLLISION for ev in out.events)
+        records.append((np.einsum("ij,ij->i", disp, disp).tolist(), out.status,
+                        out.status_time, recollided, out.near_miss_count > 0))
+    return records
+
+
+def _run_replicas(rungs, n_replicas: int, sample_times, t_max: float,
+                  seed: int, workers: int, k_max: int, max_events: int):
+    """Records of replicas ``0..n_replicas-1`` of every rung, rung by rung.
+
+    A rung is ``(params, field key, start key)``: its replica ``r`` runs in
+    the field ``mix(seed, *field key, r)`` from a start drawn from
+    ``generator(seed, STREAM_START, *start key, r)``, so the records do not
+    depend on ``workers``.  The chunks of all rungs share one process pool.
+    """
+    per = (max(1, math.ceil(n_replicas / workers / 4)) if workers > 1
+           else n_replicas)
+    args = [(params, seed, field_key, start_key, lo, min(lo + per, n_replicas),
+             sample_times, t_max, k_max, max_events)
+            for params, field_key, start_key in rungs
+            for lo in range(0, n_replicas, per)]
+    if workers > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_replica_chunk, args))
+    else:
+        chunks = [_replica_chunk(a) for a in args]
+    per_rung = len(chunks) // len(rungs)
+    return [list(itertools.chain.from_iterable(chunks[i:i + per_rung]))
+            for i in range(0, len(chunks), per_rung)]
+
+
 @dataclass(frozen=True)
 class MsdResult:
     time_grid: np.ndarray
@@ -392,28 +433,6 @@ class MsdResult:
     circling_fraction: np.ndarray
     n_replicas: int
     n_aborted: int
-
-
-def _msd_chunk(args):
-    (params, seed, lo, hi, time_grid, k_max, max_events) = args
-    nt = len(time_grid)
-    sq = np.full((hi - lo, nt), np.nan)
-    nonwander = np.full(hi - lo, np.inf)
-    t_max = float(time_grid[-1])
-    for r in range(lo, hi):
-        field_ = ObstacleField(_rng.mix(seed, 0xF1E1D, r), params)
-        rng = _rng.generator(seed, _rng.STREAM_START, r)
-        start = _draw_start(field_, rng)
-        try:
-            out = simulate_trajectory(field_, start, t_max, time_grid,
-                                      k_max_leaves=k_max, max_events=max_events)
-        except ChatteringError:
-            continue
-        disp = out.sample_positions - start.position
-        sq[r - lo] = np.einsum("ij,ij->i", disp, disp)
-        if out.status is not TrajectoryStatus.COMPLETED:
-            nonwander[r - lo] = out.status_time
-    return sq, nonwander
 
 
 def msd_estimate(params: ScalingParams, n_replicas: int, time_grid, seed: int,
@@ -428,12 +447,17 @@ def msd_estimate(params: ScalingParams, n_replicas: int, time_grid, seed: int,
     time_grid = np.asarray(time_grid, dtype=float)
     if n_replicas < 1 or len(time_grid) == 0:
         raise ValueError("need at least one replica and one time point")
-    chunks = _chunk_ranges(n_replicas, workers)
-    args = [(params, seed, lo, hi, time_grid, k_max_leaves, max_events)
-            for lo, hi in chunks]
-    results = _run_chunks(_msd_chunk, args, workers)
-    sq = np.concatenate([r[0] for r in results])
-    nonwander = np.concatenate([r[1] for r in results])
+    [records] = _run_replicas([(params, (0xF1E1D,), ())], n_replicas,
+                              time_grid, float(time_grid[-1]), seed, workers,
+                              k_max_leaves, max_events)
+    sq = np.full((n_replicas, len(time_grid)), np.nan)
+    nonwander = np.full(n_replicas, np.inf)
+    for r, rec in enumerate(records):
+        if rec is None:
+            continue
+        sq[r] = rec[0]
+        if rec[1] is not TrajectoryStatus.COMPLETED:
+            nonwander[r] = rec[2]
     ok = ~np.isnan(sq[:, 0])
     n_ok = int(np.count_nonzero(ok))
     msd = np.nanmean(sq, axis=0)
@@ -455,6 +479,7 @@ class EventRateRow:
     p_daisy_se: float
     p_circling: float
     p_circling_se: float
+    n_aborted: int
 
 
 @dataclass(frozen=True)
@@ -464,28 +489,6 @@ class EventRateResult:
 
     def probabilities(self, name: str) -> np.ndarray:
         return np.array([getattr(r, "p_" + name) for r in self.rows])
-
-
-def _event_chunk(args):
-    (params, seed, eps_index, lo, hi, t, k_max, max_events) = args
-    flags = np.zeros((hi - lo, 4), dtype=np.int8)  # recoll, interf, daisy, circ
-    valid = np.ones(hi - lo, dtype=bool)
-    for r in range(lo, hi):
-        field_ = ObstacleField(_rng.mix(seed, 0xE5, eps_index, r), params)
-        rng = _rng.generator(seed, _rng.STREAM_START, eps_index, r)
-        start = _draw_start(field_, rng)
-        try:
-            out = simulate_trajectory(field_, start, t,
-                                      k_max_leaves=k_max, max_events=max_events)
-        except ChatteringError:
-            valid[r - lo] = False
-            continue
-        kinds = [ev.kind for ev in out.events]
-        flags[r - lo, 0] = EventKind.RECOLLISION in kinds
-        flags[r - lo, 1] = out.near_miss_count > 0
-        flags[r - lo, 2] = out.status is TrajectoryStatus.TRAPPED_DAISY
-        flags[r - lo, 3] = out.status is TrajectoryStatus.CIRCLING_FOREVER
-    return flags, valid
 
 
 def _fit_exponent(eps: np.ndarray, p: np.ndarray) -> float:
@@ -503,53 +506,37 @@ def event_rate_study(eps_list, eta_rule, mu: float, b_magnitude: float,
                      max_events: int = DEFAULT_MAX_EVENTS) -> EventRateResult:
     """Empirical event probabilities across a decreasing radius ladder.
 
-    ``eta_rule`` maps each radius to its divergence factor: a constant, a
-    mapping, or a callable.  Power-law exponents are fitted on the positive
-    probabilities of each event class (NaN when fewer than two radii show
-    the event).
+    ``eta_rule`` maps each radius to its divergence factor: a constant or a
+    callable.  Aborted (chattering) replicas are dropped and counted per
+    radius.  Power-law exponents are fitted on the positive probabilities
+    of each event class (NaN when fewer than two radii show the event).
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
         raise ValueError("radii must lie in (0, 1)")
     if np.any(np.diff(eps_arr) >= 0.0):
         raise ValueError("radius ladder must be strictly decreasing")
+    etas = [float(eta_rule(eps)) if callable(eta_rule) else float(eta_rule)
+            for eps in eps_arr]
+    rungs = [(scaling_from(eps, mu, eta, b_magnitude), (0xE5, i), (i,))
+             for i, (eps, eta) in enumerate(zip(eps_arr, etas))]
+    records = _run_replicas(rungs, n_replicas, (), t, seed, workers,
+                            k_max_leaves, max_events)
     rows = []
-    all_p = {name: [] for name in ("recollision", "interference", "daisy",
-                                   "circling")}
-    for i, eps in enumerate(eps_arr):
-        if callable(eta_rule):
-            eta = float(eta_rule(eps))
-        elif hasattr(eta_rule, "get"):
-            eta = float(eta_rule[eps])
-        else:
-            eta = float(eta_rule)
-        params = scaling_from(eps, mu, eta, b_magnitude)
-        chunks = _chunk_ranges(n_replicas, workers)
-        args = [(params, seed, i, lo, hi, t, k_max_leaves, max_events)
-                for lo, hi in chunks]
-        results = _run_chunks(_event_chunk, args, workers)
-        flags = np.concatenate([r[0] for r in results])
-        valid = np.concatenate([r[1] for r in results])
-        flags = flags[valid]
-        n = len(flags)
+    for eps, eta, recs in zip(eps_arr, etas, records):
+        kept = [rec for rec in recs if rec is not None]
+        flags = np.array(
+            [(recollided, near_miss, status is TrajectoryStatus.TRAPPED_DAISY,
+              status is TrajectoryStatus.CIRCLING_FOREVER)
+             for _, status, _, recollided, near_miss in kept],
+            dtype=np.int8).reshape(-1, 4)
         p = flags.mean(axis=0)
-        se = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
+        se = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / len(kept))
         rows.append(EventRateRow(eps, eta, p[0], se[0], p[1], se[1],
-                                 p[2], se[2], p[3], se[3]))
-        for j, name in enumerate(all_p):
-            all_p[name].append(p[j])
-    exponents = {name: _fit_exponent(eps_arr, np.asarray(vals))
-                 for name, vals in all_p.items()}
-    return EventRateResult(rows, exponents)
-
-
-def _chunk_ranges(n: int, workers: int):
-    per = max(1, math.ceil(n / max(workers, 1) / 4)) if workers > 1 else n
-    return [(lo, min(lo + per, n)) for lo in range(0, n, per)]
-
-
-def _run_chunks(fn, args, workers: int):
-    if workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
+                                 p[2], se[2], p[3], se[3],
+                                 n_replicas - len(kept)))
+    result = EventRateResult(rows, {})
+    for name in ("recollision", "interference", "daisy", "circling"):
+        result.exponents[name] = _fit_exponent(eps_arr,
+                                               result.probabilities(name))
+    return result

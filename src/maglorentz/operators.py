@@ -258,12 +258,10 @@ def _grid_series_setup(mu, period, g, quadrature_order):
     n = len(g)
     m_modes = n // 2
     _check_zero_mean(np.mean(g), float(np.max(np.abs(g))))
-    k_op = build_K(m_modes, quadrature_order)
     m_op = build_M(mu, period, m_modes, quadrature_order=quadrature_order) \
         if period != math.inf else None
-    kf = k_op.fft_multipliers(n)
     mf = m_op.fft_multipliers(n) if m_op is not None else np.zeros(n)
-    return g, n, kf, mf
+    return g, n, mf
 
 
 def invert_LG_neumann(mu: float, period: float, g: np.ndarray,
@@ -280,7 +278,8 @@ def invert_LG_neumann(mu: float, period: float, g: np.ndarray,
         raise SeriesDivergenceError(
             f"contraction factor {q:.6f} >= 1: series not guaranteed convergent "
             f"(period {period:g} at or below the inversion threshold)")
-    g, n, kf, mf = _grid_series_setup(mu, period, g, quadrature_order)
+    g, n, mf = _grid_series_setup(mu, period, g, quadrature_order)
+    kf = build_K(n // 2, quadrature_order).fft_multipliers(n)
     step = kf + mf / (2.0 * mu)
     term = np.fft.fft(g)
     total = term.copy()
@@ -309,7 +308,7 @@ def invert_split_series(mu: float, period: float, g: np.ndarray,
             raise SeriesDivergenceError(
                 f"split-series bound {gain:.6f} >= 1: series not guaranteed "
                 "convergent")
-    g, n, _, mf = _grid_series_setup(mu, period, g, quadrature_order)
+    g, n, mf = _grid_series_setup(mu, period, g, quadrature_order)
     inv_ell = build_L(mu, n // 2, quadrature_order).fft_inverse(n)
     u = np.fft.fft(g)
     total = u * inv_ell

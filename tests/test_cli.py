@@ -15,6 +15,16 @@ n_replicas = 4
 seed = 12
 """
 
+SCALING_CONFIG = """
+eps_list = 4e-3, 2e-3
+mu = 1.0
+eta = 2.0
+b = 1.0
+t = 1.0
+n_replicas = 10
+seed = 12
+"""
+
 CIRCLING_CONFIG = """
 eps = 0.01
 mu = 0.1
@@ -63,6 +73,17 @@ class TestValidate:
                      "scaling-study")
         with pytest.raises(ConfigError, match="need 'eta'"):
             validate(base, "scaling-study")
+
+    @pytest.mark.parametrize("kind,text", [
+        ("msd", MSD_CONFIG), ("scaling-study", SCALING_CONFIG)],
+        ids=["msd", "scaling-study"])
+    def test_replica_caps_checked(self, kind, text):
+        with pytest.raises(ConfigError) as err:
+            validate(text + "k_max_leaves = -1\nmax_events = 0\n", kind)
+        assert err.value.errors == ["key 'max_events' must be positive",
+                                    "key 'k_max_leaves' must be nonnegative"]
+        ok = validate(text + "k_max_leaves = 0\nmax_events = 1\n", kind)
+        assert (ok["k_max_leaves"], ok["max_events"]) == (0, 1)
 
     def test_kind_mismatch(self):
         with pytest.raises(ConfigError, match="does not match"):
@@ -113,16 +134,23 @@ class TestMainFlow:
         resolved = validate(config_to_text(summary["config"]), "circling")
         assert resolved == summary["config"]
 
-    def test_byte_identical_reruns_and_workers(self, tmp_path):
-        cfg = tmp_path / "msd.cfg"
-        cfg.write_text(MSD_CONFIG)
+    @pytest.mark.parametrize("kind,text", [("msd", MSD_CONFIG),
+                                           ("scaling-study", SCALING_CONFIG)],
+                             ids=["msd", "scaling-study"])
+    def test_byte_identical_reruns_and_workers(self, tmp_path, kind, text):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(text)
         blobs = []
         for tag, workers in (("a", "1"), ("b", "1"), ("c", "3")):
             out = tmp_path / tag
-            code = main(["msd", "--config", str(cfg), "--out", str(out),
+            code = main([kind, "--config", str(cfg), "--out", str(out),
                          "--workers", workers])
             assert code == 0
-            blobs.append((tmp_path / f"{tag}_msd.csv").read_bytes())
+            files = sorted(tmp_path.glob(f"{tag}_*"))
+            assert len(files) == 2  # the CSV and the summary
+            # the summary lists the output paths, which carry the prefix
+            blobs.append([f.read_bytes().replace(str(out).encode(), b"OUT")
+                          for f in files])
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_operator_sweep(self, tmp_path):

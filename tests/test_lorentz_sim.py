@@ -22,9 +22,8 @@ def empty_params(eps=0.05, b=0.0):
 def register(ids):
     """Trajectory after ``register_hit`` saw ``ids`` in order, and the kinds."""
     tr = ls._Trajectory(ObstacleField(1, empty_params()),
-                        ParticleState(np.zeros(2), 0.0), 1.0, (), 8, 100)
-    kinds = [tr.register_hit(oid, np.array([float(oid), 0.0]),
-                             np.array([1.0, 0.0]), 0.0, float(i))
+                        ParticleState(np.zeros(2), 0.0), 1.0, (), 8)
+    kinds = [tr.register_hit(oid, np.array([float(oid), 0.0]), 0.0, float(i))
              for i, oid in enumerate(ids)]
     return tr, kinds
 
@@ -251,13 +250,44 @@ class TestEventRateStudy:
         by_value = event_rate_study(eps_list, 2.0, 1.0, 1.0, 0.5, 60, seed=9)
         by_call = event_rate_study(eps_list, lambda e: 2.0, 1.0, 1.0, 0.5, 60,
                                    seed=9)
-        by_map = event_rate_study(eps_list, {4e-3: 2.0, 2e-3: 2.0}, 1.0, 1.0,
-                                  0.5, 60, seed=9)
         for a, b in zip(by_value.rows, by_call.rows):
             assert a == b
-        for a, b in zip(by_value.rows, by_map.rows):
-            assert a == b
         assert all(r.eta == 2.0 for r in by_value.rows)
+
+    def test_aborted_replicas_counted_per_radius(self):
+        # a tiny event cap makes some replicas chatter; each rung counts its own
+        eps_list, n, seed, t, cap = [4e-3, 2e-3], 30, 9, 0.5, 3
+        res = event_rate_study(eps_list, 2.0, 1.0, 1.0, t, n, seed=seed,
+                               max_events=cap)
+        for i, (eps, row) in enumerate(zip(eps_list, res.rows)):
+            params = scaling_from(eps, 1.0, 2.0, 1.0)
+            aborted = 0
+            for r in range(n):
+                f = ObstacleField(_rng.mix(seed, 0xE5, i, r), params)
+                rng = _rng.generator(seed, _rng.STREAM_START, i, r)
+                try:
+                    simulate_trajectory(f, ls._draw_start(f, rng), t,
+                                        max_events=cap)
+                except ChatteringError:
+                    aborted += 1
+            assert 0 < aborted < n
+            assert row.n_aborted == aborted
+
+    def test_one_process_pool_per_study(self, monkeypatch):
+        made = []
+        pool_class = ls.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            made.append(kwargs)
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(ls, "ProcessPoolExecutor", counting)
+        pooled = event_rate_study([4e-3, 2e-3], 2.0, 1.0, 1.0, 0.5, 8,
+                                  seed=9, workers=2)
+        assert len(made) == 1
+        serial = event_rate_study([4e-3, 2e-3], 2.0, 1.0, 1.0, 0.5, 8,
+                                  seed=9, workers=1)
+        assert pooled.rows == serial.rows
 
     def test_recollision_rate_scales_down(self):
         res = event_rate_study([4e-3, 1e-3], 2.0, 1.0, 1.0, 3.0, 500, seed=13,
