@@ -36,6 +36,10 @@ import numpy as np
 from . import _rng
 from .geometry import deflection_from_impact
 
+# paths per block of green_kubo_mc; block i draws from its own stream
+# generator(seed, STREAM_GK_BLOCK, i), so this size is part of the results
+GK_BLOCK_SIZE = 20_000
+
 
 class JumpKind(enum.IntEnum):
     SCATTER = 0
@@ -216,8 +220,7 @@ def _generator_vacf_block(mu, leaf_escape_p, t_cut, t_grid, trap_w, n, rng):
 
 
 def green_kubo_mc(mu: float, period: float, n_paths: int, t_cut: float,
-                  dt_quad: float, seed: int, block_size: int = 20_000
-                  ) -> GreenKuboEstimate:
+                  dt_quad: float, seed: int) -> GreenKuboEstimate:
     """Trace-form autocorrelation integral of the operator-generated process.
 
     Estimates ``int_0^t_cut E[cos(angle(t) - angle(0))] dt`` by the
@@ -241,7 +244,7 @@ def green_kubo_mc(mu: float, period: float, n_paths: int, t_cut: float,
     done = 0
     block_idx = 0
     while done < n_paths:
-        n = min(block_size, n_paths - done)
+        n = min(GK_BLOCK_SIZE, n_paths - done)
         rng = _rng.generator(seed, _rng.STREAM_GK_BLOCK, block_idx)
         s, sq, per_path = _generator_vacf_block(
             mu, 1.0 - w, t_cut, t_grid, trap_w, n, rng)

@@ -1,14 +1,16 @@
 """Configuration-driven command line front end.
 
 Experiments are described by flat ``key = value`` text files (``#`` starts
-a comment).  Unknown keys, duplicate keys, type errors, and missing
-required keys are all collected and reported together; nothing is written
-unless the whole configuration validates and the computation finishes.
-Outputs are a fixed-column CSV per experiment plus a JSON summary embedding
-the fully resolved configuration (defaults included), so a run can be
-reproduced from its summary alone.  Floats are printed with 17 significant
-digits; identical configuration and seed give byte-identical files
-regardless of worker count.
+a comment).  Each experiment kind is one entry of ``EXPERIMENTS``: its keys
+(each with a type, a default and a bound), its cross-key rule, its driver
+and its CSV columns.  Unknown keys, duplicate keys, type errors, non-finite
+numbers, out-of-range values, broken cross-key rules and missing required
+keys are all collected and reported together; nothing is written unless the
+whole configuration validates and the computation finishes.  Outputs are a
+fixed-column CSV per experiment plus a JSON summary embedding the fully
+resolved configuration (defaults included), so a run can be reproduced from
+its summary alone.  Floats are printed with 17 significant digits; identical
+configuration and seed give byte-identical files regardless of worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,88 +36,49 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
+# A key's bound, named by the words its error message ends with.
+_BOUNDS = {
+    "positive": lambda v: v > 0,
+    "nonnegative": lambda v: v >= 0,
+    "at least 1": lambda v: v >= 1,
+    "at least 8": lambda v: v >= 8,
+}
+
 
 @dataclass(frozen=True)
 class _Key:
     typ: str  # int | float | str | floats
-    default: object = _REQUIRED
+    default: object = _REQUIRED  # None: optional, left out unless given
+    bound: str | None = None  # a key of _BOUNDS
 
 
-_COMMON = {"kind": _Key("str", None)}
-
-SCHEMAS: dict[str, dict[str, _Key]] = {
-    "msd": {
-        **_COMMON,
-        "eps": _Key("float"), "mu": _Key("float"), "eta": _Key("float"),
-        "b": _Key("float", 0.0), "t_grid": _Key("floats"),
-        "n_replicas": _Key("int"), "seed": _Key("int"),
-        "k_max_leaves": _Key("int", lorentz_sim.DEFAULT_K_MAX_LEAVES),
-        "max_events": _Key("int", lorentz_sim.DEFAULT_MAX_EVENTS),
-    },
-    "scaling-study": {
-        **_COMMON,
-        "eps_list": _Key("floats"), "mu": _Key("float"), "b": _Key("float"),
-        "t": _Key("float"), "n_replicas": _Key("int"), "seed": _Key("int"),
-        "eta": _Key("float", None),
-        "eta_coeff": _Key("float", None), "eta_exponent": _Key("float", None),
-        "k_max_leaves": _Key("int", lorentz_sim.DEFAULT_K_MAX_LEAVES),
-        "max_events": _Key("int", lorentz_sim.DEFAULT_MAX_EVENTS),
-    },
-    "green-kubo": {
-        **_COMMON,
-        "mu": _Key("float"), "period": _Key("float"),
-        "n_paths": _Key("int"), "t_cut": _Key("float"),
-        "dt_quad": _Key("float"), "seed": _Key("int"),
-    },
-    "operator-sweep": {
-        **_COMMON,
-        "mu": _Key("float"), "b_min": _Key("float", 0.0),
-        "b_max": _Key("float"), "b_step": _Key("float"),
-        "m_modes": _Key("int", 64), "quadrature_order": _Key("int", 256),
-    },
-    "kinetic": {
-        **_COMMON,
-        "mu": _Key("float"), "b": _Key("float"), "eta": _Key("float"),
-        "t_end": _Key("float"), "dt": _Key("float", None),
-        "l_box": _Key("float", 2.0 * math.pi), "n_x": _Key("int", 2),
-        "n_v": _Key("int", 32), "rho_amplitude": _Key("float", 0.5),
-        "rho_mode": _Key("int", 1), "angle_amplitude": _Key("float", 0.0),
-    },
-    "hilbert": {
-        **_COMMON,
-        "mu": _Key("float"), "b": _Key("float"), "eta_list": _Key("floats"),
-        "t_probe": _Key("float"), "l_box": _Key("float", 2.0 * math.pi),
-        "n_x": _Key("int", 2), "n_v": _Key("int", 32),
-        "rho_amplitude": _Key("float", 0.5), "rho_mode": _Key("int", 1),
-        "angle_amplitude": _Key("float", 0.0), "dt_safety": _Key("float", 0.1),
-    },
-    "circling": {
-        **_COMMON,
-        "eps": _Key("float"), "mu": _Key("float"), "eta": _Key("float"),
-        "b": _Key("float"), "n_fields": _Key("int"), "n_paths": _Key("int"),
-        "seed": _Key("int"),
-    },
-}
+@dataclass(frozen=True)
+class _Experiment:
+    keys: dict[str, _Key]
+    driver: Callable  # (config, workers) -> (CSV rows, summary results)
+    suffix: str  # the CSV is written to <prefix>_<suffix>.csv
+    header: tuple[str, ...]
+    rule: Callable = lambda config: ()  # config -> cross-key errors
 
 
 def _parse_scalar(typ: str, raw: str):
     if typ == "int":
         return int(raw)
-    if typ == "float":
-        return float(raw)
-    if typ == "floats":
-        items = [part.strip() for part in raw.split(",") if part.strip()]
-        if not items:
-            raise ValueError("empty list")
-        return [float(x) for x in items]
-    return raw
+    if typ == "str":
+        return raw
+    values = [float(x) for x in (raw.split(",") if typ == "floats" else [raw])
+              if x.strip()]
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ValueError("need one or more finite numbers")
+    return values if typ == "floats" else values[0]
 
 
 def validate(text: str, kind: str) -> dict:
     """Parse and fully resolve a configuration; raise ConfigError otherwise."""
-    if kind not in SCHEMAS:
+    if kind not in EXPERIMENTS:
         raise ConfigError([f"unknown experiment kind '{kind}'"])
-    schema = SCHEMAS[kind]
+    experiment = EXPERIMENTS[kind]
+    schema = {"kind": _Key("str", None), **experiment.keys}
     errors: list[str] = []
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -144,75 +108,20 @@ def validate(text: str, kind: str) -> dict:
             continue
         if spec.default is _REQUIRED:
             errors.append(f"missing required key '{key}'")
-        elif spec.default is not None or key == "kind":
+        elif spec.default is not None:
             config[key] = spec.default
     if config.get("kind") not in (None, kind):
         errors.append(
             f"config kind '{config['kind']}' does not match subcommand '{kind}'")
     config["kind"] = kind
-    errors.extend(_semantic_errors(kind, config))
+    for key, spec in schema.items():
+        value = config.get(key)
+        if spec.bound and value is not None and not _BOUNDS[spec.bound](value):
+            errors.append(f"key '{key}' must be {spec.bound}")
+    errors.extend(experiment.rule(config))
     if errors:
         raise ConfigError(errors)
     return {k: config[k] for k in schema if k in config}
-
-
-def _semantic_errors(kind: str, config: dict) -> list[str]:
-    errs = []
-
-    def positive(*names):
-        for name in names:
-            v = config.get(name)
-            if v is not None and not (isinstance(v, (int, float)) and v > 0):
-                errs.append(f"key '{name}' must be positive")
-
-    def nonnegative(*names):
-        for name in names:
-            v = config.get(name)
-            if v is not None and v < 0:
-                errs.append(f"key '{name}' must be nonnegative")
-
-    if kind in ("msd", "scaling-study"):
-        positive("max_events")
-        nonnegative("k_max_leaves")
-    if kind == "msd":
-        positive("eps", "mu", "eta", "n_replicas")
-        nonnegative("b")
-        grid = config.get("t_grid")
-        if grid is not None and (any(t <= 0 for t in grid)
-                                 or any(b <= a for a, b in zip(grid, grid[1:]))):
-            errs.append("key 't_grid' must be positive and strictly increasing")
-    elif kind == "scaling-study":
-        positive("mu", "b", "t", "n_replicas")
-        eps = config.get("eps_list")
-        if eps is not None and (any(not (0.0 < e < 1.0) for e in eps)
-                                or any(b >= a for a, b in zip(eps, eps[1:]))):
-            errs.append("key 'eps_list' must be strictly decreasing inside (0, 1)")
-        has_eta = config.get("eta") is not None
-        has_rule = (config.get("eta_coeff") is not None
-                    or config.get("eta_exponent") is not None)
-        if has_eta and has_rule:
-            errs.append("give either 'eta' or the eta rule, not both")
-        if not has_eta and (config.get("eta_coeff") is None
-                            or config.get("eta_exponent") is None):
-            errs.append("need 'eta' or both 'eta_coeff' and 'eta_exponent'")
-    elif kind == "green-kubo":
-        positive("mu", "period", "n_paths", "t_cut", "dt_quad")
-    elif kind == "operator-sweep":
-        positive("mu", "b_step")
-        if config.get("b_max") is not None and config.get("b_min") is not None \
-                and config["b_max"] < config["b_min"]:
-            errs.append("'b_max' must be at least 'b_min'")
-    elif kind == "kinetic":
-        positive("mu", "b", "eta", "t_end")
-    elif kind == "hilbert":
-        positive("mu", "b", "t_probe")
-        etas = config.get("eta_list")
-        if etas is not None and (any(e < 1.0 for e in etas)
-                                 or any(b <= a for a, b in zip(etas, etas[1:]))):
-            errs.append("key 'eta_list' must be increasing and at least 1")
-    elif kind == "circling":
-        positive("eps", "mu", "eta", "b", "n_fields", "n_paths")
-    return errs
 
 
 def config_to_text(config: dict) -> str:
@@ -240,46 +149,58 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    print(f"wrote {path}")
+# -- cross-key rules -----------------------------------------------------------
 
 
-def _write_summary(path: str, config: dict, results: dict, outputs):
-    payload = {
-        "toolkit": "maglorentz",
-        "version": __version__,
-        "kind": config["kind"],
-        "config": {k: v for k, v in config.items() if v is not None},
-        "outputs": list(outputs),
-        "results": results,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path}")
+def _increasing(values) -> bool:
+    return all(b > a for a, b in zip(values, values[1:]))
 
 
-# -- experiment drivers ------------------------------------------------------
+def _msd_rule(config):
+    grid = config.get("t_grid")
+    if grid is not None and (any(t <= 0 for t in grid) or not _increasing(grid)):
+        yield "key 't_grid' must be positive and strictly increasing"
 
 
-def _run_msd(config, out, workers):
+def _scaling_rule(config):
+    eps = config.get("eps_list")
+    if eps is not None and (any(not (0.0 < e < 1.0) for e in eps)
+                            or not _increasing(eps[::-1])):
+        yield "key 'eps_list' must be strictly decreasing inside (0, 1)"
+    has_eta = config.get("eta") is not None
+    has_rule = [config.get(k) is not None for k in ("eta_coeff", "eta_exponent")]
+    if has_eta and any(has_rule):
+        yield "give either 'eta' or the eta rule, not both"
+    if not has_eta and not all(has_rule):
+        yield "need 'eta' or both 'eta_coeff' and 'eta_exponent'"
+
+
+def _sweep_rule(config):
+    if config.get("b_max", math.inf) < config.get("b_min", -math.inf):
+        yield "'b_max' must be at least 'b_min'"
+
+
+def _hilbert_rule(config):
+    etas = config.get("eta_list")
+    if etas is not None and (any(e < 1.0 for e in etas) or not _increasing(etas)):
+        yield "key 'eta_list' must be increasing and at least 1"
+
+
+# -- experiment drivers: (config, workers) -> (CSV rows, summary results) ------
+
+
+def _run_msd(config, workers):
     params = medium.scaling_from(config["eps"], config["mu"], config["eta"],
                                  config["b"])
     res = lorentz_sim.msd_estimate(
         params, config["n_replicas"], config["t_grid"], config["seed"],
         workers=workers, k_max_leaves=config["k_max_leaves"],
         max_events=config["max_events"])
-    csv = f"{out}_msd.csv"
-    _write_csv(csv, ["t", "msd", "msd_se", "circling_frac"],
-               zip(res.time_grid, res.msd, res.msd_se, res.circling_fraction))
-    return {"n_replicas": res.n_replicas, "n_aborted": res.n_aborted}, [csv]
+    rows = zip(res.time_grid, res.msd, res.msd_se, res.circling_fraction)
+    return rows, {"n_replicas": res.n_replicas, "n_aborted": res.n_aborted}
 
 
-def _run_scaling(config, out, workers):
+def _run_scaling(config, workers):
     if config.get("eta") is not None:
         rule = config["eta"]
     else:
@@ -289,44 +210,34 @@ def _run_scaling(config, out, workers):
         config["eps_list"], rule, config["mu"], config["b"], config["t"],
         config["n_replicas"], config["seed"], workers=workers,
         k_max_leaves=config["k_max_leaves"], max_events=config["max_events"])
-    csv = f"{out}_scaling.csv"
     rows = [(r.eps, r.eta, r.p_recollision, r.p_recollision_se,
              r.p_interference, r.p_interference_se, r.p_daisy, r.p_daisy_se,
              r.p_circling, r.p_circling_se,
              res.exponents["recollision"]) for r in res.rows]
-    _write_csv(csv, ["eps", "eta", "p_recoll", "p_recoll_se", "p_interf",
-                     "p_interf_se", "p_daisy", "p_daisy_se", "p_circ",
-                     "p_circ_se", "exponent_fit"], rows)
     results = {f"exponent_{k}": (None if math.isnan(v) else v)
                for k, v in res.exponents.items()}
-    return results, [csv]
+    return rows, results
 
 
-def _run_green_kubo(config, out, workers):
+def _run_green_kubo(config, workers):
     est = boltzmann_process.green_kubo_mc(
         config["mu"], config["period"], config["n_paths"], config["t_cut"],
         config["dt_quad"], config["seed"])
-    csv = f"{out}_vacf.csv"
-    _write_csv(csv, ["t", "vacf", "vacf_se"],
-               zip(est.t_grid, est.vacf, est.vacf_se))
     results = {"D_mc": est.d_estimate, "D_mc_se": est.std_error,
                "circling_frac": est.circling_fraction}
-    return results, [csv]
+    return zip(est.t_grid, est.vacf, est.vacf_se), results
 
 
-def _run_operator_sweep(config, out, workers):
+def _run_operator_sweep(config, workers):
     n = int(math.floor((config["b_max"] - config["b_min"]) / config["b_step"]
                        + 1e-9)) + 1
     b_values = [config["b_min"] + i * config["b_step"] for i in range(n)]
     rows = operators.diffusion_sweep(config["mu"], b_values,
                                      m_modes=config["m_modes"],
                                      quadrature_order=config["quadrature_order"])
-    csv = f"{out}_dsweep.csv"
-    _write_csv(csv, ["B", "T", "D_direct", "D_markovian_term", "D_memory_sum",
-                     "series_converged"], rows)
     info = operators.invertibility_threshold()
-    return {"t_star": info.t_star, "b_star": info.b_star,
-            "b_stated": info.b_stated}, [csv]
+    return rows, {"t_star": info.t_star, "b_star": info.b_star,
+                  "b_stated": info.b_stated}
 
 
 def _make_field(config):
@@ -338,31 +249,27 @@ def _make_field(config):
     return grid, f0
 
 
-def _run_kinetic(config, out, workers):
+def _run_kinetic(config, workers):
     grid, f0 = _make_field(config)
     model = kinetic_solver.KineticModel(config["mu"], config["eta"],
                                         config["b"], grid)
     res = kinetic_solver.solve(model, f0, config["t_end"], dt=config.get("dt"))
-    csv = f"{out}_diagnostics.csv"
-    _write_csv(csv, ["t", "mass", "dist_to_avg", "dist_to_heat"],
-               zip(res.times, res.mass, res.dist_to_avg, res.dist_to_heat))
-    return {"diffusivity": res.diffusivity,
-            "mass_drift": float(np.max(np.abs(res.mass - res.mass[0])))}, [csv]
+    rows = zip(res.times, res.mass, res.dist_to_avg, res.dist_to_heat)
+    return rows, {"diffusivity": res.diffusivity,
+                  "mass_drift": float(np.max(np.abs(res.mass - res.mass[0])))}
 
 
-def _run_hilbert(config, out, workers):
+def _run_hilbert(config, workers):
     grid, f0 = _make_field(config)
     rows = kinetic_solver.hilbert_residual_study(
         config["eta_list"], config["mu"], config["b"], grid, f0,
         config["t_probe"], dt_safety=config["dt_safety"])
-    csv = f"{out}_hilbert.csv"
-    _write_csv(csv, ["eta", "dist_heat", "dist_hilbert1"],
-               [(r.eta, r.dist_heat, r.dist_hilbert1) for r in rows])
-    return {"monotone": bool(all(b.dist_heat < a.dist_heat
-                                 for a, b in zip(rows, rows[1:])))}, [csv]
+    monotone = all(b.dist_heat < a.dist_heat for a, b in zip(rows, rows[1:]))
+    return ([(r.eta, r.dist_heat, r.dist_hilbert1) for r in rows],
+            {"monotone": bool(monotone)})
 
 
-def _run_circling(config, out, workers):
+def _run_circling(config, workers):
     params = medium.scaling_from(config["eps"], config["mu"], config["eta"],
                                  config["b"])
     annulus = medium.empty_annulus_probability_mc(
@@ -370,32 +277,100 @@ def _run_circling(config, out, workers):
     process = boltzmann_process.circling_fraction_mc(
         config["mu"], params.t_larmor, config["n_paths"],
         _rng.mix(config["seed"], 0x51))
-    csv = f"{out}_circling.csv"
-    _write_csv(csv, ["route", "estimate", "std_error", "reference"],
-               [("field_annulus", annulus.estimate, annulus.std_error,
-                 annulus.closed_form),
-                ("process_survival", process.fraction, process.std_error,
-                 process.survival_probability)])
-    return {"p_field": annulus.estimate, "p_field_ref": annulus.closed_form,
-            "p_process": process.fraction,
-            "p_process_ref": process.survival_probability}, [csv]
+    rows = [("field_annulus", annulus.estimate, annulus.std_error,
+             annulus.closed_form),
+            ("process_survival", process.fraction, process.std_error,
+             process.survival_probability)]
+    return rows, {"p_field": annulus.estimate, "p_field_ref": annulus.closed_form,
+                  "p_process": process.fraction,
+                  "p_process_ref": process.survival_probability}
 
 
-_RUNNERS = {
-    "msd": _run_msd,
-    "scaling-study": _run_scaling,
-    "green-kubo": _run_green_kubo,
-    "operator-sweep": _run_operator_sweep,
-    "kinetic": _run_kinetic,
-    "hilbert": _run_hilbert,
-    "circling": _run_circling,
+# -- the experiment table ------------------------------------------------------
+
+# max_events comes first: its error is reported before k_max_leaves's
+_REPLICA_CAPS = {
+    "max_events": _Key("int", lorentz_sim.DEFAULT_MAX_EVENTS, "positive"),
+    "k_max_leaves": _Key("int", lorentz_sim.DEFAULT_K_MAX_LEAVES, "nonnegative"),
+}
+
+# the datum of kinetic_solver.make_initial_field on a SpectralGrid
+_INITIAL_FIELD = {
+    "l_box": _Key("float", 2.0 * math.pi, "positive"),
+    "n_x": _Key("int", 2, "nonnegative"),
+    "n_v": _Key("int", 32, "at least 8"),
+    "rho_amplitude": _Key("float", 0.5),
+    "rho_mode": _Key("int", 1),
+    "angle_amplitude": _Key("float", 0.0),
+}
+
+# the keys most kinds share
+_POSITIVE = _Key("float", bound="positive")
+_COUNT = _Key("int", bound="positive")
+_ETA = _Key("float", bound="at least 1")
+_SEED = _Key("int")
+
+EXPERIMENTS: dict[str, _Experiment] = {
+    "msd": _Experiment(
+        {"eps": _POSITIVE, "mu": _POSITIVE, "eta": _ETA,
+         "b": _Key("float", 0.0, "nonnegative"), "t_grid": _Key("floats"),
+         "n_replicas": _COUNT, "seed": _SEED, **_REPLICA_CAPS},
+        _run_msd, "msd", ("t", "msd", "msd_se", "circling_frac"), _msd_rule),
+    "scaling-study": _Experiment(
+        {"eps_list": _Key("floats"), "mu": _POSITIVE, "b": _POSITIVE,
+         "t": _POSITIVE, "n_replicas": _COUNT, "seed": _SEED,
+         "eta": _Key("float", None, "at least 1"),
+         "eta_coeff": _Key("float", None), "eta_exponent": _Key("float", None),
+         **_REPLICA_CAPS},
+        _run_scaling, "scaling",
+        ("eps", "eta", "p_recoll", "p_recoll_se", "p_interf", "p_interf_se",
+         "p_daisy", "p_daisy_se", "p_circ", "p_circ_se", "exponent_fit"),
+        _scaling_rule),
+    "green-kubo": _Experiment(
+        {"mu": _POSITIVE, "period": _POSITIVE, "n_paths": _COUNT,
+         "t_cut": _POSITIVE, "dt_quad": _POSITIVE, "seed": _SEED},
+        _run_green_kubo, "vacf", ("t", "vacf", "vacf_se")),
+    "operator-sweep": _Experiment(
+        {"mu": _POSITIVE, "b_min": _Key("float", 0.0, "nonnegative"),
+         "b_max": _Key("float"), "b_step": _POSITIVE,
+         "m_modes": _Key("int", 64, "positive"),
+         "quadrature_order": _Key("int", 256, "positive")},
+        _run_operator_sweep, "dsweep",
+        ("B", "T", "D_direct", "D_markovian_term", "D_memory_sum",
+         "series_converged"), _sweep_rule),
+    "kinetic": _Experiment(
+        {"mu": _POSITIVE, "b": _POSITIVE, "eta": _ETA, "t_end": _POSITIVE,
+         "dt": _Key("float", None, "positive"), **_INITIAL_FIELD},
+        _run_kinetic, "diagnostics", ("t", "mass", "dist_to_avg", "dist_to_heat")),
+    "hilbert": _Experiment(
+        {"mu": _POSITIVE, "b": _POSITIVE, "eta_list": _Key("floats"),
+         "t_probe": _POSITIVE, "dt_safety": _Key("float", 0.1, "positive"),
+         **_INITIAL_FIELD},
+        _run_hilbert, "hilbert", ("eta", "dist_heat", "dist_hilbert1"),
+        _hilbert_rule),
+    "circling": _Experiment(
+        {"eps": _POSITIVE, "mu": _POSITIVE, "eta": _ETA, "b": _POSITIVE,
+         "n_fields": _COUNT, "n_paths": _COUNT, "seed": _SEED},
+        _run_circling, "circling", ("route", "estimate", "std_error", "reference")),
 }
 
 
 def run(config: dict, out_prefix: str, workers: int = 1) -> int:
-    """Execute a validated configuration and write its outputs."""
-    results, outputs = _RUNNERS[config["kind"]](config, out_prefix, workers)
-    _write_summary(f"{out_prefix}_summary.json", config, results, outputs)
+    """Execute a validated configuration and write its CSV and summary."""
+    experiment = EXPERIMENTS[config["kind"]]
+    rows, results = experiment.driver(config, workers)
+    csv = f"{out_prefix}_{experiment.suffix}.csv"
+    summary = {"toolkit": "maglorentz", "version": __version__,
+               "kind": config["kind"], "outputs": [csv], "results": results,
+               "config": {k: v for k, v in config.items() if v is not None}}
+    csv_text = "".join(",".join(_fmt(v) for v in row) + "\n"
+                       for row in (experiment.header, *rows))
+    for path, text in ((csv, csv_text),
+                       (f"{out_prefix}_summary.json",
+                        json.dumps(summary, indent=2, sort_keys=True) + "\n")):
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
     return 0
 
 
@@ -404,7 +379,7 @@ def main(argv=None) -> int:
         prog="maglorentz",
         description="magnetic Lorentz gas simulation and operator numerics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in SCHEMAS:
+    for kind in EXPERIMENTS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", required=True, help="output path prefix")

@@ -152,8 +152,7 @@ class KineticModel:
     """Precomputed multipliers and propagators for one parameter set."""
 
     def __init__(self, mu: float, eta: float, b_magnitude: float,
-                 grid: SpectralGrid, k_cut: int | None = None,
-                 quadrature_order: int = 256):
+                 grid: SpectralGrid, k_cut: int | None = None):
         if mu <= 0.0 or eta < 1.0 or b_magnitude < 0.0:
             raise ValueError("need mu > 0, eta >= 1, B >= 0")
         self.mu = mu
@@ -163,13 +162,13 @@ class KineticModel:
         self.period = 2.0 * math.pi / b_magnitude if b_magnitude > 0.0 else math.inf
         self.delay = self.period / eta
         m_modes = grid.n_v // 2
-        ell_op = operators.build_L(mu, m_modes, quadrature_order)
+        ell_op = operators.build_L(mu, m_modes)
         self.ell = ell_op.fft_multipliers(grid.n_v)
         if b_magnitude > 0.0:
             self.k_cut = (operators.default_k_cut(mu, self.period)
                           if k_cut is None else k_cut)
             table = operators.memory_mode_table(
-                mu, self.period, m_modes, self.k_cut, quadrature_order)
+                mu, self.period, m_modes, self.k_cut)
             m_abs = np.abs(grid.angular_modes)
             self.memory_rows = table[:, m_abs] if self.k_cut else \
                 np.zeros((0, grid.n_v))
@@ -437,8 +436,7 @@ class HilbertStudyRow:
 
 def hilbert_residual_study(eta_list, mu: float, b_magnitude: float,
                            grid: SpectralGrid, f0: KineticField,
-                           t_probe: float, dt_safety: float = 0.1,
-                           quadrature_order: int = 256) -> list:
+                           t_probe: float, dt_safety: float = 0.1) -> list:
     """Distance of the kinetic solution to the heat profile across eta.
 
     For each eta the kinetic equation is solved to ``t_probe``; reported are
@@ -448,12 +446,10 @@ def hilbert_residual_study(eta_list, mu: float, b_magnitude: float,
     rows = []
     rho0 = angle_average_modes(f0)
     period = 2.0 * math.pi / b_magnitude if b_magnitude > 0.0 else math.inf
-    op = operators.build_LG(mu, period, m_modes=max(grid.n_v // 2, 8),
-                            quadrature_order=quadrature_order)
+    op = operators.build_LG(mu, period, m_modes=max(grid.n_v // 2, 8))
     diffusivity = operators.spatial_diffusivity(op)
     for eta in eta_list:
-        model = KineticModel(mu, float(eta), b_magnitude, grid,
-                             quadrature_order=quadrature_order)
+        model = KineticModel(mu, float(eta), b_magnitude, grid)
         res = solve(model, f0, t_probe, dt=model.default_dt(dt_safety))
         hat = res.final.values_hat
         rho_t = heat_reference(diffusivity, rho0, t_probe, grid)

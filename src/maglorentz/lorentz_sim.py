@@ -442,7 +442,8 @@ def msd_estimate(params: ScalingParams, n_replicas: int, time_grid, seed: int,
 
     Replicas that end up circling or trapped stay in the average (their
     displacement saturates); their cumulative fraction is reported per
-    time-grid row.  Aborted (chattering) replicas are dropped and counted.
+    time-grid row.  Aborted (chattering) replicas are dropped and counted;
+    ``ChatteringError`` is raised when every replica aborts.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     if n_replicas < 1 or len(time_grid) == 0:
@@ -460,6 +461,10 @@ def msd_estimate(params: ScalingParams, n_replicas: int, time_grid, seed: int,
             nonwander[r] = rec[2]
     ok = ~np.isnan(sq[:, 0])
     n_ok = int(np.count_nonzero(ok))
+    if n_ok == 0:
+        raise ChatteringError(
+            f"all {n_replicas} replicas at eps={params.eps:g} reached "
+            f"max_events={max_events}")
     msd = np.nanmean(sq, axis=0)
     msd_se = np.nanstd(sq, axis=0, ddof=1) / math.sqrt(max(n_ok, 2))
     circ = np.array([np.mean(nonwander[ok] <= t) for t in time_grid])
@@ -508,7 +513,8 @@ def event_rate_study(eps_list, eta_rule, mu: float, b_magnitude: float,
 
     ``eta_rule`` maps each radius to its divergence factor: a constant or a
     callable.  Aborted (chattering) replicas are dropped and counted per
-    radius.  Power-law exponents are fitted on the positive probabilities
+    radius; ``ChatteringError`` is raised when every replica of a radius
+    aborts.  Power-law exponents are fitted on the positive probabilities
     of each event class (NaN when fewer than two radii show the event).
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
@@ -525,6 +531,10 @@ def event_rate_study(eps_list, eta_rule, mu: float, b_magnitude: float,
     rows = []
     for eps, eta, recs in zip(eps_arr, etas, records):
         kept = [rec for rec in recs if rec is not None]
+        if not kept:
+            raise ChatteringError(
+                f"all {n_replicas} replicas at eps={eps:g} reached "
+                f"max_events={max_events}")
         flags = np.array(
             [(recollided, near_miss, status is TrajectoryStatus.TRAPPED_DAISY,
               status is TrajectoryStatus.CIRCLING_FOREVER)

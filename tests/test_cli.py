@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from maglorentz.cli import ConfigError, config_to_text, main, validate
+from maglorentz.cli import EXPERIMENTS, ConfigError, config_to_text, main, validate
 
 MSD_CONFIG = """
 # minimal msd experiment
@@ -34,6 +36,28 @@ n_fields = 20000
 n_paths = 20000
 seed = 99
 """
+
+GREEN_KUBO_CONFIG = ("mu = 1.0\nperiod = 1.0\nn_paths = 5000\n"
+                     "t_cut = 4.0\ndt_quad = 0.02\nseed = 3\n")
+SWEEP_CONFIG = "mu = 1.0\nb_max = 2.0\nb_step = 1.0\nm_modes = 16\n"
+KINETIC_CONFIG = "mu = 1.0\nb = 1.0\neta = 2.0\nt_end = 0.2\nn_x = 1\nn_v = 16\n"
+HILBERT_CONFIG = ("mu = 1.0\nb = 1.0\neta_list = 2, 4\nt_probe = 0.2\n"
+                  "n_x = 1\nn_v = 16\n")
+
+# one valid config of every kind
+BASE_CONFIGS = {
+    "msd": MSD_CONFIG, "scaling-study": SCALING_CONFIG,
+    "green-kubo": GREEN_KUBO_CONFIG, "operator-sweep": SWEEP_CONFIG,
+    "kinetic": KINETIC_CONFIG, "hilbert": HILBERT_CONFIG,
+    "circling": CIRCLING_CONFIG,
+}
+
+
+def with_key(text, key, value):
+    """``text`` with ``key = value`` in place of any line setting ``key``."""
+    lines = [line for line in text.splitlines()
+             if line.split("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
 
 
 class TestValidate:
@@ -85,6 +109,43 @@ class TestValidate:
         ok = validate(text + "k_max_leaves = 0\nmax_events = 1\n", kind)
         assert (ok["k_max_leaves"], ok["max_events"]) == (0, 1)
 
+    @pytest.mark.parametrize("kind,key,value,bound", [
+        ("kinetic", "dt", "0", "positive"),
+        ("hilbert", "dt_safety", "-1", "positive"),
+        ("kinetic", "l_box", "0", "positive"),
+        ("hilbert", "l_box", "-2", "positive"),
+        ("operator-sweep", "m_modes", "0", "positive"),
+        ("operator-sweep", "quadrature_order", "-3", "positive"),
+        ("kinetic", "n_x", "-1", "nonnegative"),
+        ("operator-sweep", "b_min", "-1", "nonnegative"),
+        ("kinetic", "n_v", "4", "at least 8"),
+        ("hilbert", "n_v", "7", "at least 8"),
+        ("msd", "eta", "0.5", "at least 1"),
+        ("scaling-study", "eta", "0.5", "at least 1"),
+        ("kinetic", "eta", "0.5", "at least 1"),
+        ("circling", "eta", "0.99", "at least 1"),
+    ])
+    def test_bound_rejected(self, kind, key, value, bound):
+        with pytest.raises(ConfigError) as err:
+            validate(with_key(BASE_CONFIGS[kind], key, value), kind)
+        assert err.value.errors == [f"key '{key}' must be {bound}"]
+
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind, experiment in EXPERIMENTS.items()
+        for key, spec in experiment.keys.items()
+        if spec.typ in ("float", "floats")])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, kind, key):
+        validate(BASE_CONFIGS[kind], kind)
+        is_list = EXPERIMENTS[kind].keys[key].typ == "floats"
+        for value in ("nan", "inf", "-inf"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(with_key(BASE_CONFIGS[kind], key,
+                                    f"0.5, {value}" if is_list else value))
+            out = tmp_path / "run"
+            assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+            assert f"key '{key}': cannot parse" in capsys.readouterr().err
+            assert list(tmp_path.glob("run*")) == []
+
     def test_kind_mismatch(self):
         with pytest.raises(ConfigError, match="does not match"):
             validate(MSD_CONFIG + "\nkind = circling", "msd")
@@ -95,6 +156,44 @@ class TestValidate:
         assert again == config
 
 
+# a bound's smallest allowed value, and whether that value is excluded
+_LOWEST = {"positive": (0, True), "nonnegative": (0, False),
+           "at least 1": (1, False), "at least 8": (8, False)}
+# the float-list keys, drawn so that their own rules hold
+_LISTS = {
+    "t_grid": st.lists(st.floats(0.0, 1e6, exclude_min=True), min_size=1,
+                       max_size=5, unique=True).map(sorted),
+    "eps_list": st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         min_size=1, max_size=5, unique=True
+                         ).map(lambda v: sorted(v, reverse=True)),
+    "eta_list": st.lists(st.floats(1.0, 1e6), min_size=1, max_size=5,
+                         unique=True).map(sorted),
+}
+
+
+def _key_values(spec, key):
+    if spec.typ == "floats":
+        return _LISTS[key]
+    low, strict = _LOWEST.get(spec.bound, (None, False))
+    if spec.typ == "int":
+        return st.integers(min_value=None if low is None else low + strict)
+    return st.floats(min_value=low, exclude_min=strict, allow_nan=False,
+                     allow_infinity=False)
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_round_trip(kind, data):
+    config = {"kind": kind}
+    for key, spec in EXPERIMENTS[kind].keys.items():
+        if spec.default is None and not data.draw(st.booleans()):
+            continue  # an optional key left out
+        config[key] = data.draw(_key_values(spec, key), label=key)
+    assume(not list(EXPERIMENTS[kind].rule(config)))
+    assert validate(config_to_text(config), kind) == config
+
+
 class TestMainFlow:
     def test_invalid_config_no_files(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -103,6 +202,16 @@ class TestMainFlow:
         code = main(["msd", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert "must be positive" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_all_aborted_radius_exits_1_no_files(self, tmp_path, capsys):
+        cfg = tmp_path / "sc.cfg"
+        cfg.write_text("eps_list = 4e-3, 2e-3\nmu = 1\nb = 1\nt = 0.5\n"
+                       "n_replicas = 10\nseed = 9\neta = 2\nmax_events = 1\n")
+        out = tmp_path / "run"
+        assert main(["scaling-study", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert "eps=0.004 reached max_events=1" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
 
     def test_circling_run_outputs(self, tmp_path):
@@ -155,7 +264,7 @@ class TestMainFlow:
 
     def test_operator_sweep(self, tmp_path):
         cfg = tmp_path / "ops.cfg"
-        cfg.write_text("mu = 1.0\nb_max = 2.0\nb_step = 1.0\nm_modes = 16\n")
+        cfg.write_text(SWEEP_CONFIG)
         out = tmp_path / "ops"
         assert main(["operator-sweep", "--config", str(cfg),
                      "--out", str(out)]) == 0
@@ -171,8 +280,7 @@ class TestMainFlow:
 
     def test_kinetic_run(self, tmp_path):
         cfg = tmp_path / "kin.cfg"
-        cfg.write_text("mu = 1.0\nb = 1.0\neta = 2.0\nt_end = 0.2\n"
-                       "n_x = 1\nn_v = 16\n")
+        cfg.write_text(KINETIC_CONFIG)
         out = tmp_path / "kin"
         assert main(["kinetic", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (tmp_path / "kin_diagnostics.csv").read_text().splitlines()
@@ -182,8 +290,7 @@ class TestMainFlow:
 
     def test_green_kubo_run(self, tmp_path):
         cfg = tmp_path / "gk.cfg"
-        cfg.write_text("mu = 1.0\nperiod = 1.0\nn_paths = 5000\n"
-                       "t_cut = 4.0\ndt_quad = 0.02\nseed = 3\n")
+        cfg.write_text(GREEN_KUBO_CONFIG)
         out = tmp_path / "gk"
         assert main(["green-kubo", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((tmp_path / "gk_summary.json").read_text())
@@ -195,8 +302,7 @@ class TestMainFlow:
 
     def test_hilbert_run(self, tmp_path):
         cfg = tmp_path / "hb.cfg"
-        cfg.write_text("mu = 1.0\nb = 1.0\neta_list = 2, 4\nt_probe = 0.2\n"
-                       "n_x = 1\nn_v = 16\n")
+        cfg.write_text(HILBERT_CONFIG)
         out = tmp_path / "hb"
         assert main(["hilbert", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (tmp_path / "hb_hilbert.csv").read_text().splitlines()

@@ -237,6 +237,12 @@ class TestMsdEstimate:
         assert res.msd[0] == pytest.approx(1e-4, rel=0.02)
         assert res.msd[1] == pytest.approx(4e-4, rel=0.02)
 
+    def test_all_aborted_raises(self):
+        params = scaling_from(4e-3, 1.0, 2.0, 1.0)
+        with pytest.raises(ChatteringError,
+                           match="all 6 replicas at eps=0.004 reached max_events=1"):
+            msd_estimate(params, 6, [2.0], seed=9, max_events=1)
+
 
 class TestEventRateStudy:
     def test_validation(self):
@@ -272,6 +278,13 @@ class TestEventRateStudy:
                     aborted += 1
             assert 0 < aborted < n
             assert row.n_aborted == aborted
+
+    def test_all_aborted_radius_raises(self):
+        # every replica of the first radius aborts on the cap
+        with pytest.raises(ChatteringError,
+                           match="all 10 replicas at eps=0.004 reached max_events=1"):
+            event_rate_study([4e-3, 2e-3], 2.0, 1.0, 1.0, 0.5, 10, seed=9,
+                             max_events=1)
 
     def test_one_process_pool_per_study(self, monkeypatch):
         made = []
