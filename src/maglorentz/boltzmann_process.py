@@ -1,33 +1,37 @@
 """Monte Carlo samplers for the memory-carrying velocity jump process.
 
-Two closely related processes live here.
+Two closely related processes live here, and one block sampler,
+``_block_jumps``, draws both.  They share the scattering clock (jumps at
+total rate ``2 mu``) and the impact draws (a uniform normalized impact
+parameter per scatter fixes its deflection); they differ only in where a
+scatter's repeated deflections ("leaves") land:
 
-``sample_velocity_path`` draws the *path-resolved* process: an exponential
-scattering clock of total rate ``2 mu``; at each scattering a fresh uniform
-impact parameter fixes a deflection that is stored; while the next
-scattering is pending, every completed cyclotron period replays the stored
-deflection (the particle returns to the obstacle it just left with the same
-impact geometry).  A path that survives its entire first period without
-scattering is circling: its orbit annulus is empty, so it never scatters at
-all.  Between jumps the velocity angle drifts at the magnetic rotation rate
-``2 pi / period``.
+* lumped (the process *generated by the static collision operator* of
+  :mod:`maglorentz.operators`): each scatter applies a geometrically
+  distributed number k of identical deflections in one go, with
+  probability ``(1 - w) w^(k-1)`` and survival weight
+  ``w = exp(-2 mu period)``.  Its velocity autocorrelation is exactly
+  ``exp(lambda_1 t)``, so its time integral (``green_kubo_mc``)
+  reproduces the operator-route coefficient ``-1/lambda_1``;
+* path-resolved: while the next scatter is pending, every completed
+  cyclotron period replays the stored deflection (the particle returns to
+  the obstacle it just left with the same impact geometry), and a path
+  that survives its entire first period without scattering is circling:
+  its orbit annulus is empty, so it never scatters at all.  Spreading the
+  replays over whole periods and freezing circling paths changes the
+  autocorrelation integral by a computable amount;
+  ``velocity_autocorrelation_paths`` exposes that route so the gap can be
+  measured rather than hidden.
 
-``green_kubo_mc`` instead samples the jump process *generated by the static
-collision operator* of :mod:`maglorentz.operators`: jumps at rate ``2 mu``
-where each jump applies a geometrically distributed number of identical
-deflections in one go (number of leaves k with probability
-``(1 - w) w^(k-1)``, survival weight ``w = exp(-2 mu period)``).  Its
-velocity autocorrelation is exactly ``exp(lambda_1 t)``, so its time
-integral reproduces the operator-route coefficient ``-1/lambda_1``.  The
-path-resolved process spreads the replayed deflections over whole periods
-and freezes circling paths, which changes the autocorrelation integral by a
-computable amount; ``velocity_autocorrelation_paths`` exposes that route so
-the gap can be measured rather than hidden.
+Both routes reduce their blocks the same way: one phase lookup gives each
+path's accumulated deflection on the time grid (the magnetic rotation
+``2 pi t / period`` is added on the grid when asked for), and the trapezoid
+rule integrates the mean cosine.
 """
 
 from __future__ import annotations
 
-import enum
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -36,97 +40,84 @@ import numpy as np
 from . import _rng
 from .geometry import deflection_from_impact
 
-# paths per block of green_kubo_mc; block i draws from its own stream
-# generator(seed, STREAM_GK_BLOCK, i), so this size is part of the results
+# paths per sampled block; block i draws from its own stream
+# generator(seed, <route's stream>, i), so this size is part of the results
 GK_BLOCK_SIZE = 20_000
 
 
-class JumpKind(enum.IntEnum):
-    SCATTER = 0
-    REPLAY = 1
+def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
+                 lumped: bool):
+    """Jumps of ``n`` independent paths on [0, t_cut].
 
-
-@dataclass(frozen=True)
-class GBPath:
-    """One sampled velocity path.
-
-    The angle at time t is ``initial_angle + rotation_rate * t`` plus the
-    sum of all jump deflections up to t.  ``impact_parameters`` holds the
-    normalized impact parameter of scatter jumps and NaN for replays.
+    Returns ``(counts, times, theta, replay, circling)``: the number of
+    jumps of each path; the jump times, grouped by path and sorted within
+    each path; each jump's deflection; each jump's replay number (0 for a
+    scatter, r for the replay r periods after it); and whether each path
+    circles.  Lumped jumps are all scatters and no path circles.
     """
+    counts = rng.poisson(2.0 * mu * t_cut, n)
+    total = int(counts.sum())
+    raw_t = rng.random(total) * t_cut
+    path_of = np.repeat(np.arange(n), counts)
+    jt = raw_t[np.lexsort((raw_t, path_of))]
+    if lumped:
+        # geometric(1.0) still consumes draws, so test the escape probability
+        escape = 1.0 - math.exp(-2.0 * mu * period)
+        leaves = rng.geometric(escape, total) if escape < 1.0 else \
+            np.ones(total, dtype=np.int64)
+        theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total)) * leaves
+        return (counts, jt, theta, np.zeros(total, dtype=np.int64),
+                np.zeros(n, dtype=bool))
+    theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total))
+    ends = np.cumsum(counts)
+    scattered = counts > 0
+    first = np.full(n, np.inf)
+    first[scattered] = jt[ends[scattered] - counts[scattered]]
+    circling = first > period
+    if period > t_cut:
+        # no scatter in the window: the first wait exceeds t_cut, and it
+        # exceeds the period too with probability exp(-2 mu (T - t_cut))
+        circling &= scattered | (rng.random(n) < math.exp(
+            -2.0 * mu * (period - t_cut)))
+    # a scatter replays once per whole period before the next scatter, or
+    # before t_cut for a path's last scatter
+    nxt = np.append(jt[1:], t_cut)
+    nxt[ends[scattered] - 1] = t_cut
+    runs = np.where(circling[path_of], 0,
+                    1 + np.floor((nxt - jt) / period).astype(np.int64))
+    src = np.repeat(np.arange(total), runs)
+    replay = np.arange(len(src)) - np.repeat(np.cumsum(runs) - runs, runs)
+    return (np.bincount(path_of[src], minlength=n), jt[src] + replay * period,
+            theta[src], replay, circling)
 
-    mu: float
-    period: float
-    t_max: float
-    initial_angle: float
-    jump_times: np.ndarray
-    jump_kinds: np.ndarray
-    deflections: np.ndarray
-    impact_parameters: np.ndarray
-    circling: bool
 
-    @property
-    def rotation_rate(self) -> float:
-        return 2.0 * math.pi / self.period
+def _phase_chunks(counts, times, theta, t_grid, spin=None, chunk=2500):
+    """Each path's phase on the time grid, ``chunk`` paths at a time.
 
-    def jump_phase_at(self, times) -> np.ndarray:
-        """Accumulated jump deflection at each query time."""
-        times = np.asarray(times, dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum(self.deflections)])
-        idx = np.searchsorted(self.jump_times, times, side="right")
-        return cum[idx]
-
-    def angles_at(self, times, include_rotation: bool = True) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        out = self.initial_angle + self.jump_phase_at(times)
-        if include_rotation:
-            out = out + self.rotation_rate * times
-        return out
-
-
-def sample_velocity_path(mu: float, period: float, v0_angle: float,
-                         t_max: float, seed) -> GBPath:
-    """Draw one path of the path-resolved process on [0, t_max].
-
-    ``seed`` may be an integer or a ``numpy.random.Generator``.
+    Yields ``(lo, hi, phase)``: ``phase[p - lo, k]`` is the summed
+    deflection of path p's jumps at or before ``t_grid[k]``, plus
+    ``spin[k]`` when given.  ``chunk`` caps the (paths x grid) scratch
+    arrays.
     """
-    if mu <= 0.0 or period <= 0.0:
-        raise ValueError("mu and period must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else \
-        _rng.generator(int(seed), _rng.STREAM_GB_PATH)
-    times: list[float] = []
-    kinds: list[int] = []
-    defl: list[float] = []
-    bpar: list[float] = []
-
-    first_wait = rng.exponential(1.0 / (2.0 * mu))
-    circling = first_wait > period
-    if not circling:
-        t = first_wait
-        while t <= t_max:
-            b = rng.uniform(-1.0, 1.0)
-            theta = deflection_from_impact(b)
-            times.append(t)
-            kinds.append(JumpKind.SCATTER)
-            defl.append(theta)
-            bpar.append(b)
-            wait = rng.exponential(1.0 / (2.0 * mu))
-            n_replays = int(wait // period)
-            for r in range(1, n_replays + 1):
-                tr = t + r * period
-                if tr > t_max:
-                    break
-                times.append(tr)
-                kinds.append(JumpKind.REPLAY)
-                defl.append(theta)
-                bpar.append(math.nan)
-            t += wait
-    return GBPath(
-        mu=mu, period=period, t_max=t_max, initial_angle=v0_angle,
-        jump_times=np.asarray(times), jump_kinds=np.asarray(kinds, dtype=np.uint8),
-        deflections=np.asarray(defl), impact_parameters=np.asarray(bpar),
-        circling=circling,
-    )
+    n, n_grid = len(counts), len(t_grid)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    path_of = np.repeat(np.arange(n), counts)
+    # path p's phase after its first c jumps: cs[starts[p] + c] - cs[starts[p]]
+    cs = np.concatenate([[0.0], np.cumsum(theta)])
+    # a jump counts from the first grid time at or after it (n_grid: never)
+    gbin = np.searchsorted(t_grid, times, side="left")
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        a, b = starts[lo], ends[hi - 1]
+        slot = (path_of[a:b] - lo) * (n_grid + 1) + gbin[a:b]
+        jumps = np.bincount(slot, minlength=(hi - lo) * (n_grid + 1))
+        c = np.cumsum(jumps.reshape(hi - lo, n_grid + 1)[:, :n_grid], axis=1)
+        first = starts[lo:hi, None]
+        phase = cs[first + c] - cs[first]
+        if spin is not None:
+            phase += spin
+        yield lo, hi, phase
 
 
 @dataclass(frozen=True)
@@ -177,46 +168,52 @@ def _trapezoid_grid(t_cut: float, dt_quad: float):
     return t_grid, trap_w
 
 
-def _generator_vacf_block(mu, leaf_escape_p, t_cut, t_grid, trap_w, n, rng):
-    """VACF samples of the operator-generated jump process for one block.
+def _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
+             include_rotation, wandering_only) -> GreenKuboEstimate:
+    """Trapezoid autocorrelation integral over ``n_paths`` sampled paths.
 
-    Returns (sum of cos over paths per grid point, sum of squares,
-    per-path trapezoid integrals).
+    Block i of ``GK_BLOCK_SIZE`` paths draws from ``generator(seed,
+    STREAM_GK_BLOCK, i)`` when lumped, ``generator(seed, STREAM_GB_PATH,
+    i)`` when path-resolved.  ``wandering_only`` drops circling paths from
+    the average; ``circling_fraction`` is the fraction of sampled paths
+    that circled.
     """
-    counts = rng.poisson(2.0 * mu * t_cut, n)
-    total = int(counts.sum())
-    raw_t = rng.random(total) * t_cut
-    path_of = np.repeat(np.arange(n), counts)
-    order = np.lexsort((raw_t, path_of))
-    jt = raw_t[order]
-    if leaf_escape_p < 1.0:
-        leaves = rng.geometric(leaf_escape_p, total)
-    else:
-        leaves = np.ones(total, dtype=np.int64)
-    theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total)) * leaves
-    # path p's phase after its first c jumps: cs[starts[p] + c] - cs[starts[p]]
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    cs = np.concatenate([[0.0], np.cumsum(theta)])
-    # a jump counts from the first grid time at or after it (n_grid: never)
-    n_grid = len(t_grid)
-    gbin = np.searchsorted(t_grid, jt, side="left")
-    vsum = np.zeros(n_grid)
-    vsq = np.zeros(n_grid)
-    per_path = np.empty(n)
-    chunk = 2500  # caps the (paths x grid) scratch arrays
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        a, b = starts[lo], ends[hi - 1]
-        slot = (path_of[a:b] - lo) * (n_grid + 1) + gbin[a:b]
-        jumps = np.bincount(slot, minlength=(hi - lo) * (n_grid + 1))
-        c = np.cumsum(jumps.reshape(hi - lo, n_grid + 1)[:, :n_grid], axis=1)
-        first = starts[lo:hi, None]
-        cosvals = np.cos(cs[first + c] - cs[first])
-        vsum += cosvals.sum(axis=0)
-        vsq += (cosvals ** 2).sum(axis=0)
-        per_path[lo:hi] = cosvals @ trap_w
-    return vsum, vsq, per_path
+    if t_cut <= 0.0 or dt_quad <= 0.0:
+        raise ValueError("t_cut and dt_quad must be positive")
+    if mu <= 0.0 or period <= 0.0:
+        raise ValueError("mu and period must be positive")
+    t_grid, trap_w = _trapezoid_grid(t_cut, dt_quad)
+    spin = 2.0 * math.pi / period * t_grid if include_rotation else None
+    stream = _rng.STREAM_GK_BLOCK if lumped else _rng.STREAM_GB_PATH
+    vsum = np.zeros(len(t_grid))
+    vsq = np.zeros(len(t_grid))
+    integrals = []
+    n_circling = 0
+    for block_idx, done in enumerate(range(0, n_paths, GK_BLOCK_SIZE)):
+        counts, times, theta, _, circling = _block_jumps(
+            mu, period, t_cut, min(GK_BLOCK_SIZE, n_paths - done),
+            _rng.generator(seed, stream, block_idx), lumped)
+        s = np.zeros(len(t_grid))
+        sq = np.zeros(len(t_grid))
+        for lo, hi, phase in _phase_chunks(counts, times, theta, t_grid, spin):
+            if wandering_only:
+                phase = phase[~circling[lo:hi]]
+            cosvals = np.cos(phase)
+            s += cosvals.sum(axis=0)
+            sq += (cosvals ** 2).sum(axis=0)
+            integrals.append(cosvals @ trap_w)
+        vsum += s
+        vsq += sq
+        n_circling += int(np.count_nonzero(circling))
+    per_path = np.concatenate(integrals) if integrals else np.empty(0)
+    kept = len(per_path)
+    if kept < 2:
+        raise ValueError(f"need at least 2 paths to average, got {kept}")
+    vacf = vsum / kept
+    var = np.maximum(vsq / kept - vacf ** 2, 0.0)
+    return GreenKuboEstimate(
+        float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(kept)),
+        t_grid, vacf, np.sqrt(var / kept), n_circling / n_paths, n_paths)
 
 
 def green_kubo_mc(mu: float, period: float, n_paths: int, t_cut: float,
@@ -232,53 +229,17 @@ def green_kubo_mc(mu: float, period: float, n_paths: int, t_cut: float,
     ``t_cut`` must cover several relaxation times.  The reported circling
     fraction comes from the path-resolved first-period survival law.
     """
-    if t_cut <= 0.0 or dt_quad <= 0.0:
-        raise ValueError("t_cut and dt_quad must be positive")
-    if mu <= 0.0 or period <= 0.0:
-        raise ValueError("mu and period must be positive")
-    w = math.exp(-2.0 * mu * period)
-    t_grid, trap_w = _trapezoid_grid(t_cut, dt_quad)
-    vsum = np.zeros(len(t_grid))
-    vsq = np.zeros(len(t_grid))
-    integrals = []
-    done = 0
-    block_idx = 0
-    while done < n_paths:
-        n = min(GK_BLOCK_SIZE, n_paths - done)
-        rng = _rng.generator(seed, _rng.STREAM_GK_BLOCK, block_idx)
-        s, sq, per_path = _generator_vacf_block(
-            mu, 1.0 - w, t_cut, t_grid, trap_w, n, rng)
-        vsum += s
-        vsq += sq
-        integrals.append(per_path)
-        done += n
-        block_idx += 1
-    vacf = vsum / n_paths
-    var = np.maximum(vsq / n_paths - vacf ** 2, 0.0)
-    vacf_se = np.sqrt(var / n_paths)
-    per_path = np.concatenate(integrals)
-    d_hat = float(per_path.mean())
-    d_se = float(per_path.std(ddof=1) / math.sqrt(n_paths))
-    circ = circling_fraction_mc(mu, period, max(n_paths, 1), _rng.mix(seed, 0xC1))
-    return GreenKuboEstimate(d_hat, d_se, t_grid, vacf, vacf_se,
-                             circ.fraction, n_paths)
-
-
-@dataclass(frozen=True)
-class PathVacfEstimate:
-    t_grid: np.ndarray
-    vacf: np.ndarray
-    vacf_se: np.ndarray
-    d_estimate: float
-    std_error: float
-    wandering_fraction: float
+    est = _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped=True,
+                   include_rotation=False, wandering_only=False)
+    circ = circling_fraction_mc(mu, period, n_paths, _rng.mix(seed, 0xC1))
+    return dataclasses.replace(est, circling_fraction=circ.fraction)
 
 
 def velocity_autocorrelation_paths(mu: float, period: float, n_paths: int,
                                    t_cut: float, dt_quad: float, seed: int,
                                    include_rotation: bool = True,
                                    wandering_only: bool = False
-                                   ) -> PathVacfEstimate:
+                                   ) -> GreenKuboEstimate:
     """Autocorrelation of the path-resolved process (diagnostic route).
 
     With rotation included, circling paths contribute a pure oscillation
@@ -287,30 +248,6 @@ def velocity_autocorrelation_paths(mu: float, period: float, n_paths: int,
     this route does not integrate to the operator value: replays spread
     over whole periods retard the angular decorrelation.
     """
-    t_grid, trap_w = _trapezoid_grid(t_cut, dt_quad)
-    acc = np.zeros(len(t_grid))
-    acc_sq = np.zeros(len(t_grid))
-    integrals = []
-    kept = 0
-    for i in range(n_paths):
-        rng = _rng.generator(seed, _rng.STREAM_GB_PATH, i)
-        path = sample_velocity_path(mu, period, 0.0, t_cut, rng)
-        if wandering_only and path.circling:
-            continue
-        ang = path.angles_at(t_grid, include_rotation=include_rotation)
-        c = np.cos(ang)
-        acc += c
-        acc_sq += c ** 2
-        integrals.append(float(c @ trap_w))
-        kept += 1
-    if kept == 0:
-        raise RuntimeError("all sampled paths were circling")
-    vacf = acc / kept
-    var = np.maximum(acc_sq / kept - vacf ** 2, 0.0)
-    per_path = np.asarray(integrals)
-    return PathVacfEstimate(
-        t_grid, vacf, np.sqrt(var / kept),
-        float(per_path.mean()),
-        float(per_path.std(ddof=1) / math.sqrt(kept)),
-        kept / n_paths,
-    )
+    return _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped=False,
+                    include_rotation=include_rotation,
+                    wandering_only=wandering_only)

@@ -41,6 +41,7 @@ _BOUNDS = {
     "positive": lambda v: v > 0,
     "nonnegative": lambda v: v >= 0,
     "at least 1": lambda v: v >= 1,
+    "at least 2": lambda v: v >= 2,
     "at least 8": lambda v: v >= 8,
 }
 
@@ -162,10 +163,19 @@ def _msd_rule(config):
         yield "key 't_grid' must be positive and strictly increasing"
 
 
+def _rule_eta(coeff, expo, eps):
+    """The eta rule ``coeff * eps^(-expo)`` at one radius (inf on overflow)."""
+    try:
+        return coeff * eps ** (-expo)
+    except OverflowError:
+        return math.inf
+
+
 def _scaling_rule(config):
     eps = config.get("eps_list")
-    if eps is not None and (any(not (0.0 < e < 1.0) for e in eps)
-                            or not _increasing(eps[::-1])):
+    eps_ok = eps is None or (all(0.0 < e < 1.0 for e in eps)
+                             and _increasing(eps[::-1]))
+    if not eps_ok:
         yield "key 'eps_list' must be strictly decreasing inside (0, 1)"
     has_eta = config.get("eta") is not None
     has_rule = [config.get(k) is not None for k in ("eta_coeff", "eta_exponent")]
@@ -173,6 +183,13 @@ def _scaling_rule(config):
         yield "give either 'eta' or the eta rule, not both"
     if not has_eta and not all(has_rule):
         yield "need 'eta' or both 'eta_coeff' and 'eta_exponent'"
+    elif not has_eta and eps is not None and eps_ok:
+        for e in eps:
+            eta = _rule_eta(config["eta_coeff"], config["eta_exponent"], e)
+            if not 1.0 <= eta < math.inf:
+                yield (f"the eta rule gives eta = {eta:g} at eps = {e:g}; "
+                       "it must be finite and at least 1")
+                break
 
 
 def _sweep_rule(config):
@@ -205,7 +222,7 @@ def _run_scaling(config, workers):
         rule = config["eta"]
     else:
         coeff, expo = config["eta_coeff"], config["eta_exponent"]
-        rule = lambda e: coeff * e ** (-expo)  # noqa: E731
+        rule = lambda e: _rule_eta(coeff, expo, e)  # noqa: E731
     res = lorentz_sim.event_rate_study(
         config["eps_list"], rule, config["mu"], config["b"], config["t"],
         config["n_replicas"], config["seed"], workers=workers,
@@ -307,6 +324,7 @@ _INITIAL_FIELD = {
 # the keys most kinds share
 _POSITIVE = _Key("float", bound="positive")
 _COUNT = _Key("int", bound="positive")
+_SAMPLES = _Key("int", bound="at least 2")  # averaged with a standard error
 _ETA = _Key("float", bound="at least 1")
 _SEED = _Key("int")
 
@@ -314,7 +332,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
     "msd": _Experiment(
         {"eps": _POSITIVE, "mu": _POSITIVE, "eta": _ETA,
          "b": _Key("float", 0.0, "nonnegative"), "t_grid": _Key("floats"),
-         "n_replicas": _COUNT, "seed": _SEED, **_REPLICA_CAPS},
+         "n_replicas": _SAMPLES, "seed": _SEED, **_REPLICA_CAPS},
         _run_msd, "msd", ("t", "msd", "msd_se", "circling_frac"), _msd_rule),
     "scaling-study": _Experiment(
         {"eps_list": _Key("floats"), "mu": _POSITIVE, "b": _POSITIVE,
@@ -327,7 +345,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
          "p_daisy", "p_daisy_se", "p_circ", "p_circ_se", "exponent_fit"),
         _scaling_rule),
     "green-kubo": _Experiment(
-        {"mu": _POSITIVE, "period": _POSITIVE, "n_paths": _COUNT,
+        {"mu": _POSITIVE, "period": _POSITIVE, "n_paths": _SAMPLES,
          "t_cut": _POSITIVE, "dt_quad": _POSITIVE, "seed": _SEED},
         _run_green_kubo, "vacf", ("t", "vacf", "vacf_se")),
     "operator-sweep": _Experiment(

@@ -443,11 +443,12 @@ def msd_estimate(params: ScalingParams, n_replicas: int, time_grid, seed: int,
     Replicas that end up circling or trapped stay in the average (their
     displacement saturates); their cumulative fraction is reported per
     time-grid row.  Aborted (chattering) replicas are dropped and counted;
-    ``ChatteringError`` is raised when every replica aborts.
+    ``ChatteringError`` is raised when fewer than 2 replicas are left, too
+    few for a standard error.
     """
     time_grid = np.asarray(time_grid, dtype=float)
-    if n_replicas < 1 or len(time_grid) == 0:
-        raise ValueError("need at least one replica and one time point")
+    if n_replicas < 2 or len(time_grid) == 0:
+        raise ValueError("need at least 2 replicas and one time point")
     [records] = _run_replicas([(params, (0xF1E1D,), ())], n_replicas,
                               time_grid, float(time_grid[-1]), seed, workers,
                               k_max_leaves, max_events)
@@ -461,12 +462,13 @@ def msd_estimate(params: ScalingParams, n_replicas: int, time_grid, seed: int,
             nonwander[r] = rec[2]
     ok = ~np.isnan(sq[:, 0])
     n_ok = int(np.count_nonzero(ok))
-    if n_ok == 0:
+    if n_ok < 2:
+        aborted = "all" if n_ok == 0 else f"{n_replicas - n_ok} of"
         raise ChatteringError(
-            f"all {n_replicas} replicas at eps={params.eps:g} reached "
-            f"max_events={max_events}")
+            f"{aborted} {n_replicas} replicas at eps={params.eps:g} reached "
+            f"max_events={max_events}, fewer than 2 left to average")
     msd = np.nanmean(sq, axis=0)
-    msd_se = np.nanstd(sq, axis=0, ddof=1) / math.sqrt(max(n_ok, 2))
+    msd_se = np.nanstd(sq, axis=0, ddof=1) / math.sqrt(n_ok)
     circ = np.array([np.mean(nonwander[ok] <= t) for t in time_grid])
     return MsdResult(time_grid, msd, msd_se, circ, n_replicas,
                      n_replicas - n_ok)

@@ -2,42 +2,60 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from maglorentz import _rng
 from maglorentz import boltzmann_process as bp
 from maglorentz import operators as ops
-from maglorentz.boltzmann_process import (GBPath, JumpKind,
-                                          circling_fraction_mc,
+from maglorentz.boltzmann_process import (circling_fraction_mc,
                                           green_kubo_mc,
-                                          sample_velocity_path,
                                           velocity_autocorrelation_paths)
 
 
-def paths(mu, period, n, t_max, seed=0):
-    for i in range(n):
-        yield sample_velocity_path(mu, period, 0.0, t_max,
-                                   _rng.generator(seed, 0xAB, i))
+def path_jumps(mu, period, n, t_max, seed):
+    """``n`` path-resolved paths: (counts, times, theta, replay, circling)."""
+    return bp._block_jumps(mu, period, t_max, n, _rng.generator(seed, 0xAB),
+                           lumped=False)
+
+
+def phases(counts, times, theta, t_grid, spin=None, chunk=2500):
+    """Every path's phase on ``t_grid``, one row per path."""
+    return np.vstack([phase for _, _, phase in bp._phase_chunks(
+        counts, times, theta, np.asarray(t_grid, dtype=float), spin, chunk)])
+
+
+def replay_runs(replay):
+    """Number of replays directly after each scatter, in scatter order."""
+    scatters = np.flatnonzero(replay == 0)
+    return scatters, np.diff(np.append(scatters, len(replay))) - 1
 
 
 class TestPathSampler:
     def test_vanishing_rate_circles(self):
-        path = sample_velocity_path(1e-9, 1.0, 0.5, 10.0, seed=1)
-        assert path.circling
-        assert len(path.jump_times) == 0
-        # angle evolves by pure rotation
+        counts, times, theta, _, circling = path_jumps(1e-9, 1.0, 5, 10.0,
+                                                       seed=1)
+        assert circling.all()
+        assert len(times) == 0 and not counts.any()
+        # the angle evolves by pure rotation
         t = np.array([0.0, 0.25, 1.0])
-        assert np.allclose(path.angles_at(t), 0.5 + 2 * math.pi * t)
+        got = phases(counts, times, theta, t, spin=2 * math.pi * t)
+        assert np.allclose(got, 2 * math.pi * t)
 
     def test_jump_times_sorted_and_kinds(self):
-        for path in paths(1.0, 0.7, 50, 20.0, seed=3):
-            if len(path.jump_times) == 0:
-                assert path.circling
+        counts, times, _, replay, circling = path_jumps(1.0, 0.7, 50, 20.0,
+                                                        seed=3)
+        bounds = np.cumsum(counts)[:-1]
+        for c, t, kinds, circ in zip(counts, np.split(times, bounds),
+                                     np.split(replay, bounds), circling):
+            if c == 0:
                 continue
-            assert np.all(np.diff(path.jump_times) > 0)
+            assert np.all(np.diff(t) > 0)
             # a replay can only follow a scatter: the first jump is a scatter
-            assert path.jump_kinds[0] == JumpKind.SCATTER
-            assert not path.circling or len(path.jump_times) == 0
+            assert kinds[0] == 0
+            assert not circ
+        assert not counts[circling].any()
 
     def test_no_scatter_fraction_matches_survival(self):
         mu, period = 1.0, 0.25  # mu T = 0.25: e^{-0.5} about 0.6065
@@ -50,74 +68,104 @@ class TestPathSampler:
     def test_sampler_consistent_with_vectorized_fraction(self):
         mu, period = 1.0, 0.5
         n = 20_000
-        circ = sum(p.circling for p in paths(mu, period, n, 2.0, seed=5))
+        circling = path_jumps(mu, period, n, 2.0, seed=5)[4]
         p_ref = math.exp(-2 * mu * period)
         se = math.sqrt(p_ref * (1 - p_ref) / n)
-        assert abs(circ / n - p_ref) < 3.5 * se
+        assert abs(circling.sum() / n - p_ref) < 3.5 * se
+
+    def test_circling_beyond_window(self):
+        # period longer than the window: a path with no scatter in it
+        # circles with probability exp(-2 mu (T - t_cut))
+        mu, period, t_cut = 1.0, 0.5, 0.2
+        n = 20_000
+        counts, _, _, _, circling = path_jumps(mu, period, n, t_cut, seed=6)
+        p_ref = math.exp(-2 * mu * period)
+        se = math.sqrt(p_ref * (1 - p_ref) / n)
+        assert abs(circling.sum() / n - p_ref) < 3.5 * se
+        assert not counts[circling].any()
 
     def test_replay_run_geometric(self):
         # replays between consecutive scatters follow a geometric law with
         # success probability 1 - exp(-2 mu T); buckets are read inside a
         # window that always fits before t_max, so truncation cannot censor
         # long runs
-        mu, period = 1.0, 0.4
+        mu, period, t_max = 1.0, 0.4, 12.0
         w = math.exp(-2 * mu * period)
         window = 3 * period
-        counts = np.zeros(4)
-        for path in paths(mu, period, 4000, 12.0, seed=1):
-            kinds = path.jump_kinds
-            times = path.jump_times
-            scatters = np.flatnonzero(kinds == JumpKind.SCATTER)
-            for a in scatters:
-                if times[a] > path.t_max - window:
-                    continue
-                run = 0
-                for j in range(a + 1, len(kinds)):
-                    if times[j] > times[a] + window:
-                        break
-                    if kinds[j] == JumpKind.SCATTER:
-                        break
-                    run += 1
-                counts[min(run, 3)] += 1
+        _, times, _, replay, _ = path_jumps(mu, period, 4000, t_max, seed=1)
+        scatters, runs = replay_runs(replay)
+        inside = times[scatters] <= t_max - window
+        counts = np.bincount(np.minimum(runs[inside], 3), minlength=4)
         probs = np.array([(1 - w) * w ** k for k in range(3)] + [w ** 3])
         chi = stats.chisquare(counts, probs * counts.sum())
         assert chi.pvalue > 0.01
 
     def test_back_to_back_replay_survival(self):
         # P(at least k replays directly after a scatter) = exp(-2 mu k T)
-        mu, period = 1.0, 0.3
-        at_least = np.zeros(4)
-        n_scat = 0
-        for path in paths(mu, period, 3000, 10.0, seed=7):
-            kinds = path.jump_kinds
-            scatters = np.flatnonzero(kinds == JumpKind.SCATTER)
-            for idx, a in enumerate(scatters):
-                nxt = scatters[idx + 1] if idx + 1 < len(scatters) else len(kinds)
-                if path.jump_times[a] + 3 * period > path.t_max:
-                    continue  # truncated window would bias the tail
-                n_scat += 1
-                run = nxt - a - 1
-                for k in range(1, 4):
-                    at_least[k] += run >= k
+        mu, period, t_max = 1.0, 0.3, 10.0
+        _, times, _, replay, _ = path_jumps(mu, period, 3000, t_max, seed=7)
+        scatters, runs = replay_runs(replay)
+        # a truncated window would bias the tail
+        runs = runs[times[scatters] + 3 * period <= t_max]
+        n_scat = len(runs)
         for k in range(1, 4):
             p_ref = math.exp(-2 * mu * k * period)
             se = math.sqrt(p_ref * (1 - p_ref) / n_scat)
-            assert abs(at_least[k] / n_scat - p_ref) < 4 * se
+            assert abs(np.count_nonzero(runs >= k) / n_scat - p_ref) < 4 * se
 
     def test_uniform_measure_invariant(self):
         # uniform initial angles stay uniform after several mean free times
         mu, period = 1.0, 1.0
         t_probe = 5.0 / (2.0 * mu)
         n = 100_000
-        rng = np.random.default_rng(8)
-        angles = np.empty(n)
-        for i in range(n):
-            a0 = rng.uniform(0, 2 * math.pi)
-            path = sample_velocity_path(mu, period, a0, t_probe,
-                                        _rng.generator(8, 0xCD, i))
-            angles[i] = path.angles_at([t_probe])[0] % (2 * math.pi)
+        a0 = np.random.default_rng(8).uniform(0, 2 * math.pi, n)
+        counts, times, theta, _, _ = bp._block_jumps(
+            mu, period, t_probe, n, _rng.generator(8, 0xCD), lumped=False)
+        spin = np.array([2 * math.pi * t_probe / period])
+        angles = (a0 + phases(counts, times, theta, [t_probe], spin)[:, 0]) \
+            % (2 * math.pi)
         ks = stats.kstest(angles / (2 * math.pi), "uniform")
         assert ks.pvalue > 0.01
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mu=st.floats(0.05, 3.0), period=st.floats(0.05, 5.0),
+       t_cut=st.floats(0.1, 10.0), n=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32))
+def test_placements_share_scatters(mu, period, t_cut, n, seed):
+    lumped = bp._block_jumps(mu, period, t_cut, n, _rng.generator(seed, 0xEF),
+                             lumped=True)
+    counts, times, theta, replay, circling = bp._block_jumps(
+        mu, period, t_cut, n, _rng.generator(seed, 0xEF), lumped=False)
+    # the same scatter clock: the path-resolved scatters are the lumped
+    # jumps of the paths that do not circle
+    lumped_path = np.repeat(np.arange(n), lumped[0])
+    assert np.array_equal(times[replay == 0],
+                          lumped[1][~circling[lumped_path]])
+    # a path circles exactly when its first wait is longer than the period
+    starts = np.cumsum(lumped[0]) - lumped[0]
+    scattered = lumped[0] > 0
+    assert np.array_equal(circling[scattered],
+                          lumped[1][starts[scattered]] > period)
+    assert not counts[circling].any()
+    # sorted within each path and inside [0, t_cut]
+    path = np.repeat(np.arange(n), counts)
+    same_path = path[1:] == path[:-1]
+    assert np.all(np.diff(times)[same_path] >= 0)
+    assert np.all((times >= 0) & (times <= t_cut))
+    # replay r lies r periods after its scatter, the run is maximal, and
+    # the next scatter (or t_cut) comes after it
+    scatter_of = np.maximum.accumulate(
+        np.where(replay == 0, np.arange(len(replay)), 0))
+    assert np.allclose(times - times[scatter_of], replay * period,
+                       rtol=0, atol=1e-9 * t_cut)
+    assert np.all(theta == theta[scatter_of])
+    scatters, runs = replay_runs(replay)
+    last = scatters + runs
+    nxt = np.append(times[1:], t_cut)
+    nxt[np.cumsum(counts)[counts > 0] - 1] = t_cut
+    assert np.all(times[last] <= nxt[last])
+    assert np.all(times[last] + period >= nxt[last] - 1e-9 * t_cut)
 
 
 class TestGreenKubo:
@@ -156,12 +204,22 @@ class TestGreenKubo:
             p_ref * (1 - p_ref) / 20_000)
 
 
+    def test_fewer_than_two_paths_rejected(self):
+        # one path has no standard error: fail instead of returning NaN
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            green_kubo_mc(1.0, 1.0, 1, 3.0, 0.05, seed=9)
+        # every path circles, so none is left to average
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            velocity_autocorrelation_paths(1e-9, 1.0, 10, 3.0, 0.1, seed=1,
+                                           wandering_only=True)
+
+
 class TestPathRouteDiagnostic:
     def test_memoryless_limit_matches_jump_process(self):
         # with a huge period the path-resolved route is the plain process
         est = velocity_autocorrelation_paths(1.0, 1e6, 30_000, 6.0, 0.02,
                                              seed=14, include_rotation=False)
-        assert est.wandering_fraction == 1.0
+        assert est.circling_fraction == 0.0
         assert abs(est.d_estimate - 0.375) < 3 * est.std_error
         ell1 = -8.0 / 3.0
         for t_probe in (0.5, 1.5):
@@ -181,7 +239,7 @@ class TestPathRouteDiagnostic:
         op = ops.build_LG(mu, period, 16)
         d_op = ops.diffusion_coefficient(op)
         pred = d_op - w * period / (1 - w)
-        est = velocity_autocorrelation_paths(mu, period, 30_000, 24.0, 0.02,
+        est = velocity_autocorrelation_paths(mu, period, 100_000, 24.0, 0.02,
                                              seed=15, include_rotation=False,
                                              wandering_only=True)
         assert abs(est.d_estimate - pred) < 4 * est.std_error
@@ -203,16 +261,16 @@ class TestPathRouteDiagnostic:
         assert abs(est.d_estimate - pred) < 5 * est.std_error
 
 
-class TestGBPathType:
+class TestPhaseLookup:
     def test_angle_accumulation(self):
-        path = GBPath(mu=1.0, period=2.0, t_max=5.0, initial_angle=0.1,
-                      jump_times=np.array([1.0, 3.0]),
-                      jump_kinds=np.array([0, 1], dtype=np.uint8),
-                      deflections=np.array([0.5, 0.5]),
-                      impact_parameters=np.array([0.2, math.nan]),
-                      circling=False)
-        t = np.array([0.5, 2.0, 4.0])
-        no_rot = path.angles_at(t, include_rotation=False)
-        assert np.allclose(no_rot, [0.1, 0.6, 1.1])
-        with_rot = path.angles_at(t)
+        # one path with jumps at 1 and 3, a second one without jumps, one
+        # path per chunk; a jump counts from its own time on
+        counts = np.array([2, 0])
+        t = np.array([0.5, 1.0, 2.0, 4.0])
+        no_rot = phases(counts, np.array([1.0, 3.0]), np.array([0.5, 0.5]),
+                        t, chunk=1)
+        assert np.allclose(no_rot, [[0.0, 0.5, 0.5, 1.0], [0.0] * 4])
+        # period 2: rotation adds 2 pi t / T on the grid
+        with_rot = phases(counts, np.array([1.0, 3.0]), np.array([0.5, 0.5]),
+                          t, spin=math.pi * t, chunk=1)
         assert np.allclose(with_rot, no_rot + math.pi * t)

@@ -124,6 +124,9 @@ class TestValidate:
         ("scaling-study", "eta", "0.5", "at least 1"),
         ("kinetic", "eta", "0.5", "at least 1"),
         ("circling", "eta", "0.99", "at least 1"),
+        # one sample has no standard error; it used to be written as NaN
+        ("msd", "n_replicas", "1", "at least 2"),
+        ("green-kubo", "n_paths", "1", "at least 2"),
     ])
     def test_bound_rejected(self, kind, key, value, bound):
         with pytest.raises(ConfigError) as err:
@@ -146,6 +149,27 @@ class TestValidate:
             assert f"key '{key}': cannot parse" in capsys.readouterr().err
             assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize("coeff,expo,shown", [
+        ("0.5", "0", "eta = 0.5 at eps = 0.004"),
+        ("1", "1e5", "eta = inf at eps = 0.004"),
+        ("-1", "0.5", "eta = -15.8114 at eps = 0.004"),
+        ("1.06", "-0.01", "eta = 0.99613 at eps = 0.002"),
+    ], ids=["below-1", "overflow", "negative", "second-radius"])
+    def test_eta_rule_checked_at_every_radius(self, tmp_path, capsys,
+                                              coeff, expo, shown):
+        text = SCALING_CONFIG.replace("eta = 2.0", f"eta_coeff = {coeff}\n"
+                                      f"eta_exponent = {expo}")
+        with pytest.raises(ConfigError) as err:
+            validate(text, "scaling-study")
+        assert err.value.errors == [
+            f"the eta rule gives {shown}; it must be finite and at least 1"]
+        cfg = tmp_path / "sc.cfg"
+        cfg.write_text(text)
+        assert main(["scaling-study", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert shown in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
     def test_kind_mismatch(self):
         with pytest.raises(ConfigError, match="does not match"):
             validate(MSD_CONFIG + "\nkind = circling", "msd")
@@ -158,9 +182,11 @@ class TestValidate:
 
 # a bound's smallest allowed value, and whether that value is excluded
 _LOWEST = {"positive": (0, True), "nonnegative": (0, False),
-           "at least 1": (1, False), "at least 8": (8, False)}
-# the float-list keys, drawn so that their own rules hold
-_LISTS = {
+           "at least 1": (1, False), "at least 2": (2, False),
+           "at least 8": (8, False)}
+# keys drawn so that their kind's rule holds: the float lists, and an eta
+# rule that gives a finite eta of at least 1 on all but extreme eps lists
+_RULED = {
     "t_grid": st.lists(st.floats(0.0, 1e6, exclude_min=True), min_size=1,
                        max_size=5, unique=True).map(sorted),
     "eps_list": st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -168,12 +194,14 @@ _LISTS = {
                          ).map(lambda v: sorted(v, reverse=True)),
     "eta_list": st.lists(st.floats(1.0, 1e6), min_size=1, max_size=5,
                          unique=True).map(sorted),
+    "eta_coeff": st.floats(1.0, 1e6),
+    "eta_exponent": st.floats(0.0, 1.0),
 }
 
 
 def _key_values(spec, key):
-    if spec.typ == "floats":
-        return _LISTS[key]
+    if key in _RULED:
+        return _RULED[key]
     low, strict = _LOWEST.get(spec.bound, (None, False))
     if spec.typ == "int":
         return st.integers(min_value=None if low is None else low + strict)

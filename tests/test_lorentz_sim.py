@@ -243,6 +243,16 @@ class TestMsdEstimate:
                            match="all 6 replicas at eps=0.004 reached max_events=1"):
             msd_estimate(params, 6, [2.0], seed=9, max_events=1)
 
+    def test_fewer_than_two_left_raises(self):
+        # one replica has no standard error; it used to come out as NaN
+        params = scaling_from(4e-3, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="at least 2 replicas"):
+            msd_estimate(params, 1, [0.5], seed=10)
+        with pytest.raises(ChatteringError,
+                           match="2 of 3 replicas at eps=0.004 reached "
+                                 "max_events=2, fewer than 2 left"):
+            msd_estimate(params, 3, [0.5], seed=10, max_events=2)
+
 
 class TestEventRateStudy:
     def test_validation(self):
