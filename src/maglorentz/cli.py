@@ -405,6 +405,8 @@ def main(argv=None) -> int:
                        help="parallel worker processes (results are identical "
                             "for any value)")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     try:
         with open(args.config) as fh:
             text = fh.read()
@@ -418,7 +420,7 @@ def main(argv=None) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
     try:
-        return run(config, args.out, max(1, args.workers))
+        return run(config, args.out, args.workers)
     except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -153,8 +153,9 @@ class KineticModel:
 
     def __init__(self, mu: float, eta: float, b_magnitude: float,
                  grid: SpectralGrid, k_cut: int | None = None):
-        if mu <= 0.0 or eta < 1.0 or b_magnitude < 0.0:
-            raise ValueError("need mu > 0, eta >= 1, B >= 0")
+        if not (0.0 < mu < math.inf and 1.0 <= eta < math.inf
+                and 0.0 <= b_magnitude < math.inf):
+            raise ValueError("need finite mu > 0, eta >= 1, B >= 0")
         self.mu = mu
         self.eta = eta
         self.b_magnitude = b_magnitude
@@ -367,9 +368,9 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
         while snaps_wanted and snaps_wanted[0] <= fld.time + 0.5 * dt:
             snaps.append((fld.time, fld.values_hat.copy()))
             snaps_wanted.pop(0)
-        if field_norm_hat(fld.values_hat, grid) > 10.0 * norm0:
+        if not field_norm_hat(fld.values_hat, grid) <= 10.0 * norm0:
             raise SolverInstabilityError(
-                f"norm grew beyond 10x the datum by t = {fld.time:g} "
+                f"norm above 10x the datum, or NaN, by t = {fld.time:g} "
                 f"(dt = {dt:g}); reduce dt")
     return SolveResult(np.asarray(times), np.asarray(masses),
                        np.asarray(d_avg), np.asarray(d_heat), fld, snaps,

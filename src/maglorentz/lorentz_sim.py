@@ -44,7 +44,7 @@ from .geometry import (TWO_PI, ParticleState, advance_free, first_arc_hit,
                        point_to_arc_distances, point_to_segment_distances,
                        reflect, unit_vector)
 from .medium import (ObstacleField, ScalingParams, is_admissible_start,
-                     scaling_from)
+                     pack_obstacle_id, scaling_from)
 
 #: near-miss proxy distance, in units of the obstacle radius
 NEAR_MISS_FACTOR = 2.0
@@ -181,13 +181,20 @@ class _Trajectory:
         """
         center = larmor_center(self.pos, self.alpha, self.b)
         r, eps = self.radius, self.eps
-        pts, ids = self.field.block(center[0] - r - eps, center[0] + r + eps,
-                                    center[1] - r - eps, center[1] + r + eps)
-        found = first_arc_hit(pts, center, self.alpha, self.b, eps)
-        if found is None:
+        best_sweep = math.inf
+        best = None
+        for ix, iy in self.field.cells_meeting(
+                center[0] - r - eps, center[0] + r + eps,
+                center[1] - r - eps, center[1] + r + eps):
+            pts = self.field.cell(ix, iy)
+            found = first_arc_hit(pts, center, self.alpha, self.b, eps)
+            if found is not None and found[0] < best_sweep:
+                best_sweep, k, n = found
+                best = (ix, iy, k, n, pts[k])
+        if best is None:
             return None
-        sweep, k, n = found
-        return sweep, int(ids[k]), n, pts[k]
+        ix, iy, k, n, c = best
+        return best_sweep, pack_obstacle_id(ix, iy, k), n, c
 
     def next_ray_hit(self, max_len: float):
         """(length, hit_id, normal, center) of the first impact, or None."""
@@ -214,13 +221,13 @@ class _Trajectory:
                     if (jx, jy) in checked:
                         continue
                     checked.add((jx, jy))
-                    pts, ids = self.field.cell(jx, jy)
+                    pts = self.field.cell(jx, jy)
                     if not len(pts):
                         continue
                     found = first_ray_entry(pts, pos, v, self.eps, max_len)
                     if found is not None and found[0] < best_tau:
                         best_tau, k = found
-                        best = (int(ids[k]), pts[k])
+                        best = (jx, jy, k, pts[k])
             frontier = min(tx, ty)
             if best_tau <= frontier or frontier >= max_len:
                 break
@@ -232,9 +239,9 @@ class _Trajectory:
                 iy += step_y
         if best is None:
             return None
-        hit_id, c = best
+        jx, jy, k, c = best
         n = impact_normal(pos + best_tau * v, c, self.eps)
-        return best_tau, hit_id, n, c
+        return best_tau, pack_obstacle_id(jx, jy, k), n, c
 
     # -- daisy bookkeeping ---------------------------------------------------
 
@@ -416,7 +423,7 @@ def _run_replicas(rungs, n_replicas: int, sample_times, t_max: float,
             for params, field_key, start_key in rungs
             for lo in range(0, n_replicas, per)]
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             chunks = list(pool.map(_replica_chunk, args))
     else:
         chunks = [_replica_chunk(a) for a in args]

@@ -6,6 +6,8 @@ stream.  Trajectories of unbounded extent therefore see one consistent
 infinite environment without it ever being stored, and concurrent readers
 need no coordination.  A field object memoizes the cells it has served,
 so its memory grows with the area queried; each replica gets its own.
+The memoized cell is the only obstacle query; rectangles are scanned cell
+by cell, never concatenated.
 
 Obstacles may overlap each other; the underlying measure is pure Poisson
 with no hard-core thinning.
@@ -13,6 +15,7 @@ with no hard-core thinning.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +25,6 @@ import numpy as np
 from . import _rng
 
 _EMPTY_POINTS = np.empty((0, 2))
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 #: packed obstacle ids: 20-bit offset cell coordinates plus a 20-bit index
 _ID_OFFSET = 1 << 19
@@ -70,12 +72,13 @@ class ScalingParams:
 def scaling_from(eps: float, mu: float, eta: float, b_magnitude: float = 0.0
                  ) -> ScalingParams:
     """Build scaling parameters and warn when the regime checks fail."""
-    if not (eps > 0.0 and mu > 0.0):
-        raise ValueError("eps and mu must be positive")
-    if eta < 1.0:
-        raise ValueError("eta must be at least 1 (no divergence slower than constant)")
-    if b_magnitude < 0.0:
-        raise ValueError("field magnitude must be nonnegative")
+    if not (0.0 < eps < math.inf and 0.0 < mu < math.inf):
+        raise ValueError("eps and mu must be positive and finite")
+    if not 1.0 <= eta < math.inf:
+        raise ValueError("eta must be finite and at least 1 "
+                         "(no divergence slower than constant)")
+    if not 0.0 <= b_magnitude < math.inf:
+        raise ValueError("field magnitude must be finite and nonnegative")
     mu_eff = eta * mu / eps
     if b_magnitude > 0.0:
         r = 1.0 / b_magnitude
@@ -123,48 +126,33 @@ def unpack_obstacle_id(oid: int) -> tuple[int, int, int]:
 
 
 class _CellCache:
-    """Memo of drawn cells and of concatenated rectangles of cells.
+    """Memo of drawn cells, the one obstacle query of a field object.
 
-    Every query of a field object reads through here, so a replica's start
-    check and its flight draw each cell once.  Subclasses set ``_cells`` and
-    ``_blocks`` to empty dicts and provide ``cell_size`` and
-    ``cell_points``.
+    Row k of ``cell(ix, iy)`` is obstacle ``pack_obstacle_id(ix, iy, k)``.
+    Every query reads through here, so a replica's start check and its
+    flight draw each cell once.  Subclasses set ``_cells`` to an empty dict
+    and provide ``cell_size`` and ``cell_points``.
     """
 
-    def cell(self, ix: int, iy: int):
-        """(points, packed ids) of one cell."""
+    def cell(self, ix: int, iy: int) -> np.ndarray:
+        """Obstacle centers of one cell, the same object on every call."""
         key = (ix, iy)
-        got = self._cells.get(key)
-        if got is None:
+        pts = self._cells.get(key)
+        if pts is None:
             pts = self.cell_points(ix, iy)
             if len(pts) > _ID_INDEX_LIMIT:
                 raise ValueError(f"cell {key} holds {len(pts)} obstacles; "
                                  "obstacle ids address at most 2**20 per cell")
-            base = pack_obstacle_id(ix, iy, 0)
-            got = (pts, base + np.arange(len(pts), dtype=np.int64))
-            self._cells[key] = got
-        return got
+            pack_obstacle_id(ix, iy, 0)  # the cell must be addressable
+            self._cells[key] = pts
+        return pts
 
-    def block(self, x_lo, x_hi, y_lo, y_hi):
-        """(points, packed ids) of every cell meeting the rectangle."""
+    def cells_meeting(self, x_lo, x_hi, y_lo, y_hi):
+        """(ix, iy) of every cell meeting the rectangle, ix outer, iy inner."""
         s = self.cell_size
-        key = (int(math.floor(x_lo / s)), int(math.floor(x_hi / s)),
-               int(math.floor(y_lo / s)), int(math.floor(y_hi / s)))
-        got = self._blocks.get(key)
-        if got is None:
-            pts_list, id_list = [], []
-            for ix in range(key[0], key[1] + 1):
-                for iy in range(key[2], key[3] + 1):
-                    pts, ids = self.cell(ix, iy)
-                    if len(pts):
-                        pts_list.append(pts)
-                        id_list.append(ids)
-            if pts_list:
-                got = (np.concatenate(pts_list), np.concatenate(id_list))
-            else:
-                got = (_EMPTY_POINTS, _EMPTY_IDS)
-            self._blocks[key] = got
-        return got
+        return itertools.product(
+            range(int(math.floor(x_lo / s)), int(math.floor(x_hi / s)) + 1),
+            range(int(math.floor(y_lo / s)), int(math.floor(y_hi / s)) + 1))
 
 
 @dataclass(frozen=True)
@@ -177,7 +165,6 @@ class ObstacleField(_CellCache):
 
     def __post_init__(self):
         object.__setattr__(self, "_cells", {})
-        object.__setattr__(self, "_blocks", {})
         if self.cell_size <= 0.0:
             object.__setattr__(self, "cell_size", default_cell_size(self.params))
         if self.params.b_magnitude > 0.0:
@@ -213,7 +200,6 @@ class ExplicitField(_CellCache):
         self.params = params
         self.cell_size = cell_size if cell_size > 0.0 else default_cell_size(params)
         self._cells = {}
-        self._blocks = {}
         self._centers: dict[tuple[int, int], list] = {}
         s = self.cell_size
         for c in np.atleast_2d(np.asarray(centers, dtype=float)):
@@ -233,11 +219,12 @@ def is_admissible_start(field_, x) -> bool:
     """True when every obstacle center is strictly farther than eps from x."""
     x = np.asarray(x, dtype=float)
     eps = field_.params.eps
-    pts, _ = field_.block(x[0] - eps, x[0] + eps, x[1] - eps, x[1] + eps)
-    if not len(pts):
-        return True
-    d2 = np.min(np.sum((pts - x) ** 2, axis=1))
-    return bool(d2 > eps * eps)
+    for ix, iy in field_.cells_meeting(x[0] - eps, x[0] + eps,
+                                       x[1] - eps, x[1] + eps):
+        pts = field_.cell(ix, iy)
+        if len(pts) and np.min(np.sum((pts - x) ** 2, axis=1)) <= eps * eps:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

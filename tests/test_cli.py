@@ -232,6 +232,17 @@ class TestMainFlow:
         assert "must be positive" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_usage_error(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "msd.cfg"
+        cfg.write_text(MSD_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["msd", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                  "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
     def test_all_aborted_radius_exits_1_no_files(self, tmp_path, capsys):
         cfg = tmp_path / "sc.cfg"
         cfg.write_text("eps_list = 4e-3, 2e-3\nmu = 1\nb = 1\nt = 0.5\n"

@@ -149,6 +149,21 @@ class TestRelaxation:
         with pytest.raises(ks.SolverInstabilityError):
             ks.solve(model, f0, 2.0, dt=0.05)  # far beyond the stability bound
 
+    def test_non_finite_norm_detected(self, small_grid):
+        # a NaN norm compares False against any bound; the guard still fires
+        model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
+        model.b_magnitude = math.nan  # past the constructor's check
+        f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
+        with pytest.raises(ks.SolverInstabilityError):
+            ks.solve(model, f0, 0.1, dt=0.01)
+
+    @pytest.mark.parametrize("mu,eta,b", [
+        (math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan),
+        (math.inf, 2.0, 1.0), (1.0, math.inf, 1.0), (1.0, 2.0, math.inf)])
+    def test_non_finite_parameters_rejected(self, small_grid, mu, eta, b):
+        with pytest.raises(ValueError, match="finite"):
+            ks.KineticModel(mu, eta, b, small_grid)
+
 
 class TestStepOrder:
     def test_second_order_convergence(self, small_grid):

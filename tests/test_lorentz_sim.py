@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maglorentz import _rng, medium
 from maglorentz import lorentz_sim as ls
-from maglorentz.geometry import ParticleState, advance_free, unit_vector
+from maglorentz.geometry import (ParticleState, advance_free, first_arc_hit,
+                                 larmor_center, unit_vector)
 from maglorentz.lorentz_sim import (ChatteringError, EventKind,
                                     TrajectoryStatus, event_rate_study,
                                     msd_estimate, simulate_trajectory)
-from maglorentz.medium import ExplicitField, ObstacleField, scaling_from
+from maglorentz.medium import (ExplicitField, ObstacleField,
+                               is_admissible_start, scaling_from,
+                               unpack_obstacle_id)
 
 
 def empty_params(eps=0.05, b=0.0):
@@ -209,6 +214,63 @@ class TestInvariants:
         assert abs(row.p_circling - p_ref) < 3 * se
 
 
+def concatenated_cells(f, x_lo, x_hi, y_lo, y_hi):
+    """Every center of the cells meeting a rectangle, in one array, and the
+    cell of each row: the concatenated block query, rebuilt as an oracle."""
+    s = f.cell_size
+    cells = [(ix, iy)
+             for ix in range(math.floor(x_lo / s), math.floor(x_hi / s) + 1)
+             for iy in range(math.floor(y_lo / s), math.floor(y_hi / s) + 1)]
+    chunks = [f.cell_points(*c) for c in cells]
+    owners = [c for c, pts in zip(cells, chunks) for _ in range(len(pts))]
+    return np.concatenate([np.empty((0, 2))] + chunks), owners
+
+
+class TestPerCellQuery:
+    """The per-cell scans agree with one scan of the concatenated cells."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(eps=st.floats(0.005, 0.05), mu=st.floats(0.02, 3.0),
+           b=st.floats(0.5, 4.0), seed=st.integers(0, 2 ** 32),
+           u=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+           snap=st.booleans(), alpha=st.floats(0.0, 2 * math.pi))
+    def test_matches_concatenated_cells(self, eps, mu, b, seed, u, snap,
+                                        alpha):
+        params = medium.ScalingParams(eps, mu, 1.0, mu / eps, b, 1.0 / b,
+                                      2 * math.pi / b)
+        f = ObstacleField(seed, params)
+        u = np.array(u)
+        x = u * f.cell_size
+        if snap:  # land a few eps from a center, so some starts are rejected
+            pts, _ = concatenated_cells(f, x[0], x[0], x[1], x[1])
+            if len(pts):
+                x = pts[np.argmin(np.sum((pts - x) ** 2, axis=1))] + u * eps
+
+        pts, _ = concatenated_cells(f, x[0] - eps, x[0] + eps,
+                                    x[1] - eps, x[1] + eps)
+        d2 = np.sum((pts - x) ** 2, axis=1)
+        free = not len(pts) or np.min(d2) > eps ** 2
+        assert is_admissible_start(f, x) == free
+
+        tr = ls._Trajectory(f, ParticleState(x, alpha), 1.0, (), 8)
+        got = tr.next_arc_hit()
+        c = larmor_center(tr.pos, tr.alpha, b)
+        reach = params.larmor_radius + eps
+        pts, owners = concatenated_cells(f, c[0] - reach, c[0] + reach,
+                                         c[1] - reach, c[1] + reach)
+        want = first_arc_hit(pts, c, tr.alpha, b, eps) if len(pts) else None
+        if want is None:
+            assert got is None
+            return
+        sweep, k, n = want
+        got_sweep, got_id, got_n, got_c = got
+        assert got_sweep == sweep
+        assert np.array_equal(got_n, n) and np.array_equal(got_c, pts[k])
+        ix, iy, row = unpack_obstacle_id(got_id)
+        assert (ix, iy) == owners[k]
+        assert np.array_equal(f.cell_points(ix, iy)[row], pts[k])
+
+
 class TestMsdEstimate:
     def test_obstacle_free_orbit_bounded(self):
         params = empty_params(b=1.0)
@@ -229,6 +291,31 @@ class TestMsdEstimate:
         b = msd_estimate(params, 12, grid, seed=77, workers=3)
         assert np.array_equal(a.msd, b.msd)
         assert np.array_equal(a.msd_se, b.msd_se)
+
+    def test_pool_no_larger_than_work(self, monkeypatch):
+        # fork starts every worker of the pool at the first submit, so the
+        # pool must not outnumber the chunks; this pool runs them in-process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(ls, "ProcessPoolExecutor", SerialPool)
+        params = scaling_from(0.05, 1.0, 1.0, 0.0)
+        wide = msd_estimate(params, 3, [0.5], seed=4, workers=64)
+        assert sizes == [3]
+        one = msd_estimate(params, 3, [0.5], seed=4, workers=1)
+        assert np.array_equal(wide.msd, one.msd)
 
     def test_short_time_ballistic_regime(self):
         # MSD(t) ~ t^2 well below the mean free time

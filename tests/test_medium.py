@@ -47,6 +47,15 @@ class TestScalingParams:
         with pytest.raises(ValueError):
             scaling_from(0.1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1.0, 1.0, 0.0), (1e-3, math.nan, 1.0, 0.0),
+        (1e-3, 1.0, math.nan, 0.0), (1e-3, 1.0, 1.0, math.nan),
+        (math.inf, 1.0, 1.0, 0.0), (1e-3, math.inf, 1.0, 0.0),
+        (1e-3, 1.0, math.inf, 0.0), (1e-3, 1.0, 1.0, math.inf)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            scaling_from(*args)
+
 
 class TestObstacleField:
     def test_empty_intensity(self):
@@ -142,17 +151,14 @@ class TestObstacleField:
         with pytest.raises(ValueError, match="at most 2"):
             f.cell(0, 0)
 
-    def test_block_concatenates_cells_in_order(self):
-        p = scaling_from(0.05, 1.0, 1.0)
-        f = ObstacleField(9, p)
+    def test_rectangle_cells_in_order_and_cell_memoized(self):
+        f = ObstacleField(9, scaling_from(0.05, 1.0, 1.0))
         s = f.cell_size
-        pts, ids = f.block(-0.5 * s, 1.5 * s, 0.2 * s, 1.2 * s)
-        cells = [(ix, iy) for ix in (-1, 0, 1) for iy in (0, 1)]
-        assert np.array_equal(pts, np.concatenate(
-            [f.cell_points(*c) for c in cells]))
-        assert [unpack_obstacle_id(int(i))[:2] for i in ids] == [
-            c for c in cells for _ in range(len(f.cell_points(*c)))]
-        assert f.block(-0.5 * s, 1.5 * s, 0.2 * s, 1.2 * s)[0] is pts
+        assert list(f.cells_meeting(-0.5 * s, 1.5 * s, 0.2 * s, 1.2 * s)) == [
+            (ix, iy) for ix in (-1, 0, 1) for iy in (0, 1)]
+        pts = f.cell(0, 1)
+        assert np.array_equal(pts, f.cell_points(0, 1))
+        assert f.cell(0, 1) is pts
 
 
 class TestAdmissibleStart:
