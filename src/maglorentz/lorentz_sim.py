@@ -116,7 +116,8 @@ class _Trajectory:
         self.status = TrajectoryStatus.COMPLETED
         self.status_time = t_max
         st = np.asarray(sample_times, dtype=float)
-        if np.any(st < 0.0) or np.any(st > t_max) or np.any(np.diff(st) < 0.0):
+        if not (np.all(st >= 0.0) and np.all(st <= t_max)
+                and np.all(np.diff(st) >= 0.0)):
             raise ValueError("sample times must be sorted within [0, t_max]")
         self.sample_t = st
         self.sample_pos = np.empty((len(st), 2))
@@ -197,51 +198,38 @@ class _Trajectory:
         return best_sweep, pack_obstacle_id(ix, iy, k), n, c
 
     def next_ray_hit(self, max_len: float):
-        """(length, hit_id, normal, center) of the first impact, or None."""
+        """(length, hit_id, normal, center) of the first impact, or None.
+
+        The ray is scanned in cell-size segments, each over the cells its
+        eps-widened bounding box meets.  A disk entered at tau <= hi has its
+        center within eps of the ray on [0, hi], so the scan stops at the
+        first segment end hi at or past the best hit.
+        """
         s = self.field.cell_size
         v = unit_vector(self.alpha)
-        pos = self.pos
+        pos, eps = self.pos, self.eps
         best_tau = math.inf
         best = None
-        checked: set[tuple[int, int]] = set()
-        ix = int(math.floor(pos[0] / s))
-        iy = int(math.floor(pos[1] / s))
-        step_x = 1 if v[0] > 0 else -1
-        step_y = 1 if v[1] > 0 else -1
-        tdx = math.inf if v[0] == 0.0 else abs(s / v[0])
-        tdy = math.inf if v[1] == 0.0 else abs(s / v[1])
-        next_x = (ix + (step_x > 0)) * s
-        next_y = (iy + (step_y > 0)) * s
-        tx = math.inf if v[0] == 0.0 else (next_x - pos[0]) / v[0]
-        ty = math.inf if v[1] == 0.0 else (next_y - pos[1]) / v[1]
-        frontier = 0.0
-        while True:
-            for jx in (ix - 1, ix, ix + 1):
-                for jy in (iy - 1, iy, iy + 1):
-                    if (jx, jy) in checked:
-                        continue
-                    checked.add((jx, jy))
-                    pts = self.field.cell(jx, jy)
-                    if not len(pts):
-                        continue
-                    found = first_ray_entry(pts, pos, v, self.eps, max_len)
-                    if found is not None and found[0] < best_tau:
-                        best_tau, k = found
-                        best = (jx, jy, k, pts[k])
-            frontier = min(tx, ty)
-            if best_tau <= frontier or frontier >= max_len:
-                break
-            if tx < ty:
-                tx += tdx
-                ix += step_x
-            else:
-                ty += tdy
-                iy += step_y
+        hi = 0.0
+        while best_tau > hi and hi < max_len:
+            a = pos + hi * v
+            hi = min(hi + s, max_len)
+            b = pos + hi * v
+            for ix, iy in self.field.cells_meeting(
+                    min(a[0], b[0]) - eps, max(a[0], b[0]) + eps,
+                    min(a[1], b[1]) - eps, max(a[1], b[1]) + eps):
+                pts = self.field.cell(ix, iy)
+                if not len(pts):
+                    continue
+                found = first_ray_entry(pts, pos, v, eps, max_len)
+                if found is not None and found[0] < best_tau:
+                    best_tau, k = found
+                    best = (ix, iy, k, pts[k])
         if best is None:
             return None
-        jx, jy, k, c = best
-        n = impact_normal(pos + best_tau * v, c, self.eps)
-        return best_tau, pack_obstacle_id(jx, jy, k), n, c
+        ix, iy, k, c = best
+        n = impact_normal(pos + best_tau * v, c, eps)
+        return best_tau, pack_obstacle_id(ix, iy, k), n, c
 
     # -- daisy bookkeeping ---------------------------------------------------
 
@@ -274,8 +262,8 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
                         max_events: int = DEFAULT_MAX_EVENTS
                         ) -> TrajectoryOutcome:
     """Run the exact event-driven dynamics from an admissible start."""
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     if not is_admissible_start(field_, start.position):
         raise ValueError("start position overlaps an obstacle")
     tr = _Trajectory(field_, start, t_max, sample_times, k_max_leaves)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,8 +130,10 @@ class _CellCache:
 
     Row k of ``cell(ix, iy)`` is obstacle ``pack_obstacle_id(ix, iy, k)``.
     Every query reads through here, so a replica's start check and its
-    flight draw each cell once.  Subclasses set ``_cells`` to an empty dict
-    and provide ``cell_size`` and ``cell_points``.
+    flight draw each cell once.  ``cells_meeting`` is the one cell
+    enumeration of every search (the arc search, the ray search, the start
+    check); it holds for any cell size.  Subclasses set ``_cells`` to an
+    empty dict and provide ``cell_size`` and ``cell_points``.
     """
 
     def cell(self, ix: int, iy: int) -> np.ndarray:
@@ -161,18 +163,10 @@ class ObstacleField(_CellCache):
 
     master_seed: int
     params: ScalingParams
-    cell_size: float = field(default=0.0)
 
     def __post_init__(self):
         object.__setattr__(self, "_cells", {})
-        if self.cell_size <= 0.0:
-            object.__setattr__(self, "cell_size", default_cell_size(self.params))
-        if self.params.b_magnitude > 0.0:
-            need = 2.0 * (self.params.larmor_radius + self.params.eps)
-            if self.cell_size < need:
-                raise ValueError(
-                    f"cell_size {self.cell_size:g} too small: one orbit must fit "
-                    f"in a one-ring neighborhood (needs >= {need:g})")
+        object.__setattr__(self, "cell_size", default_cell_size(self.params))
 
     def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
         """Obstacle centers of one cell, identical on every call."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maglorentz import _rng, medium
 from maglorentz import lorentz_sim as ls
 from maglorentz.geometry import (ParticleState, advance_free, first_arc_hit,
+                                 first_ray_entry, impact_normal,
                                  larmor_center, unit_vector)
 from maglorentz.lorentz_sim import (ChatteringError, EventKind,
                                     TrajectoryStatus, event_rate_study,
@@ -96,6 +97,30 @@ class TestSingleObstacle:
         assert abs(event.impact_parameter) < 1e-12
         assert out.final_state.velocity_angle == pytest.approx(math.pi)
         assert out.final_state.position[0] == pytest.approx(-0.2, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::maglorentz.medium.RegimeWarning")
+    def test_obstacle_larger_than_cell(self):
+        # eps = 4 cells: the hit disk's center lies three cell rows off the ray
+        f = ExplicitField(scaling_from(0.1, 1.0, 1.0, 0.0), [(1.0, 0.09)],
+                          cell_size=0.025)
+        out = simulate_trajectory(
+            f, ParticleState(np.array([0.0, 0.0]), 0.0), 2.0)
+        assert len(out.events) == 1
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_t_max_rejected(self, t_max):
+        f = ObstacleField(1, scaling_from(0.05, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="t_max"):
+            simulate_trajectory(
+                f, ParticleState(np.array([0.05, 0.07]), 0.3), t_max)
+
+    @pytest.mark.parametrize("times", [[0.5, math.nan], [math.nan],
+                                       [-0.1], [1.5], [0.5, 0.2]])
+    def test_bad_sample_times_rejected(self, times):
+        f = ObstacleField(1, scaling_from(0.05, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="sample times"):
+            simulate_trajectory(
+                f, ParticleState(np.array([0.05, 0.07]), 0.3), 1.0, times)
 
     def test_inadmissible_start_rejected(self):
         params = empty_params(eps=0.5, b=0.0)
@@ -269,6 +294,81 @@ class TestPerCellQuery:
         ix, iy, row = unpack_obstacle_id(got_id)
         assert (ix, iy) == owners[k]
         assert np.array_equal(f.cell_points(ix, iy)[row], pts[k])
+
+
+class TestRaySearch:
+    """The segment scan agrees with a scan of every cell of the whole leg.
+
+    The oracle runs the kernel cell by cell, as the search does: on one
+    concatenated array its last bit can differ for a one-row cell.
+    """
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(eps=st.floats(0.002, 0.05), density=st.floats(0.005, 0.3),
+           seed=st.integers(0, 2 ** 32),
+           u=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+           snap=st.sampled_from([(), (0,), (1,), (0, 1)]),
+           alpha=st.one_of(st.floats(0.0, 2 * math.pi),
+                           st.integers(0, 7).map(lambda k: k * math.pi / 4)),
+           cells=st.floats(0.01, 4.0),
+           pitch=st.one_of(st.none(), st.floats(0.25, 10.0)))
+    def test_matches_every_cell_of_the_leg(self, eps, density, seed, u, snap,
+                                           alpha, cells, pitch):
+        # density = mu_eff * eps^2, up to far beyond the dilute regime
+        params = medium.ScalingParams(eps, density / eps, 1.0,
+                                      density / eps ** 2, 0.0, math.inf,
+                                      math.inf)
+        field_ = ObstacleField(seed, params)
+        s = field_.cell_size if pitch is None else pitch * eps
+        x = np.array(u) * field_.cell_size
+        for axis in snap:  # start on a cell edge
+            x[axis] = round(x[axis] / s) * s
+        max_len = cells * field_.cell_size
+        for turn in range(8):  # a fan of rays; multiples of pi/4 stay so
+            start = ParticleState(x, alpha + turn * math.pi / 4)
+            v = start.velocity
+            end = x + max_len * v
+            x_lo, x_hi = sorted((x[0], end[0]))
+            y_lo, y_hi = sorted((x[1], end[1]))
+            f = field_
+            if pitch is not None:  # the same obstacles, cells finer or coarser
+                pts, _ = concatenated_cells(f, x_lo - eps, x_hi + eps,
+                                            y_lo - eps, y_hi + eps)
+                f = ExplicitField(params, pts, cell_size=s)
+            got = ls._Trajectory(f, start, 1.0, (), 8).next_ray_hit(max_len)
+            want = None
+            for ix in range(math.floor((x_lo - eps) / s),
+                            math.floor((x_hi + eps) / s) + 1):
+                for iy in range(math.floor((y_lo - eps) / s),
+                                math.floor((y_hi + eps) / s) + 1):
+                    pts = f.cell_points(ix, iy)
+                    found = (first_ray_entry(pts, x, v, eps, max_len)
+                             if len(pts) else None)
+                    if found and (want is None or found[0] < want[0]):
+                        want = (found[0], ix, iy, pts[found[1]])
+            if want is None:
+                assert got is None
+                continue
+            tau, ix, iy, c = want
+            got_tau, got_id, got_n, got_c = got
+            assert got_tau == tau
+            assert np.array_equal(got_c, c)
+            assert np.array_equal(got_n, impact_normal(x + tau * v, c, eps))
+            cell_x, cell_y, row = unpack_obstacle_id(got_id)
+            assert (cell_x, cell_y) == (ix, iy)
+            assert np.array_equal(f.cell_points(ix, iy)[row], c)
+
+    def test_far_candidate_does_not_stop_the_scan(self):
+        # cells of 0.8 eps: the first segment's cells hold the disk at
+        # (0.23, 0.095), entered at 0.199 past the segment end 0.08; the disk
+        # at (0.245, 0), entered first at 0.145, lies in a cell met later
+        f = ExplicitField(empty_params(eps=0.1), [(0.23, 0.095), (0.245, 0.0)],
+                          cell_size=0.08)
+        tr = ls._Trajectory(f, ParticleState(np.zeros(2), 0.0), 1.0, (), 8)
+        tau, oid, _, c = tr.next_ray_hit(1.0)
+        assert tau == pytest.approx(0.145, abs=1e-12)
+        assert c.tolist() == [0.245, 0.0]
+        assert unpack_obstacle_id(oid) == (3, 0, 0)
 
 
 class TestMsdEstimate:

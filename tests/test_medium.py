@@ -121,8 +121,6 @@ class TestObstacleField:
         p = scaling_from(0.01, 1.0, 1.0, b_magnitude=1.0)
         f = ObstacleField(1, p)
         assert f.cell_size >= 2 * (p.larmor_radius + p.eps)
-        with pytest.raises(ValueError):
-            ObstacleField(1, p, cell_size=1.0)
 
     def test_id_packing_roundtrip(self):
         for triple in [(0, 0, 0), (-413, 977, 12), (12000, -12000, 55)]:
