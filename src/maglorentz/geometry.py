@@ -7,9 +7,10 @@ the guiding center sits 90 degrees counterclockwise from the velocity.
 All downstream modules inherit it.
 
 The first-hit kernels ``first_arc_hit`` (B > 0) and ``first_ray_entry``
-(B = 0) take arrays of obstacle centers and plain floats; they and
-``reflect`` are the only arc/ray-vs-disk arithmetic of the package, and
-the event-driven simulator calls them on every flight leg.
+(B = 0) take arrays of obstacle centers and plain floats and return the
+first hit as ``(length, row, normal)``; they and ``reflect`` are the only
+arc/ray-vs-disk arithmetic of the package, and the event-driven simulator
+calls them on every flight leg.
 ``point_to_arc_distances`` and ``point_to_segment_distances`` measure how
 close a leg passes to given points, for the simulator's near-miss count.
 
@@ -129,7 +130,7 @@ def first_arc_hit(centers, orbit_center, velocity_angle: float,
     The orbit has radius R = 1/B about ``orbit_center`` and starts with
     velocity angle ``velocity_angle``; ``centers`` is an (n, 2) array of
     disk centers.  Only centers in the annulus R - eps < d < R + eps can be
-    hit.  Returns ``(sweep, k, n)``: the swept angle to impact, below one
+    hit.  Returns ``(length, k, n)``: the arc length to impact, below one
     revolution, the row of ``centers`` hit and the outward unit normal
     there.  None when no disk is hit within one revolution.  Grazing
     contacts (|v.n| below ``GRAZING_TOL``) and stale contacts (flight times
@@ -161,7 +162,7 @@ def first_arc_hit(centers, orbit_center, velocity_angle: float,
         v = unit_vector(velocity_angle + sw)
         if float(v @ n) >= -GRAZING_TOL:
             continue
-        return sw, k, n
+        return sw * r, k, n
     return None
 
 
@@ -169,10 +170,15 @@ def first_ray_entry(centers, position, v, eps: float, max_len: float):
     """First entry of the ray ``position + tau v`` into disks of radius ``eps``.
 
     ``centers`` is an (n, 2) array of disk centers and ``v`` a unit vector.
-    Returns ``(tau, k)`` with the flight time to impact, within
-    (``DEPARTURE_GUARD``, ``max_len``], and the row of ``centers`` hit; None
-    when no disk is entered.  Grazing lines (half-chord below
-    ``eps * GRAZING_TOL``) are misses.
+    Returns ``(tau, k, n)`` with the flight time to impact, within
+    (``DEPARTURE_GUARD``, ``max_len``], the row of ``centers`` hit and the
+    outward unit normal there; None when no disk is entered.  Grazing lines
+    (half-chord below ``eps * GRAZING_TOL``) are misses.
+
+    ``rel @ v`` rounds a row differently depending on the other rows of
+    ``centers`` (a one-row array differs from the same row in a longer
+    one), so hit times depend on how centers are grouped: callers pass one
+    cell per call, which keeps the search's output bytes fixed.
     """
     rel = centers - position
     proj = rel @ v
@@ -185,8 +191,9 @@ def first_ray_entry(centers, position, v, eps: float, max_len: float):
     good = (tau > DEPARTURE_GUARD) & (tau <= max_len)
     if not np.any(good):
         return None
-    k = int(np.argmin(np.where(good, tau, math.inf)))
-    return float(tau[k]), int(np.flatnonzero(ok)[k])
+    j = int(np.argmin(np.where(good, tau, math.inf)))
+    t, k = float(tau[j]), int(np.flatnonzero(ok)[j])
+    return t, k, impact_normal(position + t * v, centers[k], eps)
 
 
 def point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):

@@ -320,10 +320,17 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
     Diagnostics per sampled step: exact mass, L2 distance to the angular
     average, and L2 distance to the heat profile driven by the model's
     spatial diffusivity (half the trace-form autocorrelation integral)
-    started from the angular average of the datum.
+    started from the angular average of the datum.  A snapshot is taken at
+    the first step at most half a step short of its time; the
+    ``snapshot_times`` must lie within [0, t_end].
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not (dt is None or 0.0 < dt < math.inf):
+        raise ValueError("dt must be positive and finite")
+    snaps_wanted = sorted(float(s) for s in snapshot_times)
+    if not all(0.0 <= s <= t_end for s in snaps_wanted):
+        raise ValueError("snapshot_times must lie within [0, t_end]")
     if dt is None:
         dt = model.default_dt()
     n_steps = int(math.ceil(t_end / dt))
@@ -341,7 +348,6 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
     hist.push(f0.values_hat)
     fld = KineticField(grid, f0.values_hat.copy(), f0.time, hist)
     norm0 = field_norm_hat(fld.values_hat, grid)
-    snaps_wanted = sorted(float(s) for s in snapshot_times)
     snaps: list[tuple[float, np.ndarray]] = []
     times, masses, d_avg, d_heat = [], [], [], []
 

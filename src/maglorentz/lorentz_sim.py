@@ -40,17 +40,19 @@ import numpy as np
 
 from . import _rng
 from .geometry import (TWO_PI, ParticleState, advance_free, first_arc_hit,
-                       first_ray_entry, impact_normal, larmor_center,
-                       point_to_arc_distances, point_to_segment_distances,
-                       reflect, unit_vector)
+                       first_ray_entry, larmor_center, point_to_arc_distances,
+                       point_to_segment_distances, reflect, unit_vector)
 from .medium import (ObstacleField, ScalingParams, is_admissible_start,
-                     pack_obstacle_id, scaling_from)
+                     scaling_from)
 
 #: near-miss proxy distance, in units of the obstacle radius
 NEAR_MISS_FACTOR = 2.0
 
 #: tolerance for declaring a self-recollision streak periodic
 DAISY_CLOSURE_TOL = 1e-9
+
+#: swept angle of one arc piece of the hit walk
+ARC_PIECE = math.pi / 8
 
 DEFAULT_K_MAX_LEAVES = 64
 DEFAULT_MAX_EVENTS = 100_000
@@ -75,7 +77,7 @@ class TrajectoryStatus(enum.Enum):
 @dataclass(frozen=True)
 class CollisionEvent:
     hit_time: float
-    obstacle_id: int
+    obstacle_id: tuple[int, int, int]  # (cell x, cell y, row in the cell)
     impact_parameter: float
     kind: EventKind
 
@@ -106,9 +108,9 @@ class _Trajectory:
         self.alpha = start.velocity_angle
         self.t = 0.0
         self.events: list[CollisionEvent] = []
-        self.prev_id: int | None = None
+        self.prev_id: tuple[int, int, int] | None = None
         # centers of the obstacles hit so far, in order of first hit
-        self.hit_centers: dict[int, np.ndarray] = {}
+        self.hit_centers: dict[tuple[int, int, int], np.ndarray] = {}
         # the current self-recollision streak, one (b, normal phase, time,
         # position, angle) per leaf, position and angle after the reflection
         self.run: deque[tuple] = deque(maxlen=k_max_leaves)
@@ -153,7 +155,7 @@ class _Trajectory:
 
     # -- near-miss proxy ----------------------------------------------------
 
-    def check_near_miss(self, sweep_or_length: float, hit_id: int | None):
+    def check_near_miss(self, length: float, hit_id):
         if not self.hit_centers:
             return
         exclude = {hit_id, self.prev_id}
@@ -164,72 +166,74 @@ class _Trajectory:
         centers = np.asarray(centers)
         if self.b == 0.0:
             dist = point_to_segment_distances(
-                centers, self.pos, unit_vector(self.alpha), sweep_or_length)
+                centers, self.pos, unit_vector(self.alpha), length)
         else:
             dist = point_to_arc_distances(
                 centers, larmor_center(self.pos, self.alpha, self.b),
-                self.radius, self.alpha - 0.5 * math.pi, sweep_or_length)
+                self.radius, self.alpha - 0.5 * math.pi, length / self.radius)
         if np.any(dist <= NEAR_MISS_FACTOR * self.eps):
             self.near_miss += 1
 
-    # -- hit searches -------------------------------------------------------
+    # -- hit search ---------------------------------------------------------
 
-    def next_arc_hit(self):
-        """(sweep, hit_id, normal, center) of the first impact, or None.
+    def next_hit(self, max_len: float):
+        """(length, key, normal, center) of the first impact, or None.
 
-        None means the current orbit is free of obstacles (exactly periodic
-        motion): the trajectory is circling forever.
+        ``key`` is ``(ix, iy, row)``: the row of ``field.cell(ix, iy)`` hit.
+        The leg is walked in pieces, a cell size of a ray or ``ARC_PIECE``
+        of an arc's sweep.  Each piece scans the cells not scanned yet that
+        its bounding box meets, widened by eps and, for an arc, by the
+        piece's sagitta, the farthest the arc strays from its chord.  A disk
+        entered at length <= hi has its center within eps of the leg on
+        [0, hi], so the walk stops at the first piece end hi at or past the
+        best hit.  A ray ends at ``max_len``.  An arc walks its whole
+        revolution whatever ``max_len``: None then means the orbit holds no
+        obstacle (exactly periodic motion), so the trajectory is circling
+        forever.
         """
-        center = larmor_center(self.pos, self.alpha, self.b)
-        r, eps = self.radius, self.eps
-        best_sweep = math.inf
-        best = None
-        for ix, iy in self.field.cells_meeting(
-                center[0] - r - eps, center[0] + r + eps,
-                center[1] - r - eps, center[1] + r + eps):
-            pts = self.field.cell(ix, iy)
-            found = first_arc_hit(pts, center, self.alpha, self.b, eps)
-            if found is not None and found[0] < best_sweep:
-                best_sweep, k, n = found
-                best = (ix, iy, k, n, pts[k])
-        if best is None:
-            return None
-        ix, iy, k, n, c = best
-        return best_sweep, pack_obstacle_id(ix, iy, k), n, c
+        pos, alpha, eps, b = self.pos, self.alpha, self.eps, self.b
+        if b > 0.0:
+            r = self.radius
+            center = larmor_center(pos, alpha, b)
+            step, end = ARC_PIECE * r, TWO_PI * r
+            pad = eps + r * (1.0 - math.cos(0.5 * ARC_PIECE))
 
-    def next_ray_hit(self, max_len: float):
-        """(length, hit_id, normal, center) of the first impact, or None.
+            def point(length):
+                return center + r * unit_vector(alpha - 0.5 * math.pi
+                                                + b * length)
 
-        The ray is scanned in cell-size segments, each over the cells its
-        eps-widened bounding box meets.  A disk entered at tau <= hi has its
-        center within eps of the ray on [0, hi], so the scan stops at the
-        first segment end hi at or past the best hit.
-        """
-        s = self.field.cell_size
-        v = unit_vector(self.alpha)
-        pos, eps = self.pos, self.eps
-        best_tau = math.inf
-        best = None
+            def kernel(pts):
+                return first_arc_hit(pts, center, alpha, b, eps)
+        else:
+            v = unit_vector(alpha)
+            step, end, pad = self.field.cell_size, max_len, eps
+
+            def point(length):
+                return pos + length * v
+
+            def kernel(pts):
+                return first_ray_entry(pts, pos, v, eps, max_len)
+        seen = set()
+        best_len, best = math.inf, None
         hi = 0.0
-        while best_tau > hi and hi < max_len:
-            a = pos + hi * v
-            hi = min(hi + s, max_len)
-            b = pos + hi * v
-            for ix, iy in self.field.cells_meeting(
-                    min(a[0], b[0]) - eps, max(a[0], b[0]) + eps,
-                    min(a[1], b[1]) - eps, max(a[1], b[1]) + eps):
-                pts = self.field.cell(ix, iy)
+        while best_len > hi and hi < end:
+            a = point(hi)
+            hi = min(hi + step, end)
+            z = point(hi)
+            for key in self.field.cells_meeting(
+                    min(a[0], z[0]) - pad, max(a[0], z[0]) + pad,
+                    min(a[1], z[1]) - pad, max(a[1], z[1]) + pad):
+                if key in seen:
+                    continue
+                seen.add(key)
+                pts = self.field.cell(*key)
                 if not len(pts):
                     continue
-                found = first_ray_entry(pts, pos, v, eps, max_len)
-                if found is not None and found[0] < best_tau:
-                    best_tau, k = found
-                    best = (ix, iy, k, pts[k])
-        if best is None:
-            return None
-        ix, iy, k, c = best
-        n = impact_normal(pos + best_tau * v, c, eps)
-        return best_tau, pack_obstacle_id(ix, iy, k), n, c
+                found = kernel(pts)
+                if found is not None and found[0] < best_len:
+                    best_len, k, n = found
+                    best = (best_len, (*key, k), n, pts[k])
+        return best
 
     # -- daisy bookkeeping ---------------------------------------------------
 
@@ -273,28 +277,18 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
             raise ChatteringError(
                 f"{len(tr.events)} events before t={tr.t:g}; chattering pathology")
         remaining = t_max - tr.t
-        if tr.b > 0.0:
-            found = tr.next_arc_hit()
-            if found is None:
-                tr.status = TrajectoryStatus.CIRCLING_FOREVER
-                tr.status_time = tr.t
-                tr.advance(remaining)
-                break
-            sweep, hit_id, n, c = found
-            tau = sweep * tr.radius
-            if tau >= remaining:
-                tr.check_near_miss(remaining / tr.radius, None)
-                tr.advance(remaining)
-                break
-            tr.check_near_miss(sweep, hit_id)
-        else:
-            found = tr.next_ray_hit(remaining)
-            if found is None:
-                tr.check_near_miss(remaining, None)
-                tr.advance(remaining)
-                break
-            tau, hit_id, n, c = found
-            tr.check_near_miss(tau, hit_id)
+        found = tr.next_hit(remaining)
+        if found is None and tr.b > 0.0:
+            tr.status = TrajectoryStatus.CIRCLING_FOREVER
+            tr.status_time = tr.t
+            tr.advance(remaining)
+            break
+        if found is None or found[0] >= remaining:
+            tr.check_near_miss(remaining, None)
+            tr.advance(remaining)
+            break
+        tau, hit_id, n, c = found
+        tr.check_near_miss(tau, hit_id)
 
         tr.advance(tau)
         v = unit_vector(tr.alpha)

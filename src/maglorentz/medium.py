@@ -26,10 +26,6 @@ from . import _rng
 
 _EMPTY_POINTS = np.empty((0, 2))
 
-#: packed obstacle ids: 20-bit offset cell coordinates plus a 20-bit index
-_ID_OFFSET = 1 << 19
-_ID_INDEX_LIMIT = 1 << 20
-
 
 class RegimeWarning(UserWarning):
     """The requested parameters leave the dilute scaling regime."""
@@ -103,50 +99,34 @@ def scaling_from(eps: float, mu: float, eta: float, b_magnitude: float = 0.0
 
 
 def default_cell_size(params: ScalingParams) -> float:
-    """Grid pitch: one orbit fits in a one-ring neighborhood when B > 0."""
+    """Grid pitch: 10 eps, or one orbit's bounding square when B > 0.
+
+    No search needs the B > 0 pitch (the hit walk and the start check hold
+    for any cell size).  It stays because it keys every cell's random
+    stream: cell (ix, iy) is the pitch-sized square its stream fills, so
+    another pitch would draw another field.
+    """
     if params.b_magnitude > 0.0:
         return max(2.0 * (params.larmor_radius + params.eps), 10.0 * params.eps)
     return 10.0 * params.eps
 
 
-def pack_obstacle_id(cell_x: int, cell_y: int, index: int) -> int:
-    """One integer id per (cell, intra-cell index); distinct triples differ."""
-    if not (-_ID_OFFSET <= cell_x < _ID_OFFSET and -_ID_OFFSET <= cell_y < _ID_OFFSET):
-        raise ValueError("cell index outside the addressable range")
-    if not 0 <= index < _ID_INDEX_LIMIT:
-        raise ValueError("intra-cell index outside [0, 2**20)")
-    return ((cell_x + _ID_OFFSET) << 40) | ((cell_y + _ID_OFFSET) << 20) | index
-
-
-def unpack_obstacle_id(oid: int) -> tuple[int, int, int]:
-    """Inverse of ``pack_obstacle_id``: (cell_x, cell_y, intra-cell index)."""
-    return (int(oid >> 40) - _ID_OFFSET,
-            int((oid >> 20) & 0xFFFFF) - _ID_OFFSET,
-            int(oid & 0xFFFFF))
-
-
 class _CellCache:
     """Memo of drawn cells, the one obstacle query of a field object.
 
-    Row k of ``cell(ix, iy)`` is obstacle ``pack_obstacle_id(ix, iy, k)``.
-    Every query reads through here, so a replica's start check and its
-    flight draw each cell once.  ``cells_meeting`` is the one cell
-    enumeration of every search (the arc search, the ray search, the start
-    check); it holds for any cell size.  Subclasses set ``_cells`` to an
-    empty dict and provide ``cell_size`` and ``cell_points``.
+    Row k of ``cell(ix, iy)`` is the obstacle keyed ``(ix, iy, k)``.  Every
+    query reads through here, so a replica's start check and its flight
+    draw each cell once.  ``cells_meeting`` is the one cell enumeration of
+    every search (the hit walk and the start check); it holds for any cell
+    size.  Subclasses set ``_cells`` to an empty dict and provide
+    ``cell_size`` and ``cell_points``.
     """
 
     def cell(self, ix: int, iy: int) -> np.ndarray:
         """Obstacle centers of one cell, the same object on every call."""
-        key = (ix, iy)
-        pts = self._cells.get(key)
+        pts = self._cells.get((ix, iy))
         if pts is None:
-            pts = self.cell_points(ix, iy)
-            if len(pts) > _ID_INDEX_LIMIT:
-                raise ValueError(f"cell {key} holds {len(pts)} obstacles; "
-                                 "obstacle ids address at most 2**20 per cell")
-            pack_obstacle_id(ix, iy, 0)  # the cell must be addressable
-            self._cells[key] = pts
+            pts = self._cells[ix, iy] = self.cell_points(ix, iy)
         return pts
 
     def cells_meeting(self, x_lo, x_hi, y_lo, y_hi):

@@ -5,8 +5,8 @@ import pytest
 
 from maglorentz.geometry import (ParticleState, advance_free,
                                  deflection_from_impact, first_arc_hit,
-                                 first_ray_entry, impact_normal,
-                                 larmor_center, point_to_arc_distances,
+                                 first_ray_entry, larmor_center,
+                                 point_to_arc_distances,
                                  point_to_segment_distances, reflect,
                                  unit_vector)
 
@@ -105,19 +105,11 @@ def kernel_hit(st, b, centers, radius, horizon):
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if b == 0.0:
-        got = first_ray_entry(centers, st.position, st.velocity, radius,
-                              horizon)
-        if got is None:
-            return None
-        tau, k = got
-        hit = st.position + tau * st.velocity
-        return tau, k, impact_normal(hit, centers[k], radius)
+        return first_ray_entry(centers, st.position, st.velocity, radius,
+                               horizon)
     orbit = larmor_center(st.position, st.velocity_angle, b)
     got = first_arc_hit(centers, orbit, st.velocity_angle, b, radius)
-    if got is None or got[0] / b > horizon:
-        return None
-    sweep, k, n = got
-    return sweep / b, k, n
+    return None if got is None or got[0] > horizon else got
 
 
 def grazing_at(st, b, tau, center, radius):

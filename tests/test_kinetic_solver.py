@@ -165,6 +165,36 @@ class TestRelaxation:
             ks.KineticModel(mu, eta, b, small_grid)
 
 
+class TestSolveArguments:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        grid = ks.SpectralGrid(2 * math.pi, 1, 16)
+        model = ks.KineticModel(1.0, 2.0, 1.0, grid)
+        return model, ks.make_initial_field(grid, 0.5, 1, 0.3)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_t_end_rejected(self, problem, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            ks.solve(*problem, t_end)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_dt_rejected(self, problem, dt):
+        with pytest.raises(ValueError, match="dt"):
+            ks.solve(*problem, 0.5, dt=dt)
+
+    @pytest.mark.parametrize("times", [[math.nan, 0.25], [0.25, 0.6],
+                                       [-0.1, 0.25]])
+    def test_bad_snapshot_times_rejected(self, problem, times):
+        # a NaN used to block every later snapshot; 0.6 was dropped and
+        # -0.1 recorded at t = 0
+        with pytest.raises(ValueError, match="snapshot_times"):
+            ks.solve(*problem, 0.5, snapshot_times=times)
+
+    def test_snapshots_at_both_ends(self, problem):
+        res = ks.solve(*problem, 0.5, dt=0.01, snapshot_times=[0.5, 0.0, 0.25])
+        assert [t for t, _ in res.snapshots] == pytest.approx([0.0, 0.25, 0.5])
+
+
 class TestStepOrder:
     def test_second_order_convergence(self, small_grid):
         model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)

@@ -14,8 +14,7 @@ from maglorentz.lorentz_sim import (ChatteringError, EventKind,
                                     TrajectoryStatus, event_rate_study,
                                     msd_estimate, simulate_trajectory)
 from maglorentz.medium import (ExplicitField, ObstacleField,
-                               is_admissible_start, scaling_from,
-                               unpack_obstacle_id)
+                               is_admissible_start, scaling_from)
 
 
 def empty_params(eps=0.05, b=0.0):
@@ -127,6 +126,27 @@ class TestSingleObstacle:
         f = ExplicitField(params, [(0.2, 0.0)], cell_size=5.0)
         with pytest.raises(ValueError, match="start"):
             simulate_trajectory(f, ParticleState(np.array([0.0, 0.0]), 0.0), 1.0)
+
+
+class TestFieldRange:
+    """Cells of any size and at any index hold addressable obstacles."""
+
+    def test_cells_above_a_million_obstacles(self):
+        # eps = 5e-6 at B = 1, eta = 2: about 1.6M centers per cell, and
+        # this flight hits one beyond row 2**20
+        f = ObstacleField(909, scaling_from(5e-6, 1.0, 2.0, 1.0))
+        out = simulate_trajectory(
+            f, ParticleState(np.array([1.0, 1.0]), 3.3), 1.0)
+        assert len(f.cell(0, 0)) > 2 ** 20
+        assert any(e.obstacle_id[2] >= 2 ** 20 for e in out.events)
+
+    def test_start_beyond_cell_index_2_19(self):
+        f = ObstacleField(17, scaling_from(0.01, 1.0, 1.0, 0.0))
+        x = (2 ** 19 + 0.5) * f.cell_size
+        out = simulate_trajectory(
+            f, ParticleState(np.array([x, -x]), 0.3), 2.0)
+        assert out.events
+        assert all(e.obstacle_id[0] >= 2 ** 19 for e in out.events)
 
 
 def make_daisy_field(n_leaves, r=1.0, eps=0.1, phase=-0.9):
@@ -251,49 +271,94 @@ def concatenated_cells(f, x_lo, x_hi, y_lo, y_hi):
     return np.concatenate([np.empty((0, 2))] + chunks), owners
 
 
-class TestPerCellQuery:
-    """The per-cell scans agree with one scan of the concatenated cells."""
+class TestArcSearch:
+    """The piece walk finds the hit of one scan of the orbit's whole square.
+
+    Most examples also re-bucket the obstacles into cells far below one
+    piece, so that the walk's pieces, not the field's cells, decide what is
+    scanned.
+    """
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(eps=st.floats(0.005, 0.05), mu=st.floats(0.02, 3.0),
            b=st.floats(0.5, 4.0), seed=st.integers(0, 2 ** 32),
            u=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-           snap=st.booleans(), alpha=st.floats(0.0, 2 * math.pi))
+           snap=st.booleans(), alpha=st.floats(0.0, 2 * math.pi),
+           pitch=st.one_of(st.none(), st.floats(0.02, 0.2)))
     def test_matches_concatenated_cells(self, eps, mu, b, seed, u, snap,
-                                        alpha):
+                                        alpha, pitch):
         params = medium.ScalingParams(eps, mu, 1.0, mu / eps, b, 1.0 / b,
                                       2 * math.pi / b)
-        f = ObstacleField(seed, params)
+        field_ = ObstacleField(seed, params)
         u = np.array(u)
-        x = u * f.cell_size
+        x = u * field_.cell_size
         if snap:  # land a few eps from a center, so some starts are rejected
-            pts, _ = concatenated_cells(f, x[0], x[0], x[1], x[1])
+            pts, _ = concatenated_cells(field_, x[0], x[0], x[1], x[1])
             if len(pts):
                 x = pts[np.argmin(np.sum((pts - x) ** 2, axis=1))] + u * eps
 
-        pts, _ = concatenated_cells(f, x[0] - eps, x[0] + eps,
+        pts, _ = concatenated_cells(field_, x[0] - eps, x[0] + eps,
                                     x[1] - eps, x[1] + eps)
         d2 = np.sum((pts - x) ** 2, axis=1)
         free = not len(pts) or np.min(d2) > eps ** 2
-        assert is_admissible_start(f, x) == free
+        assert is_admissible_start(field_, x) == free
 
-        tr = ls._Trajectory(f, ParticleState(x, alpha), 1.0, (), 8)
-        got = tr.next_arc_hit()
-        c = larmor_center(tr.pos, tr.alpha, b)
+        start = ParticleState(x, alpha)
+        c = larmor_center(start.position, start.velocity_angle, b)
         reach = params.larmor_radius + eps
-        pts, owners = concatenated_cells(f, c[0] - reach, c[0] + reach,
+        pts, owners = concatenated_cells(field_, c[0] - reach, c[0] + reach,
                                          c[1] - reach, c[1] + reach)
-        want = first_arc_hit(pts, c, tr.alpha, b, eps) if len(pts) else None
+        f = field_
+        if pitch is not None:  # cells of 2% to 20% of the orbit radius
+            f = ExplicitField(params, pts,
+                              cell_size=pitch * params.larmor_radius)
+        got = ls._Trajectory(f, start, 1.0, (), 8).next_hit(1.0)
+        want = (first_arc_hit(pts, c, start.velocity_angle, b, eps)
+                if len(pts) else None)
         if want is None:
             assert got is None
             return
-        sweep, k, n = want
-        got_sweep, got_id, got_n, got_c = got
-        assert got_sweep == sweep
+        length, k, n = want
+        got_len, (ix, iy, row), got_n, got_c = got
+        assert got_len == length
         assert np.array_equal(got_n, n) and np.array_equal(got_c, pts[k])
-        ix, iy, row = unpack_obstacle_id(got_id)
-        assert (ix, iy) == owners[k]
         assert np.array_equal(f.cell_points(ix, iy)[row], pts[k])
+        if pitch is None:
+            assert (ix, iy) == owners[k]
+
+    def test_disk_above_the_highest_point_of_a_piece(self):
+        # the orbit (radius 1 about the origin) starts at phase -pi/16, so
+        # the fifth piece runs from phase 7 pi/16 to 9 pi/16 and its chord
+        # lies at height sin(7 pi/16) = 0.981; the disk at (0, 1.0025) lies
+        # across the orbit's top and only the sagitta pad reaches its cell
+        eps = 0.005
+        f = ExplicitField(empty_params(eps=eps, b=1.0), [(0.0, 1.0025)],
+                          cell_size=0.01)
+        phase = -math.pi / 16
+        start = ParticleState(np.array([math.cos(phase), math.sin(phase)]),
+                              phase + math.pi / 2)
+        got = ls._Trajectory(f, start, 1.0, (), 8).next_hit(1.0)
+        assert got is not None
+        length, key, _, c = got
+        want = first_arc_hit(np.array([[0.0, 1.0025]]), np.zeros(2),
+                             start.velocity_angle, 1.0, eps)
+        assert length == want[0] and key == (0, 100, 0)
+        assert c.tolist() == [0.0, 1.0025]
+
+    def test_leaving_a_disk_finds_the_next_one(self):
+        # the particle sits on top of the disk at (1, -eps), moving away
+        # from it; the orbit re-enters that disk only near sweep 2 pi, so
+        # the first piece's cells already hold a hit, but the disk at phase
+        # 3 pi/4, met pieces later, is hit first
+        eps = 0.005
+        far = np.array([math.cos(0.75 * math.pi), math.sin(0.75 * math.pi)])
+        f = ExplicitField(empty_params(eps=eps, b=1.0), [(1.0, -eps), far],
+                          cell_size=0.05)
+        start = ParticleState(np.array([1.0, 0.0]), math.pi / 2)
+        length, key, _, c = ls._Trajectory(f, start, 1.0, (), 8).next_hit(1.0)
+        assert length == pytest.approx(0.75 * math.pi - eps, abs=1e-4)
+        assert np.array_equal(c, far)
+        assert np.array_equal(f.cell(*key[:2])[key[2]], far)
 
 
 class TestRaySearch:
@@ -335,7 +400,7 @@ class TestRaySearch:
                 pts, _ = concatenated_cells(f, x_lo - eps, x_hi + eps,
                                             y_lo - eps, y_hi + eps)
                 f = ExplicitField(params, pts, cell_size=s)
-            got = ls._Trajectory(f, start, 1.0, (), 8).next_ray_hit(max_len)
+            got = ls._Trajectory(f, start, 1.0, (), 8).next_hit(max_len)
             want = None
             for ix in range(math.floor((x_lo - eps) / s),
                             math.floor((x_hi + eps) / s) + 1):
@@ -350,11 +415,10 @@ class TestRaySearch:
                 assert got is None
                 continue
             tau, ix, iy, c = want
-            got_tau, got_id, got_n, got_c = got
+            got_tau, (cell_x, cell_y, row), got_n, got_c = got
             assert got_tau == tau
             assert np.array_equal(got_c, c)
             assert np.array_equal(got_n, impact_normal(x + tau * v, c, eps))
-            cell_x, cell_y, row = unpack_obstacle_id(got_id)
             assert (cell_x, cell_y) == (ix, iy)
             assert np.array_equal(f.cell_points(ix, iy)[row], c)
 
@@ -365,10 +429,10 @@ class TestRaySearch:
         f = ExplicitField(empty_params(eps=0.1), [(0.23, 0.095), (0.245, 0.0)],
                           cell_size=0.08)
         tr = ls._Trajectory(f, ParticleState(np.zeros(2), 0.0), 1.0, (), 8)
-        tau, oid, _, c = tr.next_ray_hit(1.0)
+        tau, key, _, c = tr.next_hit(1.0)
         assert tau == pytest.approx(0.145, abs=1e-12)
         assert c.tolist() == [0.245, 0.0]
-        assert unpack_obstacle_id(oid) == (3, 0, 0)
+        assert key == (3, 0, 0)
 
 
 class TestMsdEstimate:

@@ -7,8 +7,7 @@ from maglorentz import medium
 from maglorentz.medium import (AnnulusVoidEstimate, ExplicitField,
                                ObstacleField, RegimeWarning,
                                empty_annulus_probability_mc,
-                               is_admissible_start, pack_obstacle_id,
-                               scaling_from, unpack_obstacle_id)
+                               is_admissible_start, scaling_from)
 
 
 def empty_params(eps=0.05, b=0.0):
@@ -121,33 +120,6 @@ class TestObstacleField:
         p = scaling_from(0.01, 1.0, 1.0, b_magnitude=1.0)
         f = ObstacleField(1, p)
         assert f.cell_size >= 2 * (p.larmor_radius + p.eps)
-
-    def test_id_packing_roundtrip(self):
-        for triple in [(0, 0, 0), (-413, 977, 12), (12000, -12000, 55)]:
-            assert unpack_obstacle_id(pack_obstacle_id(*triple)) == triple
-
-    def test_id_packing_index_bounds(self):
-        # the last index of a cell must not alias the next cell's first id
-        top = 2 ** 20 - 1
-        for cell in [(0, 0), (-5, 7), (2 ** 19 - 1, -2 ** 19)]:
-            oid = pack_obstacle_id(*cell, top)
-            assert unpack_obstacle_id(oid) == (*cell, top)
-        assert pack_obstacle_id(0, 0, top) != pack_obstacle_id(0, 1, 0)
-        for bad in (2 ** 20, -1):
-            with pytest.raises(ValueError, match="intra-cell index"):
-                pack_obstacle_id(0, 0, bad)
-
-    def test_oversize_cell_rejected(self):
-        # a cell the ids cannot address fails loudly instead of aliasing;
-        # only its length is read before the check, so nothing is drawn
-        class Oversize:
-            def __len__(self):
-                return 2 ** 20 + 1
-
-        f = ObstacleField(3, scaling_from(0.05, 1.0, 1.0))
-        object.__setattr__(f, "cell_points", lambda ix, iy: Oversize())
-        with pytest.raises(ValueError, match="at most 2"):
-            f.cell(0, 0)
 
     def test_rectangle_cells_in_order_and_cell_memoized(self):
         f = ObstacleField(9, scaling_from(0.05, 1.0, 1.0))
