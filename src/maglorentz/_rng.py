@@ -16,6 +16,9 @@ numpy scalars, which warn on overflow.
 from __future__ import annotations
 
 import numpy as np
+# numpy imports numpy.random lazily, on first use: import it with the package,
+# so forked pool workers inherit it instead of each importing it in their run
+import numpy.random  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _MIX_SEED = 0x243F6A8885A308D3

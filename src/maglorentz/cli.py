@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -250,8 +251,7 @@ def _run_operator_sweep(config, workers):
                        + 1e-9)) + 1
     b_values = [config["b_min"] + i * config["b_step"] for i in range(n)]
     rows = operators.diffusion_sweep(config["mu"], b_values,
-                                     m_modes=config["m_modes"],
-                                     quadrature_order=config["quadrature_order"])
+                                     m_modes=config["m_modes"])
     info = operators.invertibility_threshold()
     return rows, {"t_star": info.t_star, "b_star": info.b_star,
                   "b_stated": info.b_stated}
@@ -352,6 +352,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
         {"mu": _POSITIVE, "b_min": _Key("float", 0.0, "nonnegative"),
          "b_max": _Key("float"), "b_step": _POSITIVE,
          "m_modes": _Key("int", 64, "positive"),
+         # accepted and validated, with no effect: the moments are exact
          "quadrature_order": _Key("int", 256, "positive")},
         _run_operator_sweep, "dsweep",
         ("B", "T", "D_direct", "D_markovian_term", "D_memory_sum",
@@ -378,8 +379,11 @@ def run(config: dict, out_prefix: str, workers: int = 1) -> int:
     experiment = EXPERIMENTS[config["kind"]]
     rows, results = experiment.driver(config, workers)
     csv = f"{out_prefix}_{experiment.suffix}.csv"
+    # the CSV's file name only: it sits beside the summary, whose bytes then
+    # do not depend on the output directory
     summary = {"toolkit": "maglorentz", "version": __version__,
-               "kind": config["kind"], "outputs": [csv], "results": results,
+               "kind": config["kind"], "outputs": [Path(csv).name],
+               "results": results,
                "config": {k: v for k, v in config.items() if v is not None}}
     csv_text = "".join(",".join(_fmt(v) for v in row) + "\n"
                        for row in (experiment.header, *rows))

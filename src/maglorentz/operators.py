@@ -8,8 +8,9 @@ Fourier basis: its whole content is a real, even sequence of multipliers
 
 the j-fold deflection cosine averaged over a uniform normalized impact
 parameter.  Since ``cos(deflection(b)) = 2 b^2 - 1``, the integrand is the
-Chebyshev polynomial T_j(2 b^2 - 1) and Gauss-Legendre quadrature of
-sufficient order evaluates it exactly.
+Chebyshev polynomial T_j(2 b^2 - 1) = T_2j(b), and the integral of an even
+Chebyshev polynomial, ``integral_{-1}^{1} T_n(b) db = 2 / (1 - n^2)``, gives
+the closed form ``c_j = 1 / (1 - 4 j^2)``.
 
 Multipliers:
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 #: contraction bound of the gain kernel on zero-mean functions
 BETA = (math.pi - 2.0) / 2.0
@@ -69,28 +69,16 @@ def default_k_cut(mu: float, period: float, tol: float = MEMORY_TOL) -> int:
     return k
 
 
-@lru_cache(maxsize=32)
-def _legendre_rule(order: int):
-    x, w = roots_legendre(order)
-    return x, w
-
-
 @lru_cache(maxsize=64)
-def deflection_cosine_moments(j_max: int, order: int) -> np.ndarray:
-    """Moments c_0..c_jmax by Gauss-Legendre quadrature on [-1, 1].
+def deflection_cosine_moments(j_max: int) -> np.ndarray:
+    """Moments c_0..c_jmax in closed form, ``c_j = 1 / (1 - 4 j^2)``.
 
-    The integrand of c_j is a polynomial of degree 2j, so the rule is exact
-    whenever ``order > j_max``; the order is raised internally to guarantee
-    that.
+    Each entry is the correctly rounded double of the exact rational: the
+    denominator ``1 - 4 j^2`` is an exact double while ``4 j^2 < 2^53``
+    (j below 4.7e7), and the one division rounds once.
     """
-    order = max(order, j_max + 8)
-    x, w = _legendre_rule(order)
-    # deflection(b) is odd, so cos(j*deflection) is even in b: fold to b >= 0
-    theta = math.pi - 2.0 * np.arcsin(np.abs(x))
-    j = np.arange(j_max + 1)
-    vals = 0.5 * (np.cos(np.outer(j, theta)) @ w)
-    vals[0] = 1.0
-    return vals
+    j = np.arange(j_max + 1, dtype=float)
+    return 1.0 / (1.0 - 4.0 * j * j)
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,6 @@ class AngularOperator:
     mu: float
     period: float
     k_cut: int
-    quadrature_order: int
 
     @property
     def m_modes(self) -> int:
@@ -143,36 +130,24 @@ class AngularOperator:
         inv[0] = 0.0
         return inv
 
-    def apply_grid(self, values: np.ndarray) -> np.ndarray:
-        """Apply the operator to samples on a uniform angle grid (last axis)."""
-        n = values.shape[-1]
-        coeffs = np.fft.fft(values, axis=-1)
-        coeffs *= self.fft_multipliers(n)
-        return np.fft.ifft(coeffs, axis=-1)
 
-
-def build_K(m_modes: int, quadrature_order: int = 256) -> AngularOperator:
+def build_K(m_modes: int) -> AngularOperator:
     """Gain-only kernel: average of the post-collision value over impacts."""
-    if quadrature_order < 32:
-        raise ValueError("quadrature order below 32 is not supported")
-    c = deflection_cosine_moments(m_modes, quadrature_order)
-    return AngularOperator(c, mu=math.nan, period=math.inf,
-                           k_cut=0, quadrature_order=quadrature_order)
+    c = deflection_cosine_moments(m_modes)
+    return AngularOperator(c, mu=math.nan, period=math.inf, k_cut=0)
 
 
-def build_L(mu: float, m_modes: int, quadrature_order: int = 256
-            ) -> AngularOperator:
+def build_L(mu: float, m_modes: int) -> AngularOperator:
     """Memoryless collision operator, total scattering rate 2 mu."""
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    c = deflection_cosine_moments(m_modes, quadrature_order)
+    c = deflection_cosine_moments(m_modes)
     return AngularOperator(2.0 * mu * (c - 1.0), mu=mu,
-                           period=math.inf, k_cut=0,
-                           quadrature_order=quadrature_order)
+                           period=math.inf, k_cut=0)
 
 
-def memory_mode_table(mu: float, period: float, m_modes: int, k_cut: int,
-                      quadrature_order: int = 256) -> np.ndarray:
+def memory_mode_table(mu: float, period: float, m_modes: int,
+                      k_cut: int) -> np.ndarray:
     """Per-delay multiplier table of the memory operator.
 
     Row k-1 (k = 1..k_cut) holds, for m in [0, m_modes],
@@ -184,7 +159,7 @@ def memory_mode_table(mu: float, period: float, m_modes: int, k_cut: int,
     if k_cut == 0:
         return np.zeros((0, m_modes + 1))
     w = survival_weight(mu, period)
-    c = deflection_cosine_moments(m_modes * (k_cut + 1), quadrature_order)
+    c = deflection_cosine_moments(m_modes * (k_cut + 1))
     m = np.arange(m_modes + 1)
     rows = np.empty((k_cut, m_modes + 1))
     for k in range(1, k_cut + 1):
@@ -193,8 +168,8 @@ def memory_mode_table(mu: float, period: float, m_modes: int, k_cut: int,
     return rows
 
 
-def build_M(mu: float, period: float, m_modes: int, k_cut: int | None = None,
-            quadrature_order: int = 256) -> AngularOperator:
+def build_M(mu: float, period: float, m_modes: int,
+            k_cut: int | None = None) -> AngularOperator:
     """Memory operator: repeated identical deflections, one per period."""
     if mu <= 0.0 or period <= 0.0:
         raise ValueError("mu and the period must be positive")
@@ -204,23 +179,20 @@ def build_M(mu: float, period: float, m_modes: int, k_cut: int | None = None,
             survival_weight(mu, period) > 0.0:
         raise ValueError(
             f"k_cut={k_cut} leaves a memory tail above {MEMORY_TOL:g}")
-    rows = memory_mode_table(mu, period, m_modes, k_cut, quadrature_order)
+    rows = memory_mode_table(mu, period, m_modes, k_cut)
     vals = rows.sum(axis=0) if len(rows) else np.zeros(m_modes + 1)
-    return AngularOperator(vals, mu=mu, period=period,
-                           k_cut=k_cut, quadrature_order=quadrature_order)
+    return AngularOperator(vals, mu=mu, period=period, k_cut=k_cut)
 
 
-def build_LG(mu: float, period: float, m_modes: int, k_cut: int | None = None,
-             quadrature_order: int = 256) -> AngularOperator:
+def build_LG(mu: float, period: float, m_modes: int,
+             k_cut: int | None = None) -> AngularOperator:
     """Full collision operator with memory: L + M."""
-    ell = build_L(mu, m_modes, quadrature_order)
+    ell = build_L(mu, m_modes)
     if period == math.inf:
-        return AngularOperator(ell.multipliers, mu=mu, period=math.inf,
-                               k_cut=0, quadrature_order=quadrature_order)
-    mem = build_M(mu, period, m_modes, k_cut, quadrature_order)
+        return ell
+    mem = build_M(mu, period, m_modes, k_cut)
     return AngularOperator(ell.multipliers + mem.multipliers, mu=mu,
-                           period=period, k_cut=mem.k_cut,
-                           quadrature_order=quadrature_order)
+                           period=period, k_cut=mem.k_cut)
 
 
 def _check_zero_mean(g_hat_0: complex, scale: float):
@@ -253,19 +225,17 @@ def split_series_gain(mu: float, period: float) -> float:
     return (w / (1.0 - w)) * (BETA + 1.0) / (1.0 - BETA)
 
 
-def _grid_series_setup(mu, period, g, quadrature_order):
+def _grid_series_setup(mu, period, g):
     g = np.asarray(g, dtype=complex)
     n = len(g)
-    m_modes = n // 2
     _check_zero_mean(np.mean(g), float(np.max(np.abs(g))))
-    m_op = build_M(mu, period, m_modes, quadrature_order=quadrature_order) \
-        if period != math.inf else None
-    mf = m_op.fft_multipliers(n) if m_op is not None else np.zeros(n)
+    mf = build_M(mu, period, n // 2).fft_multipliers(n) \
+        if period != math.inf else np.zeros(n)
     return g, n, mf
 
 
 def invert_LG_neumann(mu: float, period: float, g: np.ndarray,
-                      tol: float = 1e-10, quadrature_order: int = 256,
+                      tol: float = 1e-10,
                       max_terms: int = 100_000) -> np.ndarray:
     """Series inversion of (L + M) h = g on a uniform angle grid.
 
@@ -278,8 +248,8 @@ def invert_LG_neumann(mu: float, period: float, g: np.ndarray,
         raise SeriesDivergenceError(
             f"contraction factor {q:.6f} >= 1: series not guaranteed convergent "
             f"(period {period:g} at or below the inversion threshold)")
-    g, n, mf = _grid_series_setup(mu, period, g, quadrature_order)
-    kf = build_K(n // 2, quadrature_order).fft_multipliers(n)
+    g, n, mf = _grid_series_setup(mu, period, g)
+    kf = build_K(n // 2).fft_multipliers(n)
     step = kf + mf / (2.0 * mu)
     term = np.fft.fft(g)
     total = term.copy()
@@ -295,7 +265,7 @@ def invert_LG_neumann(mu: float, period: float, g: np.ndarray,
 
 
 def invert_split_series(mu: float, period: float, g: np.ndarray,
-                        tol: float = 1e-10, quadrature_order: int = 256,
+                        tol: float = 1e-10,
                         max_terms: int = 100_000) -> np.ndarray:
     """Inversion via ``h = sum_k L^-1 [M (-L)^-1]^k g`` on an angle grid.
 
@@ -308,8 +278,8 @@ def invert_split_series(mu: float, period: float, g: np.ndarray,
             raise SeriesDivergenceError(
                 f"split-series bound {gain:.6f} >= 1: series not guaranteed "
                 "convergent")
-    g, n, mf = _grid_series_setup(mu, period, g, quadrature_order)
-    inv_ell = build_L(mu, n // 2, quadrature_order).fft_inverse(n)
+    g, n, mf = _grid_series_setup(mu, period, g)
+    inv_ell = build_L(mu, n // 2).fft_inverse(n)
     u = np.fft.fft(g)
     total = u * inv_ell
     scale = float(np.max(np.abs(g))) or 1.0
@@ -336,34 +306,16 @@ def diffusion_coefficient(op: AngularOperator) -> float:
     return -1.0 / lam1
 
 
-def diffusion_tensor(op: AngularOperator, n_grid: int = 512) -> np.ndarray:
-    """2x2 tensor ``(1/2pi) int v_i ((-(L+M))^-1 v)_j dv`` by grid quadrature.
-
-    Isotropy cross-check for the scalar route: the tensor is diagonal with
-    equal entries ``-1/(2 lambda_1)`` and its trace equals
-    ``diffusion_coefficient(op)``.
-    """
-    n_grid = min(n_grid, 2 * op.m_modes)
-    alpha = 2.0 * math.pi * np.arange(n_grid) / n_grid
-    comps = [np.cos(alpha), np.sin(alpha)]
-    inv = op.fft_inverse(n_grid)
-    out = np.empty((2, 2))
-    for j in range(2):
-        hj = -np.fft.ifft(np.fft.fft(comps[j]) * inv).real
-        for i in range(2):
-            out[i, j] = float(np.mean(comps[i] * hj))
-    return out
-
-
 def spatial_diffusivity(op: AngularOperator) -> float:
     """Coefficient of the limiting heat equation, ``-1/(2 lambda_1)``.
 
     The mean squared displacement identity ``MSD(t) -> 2 D_gk t`` with the
     trace-form Green-Kubo integral ``D_gk = diffusion_coefficient(op)`` and
     the planar heat-equation convention ``MSD(t) -> 4 D_heat t`` fix
-    ``D_heat = D_gk / 2``; equivalently it is either diagonal entry of
-    ``diffusion_tensor``.  Use this wherever a heat profile is compared
-    against kinetic or microscopic dynamics.
+    ``D_heat = D_gk / 2``; equivalently it is either diagonal entry of the
+    isotropic tensor ``(1/2pi) int v_i ((-(L+M))^-1 v)_j dv``.  Use this
+    wherever a heat profile is compared against kinetic or microscopic
+    dynamics.
     """
     return 0.5 * diffusion_coefficient(op)
 
@@ -400,8 +352,7 @@ def invertibility_threshold() -> ThresholdInfo:
     )
 
 
-def diffusion_sweep(mu: float, b_values, m_modes: int = 64,
-                    quadrature_order: int = 256):
+def diffusion_sweep(mu: float, b_values, m_modes: int = 64):
     """Rows (B, T, D_direct, D_markovian_term, D_memory_sum, series_converged).
 
     ``D_markovian_term`` is the memoryless value 3/(8 mu); the memory sum is
@@ -413,7 +364,7 @@ def diffusion_sweep(mu: float, b_values, m_modes: int = 64,
     for b in b_values:
         b = float(b)
         period = 2.0 * math.pi / b if b > 0.0 else math.inf
-        op = build_LG(mu, period, m_modes, quadrature_order=quadrature_order)
+        op = build_LG(mu, period, m_modes)
         d_direct = diffusion_coefficient(op)
         converged = (neumann_contraction_factor(mu, period) < 1.0
                      and (period == math.inf or split_series_gain(mu, period) < 1.0))

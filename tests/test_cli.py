@@ -290,15 +290,16 @@ class TestMainFlow:
         cfg.write_text(text)
         blobs = []
         for tag, workers in (("a", "1"), ("b", "1"), ("c", "3")):
-            out = tmp_path / tag
+            # one prefix name in three directories: the summary names its
+            # CSV without the directory, so the bytes match as written
+            (tmp_path / tag).mkdir()
+            out = tmp_path / tag / "run"
             code = main([kind, "--config", str(cfg), "--out", str(out),
                          "--workers", workers])
             assert code == 0
-            files = sorted(tmp_path.glob(f"{tag}_*"))
+            files = sorted((tmp_path / tag).glob("run_*"))
             assert len(files) == 2  # the CSV and the summary
-            # the summary lists the output paths, which carry the prefix
-            blobs.append([f.read_bytes().replace(str(out).encode(), b"OUT")
-                          for f in files])
+            blobs.append([f.read_bytes() for f in files])
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_operator_sweep(self, tmp_path):
@@ -316,6 +317,21 @@ class TestMainFlow:
         assert first[5] == "1"
         summary = json.loads((tmp_path / "ops_summary.json").read_text())
         assert summary["results"]["b_star"] == pytest.approx(8.1654, abs=1e-3)
+
+    def test_quadrature_order_has_no_effect(self, tmp_path):
+        # the key is still accepted, but the moments are exact
+        csvs = []
+        for order in (32, 256):
+            cfg = tmp_path / f"q{order}.cfg"
+            cfg.write_text(SWEEP_CONFIG + f"quadrature_order = {order}\n")
+            out = tmp_path / f"q{order}"
+            assert main(["operator-sweep", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            summary = json.loads((tmp_path / f"q{order}_summary.json").read_text())
+            assert summary["config"]["quadrature_order"] == order
+            assert summary["outputs"] == [f"q{order}_dsweep.csv"]
+            csvs.append((tmp_path / f"q{order}_dsweep.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_kinetic_run(self, tmp_path):
         cfg = tmp_path / "kin.cfg"
