@@ -136,8 +136,10 @@ def circling_fraction_mc(mu: float, period: float, n_paths: int, seed: int
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if mu < 0.0 or period <= 0.0:
-        raise ValueError("mu must be nonnegative and period positive")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError("mu must be nonnegative and finite")
+    if not period > 0.0:
+        raise ValueError("period must be positive (it may be infinite)")
     expected = math.exp(-2.0 * mu * period) if mu > 0.0 else 1.0
     if mu == 0.0:
         return CirclingEstimate(1.0, 0.0, 1.0)
@@ -178,10 +180,11 @@ def _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
     the average; ``circling_fraction`` is the fraction of sampled paths
     that circled.
     """
-    if t_cut <= 0.0 or dt_quad <= 0.0:
-        raise ValueError("t_cut and dt_quad must be positive")
-    if mu <= 0.0 or period <= 0.0:
-        raise ValueError("mu and period must be positive")
+    for name, value in (("mu", mu), ("t_cut", t_cut), ("dt_quad", dt_quad)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    if not period > 0.0:
+        raise ValueError("period must be positive (it may be infinite)")
     t_grid, trap_w = _trapezoid_grid(t_cut, dt_quad)
     spin = 2.0 * math.pi / period * t_grid if include_rotation else None
     stream = _rng.STREAM_GK_BLOCK if lumped else _rng.STREAM_GB_PATH

@@ -173,15 +173,12 @@ def first_ray_entry(centers, position, v, eps: float, max_len: float):
     Returns ``(tau, k, n)`` with the flight time to impact, within
     (``DEPARTURE_GUARD``, ``max_len``], the row of ``centers`` hit and the
     outward unit normal there; None when no disk is entered.  Grazing lines
-    (half-chord below ``eps * GRAZING_TOL``) are misses.
-
-    ``rel @ v`` rounds a row differently depending on the other rows of
-    ``centers`` (a one-row array differs from the same row in a longer
-    one), so hit times depend on how centers are grouped: callers pass one
-    cell per call, which keeps the search's output bytes fixed.
+    (half-chord below ``eps * GRAZING_TOL``) are misses.  Every row is
+    computed elementwise, so a row's hit time does not depend on the other
+    rows of ``centers``.
     """
     rel = centers - position
-    proj = rel @ v
+    proj = rel[:, 0] * v[0] + rel[:, 1] * v[1]
     perp_sq = np.einsum("ij,ij->i", rel, rel) - proj * proj
     disc = eps * eps - perp_sq
     ok = disc > (eps * GRAZING_TOL) ** 2

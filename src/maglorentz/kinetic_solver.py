@@ -54,8 +54,10 @@ class SpectralGrid:
     angles: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.l_box <= 0.0 or self.n_x < 0 or self.n_v < 8:
-            raise ValueError("need a positive box, n_x >= 0 and n_v >= 8")
+        if not 0.0 < self.l_box < math.inf:
+            raise ValueError("l_box must be positive and finite")
+        if self.n_x < 0 or self.n_v < 8:
+            raise ValueError("need n_x >= 0 and n_v >= 8")
         side = np.arange(-self.n_x, self.n_x + 1)
         xi = np.array([(a, b) for a in side for b in side], dtype=int)
         kvec = 2.0 * math.pi * xi / self.l_box

@@ -7,13 +7,9 @@ infinite environment without it ever being stored, and concurrent readers
 need no coordination.  A field object memoizes the cells it has served,
 so its memory grows with the area queried; each replica gets its own.
 The memoized cell is the only obstacle query; rectangles are scanned cell
-by cell, never concatenated.
-
-When a cell's mean count is at most 2 (a B = 0 field at
-mu_eff eps^2 <= 0.02), most cells are empty, and the empty and
-one-obstacle cells are drawn 64 x 64 at a time from the Philox words
-themselves (``first_block_cells``), so they build no generator.  The
-cells drawn are the same either way.
+by cell, never concatenated.  Every cell is drawn by its own generator;
+the B = 0 pitch is sized so that a cell holds about 30 obstacles, which
+keeps the set-up of one generator small next to the points it draws.
 
 Obstacles may overlap each other; the underlying measure is pure Poisson
 with no hard-core thinning.
@@ -31,14 +27,6 @@ import numpy as np
 from . import _rng
 
 _EMPTY_POINTS = np.empty((0, 2))
-
-# Tiles are built for mean counts per cell up to this.  Block 1 decides
-# the count only below 10 (numpy's multiplicative inversion range), and
-# above 2 it decides under 40% of cells: msd runs at mean counts of 3, 4,
-# 5 and 9 were slower with tiles than without.
-_TILE_MAX_MEAN = 2.0
-# cells per side of a tile
-_TILE = 64
 
 
 class RegimeWarning(UserWarning):
@@ -117,15 +105,20 @@ def scaling_from(eps: float, mu: float, eta: float, b_magnitude: float = 0.0
 
 
 def default_cell_size(params: ScalingParams) -> float:
-    """Grid pitch: 10 eps, or one orbit's bounding square when B > 0.
+    """Grid pitch: one orbit's bounding square when B > 0, else 30 obstacles.
 
-    No search needs the B > 0 pitch (the hit walk and the start check hold
-    for any cell size).  It stays because it keys every cell's random
-    stream: cell (ix, iy) is the pitch-sized square its stream fills, so
-    another pitch would draw another field.
+    At B = 0 the pitch sqrt(30 / mu_eff) puts 30 obstacles in a cell on
+    average, so one generator set-up draws about 30 points and a share
+    e^-30 of cells is empty; an empty field (mu_eff = 0) keeps the finite
+    pitch 10 eps.  No search needs either pitch (the hit walk and the
+    start check hold for any cell size).  The pitch stays because it keys
+    every cell's random stream: cell (ix, iy) is the pitch-sized square
+    its stream fills, so another pitch would draw another field.
     """
     if params.b_magnitude > 0.0:
         return max(2.0 * (params.larmor_radius + params.eps), 10.0 * params.eps)
+    if params.mu_eff > 0.0:
+        return math.sqrt(30.0 / params.mu_eff)
     return 10.0 * params.eps
 
 
@@ -155,77 +148,22 @@ class _CellCache:
             range(int(math.floor(y_lo / s)), int(math.floor(y_hi / s)) + 1))
 
 
-def first_block_cells(master_seed: int, xs: np.ndarray, ys: np.ndarray,
-                      lam: float):
-    """The cells (xs, ys) that Philox block 1 draws alone, elementwise.
-
-    ``xs`` and ``ys`` are broadcastable uint64 arrays of cell indices
-    (mod 2**64).  Returns ``(count, u, v)``: the cell's obstacle count,
-    capped at 2, and where it is 1 the obstacle's offset in cell units.
-
-    Valid for 0 < lam < 10, where numpy's Poisson sampler is
-    multiplicative inversion: the count is the number of running products
-    of uniforms above exp(-lam), so it reads count + 1 uniforms, and the
-    points 2 * count more.  The generator's uniforms are its words in
-    order, four per block, each as ``(w >> 11) * 2**-53``.
-    """
-    hi, lo = _rng.philox_key_array(master_seed, _rng.STREAM_FIELD_CELL,
-                                   xs, ys)
-    u0, u1, u, v = ((w >> np.uint64(11)) * 2.0 ** -53
-                    for w in _rng.philox_first_block_array(hi, lo))
-    bound = math.exp(-lam)
-    count = np.where(u0 <= bound, 0, np.where(u0 * u1 <= bound, 1, 2))
-    return count, u, v
-
-
 @dataclass(frozen=True)
 class ObstacleField(_CellCache):
-    """Deterministic lazy Poisson field keyed by a 64-bit master seed.
-
-    When the mean count per cell is at most 2, ``_tiles`` memoizes the
-    cells of each 64 x 64 tile that Philox block 1 draws alone.
-    """
+    """Deterministic lazy Poisson field keyed by a 64-bit master seed."""
 
     master_seed: int
     params: ScalingParams
 
     def __post_init__(self):
         object.__setattr__(self, "_cells", {})
-        object.__setattr__(self, "_tiles", {})
         object.__setattr__(self, "cell_size", default_cell_size(self.params))
-
-    def _tile(self, tx: int, ty: int, lam: float):
-        """(counts, singles) of tile (tx, ty), built on first use.
-
-        One count byte per cell, x-major, and the (u, v) of the
-        one-obstacle cells in the same order.
-        """
-        tile = self._tiles.get((tx, ty))
-        if tile is None:
-            cells = np.arange(_TILE, dtype=np.uint64)
-            count, u, v = (a.ravel() for a in first_block_cells(
-                self.master_seed,
-                (cells + np.uint64(tx * _TILE % 2 ** 64))[:, None],
-                (cells + np.uint64(ty * _TILE % 2 ** 64))[None, :], lam))
-            one = count == 1
-            tile = self._tiles[tx, ty] = (
-                count.astype(np.uint8).tobytes(), np.stack([u[one], v[one]], 1))
-        return tile
 
     def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
         """Obstacle centers of one cell, identical on every call."""
         lam = self.params.mu_eff * self.cell_size ** 2
         if lam == 0.0:
             return _EMPTY_POINTS
-        if lam <= _TILE_MAX_MEAN:
-            counts, singles = self._tile(cell_x // _TILE, cell_y // _TILE, lam)
-            i = cell_x % _TILE * _TILE + cell_y % _TILE
-            if counts[i] == 0:
-                return _EMPTY_POINTS
-            if counts[i] == 1:
-                u, v = singles[counts.count(1, 0, i)].tolist()
-                s = self.cell_size
-                return np.array([[(u + cell_x) * s, (v + cell_y) * s]])
         gen = _rng.generator(
             self.master_seed, _rng.STREAM_FIELD_CELL, cell_x, cell_y)
         count = int(gen.poisson(lam))

@@ -139,8 +139,8 @@ def build_K(m_modes: int) -> AngularOperator:
 
 def build_L(mu: float, m_modes: int) -> AngularOperator:
     """Memoryless collision operator, total scattering rate 2 mu."""
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     c = deflection_cosine_moments(m_modes)
     return AngularOperator(2.0 * mu * (c - 1.0), mu=mu,
                            period=math.inf, k_cut=0)
@@ -171,8 +171,10 @@ def memory_mode_table(mu: float, period: float, m_modes: int,
 def build_M(mu: float, period: float, m_modes: int,
             k_cut: int | None = None) -> AngularOperator:
     """Memory operator: repeated identical deflections, one per period."""
-    if mu <= 0.0 or period <= 0.0:
-        raise ValueError("mu and the period must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
+    if not period > 0.0:
+        raise ValueError("period must be positive (it may be infinite)")
     if k_cut is None:
         k_cut = default_k_cut(mu, period)
     elif survival_weight(mu, period) ** max(k_cut, 1) >= MEMORY_TOL and \

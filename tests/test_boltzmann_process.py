@@ -203,6 +203,28 @@ class TestGreenKubo:
         assert abs(est.circling_fraction - p_ref) < 4 * math.sqrt(
             p_ref * (1 - p_ref) / 20_000)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 1.0, 10, 1.0, 0.1), "mu"),
+        ((math.inf, 1.0, 10, 1.0, 0.1), "mu"),
+        ((1.0, math.nan, 10, 1.0, 0.1), "period"),
+        ((1.0, 1.0, 10, math.nan, 0.1), "t_cut"),
+        ((1.0, 1.0, 10, math.inf, 0.1), "t_cut"),
+        ((1.0, 1.0, 10, 1.0, math.nan), "dt_quad")])
+    def test_non_finite_rejected(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            green_kubo_mc(*args, seed=1)
+        with pytest.raises(ValueError, match=name):
+            velocity_autocorrelation_paths(*args, seed=1)
+
+    @pytest.mark.parametrize("mu, period, name", [
+        (math.nan, 1.0, "mu"), (math.inf, 1.0, "mu"),
+        (1.0, math.nan, "period")])
+    def test_circling_non_finite_rejected(self, mu, period, name):
+        with pytest.raises(ValueError, match=name):
+            circling_fraction_mc(mu, period, 10, 1)
+
+    def test_infinite_period_never_circles(self):
+        assert circling_fraction_mc(1.0, math.inf, 10, 1).fraction == 0.0
 
     def test_fewer_than_two_paths_rejected(self):
         # one path has no standard error: fail instead of returning NaN

@@ -215,6 +215,28 @@ class TestFirstArcDiskHit:
             n_checked += 1
         assert n_checked >= 25
 
+    def test_ray_hit_independent_of_grouping(self):
+        # centers passed as one array give bitwise the hit of the earliest
+        # cell passed on its own, so the search may group cells freely;
+        # one-row cells are the ones a matrix-vector product rounds apart
+        rng = np.random.default_rng(12)
+        eps, max_len = 0.01, 3.0
+        for _ in range(200):
+            pos = rng.normal(scale=50.0, size=2)
+            v = unit_vector(rng.uniform(0, TWO_PI))
+            side = np.array([-v[1], v[0]])
+            cells = [pos + np.outer(rng.uniform(0.05, max_len, k), v)
+                     + np.outer(rng.uniform(-eps, eps, k), side)
+                     for k in rng.choice([1, 2, 30], size=8)]
+            want = None
+            for pts in cells:
+                found = first_ray_entry(pts, pos, v, eps, max_len)
+                if found and (want is None or found[0] < want[0]):
+                    want = found
+            got = first_ray_entry(np.concatenate(cells), pos, v, eps, max_len)
+            assert got[0] == want[0]
+            assert np.array_equal(got[2], want[2])
+
 
 class TestNearMissDistances:
     """Closed-form distances against the nearest of 20k points on the curve."""

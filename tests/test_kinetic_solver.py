@@ -29,6 +29,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             ks.SpectralGrid(1.0, 2, 4)
 
+    @pytest.mark.parametrize("l_box", [math.nan, math.inf, -math.inf])
+    def test_non_finite_box_rejected(self, l_box):
+        with pytest.raises(ValueError, match="l_box"):
+            ks.SpectralGrid(l_box, 1, 8)
+
 
 class TestInitialField:
     def test_mass_normalized(self, small_grid):

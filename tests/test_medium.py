@@ -20,16 +20,15 @@ def empty_params(eps=0.05, b=0.0):
                                 b_magnitude=b, larmor_radius=r, t_larmor=t)
 
 
-def b0_params(lam, eps=1e-3):
-    """B = 0 parameters whose cells (10 eps wide) hold lam obstacles on average."""
-    mu_eff = lam / (10.0 * eps) ** 2
+def b0_params(mu_eff, eps=1e-3):
+    """B = 0 parameters of obstacle intensity mu_eff."""
     return medium.ScalingParams(eps=eps, mu=mu_eff * eps, eta=1.0, mu_eff=mu_eff,
                                 b_magnitude=0.0, larmor_radius=math.inf,
                                 t_larmor=math.inf)
 
 
 def generator_cell(field, ix, iy):
-    """Cell (ix, iy) drawn from its own Generator, with no emptiness tile."""
+    """Cell (ix, iy) drawn from its own Generator, outside the field object."""
     lam = field.params.mu_eff * field.cell_size ** 2
     gen = _rng.generator(field.master_seed, _rng.STREAM_FIELD_CELL, ix, iy)
     pts = gen.random((int(gen.poisson(lam)), 2))
@@ -161,81 +160,27 @@ class TestObstacleField:
         assert f.cell(0, 1) is pts
 
 
-class TestFirstBlockTiles:
-    # the tiles read numpy's Philox words and Poisson algorithm from
-    # outside; a numpy change to either must fail here, not shift outputs
-    EDGES = [0, -1, 63, 64, -64, -65, 2 ** 31, -2 ** 31 - 1, 2 ** 63 - 1, -2 ** 63]
+class TestB0Pitch:
+    @pytest.mark.parametrize("mu_eff", [1e-2, 1.0, 1e3, 1e7])
+    def test_cell_holds_thirty_on_average(self, mu_eff):
+        f = ObstacleField(1, b0_params(mu_eff))
+        assert f.params.mu_eff * f.cell_size ** 2 == pytest.approx(30.0,
+                                                                   rel=1e-12)
 
-    @pytest.mark.parametrize("lam", [0.1, 0.3, 1.0, 9.9])
-    def test_first_block_cells_match_generator(self, lam):
-        rng = np.random.default_rng(int(lam * 10))
-        n = 10_000
-        xs = np.concatenate([self.EDGES, rng.integers(-2 ** 40, 2 ** 40, n)])
-        ys = np.concatenate([self.EDGES[::-1], rng.integers(-2 ** 40, 2 ** 40, n)])
-        seed = int(rng.integers(0, 2 ** 63)) * 2 + 1
-        count, u, v = medium.first_block_cells(
-            seed, xs.view(np.uint64), ys.view(np.uint64), lam)
-        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-            gen = _rng.generator(seed, _rng.STREAM_FIELD_CELL, x, y)
-            drawn = int(gen.poisson(lam))
-            assert count[i] == min(drawn, 2)
-            if drawn == 1:
-                assert gen.random((1, 2)).tolist() == [[u[i], v[i]]]
-
-    def test_first_block_words_match_philox(self):
-        xs = np.array(self.EDGES, dtype=np.int64).view(np.uint64)
-        hi, lo = _rng.philox_key_array(77, _rng.STREAM_FIELD_CELL, xs[:, None],
-                                       xs[None, :])
-        words = np.stack(_rng.philox_first_block_array(hi, lo), axis=-1)
-        for i, x in enumerate(self.EDGES):
-            for j, y in enumerate(self.EDGES):
-                key = _rng.philox_key(77, _rng.STREAM_FIELD_CELL, x, y)
-                assert (int(hi[i, j]) << 64) | int(lo[i, j]) == key
-                raw = np.random.Philox(key=key).random_raw(4)
-                assert np.array_equal(words[i, j], raw)
+    def test_empty_field_pitch_finite(self):
+        # mu_eff = 0 keeps 10 eps instead of sqrt(30 / 0)
+        assert ObstacleField(1, empty_params(eps=0.05)).cell_size == \
+            pytest.approx(0.5)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1),
            ix=st.integers(-2 ** 40, 2 ** 40), iy=st.integers(-2 ** 40, 2 ** 40),
-           lam=st.one_of(st.floats(0.01, 2.0), st.floats(2.0, 9.99)))
-    def test_cell_equals_generator_draw(self, seed, ix, iy, lam):
-        f = ObstacleField(seed, b0_params(lam))
+           mu_eff=st.floats(1e-2, 1e7))
+    def test_cell_equals_generator_draw(self, seed, ix, iy, mu_eff):
+        f = ObstacleField(seed, b0_params(mu_eff))
         for dx, dy in ((0, 0), (1, 0), (0, -1)):
             got = f.cell(ix + dx, iy + dy)
             assert np.array_equal(got, generator_cell(f, ix + dx, iy + dy))
-
-    def test_cells_across_tile_borders(self):
-        # x spans five tiles, three of them at negative indices
-        f = ObstacleField(2026, b0_params(0.3))
-        for ix in range(-130, 70, 3):
-            for iy in (-65, -64, -1, 0, 63, 64):
-                assert np.array_equal(f.cell(ix, iy), generator_cell(f, ix, iy))
-        assert set(f._tiles) == {(tx, ty) for tx in (-3, -2, -1, 0, 1)
-                                 for ty in (-2, -1, 0, 1)}
-        assert all(len(counts) == 64 * 64 for counts, _ in f._tiles.values())
-
-    def test_tile_kernel_wraps_without_warnings(self):
-        # numpy warns when uint64 *scalars* overflow, and pyproject.toml
-        # makes that an error; the kernel wraps on arrays only
-        seed = 2 ** 64 - 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            count, u, v = medium.first_block_cells(
-                seed, np.array([2 ** 64 - 1], dtype=np.uint64),
-                np.array([2 ** 63], dtype=np.uint64), 2.0)
-        gen = _rng.generator(seed, _rng.STREAM_FIELD_CELL, -1, -2 ** 63)
-        drawn = int(gen.poisson(2.0))
-        assert count.tolist() == [min(drawn, 2)]
-
-    @pytest.mark.parametrize("params", [
-        scaling_from(0.01, 1.0, 1.0, b_magnitude=1.0),  # B > 0, lam ~ 408
-        b0_params(15.0), b0_params(2.5)])
-    def test_no_tile_at_mean_count_above_two(self, params):
-        f = ObstacleField(4, params)
-        assert f.params.mu_eff * f.cell_size ** 2 > 2.0
-        for c in ((0, 0), (-1, 3), (70, -70)):
-            assert np.array_equal(f.cell(*c), generator_cell(f, *c))
-        assert f._tiles == {}
 
 
 class TestAdmissibleStart:
@@ -266,7 +211,7 @@ class TestAdmissibleStart:
 class TestVoidProbability:
     def test_disk_void_statistics(self):
         # disjoint disks around distinct cell centers are independent
-        p = scaling_from(0.05, 1.2, 1.0)  # mu_eff = 24, cell 0.5
+        p = scaling_from(0.05, 1.2, 1.0)  # mu_eff = 24, cell sqrt(30 / 24)
         f = ObstacleField(2024, p)
         s = f.cell_size
         r = 0.2

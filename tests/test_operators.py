@@ -174,6 +174,21 @@ class TestBuildM:
         with pytest.raises(ValueError, match="k_cut"):
             ops.build_M(1.0, 1.0, 16, k_cut=2)
 
+    @pytest.mark.parametrize("build, args, name", [
+        (ops.build_L, (math.nan, 4), "mu"),
+        (ops.build_L, (math.inf, 4), "mu"),
+        (ops.build_M, (math.nan, 1.0, 4), "mu"),
+        (ops.build_M, (math.inf, 1.0, 4), "mu"),
+        (ops.build_M, (1.0, math.nan, 4), "period"),
+        (ops.build_LG, (1.0, math.nan, 4), "period")])
+    def test_non_finite_rejected(self, build, args, name):
+        with pytest.raises(ValueError, match=name):
+            build(*args)
+
+    def test_infinite_period_has_no_memory(self):
+        m = ops.build_M(1.0, math.inf, 16)
+        assert m.k_cut == 0 and np.all(m.multipliers == 0.0)
+
     def test_first_memory_multiplier_against_grid_kernel(self):
         mu, period = 1.0, 1.0
         m = ops.build_M(mu, period, 16)
