@@ -22,6 +22,10 @@ two-step update for collision and memory.  The state is stored in angle
 *mode* space; the m = 0 harmonic of the zero spatial mode, i.e. the total
 mass, is touched by no transform and by identically zero collision
 multipliers, so mass is conserved to the last bit by construction.
+Because no mode couples to another, a lattice row that is zero in the
+datum stays exactly zero: ``solve`` integrates and stores only the rows of
+the datum's support, and scatters them into the full lattice for its
+diagnostics, snapshots and result.
 """
 
 from __future__ import annotations
@@ -84,19 +88,21 @@ class SpectralGrid:
 class _History:
     """Fixed-capacity ring of past angle-mode fields, one per step of ``dt``.
 
-    ``solve`` sizes the ring to what the delayed terms can reach, so it is
-    allocated once, before the first step, and never grows.
+    The ring holds the lattice rows ``rows`` only (``solve`` passes the
+    datum's support).  ``solve`` sizes it to what the delayed terms can
+    reach, so it is allocated once, before the first step, and never grows.
     """
 
     _GUARD_BYTES = 1_500_000_000
 
-    def __init__(self, shape, dt: float, capacity: int):
-        if capacity * int(np.prod(shape)) * 16 > self._GUARD_BYTES:
+    def __init__(self, rows, n_v: int, dt: float, capacity: int):
+        self.rows = np.asarray(rows, dtype=int)
+        if capacity * len(self.rows) * n_v * 16 > self._GUARD_BYTES:
             raise MemoryError(
                 "history buffer exceeds its memory guard; reduce the "
                 "delay span, the grid, or raise dt")
         self.dt = dt
-        self.buf = np.empty((capacity,) + tuple(shape), dtype=complex)
+        self.buf = np.empty((capacity, len(self.rows), n_v), dtype=complex)
         self.count = 0    # total steps pushed so far
         self.prev_rhs: np.ndarray | None = None
 
@@ -127,7 +133,10 @@ class KineticField:
     ``values_hat[i, m]`` is the FFT (over the angle grid) of the spatial
     Fourier coefficient for lattice mode ``grid.xi[i]``.  ``values``
     reconstructs angle-grid samples.  ``history`` carries the delayed-field
-    ring buffer plus the previous collision evaluation between steps.
+    ring buffer plus the previous collision evaluation between steps.  The
+    fields that ``solve`` passes to ``step`` hold only the rows
+    ``history.rows``; ``SolveResult.final`` and the snapshots hold the full
+    lattice.
     """
 
     grid: SpectralGrid
@@ -190,32 +199,36 @@ class KineticModel:
 
     # -- elementary operators --------------------------------------------------
 
-    def _propagator(self, dt: float):
-        got = self._propagators.get(dt)
+    def _propagator(self, dt: float, rows: np.ndarray | None):
+        key = (dt, None if rows is None else rows.tobytes())
+        got = self._propagators.get(key)
         if got is None:
             g = self.grid
+            sel = slice(None) if rows is None else rows
             omega = self.eta * self.b_magnitude
             shift = np.exp(-1j * g.angular_modes * omega * dt)
-            kappa = self.eta * g.k_abs[:, None]
-            rel = g.angles[None, :] - g.k_phase[:, None]
+            moving = g.k_abs[sel] > 0.0
+            kappa = self.eta * g.k_abs[sel][moving, None]
+            rel = g.angles[None, :] - g.k_phase[sel][moving, None]
             if omega > 0.0:
                 phase = (kappa / omega) * (np.sin(rel) - np.sin(rel - omega * dt))
             else:
                 phase = kappa * np.cos(rel) * dt
-            pointwise = np.exp(-1j * phase)
-            pointwise[g.k_abs == 0.0] = 1.0
-            got = (shift, pointwise)
-            self._propagators[dt] = got
+            got = (shift, moving, np.exp(-1j * phase))
+            self._propagators[key] = got
         return got
 
-    def propagate(self, hat: np.ndarray, dt: float) -> np.ndarray:
-        """Exact transport + rotation over dt (integrating factor)."""
-        shift, pointwise = self._propagator(dt)
+    def propagate(self, hat: np.ndarray, dt: float,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+        """Exact transport + rotation over dt (integrating factor).
+
+        ``hat`` holds the lattice rows ``rows``, by default all of them.
+        """
+        shift, moving, pointwise = self._propagator(dt, rows)
         out = hat * shift
-        moving = self.grid.k_abs > 0.0
-        rows = np.fft.ifft(out[moving], axis=1)
-        rows *= pointwise[moving]
-        out[moving] = np.fft.fft(rows, axis=1)
+        moved = np.fft.ifft(out[moving], axis=1)
+        moved *= pointwise
+        out[moving] = np.fft.fft(moved, axis=1)
         return out
 
     def collision_rhs(self, hat: np.ndarray, t: float, history: _History
@@ -237,23 +250,43 @@ def step(fld: KineticField, dt: float, model: KineticModel) -> KineticField:
     uses a predictor-corrector start.  The field's history ring, created by
     ``solve``, must have been filled by previous steps of the same spacing:
     a field without history or a different ``dt`` raises ``ValueError``.
+    Only the rows ``history.rows`` are advanced.  A full-lattice field, such
+    as ``SolveResult.final``, must be zero on every other row, and the step
+    returns it in the full lattice again.
     """
     hist = fld.history
     if hist is None or dt != hist.dt:
         raise ValueError("step needs the history of a solve at the same dt")
+    rows = hist.rows
+    hat = fld.values_hat
+    full = len(hat) != len(rows)
+    if full:
+        if np.count_nonzero(hat) != np.count_nonzero(hat[rows]):
+            raise ValueError("step continues a solve on the rows of its "
+                             "datum; this field is nonzero on other rows")
+        hat = hat[rows]
     t = fld.time
-    rhs_now = model.collision_rhs(fld.values_hat, t, hist)
+    rhs_now = model.collision_rhs(hat, t, hist)
     if hist.prev_rhs is None:
-        pred = model.propagate(fld.values_hat + dt * rhs_now, dt)
+        pred = model.propagate(hat + dt * rhs_now, dt, rows)
         rhs_pred = model.collision_rhs(pred, t + dt, hist)
-        new = model.propagate(fld.values_hat + 0.5 * dt * rhs_now, dt) \
+        new = model.propagate(hat + 0.5 * dt * rhs_now, dt, rows) \
             + 0.5 * dt * rhs_pred
     else:
-        new = model.propagate(fld.values_hat + 1.5 * dt * rhs_now, dt) \
-            - 0.5 * dt * model.propagate(hist.prev_rhs, 2.0 * dt)
+        new = model.propagate(hat + 1.5 * dt * rhs_now, dt, rows) \
+            - 0.5 * dt * model.propagate(hist.prev_rhs, 2.0 * dt, rows)
     hist.prev_rhs = rhs_now
-    out = KineticField(fld.grid, new, t + dt, hist)
     hist.push(new)
+    if full:
+        new = _full_lattice(new, rows, fld.grid)
+    return KineticField(fld.grid, new, t + dt, hist)
+
+
+def _full_lattice(hat: np.ndarray, rows: np.ndarray, grid: SpectralGrid
+                  ) -> np.ndarray:
+    """The lattice field that is ``hat`` on ``rows`` and zero elsewhere."""
+    out = np.zeros((grid.n_modes, grid.n_v), dtype=complex)
+    out[rows] = hat
     return out
 
 
@@ -343,45 +376,50 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
     diffusivity = operators.spatial_diffusivity(op)
     rho0 = angle_average_modes(f0)
     grid = model.grid
+    # modes never couple, so rows that are zero in the datum stay zero and
+    # only the support is stepped; diagnostics scatter it into the lattice
+    support = np.flatnonzero(np.any(f0.values_hat != 0.0, axis=1))
     # the oldest delayed field read lies k_cut * delay back; delay is
     # infinite without a field, where k_cut is 0
     reach = math.ceil(model.k_cut * model.delay / dt) if model.k_cut else 0
-    hist = _History(f0.values_hat.shape, dt, min(n_steps + 1, reach + 4))
-    hist.push(f0.values_hat)
-    fld = KineticField(grid, f0.values_hat.copy(), f0.time, hist)
+    hist = _History(support, grid.n_v, dt, min(n_steps + 1, reach + 4))
+    fld = KineticField(grid, f0.values_hat[support], f0.time, hist)
+    hist.push(fld.values_hat)
     norm0 = field_norm_hat(fld.values_hat, grid)
     snaps: list[tuple[float, np.ndarray]] = []
     times, masses, d_avg, d_heat = [], [], [], []
 
     def record(f: KineticField):
+        hat = _full_lattice(f.values_hat, support, grid)
         times.append(f.time)
-        masses.append(f.mass())
-        hat = f.values_hat
+        masses.append(KineticField(grid, hat, f.time).mass())
         off = hat.copy()
         off[:, 0] = 0.0
         d_avg.append(field_norm_hat(off, grid))
         rho_t = heat_reference(diffusivity, rho0, f.time, grid)
-        diff = hat.copy()
-        diff[:, 0] -= rho_t * grid.n_v
-        d_heat.append(field_norm_hat(diff, grid))
+        hat[:, 0] -= rho_t * grid.n_v
+        d_heat.append(field_norm_hat(hat, grid))
+
+    def take_snapshots(f: KineticField):
+        while snaps_wanted and snaps_wanted[0] <= f.time + 0.5 * dt:
+            snaps.append((f.time, _full_lattice(f.values_hat, support, grid)))
+            snaps_wanted.pop(0)
 
     record(fld)
-    while snaps_wanted and snaps_wanted[0] <= fld.time + 0.5 * dt:
-        snaps.append((fld.time, fld.values_hat.copy()))
-        snaps_wanted.pop(0)
+    take_snapshots(fld)
     for i in range(n_steps):
         fld = step(fld, dt, model)
         if (i + 1) % diag_every == 0 or i == n_steps - 1:
             record(fld)
-        while snaps_wanted and snaps_wanted[0] <= fld.time + 0.5 * dt:
-            snaps.append((fld.time, fld.values_hat.copy()))
-            snaps_wanted.pop(0)
+        take_snapshots(fld)
         if not field_norm_hat(fld.values_hat, grid) <= 10.0 * norm0:
             raise SolverInstabilityError(
                 f"norm above 10x the datum, or NaN, by t = {fld.time:g} "
                 f"(dt = {dt:g}); reduce dt")
+    final = KineticField(grid, _full_lattice(fld.values_hat, support, grid),
+                         fld.time, hist)
     return SolveResult(np.asarray(times), np.asarray(masses),
-                       np.asarray(d_avg), np.asarray(d_heat), fld, snaps,
+                       np.asarray(d_avg), np.asarray(d_heat), final, snaps,
                        diffusivity)
 
 

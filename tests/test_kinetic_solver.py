@@ -88,11 +88,46 @@ class TestConservation:
         res = ks.solve(model, f0, 0.4)
         assert np.max(np.abs(res.mass - res.mass[0])) == 0.0
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(mu=st.floats(0.2, 3.0), eta=st.floats(1.0, 4.0),
+           b=st.one_of(st.just(0.0), st.floats(0.1, 8.0)),
+           l_box=st.floats(1.0, 10.0), n_x=st.integers(0, 3),
+           n_v=st.sampled_from([8, 16, 32]), mode=st.floats(0.0, 1.0),
+           rho_amplitude=st.floats(-0.9, 0.9),
+           angle_amplitude=st.floats(-0.9, 0.9))
+    def test_mass_exact_random(self, mu, eta, b, l_box, n_x, n_v, mode,
+                               rho_amplitude, angle_amplitude):
+        grid = ks.SpectralGrid(l_box, n_x, n_v)
+        model = ks.KineticModel(mu, eta, b, grid)
+        f0 = ks.make_initial_field(grid, rho_amplitude, round(mode * n_x),
+                                   angle_amplitude)
+        # past one delay (at least 0.196) whenever B >= 4 and eta = 4
+        res = ks.solve(model, f0, 0.3)
+        assert np.max(np.abs(res.mass - res.mass[0])) == 0.0
+
     def test_reality_preserved(self, small_grid):
         model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
         f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
         res = ks.solve(model, f0, 0.5)
         assert res.final.reality_defect() < 1e-12
+
+    @pytest.mark.parametrize("n_x,n_v,b", [(2, 16, 1.0), (6, 64, 4.0),
+                                           (3, 32, 0.0)])
+    def test_modes_never_couple(self, n_x, n_v, b):
+        # the support rows evolve bit for bit the same whatever the other
+        # rows hold: solve steps the datum's support alone on this property
+        grid = ks.SpectralGrid(2 * math.pi, n_x, n_v)
+        model = ks.KineticModel(1.0, 2.0, b, grid)
+        f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
+        support = np.any(f0.values_hat != 0.0, axis=1)
+        rng = np.random.default_rng(1)
+        noise = rng.normal(size=(2,) + f0.values_hat.shape) * 1e-4
+        noisy = f0.values_hat + (noise[0] + 1j * noise[1]) * ~support[:, None]
+        f1 = ks.KineticField(grid, noisy, 0.0)
+        a = ks.solve(model, f0, 1.0).final.values_hat
+        c = ks.solve(model, f1, 1.0).final.values_hat
+        assert np.all(np.any(c[~support] != 0.0, axis=1))
+        assert np.array_equal(a[support], c[support])
 
     def test_homogeneous_stays_homogeneous(self, small_grid):
         model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
@@ -227,6 +262,26 @@ class TestHistory:
         with pytest.raises(ValueError, match="history"):
             ks.step(f0, 0.01, model)
 
+    def test_step_continues_solve(self, small_grid):
+        # delay 0.157 < 16/64: the continued step reads the memory too
+        model = ks.KineticModel(0.5, 4.0, 10.0, small_grid)
+        f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
+        dt = 1.0 / 64
+        res = ks.solve(model, f0, 16 * dt, dt=dt)
+        got = ks.step(res.final, dt, model)
+        want = ks.solve(model, f0, 17 * dt, dt=dt).final
+        assert got.time == want.time
+        assert got.values_hat.shape == (small_grid.n_modes, small_grid.n_v)
+        assert np.array_equal(got.values_hat, want.values_hat)
+
+    def test_step_outside_support_rejected(self, small_grid):
+        model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
+        f0 = ks.make_initial_field(small_grid, 0.0, 0, 0.3)
+        res = ks.solve(model, f0, 0.05, dt=0.01)
+        res.final.values_hat[0, 0] = 1e-3
+        with pytest.raises(ValueError, match="other rows"):
+            ks.step(res.final, 0.01, model)
+
     def test_wrapped_ring_matches_full_history(self, small_grid, monkeypatch):
         # k_cut = 1 reaches one delay back, far less than the run: the ring
         # wraps many times and must read the same fields as a ring that
@@ -237,8 +292,8 @@ class TestHistory:
         assert ring.final.history.count > 2 * len(ring.final.history.buf)
         init = ks._History.__init__
         monkeypatch.setattr(ks._History, "__init__",
-                            lambda self, shape, dt, capacity:
-                            init(self, shape, dt, 1000))
+                            lambda self, rows, n_v, dt, capacity:
+                            init(self, rows, n_v, dt, 1000))
         full = ks.solve(model, f0, 2.0, dt=0.01)
         assert np.array_equal(ring.final.values_hat, full.final.values_hat)
 
@@ -246,10 +301,20 @@ class TestHistory:
         # 10**12 slots: an allocation attempt would fail with numpy's own
         # message, not the guard's
         with pytest.raises(MemoryError, match="memory guard"):
-            ks._History((169, 64), 0.01, 10 ** 12)
+            ks._History(range(169), 64, 0.01, 10 ** 12)
+
+    def test_guard_counts_stored_rows(self):
+        # the ring stores the 3 rows of the datum (0.85 MB); all 6561 rows
+        # of the lattice would need 1.7 GB, over the guard
+        grid = ks.SpectralGrid(2 * math.pi, 40, 64)
+        model = ks.KineticModel(1.0, 8.0, 4.0, grid)
+        f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
+        res = ks.solve(model, f0, 0.2)
+        assert res.final.history.buf.shape[1:] == (3, 64)
+        assert np.max(np.abs(res.mass - res.mass[0])) == 0.0
 
     def test_expired_time_rejected(self):
-        hist = ks._History((2, 3), 0.5, 4)
+        hist = ks._History(range(2), 3, 0.5, 4)
         for i in range(10):
             hist.push(np.full((2, 3), float(i)))
         assert np.all(hist.modes_at(3.0) == 6.0)
@@ -265,7 +330,7 @@ class TestHistory:
         rng = np.random.default_rng(seed)
         ref = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
                for _ in range(n_push)]
-        hist = ks._History((2, 3), dt, capacity)
+        hist = ks._History(range(2), 3, dt, capacity)
         for hat in ref:
             hist.push(hat)
         oldest = max(0, n_push - capacity)
