@@ -111,6 +111,8 @@ class _Trajectory:
         self.prev_id: tuple[int, int, int] | None = None
         # centers of the obstacles hit so far, in order of first hit
         self.hit_centers: dict[tuple[int, int, int], np.ndarray] = {}
+        # the same centers as Python floats, for the near-miss cut
+        self.hit_xy: dict[tuple[int, int, int], tuple[float, float]] = {}
         # the current self-recollision streak, one (b, normal phase, time,
         # position, angle) per leaf, position and angle after the reflection
         self.run: deque[tuple] = deque(maxlen=k_max_leaves)
@@ -159,18 +161,29 @@ class _Trajectory:
         if not self.hit_centers:
             return
         exclude = {hit_id, self.prev_id}
-        centers = [c for oid, c in self.hit_centers.items()
-                   if oid not in exclude]
-        if not centers:
-            return
-        centers = np.asarray(centers)
         if self.b == 0.0:
+            centers = [c for oid, c in self.hit_centers.items()
+                       if oid not in exclude]
+            if not centers:
+                return
             dist = point_to_segment_distances(
-                centers, self.pos, unit_vector(self.alpha), length)
+                np.asarray(centers), self.pos, unit_vector(self.alpha), length)
         else:
+            # a point within reach of the arc is within reach of its circle;
+            # the slack covers the rounding of both distances
+            r, reach = self.radius, NEAR_MISS_FACTOR * self.eps
+            center = larmor_center(self.pos, self.alpha, self.b)
+            ox, oy = float(center[0]), float(center[1])
+            cut = reach + 1e-9 * (r + reach + abs(ox) + abs(oy))
+            centers = [self.hit_centers[oid]
+                       for oid, (x, y) in self.hit_xy.items()
+                       if oid not in exclude
+                       and abs(math.hypot(x - ox, y - oy) - r) <= cut]
+            if not centers:
+                return
             dist = point_to_arc_distances(
-                centers, larmor_center(self.pos, self.alpha, self.b),
-                self.radius, self.alpha - 0.5 * math.pi, length / self.radius)
+                np.asarray(centers), center, r, self.alpha - 0.5 * math.pi,
+                length / r)
         if np.any(dist <= NEAR_MISS_FACTOR * self.eps):
             self.near_miss += 1
 
@@ -181,58 +194,79 @@ class _Trajectory:
 
         ``key`` is ``(ix, iy, row)``: the row of ``field.cell(ix, iy)`` hit.
         The leg is walked in pieces, a cell size of a ray or ``ARC_PIECE``
-        of an arc's sweep.  Each piece scans the cells not scanned yet that
+        of an arc's sweep.  Each piece scans the obstacles of the cells that
         its bounding box meets, widened by eps and, for an arc, by the
-        piece's sagitta, the farthest the arc strays from its chord.  A disk
-        entered at length <= hi has its center within eps of the leg on
-        [0, hi], so the walk stops at the first piece end hi at or past the
-        best hit.  A ray ends at ``max_len``.  An arc walks its whole
-        revolution whatever ``max_len``: None then means the orbit holds no
-        obstacle (exactly periodic motion), so the trajectory is circling
-        forever.
+        piece's sagitta, the farthest the arc strays from its chord.  An arc
+        piece reads each cell's slab over the box's x-range, all slabs in
+        one kernel call; slabs of successive pieces overlap, so an obstacle
+        may be scanned twice.  A ray piece reads the whole cells not read
+        yet.  A disk entered at length <= hi has its center within eps of
+        the leg on [0, hi], so the walk stops at the first piece end hi at
+        or past the best hit.  A ray ends at ``max_len``.  An arc walks its
+        whole revolution whatever ``max_len``: None then means the orbit
+        holds no obstacle (exactly periodic motion), so the trajectory is
+        circling forever.
         """
         pos, alpha, eps, b = self.pos, self.alpha, self.eps, self.b
+        field_ = self.field
         if b > 0.0:
             r = self.radius
             center = larmor_center(pos, alpha, b)
+            cx, cy = float(center[0]), float(center[1])
+            phase0 = alpha - 0.5 * math.pi
             step, end = ARC_PIECE * r, TWO_PI * r
             pad = eps + r * (1.0 - math.cos(0.5 * ARC_PIECE))
 
             def point(length):
-                return center + r * unit_vector(alpha - 0.5 * math.pi
-                                                + b * length)
+                phase = phase0 + b * length
+                return cx + r * math.cos(phase), cy + r * math.sin(phase)
 
-            def kernel(pts):
-                return first_arc_hit(pts, center, alpha, b, eps)
+            def scan(x_lo, x_hi, y_lo, y_hi):
+                slabs = [(key, *field_.slab(*key, x_lo, x_hi))
+                         for key in field_.cells_meeting(x_lo, x_hi, y_lo, y_hi)]
+                pts = (slabs[0][1] if len(slabs) == 1
+                       else np.concatenate([p for _, p, _ in slabs]))
+                found = (first_arc_hit(pts, center, alpha, b, eps)
+                         if len(pts) else None)
+                if found is None:
+                    return None
+                length, k, n = found
+                for key, p, rows in slabs:
+                    if k < len(p):
+                        return length, (*key, int(rows[k])), n, p[k]
+                    k -= len(p)
         else:
             v = unit_vector(alpha)
-            step, end, pad = self.field.cell_size, max_len, eps
+            step, end, pad = field_.cell_size, max_len, eps
+            seen = set()
 
             def point(length):
                 return pos + length * v
 
-            def kernel(pts):
-                return first_ray_entry(pts, pos, v, eps, max_len)
-        seen = set()
-        best_len, best = math.inf, None
+            def scan(x_lo, x_hi, y_lo, y_hi):
+                best = None
+                for key in field_.cells_meeting(x_lo, x_hi, y_lo, y_hi):
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    pts = field_.cell(*key)
+                    found = (first_ray_entry(pts, pos, v, eps, max_len)
+                             if len(pts) else None)
+                    if found is not None and (best is None
+                                              or found[0] < best[0]):
+                        tau, k, n = found
+                        best = (tau, (*key, k), n, pts[k])
+                return best
+        best = None
         hi = 0.0
-        while best_len > hi and hi < end:
+        while (best is None or best[0] > hi) and hi < end:
             a = point(hi)
             hi = min(hi + step, end)
             z = point(hi)
-            for key in self.field.cells_meeting(
-                    min(a[0], z[0]) - pad, max(a[0], z[0]) + pad,
-                    min(a[1], z[1]) - pad, max(a[1], z[1]) + pad):
-                if key in seen:
-                    continue
-                seen.add(key)
-                pts = self.field.cell(*key)
-                if not len(pts):
-                    continue
-                found = kernel(pts)
-                if found is not None and found[0] < best_len:
-                    best_len, k, n = found
-                    best = (best_len, (*key, k), n, pts[k])
+            found = scan(min(a[0], z[0]) - pad, max(a[0], z[0]) + pad,
+                         min(a[1], z[1]) - pad, max(a[1], z[1]) + pad)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
         return best
 
     # -- daisy bookkeeping ---------------------------------------------------
@@ -245,6 +279,7 @@ class _Trajectory:
         else:
             kind = EventKind.FRESH
             self.hit_centers[hit_id] = center
+            self.hit_xy[hit_id] = (float(center[0]), float(center[1]))
         self.events.append(CollisionEvent(
             hit_time=hit_time, obstacle_id=hit_id, impact_parameter=b_signed,
             kind=kind))

@@ -6,8 +6,12 @@ stream.  Trajectories of unbounded extent therefore see one consistent
 infinite environment without it ever being stored, and concurrent readers
 need no coordination.  A field object memoizes the cells it has served,
 so its memory grows with the area queried; each replica gets its own.
-The memoized cell is the only obstacle query; rectangles are scanned cell
-by cell, never concatenated.  Every cell is drawn by its own generator;
+Obstacles are read through the memoized cell, whole, or through the
+cell's x-strip index, one slab of strips at a time; rectangles are
+scanned cell by cell.  The B > 0 searches read slabs, because one orbit's
+cell holds thousands of centers and a leg reaches only a thin sliver of
+them; the B = 0 searches read whole cells of about 30.  Every cell is
+drawn by its own generator;
 the B = 0 pitch is sized so that a cell holds about 30 obstacles, which
 keeps the set-up of one generator small next to the points it draws.
 
@@ -27,6 +31,9 @@ import numpy as np
 from . import _rng
 
 _EMPTY_POINTS = np.empty((0, 2))
+
+#: x-strips per cell index: a B > 0 cell's ~16k centers give ~64 per strip
+N_STRIPS = 256
 
 
 class RegimeWarning(UserWarning):
@@ -123,13 +130,15 @@ def default_cell_size(params: ScalingParams) -> float:
 
 
 class _CellCache:
-    """Memo of drawn cells, the one obstacle query of a field object.
+    """Memo of drawn cells and their strip indexes; every obstacle query.
 
     Row k of ``cell(ix, iy)`` is the obstacle keyed ``(ix, iy, k)``.  Every
     query reads through here, so a replica's start check and its flight
-    draw each cell once.  ``cells_meeting`` is the one cell enumeration of
-    every search (the hit walk and the start check); it holds for any cell
-    size.  Subclasses set ``_cells`` to an empty dict and provide
+    draw each cell once.  ``slab`` reads the centers of a cell whose x lies
+    in a range through an x-strip index, built on the cell's first slab
+    query.  ``cells_meeting`` is the one cell enumeration of every search
+    (the hit walk and the start check); it holds for any cell size.
+    Subclasses set ``_cells`` and ``_strips`` to empty dicts and provide
     ``cell_size`` and ``cell_points``.
     """
 
@@ -139,6 +148,36 @@ class _CellCache:
         if pts is None:
             pts = self._cells[ix, iy] = self.cell_points(ix, iy)
         return pts
+
+    def slab(self, ix: int, iy: int, x_lo: float, x_hi: float):
+        """(centers, rows) of a run of the cell's x-strips covering [x_lo, x_hi].
+
+        Every center of ``cell(ix, iy)`` whose x lies in the range is among
+        the returned centers, which may hold others of the cell too;
+        ``rows`` are their rows of ``cell(ix, iy)``, so the center at
+        position j is ``cell(ix, iy)[rows[j]]``.  Both are views.
+        """
+        index = self._strips.get((ix, iy))
+        if index is None:
+            index = self._strips[ix, iy] = self._strip_index(ix, iy)
+        pts, rows, offsets = index
+        # the strip key of _strip_index, in the same float operations, so it
+        # is monotone in x: a center with x_lo <= x <= x_hi is in [lo, hi]
+        s = self.cell_size
+        lo = min(max(math.floor((x_lo / s - ix) * N_STRIPS), 0), N_STRIPS - 1)
+        hi = min(max(math.floor((x_hi / s - ix) * N_STRIPS), 0), N_STRIPS - 1)
+        a, z = offsets[lo], offsets[hi + 1]
+        return pts[a:z], rows[a:z]
+
+    def _strip_index(self, ix: int, iy: int):
+        """The cell's centers sorted by strip, their rows, and strip offsets."""
+        pts = self.cell(ix, iy)
+        key = np.floor((pts[:, 0] / self.cell_size - ix) * N_STRIPS)
+        key = np.clip(key, 0, N_STRIPS - 1).astype(np.int16)
+        rows = np.argsort(key, kind="stable")
+        offsets = np.zeros(N_STRIPS + 1, dtype=np.intp)
+        np.cumsum(np.bincount(key, minlength=N_STRIPS), out=offsets[1:])
+        return pts.take(rows, axis=0), rows, offsets.tolist()
 
     def cells_meeting(self, x_lo, x_hi, y_lo, y_hi):
         """(ix, iy) of every cell meeting the rectangle, ix outer, iy inner."""
@@ -157,6 +196,7 @@ class ObstacleField(_CellCache):
 
     def __post_init__(self):
         object.__setattr__(self, "_cells", {})
+        object.__setattr__(self, "_strips", {})
         object.__setattr__(self, "cell_size", default_cell_size(self.params))
 
     def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
@@ -185,6 +225,7 @@ class ExplicitField(_CellCache):
         self.params = params
         self.cell_size = cell_size if cell_size > 0.0 else default_cell_size(params)
         self._cells = {}
+        self._strips = {}
         self._centers: dict[tuple[int, int], list] = {}
         s = self.cell_size
         for c in np.atleast_2d(np.asarray(centers, dtype=float)):
@@ -201,12 +242,19 @@ class ExplicitField(_CellCache):
 
 
 def is_admissible_start(field_, x) -> bool:
-    """True when every obstacle center is strictly farther than eps from x."""
+    """True when every obstacle center is strictly farther than eps from x.
+
+    At B > 0 it reads each cell's slab [x - eps, x + eps]; at B = 0 it
+    reads the whole cell, whose 30 or so centers cost less than an index.
+    """
     x = np.asarray(x, dtype=float)
     eps = field_.params.eps
-    for ix, iy in field_.cells_meeting(x[0] - eps, x[0] + eps,
-                                       x[1] - eps, x[1] + eps):
-        pts = field_.cell(ix, iy)
+    x_lo, x_hi = float(x[0]) - eps, float(x[0]) + eps
+    for ix, iy in field_.cells_meeting(x_lo, x_hi, x[1] - eps, x[1] + eps):
+        if field_.params.b_magnitude > 0.0:
+            pts = field_.slab(ix, iy, x_lo, x_hi)[0]
+        else:
+            pts = field_.cell(ix, iy)
         if len(pts) and np.min(np.sum((pts - x) ** 2, axis=1)) <= eps * eps:
             return False
     return True

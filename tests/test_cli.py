@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -301,6 +303,30 @@ class TestMainFlow:
             assert len(files) == 2  # the CSV and the summary
             blobs.append([f.read_bytes() for f in files])
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(eps=st.floats(1e-3, 2e-2), ratio=st.floats(0.3, 0.9),
+           mu=st.floats(0.2, 2.0), b=st.floats(0.5, 3.0),
+           eta=st.floats(1.0, 2.0), t=st.floats(0.2, 5.0),
+           n_replicas=st.integers(2, 5), seed=st.integers(0, 2 ** 32))
+    def test_random_scaling_study_same_bytes_at_any_workers(
+            self, eps, ratio, mu, b, eta, t, n_replicas, seed):
+        text = (f"eps_list = {eps!r}, {eps * ratio!r}\nmu = {mu!r}\n"
+                f"b = {b!r}\neta = {eta!r}\nt = {t!r}\n"
+                f"n_replicas = {n_replicas}\nseed = {seed}\n")
+        blobs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "study.cfg"
+            cfg.write_text(text)
+            for workers in ("1", "3"):
+                out = pathlib.Path(tmp) / workers / "run"
+                out.parent.mkdir()
+                assert main(["scaling-study", "--config", str(cfg),
+                             "--out", str(out), "--workers", workers]) == 0
+                files = sorted(out.parent.glob("run_*"))
+                assert len(files) == 2  # the CSV and the summary
+                blobs.append([f.read_bytes() for f in files])
+        assert blobs[0] == blobs[1]
 
     def test_operator_sweep(self, tmp_path):
         cfg = tmp_path / "ops.cfg"

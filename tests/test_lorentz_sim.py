@@ -9,7 +9,8 @@ from maglorentz import _rng, medium
 from maglorentz import lorentz_sim as ls
 from maglorentz.geometry import (ParticleState, advance_free, first_arc_hit,
                                  first_ray_entry, impact_normal,
-                                 larmor_center, unit_vector)
+                                 larmor_center, point_to_arc_distances,
+                                 unit_vector)
 from maglorentz.lorentz_sim import (ChatteringError, EventKind,
                                     TrajectoryStatus, event_rate_study,
                                     msd_estimate, simulate_trajectory)
@@ -437,6 +438,61 @@ class TestRaySearch:
         assert tau == pytest.approx(0.145, abs=1e-12)
         assert c.tolist() == [0.245, 0.0]
         assert key == (3, 0, 0)
+
+
+def _near_arc_center(o, r, phase0, sweep, eps, spot):
+    """A point placed about the arc: on its circle's 2 eps band, near one
+    of its ends, or anywhere in the orbit's square."""
+    where, angle, factor = spot
+    reach = ls.NEAR_MISS_FACTOR * eps
+    if where == "band":  # radius R +- factor * 2 eps, factor 1 on the edge
+        rad = r + math.copysign(factor * reach, math.cos(3 * angle))
+        return o + rad * np.array([math.cos(angle), math.sin(angle)])
+    if where in ("start", "end"):
+        phase = phase0 + (sweep if where == "end" else 0.0)
+        end = o + r * np.array([math.cos(phase), math.sin(phase)])
+        return end + factor * reach * np.array([math.cos(angle),
+                                                math.sin(angle)])
+    return o + r * np.array([math.cos(angle), math.sin(3 * angle)])
+
+
+class TestNearMissCut:
+    """The B > 0 circle cut before the distance test drops no near miss."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(eps=st.floats(1e-4, 0.05), b=st.floats(0.25, 8.0),
+           pos=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           alpha=st.floats(0.0, 2 * math.pi),
+           sweep=st.one_of(st.floats(0.0, 3 * math.pi),
+                           st.sampled_from([0.0, math.pi, 2 * math.pi,
+                                            2.5 * math.pi])),
+           spots=st.lists(st.tuples(
+               st.sampled_from(["band", "start", "end", "square"]),
+               st.floats(0.0, 2 * math.pi),
+               st.one_of(st.just(1.0), st.floats(0.0, 3.0))),
+               min_size=1, max_size=12),
+           excluded=st.one_of(st.none(), st.integers(0, 11)))
+    def test_cut_counts_as_the_distance_test(self, eps, b, pos, alpha, sweep,
+                                             spots, excluded):
+        start = ParticleState(np.array(pos), alpha)
+        tr = ls._Trajectory(ObstacleField(1, empty_params(eps=eps, b=b)),
+                            start, 1.0, (), 8)
+        r = 1.0 / b
+        o = larmor_center(start.position, start.velocity_angle, b)
+        phase0 = start.velocity_angle - 0.5 * math.pi
+        ids = [(0, 0, i) for i in range(len(spots))]
+        for oid, spot in zip(ids, spots):
+            c = _near_arc_center(o, r, phase0, sweep, eps, spot)
+            tr.register_hit(oid, c, 0.0, 0.0)
+        hit_id = None if excluded is None else (0, 0, excluded)
+        kept = [tr.hit_centers[oid] for oid in ids
+                if oid not in (hit_id, tr.prev_id)]
+        length = sweep * r
+        want = bool(kept) and bool(np.any(
+            point_to_arc_distances(np.asarray(kept), o, r, phase0, length / r)
+            <= ls.NEAR_MISS_FACTOR * eps))
+        tr.check_near_miss(length, hit_id)
+        assert tr.near_miss == int(want)
 
 
 class TestMsdEstimate:

@@ -183,6 +183,73 @@ class TestB0Pitch:
             assert np.array_equal(got, generator_cell(f, ix + dx, iy + dy))
 
 
+def b_params(eps, mu_eff, b):
+    """B > 0 parameters of obstacle intensity mu_eff."""
+    return medium.ScalingParams(eps=eps, mu=mu_eff * eps, eta=1.0,
+                                mu_eff=mu_eff, b_magnitude=b,
+                                larmor_radius=1.0 / b, t_larmor=2 * math.pi / b)
+
+
+# an x-range's start and width in cell units, from the cell's left edge:
+# any value, or a whole number of strips, so ranges cross the cell's edges
+# and start or end on strip edges
+_CELL_X = st.one_of(st.floats(-0.3, 1.3),
+                    st.integers(-3, medium.N_STRIPS + 3).map(
+                        lambda j: j / medium.N_STRIPS))
+_CELL_WIDTH = st.one_of(st.floats(0.0, 0.6),
+                        st.integers(0, 64).map(lambda j: j / medium.N_STRIPS))
+
+
+class TestSlab:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(eps=st.floats(1e-3, 0.05), mu_eff=st.floats(1.0, 4000.0),
+           b=st.floats(0.5, 4.0), seed=st.integers(0, 2 ** 64 - 1),
+           cells=st.lists(st.tuples(st.integers(-2 ** 30, 2 ** 30),
+                                    st.integers(-3, 3)),
+                          min_size=1, max_size=3),
+           ranges=st.lists(st.tuples(_CELL_X, _CELL_WIDTH),
+                           min_size=1, max_size=6))
+    def test_slab_holds_every_center_of_the_range(self, eps, mu_eff, b, seed,
+                                                  cells, ranges):
+        f = ObstacleField(seed, b_params(eps, mu_eff, b))
+        drawn, built = [], []
+        draw, index = f.cell_points, f._strip_index
+
+        def counting_draw(ix, iy):
+            drawn.append((ix, iy))
+            return draw(ix, iy)
+
+        def counting_index(ix, iy):
+            built.append((ix, iy))
+            return index(ix, iy)
+
+        object.__setattr__(f, "cell_points", counting_draw)
+        object.__setattr__(f, "_strip_index", counting_index)
+        s = f.cell_size
+        for ix, iy in cells:
+            for u, width in ranges:
+                x_lo = (ix + u) * s
+                x_hi = x_lo + width * s
+                pts, rows = f.slab(ix, iy, x_lo, x_hi)
+                cell = f.cell(ix, iy)
+                assert np.array_equal(pts, cell[rows])
+                inside = np.flatnonzero((cell[:, 0] >= x_lo)
+                                        & (cell[:, 0] <= x_hi))
+                assert np.isin(inside, rows).all()
+                assert len(np.unique(rows)) == len(rows)
+        assert sorted(set(drawn)) == sorted(drawn) == sorted(set(cells))
+        assert sorted(set(built)) == sorted(built) == sorted(set(cells))
+
+    def test_whole_cell_and_empty_cell(self):
+        f = ObstacleField(5, b_params(0.01, 200.0, 1.0))
+        s = f.cell_size
+        pts, rows = f.slab(0, 0, -s, 2 * s)
+        assert sorted(rows.tolist()) == list(range(len(f.cell(0, 0))))
+        empty = ObstacleField(5, empty_params(b=1.0))
+        pts, rows = empty.slab(0, 0, 0.0, s)
+        assert pts.shape == (0, 2) and rows.shape == (0,)
+
+
 class TestAdmissibleStart:
     def test_empty_field_always(self):
         f = ObstacleField(8, empty_params())
