@@ -150,13 +150,17 @@ class KineticField:
 
     def mass(self) -> float:
         """Total integral over box and circle; exactly invariant in time."""
-        raw = self.values_hat[self.grid.index0, 0]
-        return float(raw.real) * self.grid.l_box ** 2 * 2.0 * math.pi / self.grid.n_v
+        return _mass(self.values_hat[self.grid.index0, 0], self.grid)
 
     def reality_defect(self) -> float:
         """Max deviation from the conjugate symmetry of a real-valued field."""
         gr = self.values
         return float(np.max(np.abs(gr[self.grid.conj_index] - np.conj(gr))))
+
+
+def _mass(raw: complex, grid: SpectralGrid) -> float:
+    """Total integral from the angle-mean coefficient of the (0, 0) mode."""
+    return float(raw.real) * grid.l_box ** 2 * 2.0 * math.pi / grid.n_v
 
 
 class KineticModel:
@@ -377,8 +381,10 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
     rho0 = angle_average_modes(f0)
     grid = model.grid
     # modes never couple, so rows that are zero in the datum stay zero and
-    # only the support is stepped; diagnostics scatter it into the lattice
+    # only the support is stepped and measured
     support = np.flatnonzero(np.any(f0.values_hat != 0.0, axis=1))
+    # the (0, 0) row's place in the support, if any: the mass is 0 without it
+    at0 = np.flatnonzero(support == grid.index0)
     # the oldest delayed field read lies k_cut * delay back; delay is
     # infinite without a field, where k_cut is 0
     reach = math.ceil(model.k_cut * model.delay / dt) if model.k_cut else 0
@@ -390,14 +396,13 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
     times, masses, d_avg, d_heat = [], [], [], []
 
     def record(f: KineticField):
-        hat = _full_lattice(f.values_hat, support, grid)
+        hat = f.values_hat.copy()
         times.append(f.time)
-        masses.append(KineticField(grid, hat, f.time).mass())
-        off = hat.copy()
-        off[:, 0] = 0.0
-        d_avg.append(field_norm_hat(off, grid))
-        rho_t = heat_reference(diffusivity, rho0, f.time, grid)
-        hat[:, 0] -= rho_t * grid.n_v
+        masses.append(_mass(hat[at0, 0].sum(), grid))
+        hat[:, 0] = 0.0
+        d_avg.append(field_norm_hat(hat, grid))
+        rho_t = heat_reference(diffusivity, rho0, f.time, grid)[support]
+        hat[:, 0] = f.values_hat[:, 0] - rho_t * grid.n_v
         d_heat.append(field_norm_hat(hat, grid))
 
     def take_snapshots(f: KineticField):

@@ -110,9 +110,7 @@ class _Trajectory:
         self.events: list[CollisionEvent] = []
         self.prev_id: tuple[int, int, int] | None = None
         # centers of the obstacles hit so far, in order of first hit
-        self.hit_centers: dict[tuple[int, int, int], np.ndarray] = {}
-        # the same centers as Python floats, for the near-miss cut
-        self.hit_xy: dict[tuple[int, int, int], tuple[float, float]] = {}
+        self.hit_centers: dict[tuple[int, int, int], tuple[float, float]] = {}
         # the current self-recollision streak, one (b, normal phase, time,
         # position, angle) per leaf, position and angle after the reflection
         self.run: deque[tuple] = deque(maxlen=k_max_leaves)
@@ -175,8 +173,7 @@ class _Trajectory:
             center = larmor_center(self.pos, self.alpha, self.b)
             ox, oy = float(center[0]), float(center[1])
             cut = reach + 1e-9 * (r + reach + abs(ox) + abs(oy))
-            centers = [self.hit_centers[oid]
-                       for oid, (x, y) in self.hit_xy.items()
+            centers = [(x, y) for oid, (x, y) in self.hit_centers.items()
                        if oid not in exclude
                        and abs(math.hypot(x - ox, y - oy) - r) <= cut]
             if not centers:
@@ -231,9 +228,9 @@ class _Trajectory:
                 if found is None:
                     return None
                 length, k, n = found
-                for key, p, rows in slabs:
+                for key, p, first in slabs:
                     if k < len(p):
-                        return length, (*key, int(rows[k])), n, p[k]
+                        return length, (*key, first + k), n, p[k]
                     k -= len(p)
         else:
             v = unit_vector(alpha)
@@ -278,8 +275,7 @@ class _Trajectory:
             kind = EventKind.RECOLLISION
         else:
             kind = EventKind.FRESH
-            self.hit_centers[hit_id] = center
-            self.hit_xy[hit_id] = (float(center[0]), float(center[1]))
+            self.hit_centers[hit_id] = (float(center[0]), float(center[1]))
         self.events.append(CollisionEvent(
             hit_time=hit_time, obstacle_id=hit_id, impact_parameter=b_signed,
             kind=kind))

@@ -6,14 +6,14 @@ stream.  Trajectories of unbounded extent therefore see one consistent
 infinite environment without it ever being stored, and concurrent readers
 need no coordination.  A field object memoizes the cells it has served,
 so its memory grows with the area queried; each replica gets its own.
-Obstacles are read through the memoized cell, whole, or through the
-cell's x-strip index, one slab of strips at a time; rectangles are
-scanned cell by cell.  The B > 0 searches read slabs, because one orbit's
-cell holds thousands of centers and a leg reaches only a thin sliver of
-them; the B = 0 searches read whole cells of about 30.  Every cell is
-drawn by its own generator;
-the B = 0 pitch is sized so that a cell holds about 30 obstacles, which
-keeps the set-up of one generator small next to the points it draws.
+Obstacles are read through the memoized cell, whole, or one slab of its
+x-strips at a time; rectangles are scanned cell by cell.  A B > 0 cell is
+stored once, sorted by x-strip, so that a slab is a run of its rows: one
+orbit's cell holds thousands of centers and a leg reaches only a thin
+sliver of them.  A B = 0 cell keeps its draw order and is read whole: its
+pitch is sized so that it holds about 30 obstacles, few enough to scan
+and enough to keep the set-up of its generator small next to the points
+it draws.  Every cell is drawn by its own generator.
 
 Obstacles may overlap each other; the underlying measure is pure Poisson
 with no hard-core thinning.
@@ -130,15 +130,16 @@ def default_cell_size(params: ScalingParams) -> float:
 
 
 class _CellCache:
-    """Memo of drawn cells and their strip indexes; every obstacle query.
+    """Memo of drawn cells; every obstacle query.
 
     Row k of ``cell(ix, iy)`` is the obstacle keyed ``(ix, iy, k)``.  Every
     query reads through here, so a replica's start check and its flight
-    draw each cell once.  ``slab`` reads the centers of a cell whose x lies
-    in a range through an x-strip index, built on the cell's first slab
-    query.  ``cells_meeting`` is the one cell enumeration of every search
-    (the hit walk and the start check); it holds for any cell size.
-    Subclasses set ``_cells`` and ``_strips`` to empty dicts and provide
+    draw each cell once.  A B = 0 cell keeps its draw order.  A B > 0 cell
+    is stored in x-strip order, the draw order kept within a strip, with
+    its strip offsets beside it, so ``slab`` returns a run of its rows.
+    ``cells_meeting`` is the one cell enumeration of every search (the hit
+    walk and the start check); it holds for any cell size.  Subclasses set
+    ``_cells`` and ``_strips`` to empty dicts and provide ``params``,
     ``cell_size`` and ``cell_points``.
     """
 
@@ -146,38 +147,32 @@ class _CellCache:
         """Obstacle centers of one cell, the same object on every call."""
         pts = self._cells.get((ix, iy))
         if pts is None:
-            pts = self._cells[ix, iy] = self.cell_points(ix, iy)
+            pts = self.cell_points(ix, iy)
+            if self.params.b_magnitude > 0.0:
+                key = np.floor((pts[:, 0] / self.cell_size - ix) * N_STRIPS)
+                key = np.clip(key, 0, N_STRIPS - 1).astype(np.int16)
+                pts = pts.take(np.argsort(key, kind="stable"), axis=0)
+                self._strips[ix, iy] = [0, *itertools.accumulate(
+                    np.bincount(key, minlength=N_STRIPS).tolist())]
+            self._cells[ix, iy] = pts
         return pts
 
     def slab(self, ix: int, iy: int, x_lo: float, x_hi: float):
-        """(centers, rows) of a run of the cell's x-strips covering [x_lo, x_hi].
+        """(centers, first) of a run of the cell's x-strips covering [x_lo, x_hi].
 
-        Every center of ``cell(ix, iy)`` whose x lies in the range is among
-        the returned centers, which may hold others of the cell too;
-        ``rows`` are their rows of ``cell(ix, iy)``, so the center at
-        position j is ``cell(ix, iy)[rows[j]]``.  Both are views.
+        B > 0 only.  The centers are the view ``cell(ix, iy)[first:first +
+        n]``; every center of the cell whose x lies in the range is among
+        them, which may hold others of the cell too.
         """
-        index = self._strips.get((ix, iy))
-        if index is None:
-            index = self._strips[ix, iy] = self._strip_index(ix, iy)
-        pts, rows, offsets = index
-        # the strip key of _strip_index, in the same float operations, so it
-        # is monotone in x: a center with x_lo <= x <= x_hi is in [lo, hi]
+        pts = self.cell(ix, iy)
+        offsets = self._strips[ix, iy]
+        # the strip key of cell, in the same float operations, so it is
+        # monotone in x: a center with x_lo <= x <= x_hi is in [lo, hi]
         s = self.cell_size
         lo = min(max(math.floor((x_lo / s - ix) * N_STRIPS), 0), N_STRIPS - 1)
         hi = min(max(math.floor((x_hi / s - ix) * N_STRIPS), 0), N_STRIPS - 1)
-        a, z = offsets[lo], offsets[hi + 1]
-        return pts[a:z], rows[a:z]
-
-    def _strip_index(self, ix: int, iy: int):
-        """The cell's centers sorted by strip, their rows, and strip offsets."""
-        pts = self.cell(ix, iy)
-        key = np.floor((pts[:, 0] / self.cell_size - ix) * N_STRIPS)
-        key = np.clip(key, 0, N_STRIPS - 1).astype(np.int16)
-        rows = np.argsort(key, kind="stable")
-        offsets = np.zeros(N_STRIPS + 1, dtype=np.intp)
-        np.cumsum(np.bincount(key, minlength=N_STRIPS), out=offsets[1:])
-        return pts.take(rows, axis=0), rows, offsets.tolist()
+        first = offsets[lo]
+        return pts[first:offsets[hi + 1]], first
 
     def cells_meeting(self, x_lo, x_hi, y_lo, y_hi):
         """(ix, iy) of every cell meeting the rectangle, ix outer, iy inner."""
@@ -306,6 +301,8 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
         starts = ends - counts
         void += int(np.count_nonzero(hits[ends] - hits[starts] == 0))
         done += n
+        # free this chunk's arrays before the next chunk draws its own
+        del pts, rad, inside, hits
     p = void / n_samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
     return AnnulusVoidEstimate(p, se, closed)

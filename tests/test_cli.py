@@ -328,6 +328,31 @@ class TestMainFlow:
                 blobs.append([f.read_bytes() for f in files])
         assert blobs[0] == blobs[1]
 
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(eps=st.floats(1e-3, 2e-2), mu=st.floats(0.2, 2.0),
+           b=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+           eta=st.floats(1.0, 2.0), t=st.floats(0.2, 3.0),
+           ratio=st.floats(0.1, 0.9), n_replicas=st.integers(2, 5),
+           seed=st.integers(0, 2 ** 32))
+    def test_random_msd_same_bytes_at_any_workers(
+            self, eps, mu, b, eta, t, ratio, n_replicas, seed):
+        text = (f"eps = {eps!r}\nmu = {mu!r}\nb = {b!r}\neta = {eta!r}\n"
+                f"t_grid = {t * ratio!r}, {t!r}\n"
+                f"n_replicas = {n_replicas}\nseed = {seed}\n")
+        blobs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = pathlib.Path(tmp) / "msd.cfg"
+            cfg.write_text(text)
+            for workers in ("1", "3"):
+                out = pathlib.Path(tmp) / workers / "run"
+                out.parent.mkdir()
+                assert main(["msd", "--config", str(cfg), "--out", str(out),
+                             "--workers", workers]) == 0
+                files = sorted(out.parent.glob("run_*"))
+                assert len(files) == 2  # the CSV and the summary
+                blobs.append([f.read_bytes() for f in files])
+        assert blobs[0] == blobs[1]
+
     def test_operator_sweep(self, tmp_path):
         cfg = tmp_path / "ops.cfg"
         cfg.write_text(SWEEP_CONFIG)

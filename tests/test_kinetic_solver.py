@@ -235,6 +235,46 @@ class TestSolveArguments:
         assert [t for t, _ in res.snapshots] == pytest.approx([0.0, 0.25, 0.5])
 
 
+class TestDiagnostics:
+    def test_full_lattice_built_for_snapshots_and_final_only(self,
+                                                            monkeypatch):
+        grid = ks.SpectralGrid(2 * math.pi, 6, 16)
+        model = ks.KineticModel(1.0, 2.0, 1.0, grid)
+        f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
+        calls = []
+        full = ks._full_lattice
+        monkeypatch.setattr(ks, "_full_lattice",
+                            lambda *a: calls.append(1) or full(*a))
+        res = ks.solve(model, f0, 0.5, dt=0.01, snapshot_times=[0.1, 0.3])
+        assert len(res.times) == 51 and len(res.snapshots) == 2
+        assert len(calls) == len(res.snapshots) + 1
+
+    def test_norms_of_the_full_lattice(self):
+        # the records measure the support rows; the lattice's other rows
+        # are zero and add nothing but rounding
+        grid = ks.SpectralGrid(2 * math.pi, 3, 16)
+        model = ks.KineticModel(1.0, 2.0, 1.0, grid)
+        f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
+        res = ks.solve(model, f0, 0.2, dt=0.01)
+        hat = res.final.values_hat.copy()
+        hat[:, 0] = 0.0
+        assert res.dist_to_avg[-1] == pytest.approx(
+            ks.field_norm_hat(hat, grid), rel=1e-15)
+        hat[:, 0] = res.final.values_hat[:, 0] - grid.n_v * ks.heat_reference(
+            res.diffusivity, ks.angle_average_modes(f0), 0.2, grid)
+        assert res.dist_to_heat[-1] == pytest.approx(
+            ks.field_norm_hat(hat, grid), rel=1e-15)
+
+    def test_mass_zero_without_the_zero_mode(self):
+        grid = ks.SpectralGrid(2 * math.pi, 2, 16)
+        model = ks.KineticModel(1.0, 2.0, 1.0, grid)
+        f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
+        f0.values_hat[grid.index0] = 0.0
+        res = ks.solve(model, f0, 0.1, dt=0.01)
+        assert np.all(res.mass == 0.0)
+        assert np.all(res.dist_to_avg > 0.0)
+
+
 class TestStepOrder:
     def test_second_order_convergence(self, small_grid):
         model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)

@@ -55,7 +55,7 @@ class TestClassifyEvents:
                          EventKind.RECOLLISION]
         # first-hit order, which fixes the near-miss candidate order
         assert list(tr.hit_centers) == [1, 2, 3]
-        assert tr.hit_centers[2].tolist() == [2.0, 0.0]
+        assert tr.hit_centers[2] == (2.0, 0.0)
 
 
 class TestObstacleFreeFlight:
@@ -133,11 +133,12 @@ class TestFieldRange:
     """Cells of any size and at any index hold addressable obstacles."""
 
     def test_cells_above_a_million_obstacles(self):
-        # eps = 5e-6 at B = 1, eta = 2: about 1.6M centers per cell, and
-        # this flight hits one beyond row 2**20
+        # eps = 5e-6 at B = 1, eta = 2: about 1.6M centers per cell, stored
+        # in x-strip order; this flight keeps to x > 1.3 in cell (0, 0),
+        # where the rows lie beyond 2**20, and hits obstacles there
         f = ObstacleField(909, scaling_from(5e-6, 1.0, 2.0, 1.0))
         out = simulate_trajectory(
-            f, ParticleState(np.array([1.0, 1.0]), 3.3), 1.0)
+            f, ParticleState(np.array([1.5, 1.5]), 2.0), 1.0)
         assert len(f.cell(0, 0)) > 2 ** 20
         assert any(e.obstacle_id[2] >= 2 ** 20 for e in out.events)
 
@@ -327,7 +328,7 @@ class TestArcSearch:
         got_len, (ix, iy, row), got_n, got_c = got
         assert got_len == length
         assert np.array_equal(got_n, n) and np.array_equal(got_c, pts[k])
-        assert np.array_equal(f.cell_points(ix, iy)[row], pts[k])
+        assert np.array_equal(f.cell(ix, iy)[row], pts[k])
         if pitch is None:
             assert (ix, iy) == owners[k]
 

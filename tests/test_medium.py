@@ -212,42 +212,51 @@ class TestSlab:
     def test_slab_holds_every_center_of_the_range(self, eps, mu_eff, b, seed,
                                                   cells, ranges):
         f = ObstacleField(seed, b_params(eps, mu_eff, b))
-        drawn, built = [], []
-        draw, index = f.cell_points, f._strip_index
+        drawn = []
+        draw = f.cell_points
 
         def counting_draw(ix, iy):
             drawn.append((ix, iy))
             return draw(ix, iy)
 
-        def counting_index(ix, iy):
-            built.append((ix, iy))
-            return index(ix, iy)
-
         object.__setattr__(f, "cell_points", counting_draw)
-        object.__setattr__(f, "_strip_index", counting_index)
         s = f.cell_size
         for ix, iy in cells:
             for u, width in ranges:
                 x_lo = (ix + u) * s
                 x_hi = x_lo + width * s
-                pts, rows = f.slab(ix, iy, x_lo, x_hi)
+                pts, first = f.slab(ix, iy, x_lo, x_hi)
                 cell = f.cell(ix, iy)
-                assert np.array_equal(pts, cell[rows])
+                assert np.array_equal(pts, cell[first:first + len(pts)])
                 inside = np.flatnonzero((cell[:, 0] >= x_lo)
                                         & (cell[:, 0] <= x_hi))
-                assert np.isin(inside, rows).all()
-                assert len(np.unique(rows)) == len(rows)
+                assert np.all((inside >= first)
+                              & (inside < first + len(pts)))
         assert sorted(set(drawn)) == sorted(drawn) == sorted(set(cells))
-        assert sorted(set(built)) == sorted(built) == sorted(set(cells))
+
+    def test_cell_stored_once_in_strip_order(self):
+        f = ObstacleField(5, b_params(0.01, 200.0, 1.0))
+        s = f.cell_size
+        cell = f.cell(-3, 2)
+        drawn = f.cell_points(-3, 2)
+        key = np.clip(np.floor((drawn[:, 0] / s + 3) * medium.N_STRIPS),
+                      0, medium.N_STRIPS - 1)
+        # a stable sort of the draw by strip key: draw order within a strip
+        assert not np.all(np.diff(key) >= 0)
+        assert np.array_equal(cell, drawn[np.argsort(key, kind="stable")])
+        pts, first = f.slab(-3, 2, -2.7 * s, -2.6 * s)
+        assert first > 0 and len(pts) > 0
+        assert np.shares_memory(pts, cell)
+        assert f.cell(-3, 2) is cell
 
     def test_whole_cell_and_empty_cell(self):
         f = ObstacleField(5, b_params(0.01, 200.0, 1.0))
         s = f.cell_size
-        pts, rows = f.slab(0, 0, -s, 2 * s)
-        assert sorted(rows.tolist()) == list(range(len(f.cell(0, 0))))
+        pts, first = f.slab(0, 0, -s, 2 * s)
+        assert first == 0 and np.array_equal(pts, f.cell(0, 0))
         empty = ObstacleField(5, empty_params(b=1.0))
-        pts, rows = empty.slab(0, 0, 0.0, s)
-        assert pts.shape == (0, 2) and rows.shape == (0,)
+        pts, first = empty.slab(0, 0, 0.0, s)
+        assert pts.shape == (0, 2) and first == 0
 
 
 class TestAdmissibleStart:
