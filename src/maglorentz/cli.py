@@ -198,10 +198,18 @@ def _sweep_rule(config):
         yield "'b_max' must be at least 'b_min'"
 
 
+def _field_rule(config):
+    n_x, p = config.get("n_x"), config.get("rho_mode")
+    if config.get("rho_amplitude") and p and n_x is not None \
+            and 0 <= n_x < abs(p):
+        yield "key 'rho_mode' must be at most 'n_x' in magnitude"
+
+
 def _hilbert_rule(config):
     etas = config.get("eta_list")
     if etas is not None and (any(e < 1.0 for e in etas) or not _increasing(etas)):
         yield "key 'eta_list' must be increasing and at least 1"
+    yield from _field_rule(config)
 
 
 # -- experiment drivers: (config, workers) -> (CSV rows, summary results) ------
@@ -311,7 +319,8 @@ _REPLICA_CAPS = {
     "k_max_leaves": _Key("int", lorentz_sim.DEFAULT_K_MAX_LEAVES, "nonnegative"),
 }
 
-# the datum of kinetic_solver.make_initial_field on a SpectralGrid
+# the datum of kinetic_solver.make_initial_field on a SpectralGrid; n_x bounds
+# |rho_mode| (see _field_rule) and sizes nothing
 _INITIAL_FIELD = {
     "l_box": _Key("float", 2.0 * math.pi, "positive"),
     "n_x": _Key("int", 2, "nonnegative"),
@@ -360,7 +369,8 @@ EXPERIMENTS: dict[str, _Experiment] = {
     "kinetic": _Experiment(
         {"mu": _POSITIVE, "b": _POSITIVE, "eta": _ETA, "t_end": _POSITIVE,
          "dt": _Key("float", None, "positive"), **_INITIAL_FIELD},
-        _run_kinetic, "diagnostics", ("t", "mass", "dist_to_avg", "dist_to_heat")),
+        _run_kinetic, "diagnostics", ("t", "mass", "dist_to_avg", "dist_to_heat"),
+        _field_rule),
     "hilbert": _Experiment(
         {"mu": _POSITIVE, "b": _POSITIVE, "eta_list": _Key("floats"),
          "t_probe": _POSITIVE, "dt_safety": _Key("float", 0.1, "positive"),

@@ -14,18 +14,19 @@ per-period survival probabilities.  The two readings (integrate in kinetic
 time with delay T, or in macroscopic time with delay T/eta) are the same
 function under t -> eta t; the macroscopic form is integrated directly.
 
-Discretization: spatial Fourier modes on the box (the equation is linear,
-so modes never couple), a uniform angle grid with FFT transforms, an exact
-integrating factor for transport plus magnetic rotation (the phase integral
-along rotating characteristics is elementary), and an explicit second-order
-two-step update for collision and memory.  The state is stored in angle
-*mode* space; the m = 0 harmonic of the zero spatial mode, i.e. the total
-mass, is touched by no transform and by identically zero collision
-multipliers, so mass is conserved to the last bit by construction.
-Because no mode couples to another, a lattice row that is zero in the
-datum stays exactly zero: ``solve`` integrates and stores only the rows of
-the datum's support, and scatters them into the full lattice for its
-diagnostics, snapshots and result.
+Discretization: spatial Fourier modes on the box, a uniform angle grid
+with FFT transforms, an exact integrating factor for transport plus
+magnetic rotation (the phase integral along rotating characteristics is
+elementary), and an explicit second-order two-step update for collision and
+memory.  The equation is linear and translation invariant, so no spatial
+mode couples to another, and a mode absent from the datum stays exactly
+zero.  A field therefore carries only the integer wavevectors it occupies
+(``KineticField.modes``, one per row): the datum of ``make_initial_field``
+carries (0, 0) and +-(p, 0), and every step, diagnostic, snapshot and
+result holds those rows alone.  The state is stored in angle *mode* space;
+the m = 0 harmonic of the zero spatial mode, i.e. the total mass, is
+touched by no transform and by identically zero collision multipliers, so
+mass is conserved to the last bit by construction.
 """
 
 from __future__ import annotations
@@ -44,17 +45,11 @@ class SolverInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Spatial mode lattice |xi_i| <= n_x on a box of period l_box, n_v angles."""
+    """A box of period l_box and n_v angles; n_x bounds the datum's |mode|."""
 
     l_box: float
     n_x: int
     n_v: int
-    xi: np.ndarray = field(init=False)
-    kvec: np.ndarray = field(init=False)
-    k_abs: np.ndarray = field(init=False)
-    k_phase: np.ndarray = field(init=False)
-    index0: int = field(init=False)
-    conj_index: np.ndarray = field(init=False)
     angles: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -62,47 +57,36 @@ class SpectralGrid:
             raise ValueError("l_box must be positive and finite")
         if self.n_x < 0 or self.n_v < 8:
             raise ValueError("need n_x >= 0 and n_v >= 8")
-        side = np.arange(-self.n_x, self.n_x + 1)
-        xi = np.array([(a, b) for a in side for b in side], dtype=int)
-        kvec = 2.0 * math.pi * xi / self.l_box
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "kvec", kvec)
-        object.__setattr__(self, "k_abs", np.hypot(kvec[:, 0], kvec[:, 1]))
-        object.__setattr__(self, "k_phase", np.arctan2(kvec[:, 1], kvec[:, 0]))
-        lookup = {tuple(x): i for i, x in enumerate(xi)}
-        object.__setattr__(self, "index0", lookup[(0, 0)])
-        conj = np.array([lookup[(-a, -b)] for a, b in xi], dtype=int)
-        object.__setattr__(self, "conj_index", conj)
         object.__setattr__(
             self, "angles", 2.0 * math.pi * np.arange(self.n_v) / self.n_v)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.xi)
 
     @property
     def angular_modes(self) -> np.ndarray:
         return np.fft.fftfreq(self.n_v, 1.0 / self.n_v).astype(int)
 
+    def wavevectors(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Wavevectors 2 pi xi / l_box of integer modes xi, and their lengths."""
+        k = 2.0 * math.pi * np.asarray(modes) / self.l_box
+        return k, np.hypot(k[:, 0], k[:, 1])
+
 
 class _History:
     """Fixed-capacity ring of past angle-mode fields, one per step of ``dt``.
 
-    The ring holds the lattice rows ``rows`` only (``solve`` passes the
-    datum's support).  ``solve`` sizes it to what the delayed terms can
-    reach, so it is allocated once, before the first step, and never grows.
+    Each field holds ``n_rows`` rows, one per carried mode.  ``solve`` sizes
+    the ring to what the delayed terms can reach, so it is allocated once,
+    before the first step, and never grows.
     """
 
     _GUARD_BYTES = 1_500_000_000
 
-    def __init__(self, rows, n_v: int, dt: float, capacity: int):
-        self.rows = np.asarray(rows, dtype=int)
-        if capacity * len(self.rows) * n_v * 16 > self._GUARD_BYTES:
+    def __init__(self, n_rows: int, n_v: int, dt: float, capacity: int):
+        if capacity * n_rows * n_v * 16 > self._GUARD_BYTES:
             raise MemoryError(
                 "history buffer exceeds its memory guard; reduce the "
                 "delay span, the grid, or raise dt")
         self.dt = dt
-        self.buf = np.empty((capacity, len(self.rows), n_v), dtype=complex)
+        self.buf = np.empty((capacity, n_rows, n_v), dtype=complex)
         self.count = 0    # total steps pushed so far
         self.prev_rhs: np.ndarray | None = None
 
@@ -128,34 +112,29 @@ class _History:
 
 @dataclass
 class KineticField:
-    """Solution state: angle-mode coefficients per spatial mode.
+    """Solution state: angle-mode coefficients per carried spatial mode.
 
     ``values_hat[i, m]`` is the FFT (over the angle grid) of the spatial
-    Fourier coefficient for lattice mode ``grid.xi[i]``.  ``values``
-    reconstructs angle-grid samples.  ``history`` carries the delayed-field
-    ring buffer plus the previous collision evaluation between steps.  The
-    fields that ``solve`` passes to ``step`` hold only the rows
-    ``history.rows``; ``SolveResult.final`` and the snapshots hold the full
-    lattice.
+    Fourier coefficient of the integer mode ``modes[i]``; every mode not
+    carried is zero.  ``values`` reconstructs angle-grid samples.
+    ``history`` carries the delayed-field ring buffer plus the previous
+    collision evaluation between steps.
     """
 
     grid: SpectralGrid
+    modes: np.ndarray
     values_hat: np.ndarray
     time: float
     history: _History | None = None
 
+    def __post_init__(self):
+        self.modes = np.asarray(self.modes, dtype=int)
+        if self.modes.shape != (len(self.values_hat), 2):
+            raise ValueError("need one mode (xi_1, xi_2) per row of values_hat")
+
     @property
     def values(self) -> np.ndarray:
         return np.fft.ifft(self.values_hat, axis=1)
-
-    def mass(self) -> float:
-        """Total integral over box and circle; exactly invariant in time."""
-        return _mass(self.values_hat[self.grid.index0, 0], self.grid)
-
-    def reality_defect(self) -> float:
-        """Max deviation from the conjugate symmetry of a real-valued field."""
-        gr = self.values
-        return float(np.max(np.abs(gr[self.grid.conj_index] - np.conj(gr))))
 
 
 def _mass(raw: complex, grid: SpectralGrid) -> float:
@@ -203,17 +182,18 @@ class KineticModel:
 
     # -- elementary operators --------------------------------------------------
 
-    def _propagator(self, dt: float, rows: np.ndarray | None):
-        key = (dt, None if rows is None else rows.tobytes())
+    def _propagator(self, dt: float, modes: np.ndarray):
+        key = (dt, modes.tobytes())
         got = self._propagators.get(key)
         if got is None:
             g = self.grid
-            sel = slice(None) if rows is None else rows
+            k, k_abs = g.wavevectors(modes)
             omega = self.eta * self.b_magnitude
             shift = np.exp(-1j * g.angular_modes * omega * dt)
-            moving = g.k_abs[sel] > 0.0
-            kappa = self.eta * g.k_abs[sel][moving, None]
-            rel = g.angles[None, :] - g.k_phase[sel][moving, None]
+            moving = k_abs > 0.0
+            kappa = self.eta * k_abs[moving, None]
+            k_phase = np.arctan2(k[:, 1], k[:, 0])
+            rel = g.angles[None, :] - k_phase[moving, None]
             if omega > 0.0:
                 phase = (kappa / omega) * (np.sin(rel) - np.sin(rel - omega * dt))
             else:
@@ -222,13 +202,13 @@ class KineticModel:
             self._propagators[key] = got
         return got
 
-    def propagate(self, hat: np.ndarray, dt: float,
-                  rows: np.ndarray | None = None) -> np.ndarray:
+    def propagate(self, hat: np.ndarray, dt: float, modes: np.ndarray
+                  ) -> np.ndarray:
         """Exact transport + rotation over dt (integrating factor).
 
-        ``hat`` holds the lattice rows ``rows``, by default all of them.
+        ``hat`` holds one row per integer mode of ``modes``.
         """
-        shift, moving, pointwise = self._propagator(dt, rows)
+        shift, moving, pointwise = self._propagator(dt, modes)
         out = hat * shift
         moved = np.fft.ifft(out[moving], axis=1)
         moved *= pointwise
@@ -254,44 +234,23 @@ def step(fld: KineticField, dt: float, model: KineticModel) -> KineticField:
     uses a predictor-corrector start.  The field's history ring, created by
     ``solve``, must have been filled by previous steps of the same spacing:
     a field without history or a different ``dt`` raises ``ValueError``.
-    Only the rows ``history.rows`` are advanced.  A full-lattice field, such
-    as ``SolveResult.final``, must be zero on every other row, and the step
-    returns it in the full lattice again.
     """
     hist = fld.history
     if hist is None or dt != hist.dt:
         raise ValueError("step needs the history of a solve at the same dt")
-    rows = hist.rows
-    hat = fld.values_hat
-    full = len(hat) != len(rows)
-    if full:
-        if np.count_nonzero(hat) != np.count_nonzero(hat[rows]):
-            raise ValueError("step continues a solve on the rows of its "
-                             "datum; this field is nonzero on other rows")
-        hat = hat[rows]
-    t = fld.time
+    hat, modes, t = fld.values_hat, fld.modes, fld.time
     rhs_now = model.collision_rhs(hat, t, hist)
     if hist.prev_rhs is None:
-        pred = model.propagate(hat + dt * rhs_now, dt, rows)
+        pred = model.propagate(hat + dt * rhs_now, dt, modes)
         rhs_pred = model.collision_rhs(pred, t + dt, hist)
-        new = model.propagate(hat + 0.5 * dt * rhs_now, dt, rows) \
+        new = model.propagate(hat + 0.5 * dt * rhs_now, dt, modes) \
             + 0.5 * dt * rhs_pred
     else:
-        new = model.propagate(hat + 1.5 * dt * rhs_now, dt, rows) \
-            - 0.5 * dt * model.propagate(hist.prev_rhs, 2.0 * dt, rows)
+        new = model.propagate(hat + 1.5 * dt * rhs_now, dt, modes) \
+            - 0.5 * dt * model.propagate(hist.prev_rhs, 2.0 * dt, modes)
     hist.prev_rhs = rhs_now
     hist.push(new)
-    if full:
-        new = _full_lattice(new, rows, fld.grid)
-    return KineticField(fld.grid, new, t + dt, hist)
-
-
-def _full_lattice(hat: np.ndarray, rows: np.ndarray, grid: SpectralGrid
-                  ) -> np.ndarray:
-    """The lattice field that is ``hat`` on ``rows`` and zero elsewhere."""
-    out = np.zeros((grid.n_modes, grid.n_v), dtype=complex)
-    out[rows] = hat
-    return out
+    return KineticField(fld.grid, modes, new, t + dt, hist)
 
 
 @dataclass(frozen=True)
@@ -311,12 +270,16 @@ def field_norm_hat(hat: np.ndarray, grid: SpectralGrid) -> float:
     return math.sqrt(total * grid.l_box ** 2 * 2.0 * math.pi / grid.n_v ** 2)
 
 
-def heat_reference(d_coeff: float, rho0_modes: np.ndarray, t: float,
-                   grid: SpectralGrid) -> np.ndarray:
-    """Exact spatial-mode solution of d_t rho = d_coeff * Laplacian rho."""
+def heat_reference(d_coeff: float, rho0_modes: np.ndarray, modes: np.ndarray,
+                   t: float, grid: SpectralGrid) -> np.ndarray:
+    """Exact spatial-mode solution of d_t rho = d_coeff * Laplacian rho.
+
+    ``rho0_modes[i]`` is the coefficient of the integer mode ``modes[i]``.
+    """
     if d_coeff < 0.0:
         raise ValueError("diffusivity must be nonnegative")
-    return np.asarray(rho0_modes) * np.exp(-d_coeff * grid.k_abs ** 2 * t)
+    k_abs = grid.wavevectors(modes)[1]
+    return np.asarray(rho0_modes) * np.exp(-d_coeff * k_abs ** 2 * t)
 
 
 def make_initial_field(grid: SpectralGrid, rho_amplitude: float = 0.5,
@@ -324,27 +287,24 @@ def make_initial_field(grid: SpectralGrid, rho_amplitude: float = 0.5,
                        ) -> KineticField:
     """Normalized product datum: (1 + a cos(2 pi p x1 / L)) (1 + c cos alpha).
 
-    Total mass is exactly 1.
+    Total mass is exactly 1.  The field carries the modes (0, 0) and, when
+    a and p are nonzero, +-(p, 0), in increasing order; |p| must be at most
+    ``grid.n_x``.
     """
     base = 1.0 / (2.0 * math.pi * grid.l_box ** 2)
-    hat = np.zeros((grid.n_modes, grid.n_v), dtype=complex)
-
-    def put(xi_pair, amp):
-        hits = np.flatnonzero((grid.xi[:, 0] == xi_pair[0])
-                              & (grid.xi[:, 1] == xi_pair[1]))
-        if len(hits) == 0:
-            raise ValueError(f"mode {xi_pair} outside the lattice")
-        i = int(hits[0])
-        hat[i, 0] += amp * grid.n_v
+    p = abs(rho_mode) if rho_amplitude else 0
+    if p > grid.n_x:
+        raise ValueError(f"mode ({rho_mode}, 0) beyond n_x = {grid.n_x}")
+    wave = 0.5 * rho_amplitude * base
+    side, amps = ([-p, 0, p], [wave, base, wave]) if p else ([0], [base])
+    modes = np.array([(a, 0) for a in side], dtype=int)
+    hat = np.zeros((len(modes), grid.n_v), dtype=complex)
+    for i, amp in enumerate(amps):
+        hat[i, 0] = amp * grid.n_v
         if angle_amplitude:
-            hat[i, 1] += 0.5 * angle_amplitude * amp * grid.n_v
-            hat[i, -1] += 0.5 * angle_amplitude * amp * grid.n_v
-
-    put((0, 0), base)
-    if rho_amplitude and rho_mode:
-        put((rho_mode, 0), 0.5 * rho_amplitude * base)
-        put((-rho_mode, 0), 0.5 * rho_amplitude * base)
-    return KineticField(grid, hat, 0.0, None)
+            hat[i, 1] = 0.5 * angle_amplitude * amp * grid.n_v
+            hat[i, -1] = 0.5 * angle_amplitude * amp * grid.n_v
+    return KineticField(grid, modes, hat, 0.0, None)
 
 
 def angle_average_modes(fld: KineticField) -> np.ndarray:
@@ -379,17 +339,15 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
                             m_modes=max(model.grid.n_v // 2, 8))
     diffusivity = operators.spatial_diffusivity(op)
     rho0 = angle_average_modes(f0)
-    grid = model.grid
-    # modes never couple, so rows that are zero in the datum stay zero and
-    # only the support is stepped and measured
-    support = np.flatnonzero(np.any(f0.values_hat != 0.0, axis=1))
-    # the (0, 0) row's place in the support, if any: the mass is 0 without it
-    at0 = np.flatnonzero(support == grid.index0)
+    grid, modes = model.grid, f0.modes
+    # the (0, 0) row's place among the modes, if carried: the mass is 0
+    # without it
+    at0 = np.flatnonzero(~modes.any(axis=1))
     # the oldest delayed field read lies k_cut * delay back; delay is
     # infinite without a field, where k_cut is 0
     reach = math.ceil(model.k_cut * model.delay / dt) if model.k_cut else 0
-    hist = _History(support, grid.n_v, dt, min(n_steps + 1, reach + 4))
-    fld = KineticField(grid, f0.values_hat[support], f0.time, hist)
+    hist = _History(len(modes), grid.n_v, dt, min(n_steps + 1, reach + 4))
+    fld = KineticField(grid, modes, f0.values_hat, f0.time, hist)
     hist.push(fld.values_hat)
     norm0 = field_norm_hat(fld.values_hat, grid)
     snaps: list[tuple[float, np.ndarray]] = []
@@ -401,13 +359,13 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
         masses.append(_mass(hat[at0, 0].sum(), grid))
         hat[:, 0] = 0.0
         d_avg.append(field_norm_hat(hat, grid))
-        rho_t = heat_reference(diffusivity, rho0, f.time, grid)[support]
+        rho_t = heat_reference(diffusivity, rho0, modes, f.time, grid)
         hat[:, 0] = f.values_hat[:, 0] - rho_t * grid.n_v
         d_heat.append(field_norm_hat(hat, grid))
 
     def take_snapshots(f: KineticField):
         while snaps_wanted and snaps_wanted[0] <= f.time + 0.5 * dt:
-            snaps.append((f.time, _full_lattice(f.values_hat, support, grid)))
+            snaps.append((f.time, f.values_hat.copy()))
             snaps_wanted.pop(0)
 
     record(fld)
@@ -421,10 +379,8 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
             raise SolverInstabilityError(
                 f"norm above 10x the datum, or NaN, by t = {fld.time:g} "
                 f"(dt = {dt:g}); reduce dt")
-    final = KineticField(grid, _full_lattice(fld.values_hat, support, grid),
-                         fld.time, hist)
     return SolveResult(np.asarray(times), np.asarray(masses),
-                       np.asarray(d_avg), np.asarray(d_heat), final, snaps,
+                       np.asarray(d_avg), np.asarray(d_heat), fld, snaps,
                        diffusivity)
 
 
@@ -433,7 +389,8 @@ class HilbertCorrectors:
     """Leading corrector fields of the small-1/eta expansion.
 
     ``g1`` and ``g2`` are angle-mode arrays with zero angular mean at every
-    spatial mode; ``g0_modes`` is the underlying spatial profile.
+    spatial mode; ``g0_modes`` is the underlying spatial profile.  Row i of
+    each belongs to the integer mode ``modes[i]`` they were solved on.
     """
 
     g0_modes: np.ndarray
@@ -441,21 +398,23 @@ class HilbertCorrectors:
     g2_hat: np.ndarray
 
 
-def hilbert_correctors(g0_modes: np.ndarray, op: "operators.AngularOperator",
-                       b_magnitude: float, d_coeff: float, grid: SpectralGrid
-                       ) -> HilbertCorrectors:
+def hilbert_correctors(g0_modes: np.ndarray, modes: np.ndarray,
+                       op: "operators.AngularOperator", b_magnitude: float,
+                       d_coeff: float, grid: SpectralGrid) -> HilbertCorrectors:
     """Solve the first two corrector equations around a spatial profile.
 
     ``g1`` solves  (collision) g1 = v . grad_x g0  modewise; ``g2`` solves
     (collision) g2 = d_t g0 + v . grad_x g1 + B d_alpha g1 with
     d_t g0 = d_coeff * Laplacian g0.  The angular mean of both right sides
     must vanish; that cancellation pins ``d_coeff`` to half the trace-form
-    autocorrelation integral and is asserted here.
+    autocorrelation integral and is asserted here.  ``g0_modes[i]`` is the
+    coefficient of the integer mode ``modes[i]``.
     """
     g0_modes = np.asarray(g0_modes, dtype=complex)
+    k, k_abs = grid.wavevectors(modes)
     inv = op.fft_inverse(grid.n_v)
-    ikv = 1j * (grid.kvec[:, 0][:, None] * np.cos(grid.angles)[None, :]
-                + grid.kvec[:, 1][:, None] * np.sin(grid.angles)[None, :])
+    ikv = 1j * (k[:, 0][:, None] * np.cos(grid.angles)[None, :]
+                + k[:, 1][:, None] * np.sin(grid.angles)[None, :])
     rhs1 = ikv * g0_modes[:, None]
     rhs1_hat = np.fft.fft(rhs1, axis=1)
     scale = float(np.max(np.abs(rhs1_hat))) or 1.0
@@ -466,7 +425,7 @@ def hilbert_correctors(g0_modes: np.ndarray, op: "operators.AngularOperator",
 
     g1_grid = np.fft.ifft(g1_hat, axis=1)
     dalpha_g1 = np.fft.ifft(1j * grid.angular_modes * g1_hat, axis=1)
-    rhs2 = (d_coeff * (-grid.k_abs ** 2) * g0_modes)[:, None] \
+    rhs2 = (d_coeff * (-k_abs ** 2) * g0_modes)[:, None] \
         + ikv * g1_grid + b_magnitude * dalpha_g1
     rhs2_hat = np.fft.fft(rhs2, axis=1)
     scale2 = float(np.max(np.abs(rhs2_hat))) or 1.0
@@ -493,10 +452,11 @@ def hilbert_residual_study(eta_list, mu: float, b_magnitude: float,
 
     For each eta the kinetic equation is solved to ``t_probe``; reported are
     the L2 distance to the heat profile and the distance after subtracting
-    the first corrector over eta.
+    the first corrector over eta.  All of them are taken on the modes that
+    ``f0`` carries.
     """
     rows = []
-    rho0 = angle_average_modes(f0)
+    rho0, modes = angle_average_modes(f0), f0.modes
     period = 2.0 * math.pi / b_magnitude if b_magnitude > 0.0 else math.inf
     op = operators.build_LG(mu, period, m_modes=max(grid.n_v // 2, 8))
     diffusivity = operators.spatial_diffusivity(op)
@@ -504,11 +464,12 @@ def hilbert_residual_study(eta_list, mu: float, b_magnitude: float,
         model = KineticModel(mu, float(eta), b_magnitude, grid)
         res = solve(model, f0, t_probe, dt=model.default_dt(dt_safety))
         hat = res.final.values_hat
-        rho_t = heat_reference(diffusivity, rho0, t_probe, grid)
+        rho_t = heat_reference(diffusivity, rho0, modes, t_probe, grid)
         diff = hat.copy()
         diff[:, 0] -= rho_t * grid.n_v
         dist_heat = field_norm_hat(diff, grid)
-        corr = hilbert_correctors(rho_t, op, b_magnitude, diffusivity, grid)
+        corr = hilbert_correctors(rho_t, modes, op, b_magnitude, diffusivity,
+                                  grid)
         diff1 = diff - corr.g1_hat / float(eta)
         dist_h1 = field_norm_hat(diff1, grid)
         rows.append(HilbertStudyRow(float(eta), dist_heat, dist_h1))

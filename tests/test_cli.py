@@ -119,6 +119,9 @@ class TestValidate:
         ("operator-sweep", "m_modes", "0", "positive"),
         ("operator-sweep", "quadrature_order", "-3", "positive"),
         ("kinetic", "n_x", "-1", "nonnegative"),
+        # the datum's mode, at n_x = 1 in both base configs
+        ("kinetic", "rho_mode", "7", "at most 'n_x' in magnitude"),
+        ("hilbert", "rho_mode", "-2", "at most 'n_x' in magnitude"),
         ("operator-sweep", "b_min", "-1", "nonnegative"),
         ("kinetic", "n_v", "4", "at least 8"),
         ("hilbert", "n_v", "7", "at least 8"),
@@ -393,6 +396,42 @@ class TestMainFlow:
         assert lines[0] == "t,mass,dist_to_avg,dist_to_heat"
         summary = json.loads((tmp_path / "kin_summary.json").read_text())
         assert summary["results"]["mass_drift"] == 0.0
+
+    @pytest.mark.parametrize("kind,text", [("kinetic", KINETIC_CONFIG),
+                                           ("hilbert", HILBERT_CONFIG)],
+                             ids=["kinetic", "hilbert"])
+    def test_rho_mode_beyond_n_x_exits_2(self, tmp_path, capsys, kind, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_key(text, "rho_mode", "2"))
+        assert main([kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "'rho_mode' must be at most 'n_x'" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+        # |rho_mode| = n_x is in range, and without a density wave the mode
+        # is not used
+        validate(with_key(text, "rho_mode", "-1"), kind)
+        validate(with_key(with_key(text, "rho_mode", "2"), "rho_amplitude",
+                          "0"), kind)
+
+    @pytest.mark.parametrize("kind,text", [("kinetic", KINETIC_CONFIG),
+                                           ("hilbert", HILBERT_CONFIG)],
+                             ids=["kinetic", "hilbert"])
+    def test_n_x_only_bounds_the_mode(self, tmp_path, kind, text):
+        # n_x bounds |rho_mode| and sizes nothing: a field carries only its
+        # datum's modes, so n_x = 10**6 writes what n_x = 1 writes
+        outputs = []
+        for n_x in (1, 10 ** 6):
+            cfg = tmp_path / f"{n_x}.cfg"
+            cfg.write_text(with_key(with_key(text, "rho_mode", "1"), "n_x", n_x))
+            (tmp_path / str(n_x)).mkdir()
+            out = tmp_path / str(n_x) / "run"
+            assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+            blobs = {f.name: f.read_bytes() for f in out.parent.glob("run_*")}
+            summary = json.loads(blobs.pop("run_summary.json"))
+            assert summary["config"].pop("n_x") == n_x
+            outputs.append((blobs, summary))
+        assert len(outputs[0][0]) == 1  # the CSV
+        assert outputs[0] == outputs[1]
 
     def test_green_kubo_run(self, tmp_path):
         cfg = tmp_path / "gk.cfg"

@@ -14,14 +14,50 @@ def small_grid():
     return ks.SpectralGrid(2 * math.pi, 2, 32)
 
 
+def lattice(n_x):
+    """Every integer mode with |xi_i| <= n_x, in increasing order."""
+    side = range(-n_x, n_x + 1)
+    return np.array([(a, b) for a in side for b in side])
+
+
+def row(modes, mode):
+    """The row of ``modes`` that holds the integer mode ``mode``."""
+    return int(np.flatnonzero((np.asarray(modes) == mode).all(axis=1))[0])
+
+
+def on_lattice(fld, n_x, fill=None):
+    """``fld`` carried on every mode |xi_i| <= n_x; ``fill`` on the others."""
+    modes = lattice(n_x)
+    hat = np.zeros((len(modes), fld.grid.n_v), dtype=complex)
+    if fill is not None:
+        hat[:] = fill
+    at = [row(modes, m) for m in fld.modes]
+    hat[at] = fld.values_hat
+    return ks.KineticField(fld.grid, modes, hat, fld.time), at
+
+
+def mass(fld):
+    """Total integral over box and circle, from the carried (0, 0) row."""
+    return ks._mass(fld.values_hat[row(fld.modes, (0, 0)), 0], fld.grid)
+
+
+def reality_defect(fld):
+    """Max deviation from the conjugate symmetry of a real-valued field.
+
+    Each carried mode's samples are compared with the conjugate of those of
+    its negative, which a real field must carry too.
+    """
+    conj = [row(fld.modes, -m) for m in fld.modes]
+    gr = fld.values
+    return float(np.max(np.abs(gr[conj] - np.conj(gr))))
+
+
 class TestGrid:
-    def test_lattice_layout(self, small_grid):
-        g = small_grid
-        assert g.n_modes == 25
-        assert np.array_equal(g.xi[g.index0], [0, 0])
-        assert np.allclose(g.kvec[g.index0], [0.0, 0.0])
-        # conjugate pairing maps xi to -xi
-        assert np.array_equal(g.xi[g.conj_index], -g.xi)
+    def test_wavevectors(self):
+        grid = ks.SpectralGrid(2.0, 1, 8)
+        k, k_abs = grid.wavevectors(np.array([(0, 0), (3, -4)]))
+        assert np.allclose(k, [[0.0, 0.0], [3 * math.pi, -4 * math.pi]])
+        assert np.allclose(k_abs, [0.0, 5 * math.pi])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -38,22 +74,38 @@ class TestGrid:
 class TestInitialField:
     def test_mass_normalized(self, small_grid):
         f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
-        assert f0.mass() == pytest.approx(1.0, abs=1e-14)
+        assert mass(f0) == pytest.approx(1.0, abs=1e-14)
 
     def test_real_valued(self, small_grid):
         f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
-        assert f0.reality_defect() < 1e-14
+        assert reality_defect(f0) < 1e-14
 
     def test_gridpoint_values(self, small_grid):
         f0 = ks.make_initial_field(small_grid, 0.5, 2, 0.0)
         vals = f0.values
         base = 1.0 / (2 * math.pi * small_grid.l_box ** 2)
-        i = int(np.flatnonzero((small_grid.xi == [2, 0]).all(axis=1))[0])
-        assert np.allclose(vals[i], 0.25 * base)
+        assert np.allclose(vals[row(f0.modes, (2, 0))], 0.25 * base)
+
+    @pytest.mark.parametrize("amplitude,mode,carried", [
+        (0.5, 2, [(-2, 0), (0, 0), (2, 0)]),
+        (0.5, -1, [(-1, 0), (0, 0), (1, 0)]),
+        (0.5, 0, [(0, 0)]),
+        (0.0, 7, [(0, 0)]),  # no density wave: the mode is not used
+    ])
+    def test_carried_modes(self, small_grid, amplitude, mode, carried):
+        f0 = ks.make_initial_field(small_grid, amplitude, mode, 0.3)
+        assert f0.modes.tolist() == [list(m) for m in carried]
+        assert f0.values_hat.shape == (len(carried), small_grid.n_v)
 
     def test_mode_outside_lattice(self, small_grid):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="beyond n_x = 2"):
             ks.make_initial_field(small_grid, 0.5, 7, 0.0)
+        with pytest.raises(ValueError, match="beyond n_x = 2"):
+            ks.make_initial_field(small_grid, 0.5, -3, 0.0)
+
+    def test_one_mode_per_row(self, small_grid):
+        with pytest.raises(ValueError, match="one mode"):
+            ks.KineticField(small_grid, [(0, 0)], np.zeros((2, 32)), 0.0)
 
 
 class TestTransportExactness:
@@ -62,19 +114,19 @@ class TestTransportExactness:
         # compare one long step against many short ones
         model = ks.KineticModel(1e-12, 1.0, 0.7, small_grid, k_cut=0)
         f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
-        one = model.propagate(f0.values_hat, 0.8)
+        one = model.propagate(f0.values_hat, 0.8, f0.modes)
         many = f0.values_hat
         for _ in range(64):
-            many = model.propagate(many, 0.8 / 64)
+            many = model.propagate(many, 0.8 / 64, f0.modes)
         assert np.max(np.abs(one - many)) < 1e-12
 
     def test_rotation_only_for_zero_mode(self, small_grid):
         model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
         f0 = ks.make_initial_field(small_grid, 0.0, 0, 0.4)
-        out = model.propagate(f0.values_hat, 0.3)
+        out = model.propagate(f0.values_hat, 0.3, f0.modes)
         # angle shift by eta*B*dt on the m = +/-1 harmonics
         shift = np.exp(-1j * 2.0 * 1.0 * 0.3)
-        i0 = small_grid.index0
+        i0 = row(f0.modes, (0, 0))
         assert out[i0, 1] == pytest.approx(f0.values_hat[i0, 1] * shift)
         assert out[i0, 0] == f0.values_hat[i0, 0]
 
@@ -109,33 +161,33 @@ class TestConservation:
         model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
         f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
         res = ks.solve(model, f0, 0.5)
-        assert res.final.reality_defect() < 1e-12
+        assert reality_defect(res.final) < 1e-12
 
     @pytest.mark.parametrize("n_x,n_v,b", [(2, 16, 1.0), (6, 64, 4.0),
                                            (3, 32, 0.0)])
     def test_modes_never_couple(self, n_x, n_v, b):
-        # the support rows evolve bit for bit the same whatever the other
-        # rows hold: solve steps the datum's support alone on this property
+        # a field that carries every mode |xi_i| <= n_x, with noise off the
+        # datum, evolves the datum's rows bit for bit the same as the datum
+        # alone: a field carries only the modes of its datum on this property
         grid = ks.SpectralGrid(2 * math.pi, n_x, n_v)
         model = ks.KineticModel(1.0, 2.0, b, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
-        support = np.any(f0.values_hat != 0.0, axis=1)
         rng = np.random.default_rng(1)
-        noise = rng.normal(size=(2,) + f0.values_hat.shape) * 1e-4
-        noisy = f0.values_hat + (noise[0] + 1j * noise[1]) * ~support[:, None]
-        f1 = ks.KineticField(grid, noisy, 0.0)
+        noise = rng.normal(size=(2, len(lattice(n_x)), n_v)) * 1e-4
+        f1, at = on_lattice(f0, n_x, noise[0] + 1j * noise[1])
         a = ks.solve(model, f0, 1.0).final.values_hat
         c = ks.solve(model, f1, 1.0).final.values_hat
-        assert np.all(np.any(c[~support] != 0.0, axis=1))
-        assert np.array_equal(a[support], c[support])
+        assert np.all(np.any(np.delete(c, at, axis=0) != 0.0, axis=1))
+        assert np.array_equal(a, c[at])
 
     def test_homogeneous_stays_homogeneous(self, small_grid):
         model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
-        f0 = ks.make_initial_field(small_grid, 0.0, 0, 0.4)
+        f0, at = on_lattice(ks.make_initial_field(small_grid, 0.0, 0, 0.4),
+                            small_grid.n_x)
         res = ks.solve(model, f0, 0.5)
         hat = res.final.values_hat
-        off0 = np.delete(hat, small_grid.index0, axis=0)
-        assert np.max(np.abs(off0)) == 0.0
+        off0 = np.delete(hat, at, axis=0)
+        assert len(off0) == 24 and np.max(np.abs(off0)) == 0.0
 
 
 class TestRelaxation:
@@ -236,32 +288,33 @@ class TestSolveArguments:
 
 
 class TestDiagnostics:
-    def test_full_lattice_built_for_snapshots_and_final_only(self,
-                                                            monkeypatch):
+    def test_snapshots_and_final_hold_the_carried_rows(self):
         grid = ks.SpectralGrid(2 * math.pi, 6, 16)
         model = ks.KineticModel(1.0, 2.0, 1.0, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
-        calls = []
-        full = ks._full_lattice
-        monkeypatch.setattr(ks, "_full_lattice",
-                            lambda *a: calls.append(1) or full(*a))
-        res = ks.solve(model, f0, 0.5, dt=0.01, snapshot_times=[0.1, 0.3])
+        res = ks.solve(model, f0, 0.5, dt=0.01, snapshot_times=[0.0, 0.3])
         assert len(res.times) == 51 and len(res.snapshots) == 2
-        assert len(calls) == len(res.snapshots) + 1
+        assert np.array_equal(res.final.modes, f0.modes)
+        assert all(h.shape == (3, 16) for _, h in res.snapshots)
+        # the first snapshot is the datum, and a copy of it
+        assert np.array_equal(res.snapshots[0][1], f0.values_hat)
+        assert res.snapshots[0][1] is not f0.values_hat
 
     def test_norms_of_the_full_lattice(self):
-        # the records measure the support rows; the lattice's other rows
+        # the records measure the carried rows; the lattice's other rows
         # are zero and add nothing but rounding
         grid = ks.SpectralGrid(2 * math.pi, 3, 16)
         model = ks.KineticModel(1.0, 2.0, 1.0, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
         res = ks.solve(model, f0, 0.2, dt=0.01)
-        hat = res.final.values_hat.copy()
+        final = on_lattice(res.final, grid.n_x)[0]
+        hat = final.values_hat.copy()
         hat[:, 0] = 0.0
         assert res.dist_to_avg[-1] == pytest.approx(
             ks.field_norm_hat(hat, grid), rel=1e-15)
-        hat[:, 0] = res.final.values_hat[:, 0] - grid.n_v * ks.heat_reference(
-            res.diffusivity, ks.angle_average_modes(f0), 0.2, grid)
+        rho0 = ks.angle_average_modes(on_lattice(f0, grid.n_x)[0])
+        hat[:, 0] = final.values_hat[:, 0] - grid.n_v * ks.heat_reference(
+            res.diffusivity, rho0, final.modes, 0.2, grid)
         assert res.dist_to_heat[-1] == pytest.approx(
             ks.field_norm_hat(hat, grid), rel=1e-15)
 
@@ -269,10 +322,14 @@ class TestDiagnostics:
         grid = ks.SpectralGrid(2 * math.pi, 2, 16)
         model = ks.KineticModel(1.0, 2.0, 1.0, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
-        f0.values_hat[grid.index0] = 0.0
-        res = ks.solve(model, f0, 0.1, dt=0.01)
-        assert np.all(res.mass == 0.0)
-        assert np.all(res.dist_to_avg > 0.0)
+        f0.values_hat[row(f0.modes, (0, 0))] = 0.0
+        # the (0, 0) row carried as zeros, or not carried at all
+        f1 = ks.KineticField(grid, f0.modes[[0, 2]], f0.values_hat[[0, 2]],
+                             0.0)
+        for fld in (f0, f1):
+            res = ks.solve(model, fld, 0.1, dt=0.01)
+            assert np.all(res.mass == 0.0)
+            assert np.all(res.dist_to_avg > 0.0)
 
 
 class TestStepOrder:
@@ -311,16 +368,9 @@ class TestHistory:
         got = ks.step(res.final, dt, model)
         want = ks.solve(model, f0, 17 * dt, dt=dt).final
         assert got.time == want.time
-        assert got.values_hat.shape == (small_grid.n_modes, small_grid.n_v)
+        assert got.values_hat.shape == (3, small_grid.n_v)
+        assert np.array_equal(got.modes, f0.modes)
         assert np.array_equal(got.values_hat, want.values_hat)
-
-    def test_step_outside_support_rejected(self, small_grid):
-        model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
-        f0 = ks.make_initial_field(small_grid, 0.0, 0, 0.3)
-        res = ks.solve(model, f0, 0.05, dt=0.01)
-        res.final.values_hat[0, 0] = 1e-3
-        with pytest.raises(ValueError, match="other rows"):
-            ks.step(res.final, 0.01, model)
 
     def test_wrapped_ring_matches_full_history(self, small_grid, monkeypatch):
         # k_cut = 1 reaches one delay back, far less than the run: the ring
@@ -332,8 +382,8 @@ class TestHistory:
         assert ring.final.history.count > 2 * len(ring.final.history.buf)
         init = ks._History.__init__
         monkeypatch.setattr(ks._History, "__init__",
-                            lambda self, rows, n_v, dt, capacity:
-                            init(self, rows, n_v, dt, 1000))
+                            lambda self, n_rows, n_v, dt, capacity:
+                            init(self, n_rows, n_v, dt, 1000))
         full = ks.solve(model, f0, 2.0, dt=0.01)
         assert np.array_equal(ring.final.values_hat, full.final.values_hat)
 
@@ -341,7 +391,7 @@ class TestHistory:
         # 10**12 slots: an allocation attempt would fail with numpy's own
         # message, not the guard's
         with pytest.raises(MemoryError, match="memory guard"):
-            ks._History(range(169), 64, 0.01, 10 ** 12)
+            ks._History(169, 64, 0.01, 10 ** 12)
 
     def test_guard_counts_stored_rows(self):
         # the ring stores the 3 rows of the datum (0.85 MB); all 6561 rows
@@ -354,7 +404,7 @@ class TestHistory:
         assert np.max(np.abs(res.mass - res.mass[0])) == 0.0
 
     def test_expired_time_rejected(self):
-        hist = ks._History(range(2), 3, 0.5, 4)
+        hist = ks._History(2, 3, 0.5, 4)
         for i in range(10):
             hist.push(np.full((2, 3), float(i)))
         assert np.all(hist.modes_at(3.0) == 6.0)
@@ -370,7 +420,7 @@ class TestHistory:
         rng = np.random.default_rng(seed)
         ref = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
                for _ in range(n_push)]
-        hist = ks._History(range(2), 3, dt, capacity)
+        hist = ks._History(2, 3, dt, capacity)
         for hat in ref:
             hist.push(hat)
         oldest = max(0, n_push - capacity)
@@ -386,30 +436,34 @@ class TestHistory:
 
 class TestHeatReference:
     def test_initial_datum(self, small_grid):
-        rho0 = np.linspace(0.1, 1.0, small_grid.n_modes)
+        modes = lattice(small_grid.n_x)
+        rho0 = np.linspace(0.1, 1.0, len(modes))
         assert np.array_equal(
-            ks.heat_reference(0.3, rho0, 0.0, small_grid), rho0)
+            ks.heat_reference(0.3, rho0, modes, 0.0, small_grid), rho0)
 
     def test_zero_mode_constant(self, small_grid):
-        rho0 = np.ones(small_grid.n_modes)
-        out = ks.heat_reference(0.3, rho0, 5.0, small_grid)
-        assert out[small_grid.index0] == 1.0
+        modes = lattice(small_grid.n_x)
+        rho0 = np.ones(len(modes))
+        out = ks.heat_reference(0.3, rho0, modes, 5.0, small_grid)
+        assert out[row(modes, (0, 0))] == 1.0
 
     def test_single_mode_factor(self):
         grid = ks.SpectralGrid(2 * math.pi, 1, 16)
-        rho0 = np.zeros(grid.n_modes)
-        i = int(np.flatnonzero((grid.xi == [1, 0]).all(axis=1))[0])
+        modes = lattice(grid.n_x)
+        rho0 = np.zeros(len(modes))
+        i = row(modes, (1, 0))
         rho0[i] = 1.0
-        out = ks.heat_reference(0.375, rho0, 1.0, grid)
+        out = ks.heat_reference(0.375, rho0, modes, 1.0, grid)
         assert out[i] == pytest.approx(math.exp(-0.375), rel=1e-12)
 
 
 class TestHilbertCorrectors:
     def test_constant_profile_zero_correctors(self, small_grid):
         op = ops.build_LG(1.0, 2 * math.pi, 16)
-        rho = np.zeros(small_grid.n_modes, dtype=complex)
-        rho[small_grid.index0] = 1.0
-        corr = ks.hilbert_correctors(rho, op, 1.0,
+        modes = lattice(small_grid.n_x)
+        rho = np.zeros(len(modes), dtype=complex)
+        rho[row(modes, (0, 0))] = 1.0
+        corr = ks.hilbert_correctors(rho, modes, op, 1.0,
                                      ops.spatial_diffusivity(op), small_grid)
         assert np.max(np.abs(corr.g1_hat)) == 0.0
         assert np.max(np.abs(corr.g2_hat)) == 0.0
@@ -418,26 +472,25 @@ class TestHilbertCorrectors:
         # g1 = -(3/(8 mu)) v . grad g0 when the memory vanishes
         mu = 1.0
         op = ops.build_LG(mu, math.inf, 16)
-        rho = np.zeros(small_grid.n_modes, dtype=complex)
-        i = int(np.flatnonzero((small_grid.xi == [1, 0]).all(axis=1))[0])
-        rho[i] = 0.5
-        corr = ks.hilbert_correctors(rho, op, 0.0,
+        modes = lattice(small_grid.n_x)
+        rho = np.zeros(len(modes), dtype=complex)
+        rho[row(modes, (1, 0))] = 0.5
+        corr = ks.hilbert_correctors(rho, modes, op, 0.0,
                                      ops.spatial_diffusivity(op), small_grid)
-        ikv = 1j * (small_grid.kvec[:, 0][:, None]
-                    * np.cos(small_grid.angles)[None, :]
-                    + small_grid.kvec[:, 1][:, None]
-                    * np.sin(small_grid.angles)[None, :])
+        kvec = small_grid.wavevectors(modes)[0]
+        ikv = 1j * (kvec[:, 0][:, None] * np.cos(small_grid.angles)[None, :]
+                    + kvec[:, 1][:, None] * np.sin(small_grid.angles)[None, :])
         expected = -(3.0 / (8.0 * mu)) * ikv * rho[:, None]
         got = np.fft.ifft(corr.g1_hat, axis=1)
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_zero_angular_mean(self, small_grid):
         op = ops.build_LG(1.0, 2 * math.pi, 16)
-        rho = np.zeros(small_grid.n_modes, dtype=complex)
-        i = int(np.flatnonzero((small_grid.xi == [1, 1]).all(axis=1))[0])
-        rho[i] = 1.0
-        rho[small_grid.conj_index[i]] = 1.0
-        corr = ks.hilbert_correctors(rho, op, 1.0,
+        modes = lattice(small_grid.n_x)
+        rho = np.zeros(len(modes), dtype=complex)
+        rho[row(modes, (1, 1))] = 1.0
+        rho[row(modes, (-1, -1))] = 1.0
+        corr = ks.hilbert_correctors(rho, modes, op, 1.0,
                                      ops.spatial_diffusivity(op), small_grid)
         assert np.max(np.abs(corr.g1_hat[:, 0])) == 0.0
         assert np.max(np.abs(corr.g2_hat[:, 0])) == 0.0
@@ -446,11 +499,11 @@ class TestHilbertCorrectors:
         # the second corrector equation is solvable only for the induced
         # diffusivity: a mismatched coefficient must be refused
         op = ops.build_LG(1.0, 2 * math.pi, 16)
-        rho = np.zeros(small_grid.n_modes, dtype=complex)
-        i = int(np.flatnonzero((small_grid.xi == [1, 0]).all(axis=1))[0])
-        rho[i] = 1.0
+        modes = lattice(small_grid.n_x)
+        rho = np.zeros(len(modes), dtype=complex)
+        rho[row(modes, (1, 0))] = 1.0
         with pytest.raises(ValueError, match="solvability"):
-            ks.hilbert_correctors(rho, op, 1.0,
+            ks.hilbert_correctors(rho, modes, op, 1.0,
                                   2.0 * ops.spatial_diffusivity(op), small_grid)
 
 
