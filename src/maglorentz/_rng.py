@@ -45,10 +45,13 @@ def mix(*parts: int) -> int:
 
 
 def philox_key(*parts: int) -> int:
-    """Derive a 128-bit Philox key from the given integers."""
-    hi = mix(*parts, _KEY_HI_TAG)
-    lo = mix(*parts, _KEY_LO_TAG)
-    return (hi << 64) | lo
+    """Derive a 128-bit Philox key from the given integers.
+
+    The halves are ``mix(*parts, _KEY_HI_TAG)`` and ``mix(*parts,
+    _KEY_LO_TAG)``; their shared prefix ``mix(*parts)`` is folded once.
+    """
+    h = mix(*parts)
+    return (splitmix64(h ^ _KEY_HI_TAG) << 64) | splitmix64(h ^ _KEY_LO_TAG)
 
 
 def generator(*parts: int) -> np.random.Generator:

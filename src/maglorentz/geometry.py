@@ -10,7 +10,11 @@ The first-hit kernels ``first_arc_hit`` (B > 0) and ``first_ray_entry``
 (B = 0) take arrays of obstacle centers and plain floats and return the
 first hit as ``(length, row, normal)``; they and ``reflect`` are the only
 arc/ray-vs-disk arithmetic of the package, and the event-driven simulator
-calls them on every flight leg.
+calls them on every flight leg.  Positions, angles and normals are plain
+floats, so the simulator's event loop runs without 2-element arrays; the
+float forms do the IEEE operations of the array forms they replaced, in
+the same order, and keep numpy wherever its rounding differs from the C
+library's (``arccos``, ``arctan2`` and the 2-vector dot product).
 ``point_to_arc_distances`` and ``point_to_segment_distances`` measure how
 close a leg passes to given points, for the simulator's near-miss count.
 
@@ -78,9 +82,9 @@ class ParticleState:
         return unit_vector(self.velocity_angle)
 
 
-def larmor_center(position, velocity_angle: float, b_magnitude: float
-                  ) -> np.ndarray:
-    """Guiding center of the cyclotron orbit through ``position``.
+def larmor_center(x: float, y: float, velocity_angle: float,
+                  b_magnitude: float) -> tuple[float, float]:
+    """Guiding center of the cyclotron orbit through ``(x, y)``.
 
     Lies at distance R = 1/B from the position, 90 degrees counterclockwise
     from the velocity, so the orbit is traversed counterclockwise at angular
@@ -89,78 +93,87 @@ def larmor_center(position, velocity_angle: float, b_magnitude: float
     if b_magnitude <= 0.0:
         raise ValueError("no Larmor center in the straight-line regime B = 0")
     r = 1.0 / b_magnitude
-    return position + r * np.array(
-        [-math.sin(velocity_angle), math.cos(velocity_angle)])
+    return (x + r * -math.sin(velocity_angle),
+            y + r * math.cos(velocity_angle))
 
 
-def advance_free(state: ParticleState, b_magnitude: float, tau: float
-                 ) -> ParticleState:
-    """Advance a collision-free flight by time ``tau``.
+def advance_free(x: float, y: float, velocity_angle: float,
+                 b_magnitude: float, tau: float) -> tuple[float, float, float]:
+    """Position and velocity angle after a collision-free flight of ``tau``.
 
     For B > 0 the position rotates about the guiding center by B*tau and the
     velocity angle increases by the same amount; for B = 0 the motion is a
-    straight segment.  Arc length equals tau in both cases.
+    straight segment.  Arc length equals tau in both cases.  The returned
+    angle lies in [0, 2*pi).
     """
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError("tau must be finite and nonnegative")
     if b_magnitude == 0.0:
-        return ParticleState(
-            position=state.position + tau * state.velocity,
-            velocity_angle=state.velocity_angle,
-        )
-    center = larmor_center(state.position, state.velocity_angle, b_magnitude)
+        return (x + tau * math.cos(velocity_angle),
+                y + tau * math.sin(velocity_angle),
+                normalize_angle(velocity_angle))
+    cx, cy = larmor_center(x, y, velocity_angle, b_magnitude)
     r = 1.0 / b_magnitude
-    phase = state.velocity_angle - 0.5 * math.pi + b_magnitude * tau
-    return ParticleState(
-        position=center + r * unit_vector(phase),
-        velocity_angle=state.velocity_angle + b_magnitude * tau,
-    )
+    phase = velocity_angle - 0.5 * math.pi + b_magnitude * tau
+    return (cx + r * math.cos(phase), cy + r * math.sin(phase),
+            normalize_angle(velocity_angle + b_magnitude * tau))
 
 
-def impact_normal(point, center, eps: float) -> np.ndarray:
-    """Outward unit normal at ``point`` on the disk of radius ``eps``."""
-    n = (point - center) / eps
-    return n / math.hypot(n[0], n[1])
+def impact_normal(x: float, y: float, cx: float, cy: float, eps: float
+                  ) -> tuple[float, float]:
+    """Outward unit normal at ``(x, y)`` on the disk of radius ``eps``."""
+    nx, ny = (x - cx) / eps, (y - cy) / eps
+    h = math.hypot(nx, ny)
+    return nx / h, ny / h
+
+
+def _dot(velocity_angle: float, n) -> float:
+    """v . n as numpy's 2-vector dot product rounds it.
+
+    The dot may fuse its multiply-add, which ``v0*n0 + v1*n1`` never does;
+    the grazing test and ``reflect`` keep numpy's rounding.
+    """
+    return float(unit_vector(velocity_angle) @ np.array(n))
 
 
 def first_arc_hit(centers, orbit_center, velocity_angle: float,
                   b_magnitude: float, eps: float):
     """First impact of a counterclockwise orbit on disks of radius ``eps``.
 
-    The orbit has radius R = 1/B about ``orbit_center`` and starts with
-    velocity angle ``velocity_angle``; ``centers`` is an (n, 2) array of
-    disk centers.  Only centers in the annulus R - eps < d < R + eps can be
-    hit.  Returns ``(length, k, n)``: the arc length to impact, below one
-    revolution, the row of ``centers`` hit and the outward unit normal
-    there.  None when no disk is hit within one revolution.  Grazing
-    contacts (|v.n| below ``GRAZING_TOL``) and stale contacts (flight times
-    below ``DEPARTURE_GUARD``) are skipped.
+    The orbit has radius R = 1/B about ``orbit_center`` (a pair of floats)
+    and starts with velocity angle ``velocity_angle``; ``centers`` is an
+    (n, 2) array of disk centers.  Only centers in the annulus
+    R - eps < d < R + eps can be hit.  Returns ``(length, k, n)``: the arc
+    length to impact, below one revolution, the row of ``centers`` hit and
+    the outward unit normal there, a pair of floats.  None when no disk is
+    hit within one revolution.  Grazing contacts (|v.n| below
+    ``GRAZING_TOL``) and stale contacts (flight times below
+    ``DEPARTURE_GUARD``) are skipped.  The annulus rows are found with
+    numpy; they are few, so they are ordered by sweep, then by row, and
+    checked in Python.
     """
+    ox, oy = orbit_center
     r = 1.0 / b_magnitude
-    dx = centers[:, 0] - orbit_center[0]
-    dy = centers[:, 1] - orbit_center[1]
+    dx = centers[:, 0] - ox
+    dy = centers[:, 1] - oy
     d_sq = dx * dx + dy * dy
-    mask = (d_sq > (r - eps) ** 2) & (d_sq < (r + eps) ** 2)
-    if not np.any(mask):
+    rows = ((d_sq > (r - eps) ** 2) & (d_sq < (r + eps) ** 2)).nonzero()[0]
+    if not len(rows):
         return None
-    rows = np.flatnonzero(mask)
-    d = np.sqrt(d_sq[mask])
+    d = np.sqrt(d_sq[rows])
     cos_g = (d * d + r * r - eps * eps) / (2.0 * d * r)
-    gamma = np.arccos(np.clip(cos_g, -1.0, 1.0))
+    gamma = np.arccos(np.minimum(np.maximum(cos_g, -1.0), 1.0))
     phase0 = velocity_angle - 0.5 * math.pi
-    sweep = np.mod(np.arctan2(dy[mask], dx[mask]) - gamma - phase0, TWO_PI)
+    sweep = np.mod(np.arctan2(dy[rows], dx[rows]) - gamma - phase0, TWO_PI)
     guard_sweep = DEPARTURE_GUARD * b_magnitude
-    for j in np.argsort(sweep):
-        sw = float(sweep[j])
+    for sw, k in sorted(zip(sweep.tolist(), rows.tolist())):
         if sw <= guard_sweep:
             continue
         hit_phase = phase0 + sw
-        hit = orbit_center + r * np.array([math.cos(hit_phase),
-                                           math.sin(hit_phase)])
-        k = int(rows[j])
-        n = impact_normal(hit, centers[k], eps)
-        v = unit_vector(velocity_angle + sw)
-        if float(v @ n) >= -GRAZING_TOL:
+        cx, cy = centers[k].tolist()
+        n = impact_normal(ox + r * math.cos(hit_phase),
+                          oy + r * math.sin(hit_phase), cx, cy, eps)
+        if _dot(velocity_angle + sw, n) >= -GRAZING_TOL:
             continue
         return sw * r, k, n
     return None
@@ -169,28 +182,33 @@ def first_arc_hit(centers, orbit_center, velocity_angle: float,
 def first_ray_entry(centers, position, v, eps: float, max_len: float):
     """First entry of the ray ``position + tau v`` into disks of radius ``eps``.
 
-    ``centers`` is an (n, 2) array of disk centers and ``v`` a unit vector.
-    Returns ``(tau, k, n)`` with the flight time to impact, within
-    (``DEPARTURE_GUARD``, ``max_len``], the row of ``centers`` hit and the
-    outward unit normal there; None when no disk is entered.  Grazing lines
-    (half-chord below ``eps * GRAZING_TOL``) are misses.  Every row is
-    computed elementwise, so a row's hit time does not depend on the other
-    rows of ``centers``.
+    ``centers`` is an (n, 2) array of disk centers, ``position`` a 2-vector
+    and ``v`` a unit 2-vector.  Returns ``(tau, k, n)`` with the flight time
+    to impact, within (``DEPARTURE_GUARD``, ``max_len``], the row of
+    ``centers`` hit and the outward unit normal there, a pair of floats;
+    None when no disk is entered.  Grazing lines (half-chord below
+    ``eps * GRAZING_TOL``) are misses.  Every row is computed elementwise,
+    so a row's hit time does not depend on the other rows of ``centers``.
     """
     rel = centers - position
     proj = rel[:, 0] * v[0] + rel[:, 1] * v[1]
     perp_sq = np.einsum("ij,ij->i", rel, rel) - proj * proj
     disc = eps * eps - perp_sq
-    ok = disc > (eps * GRAZING_TOL) ** 2
-    if not np.any(ok):
+    rows = (disc > (eps * GRAZING_TOL) ** 2).nonzero()[0]
+    if not len(rows):
         return None
-    tau = proj[ok] - np.sqrt(disc[ok])
-    good = (tau > DEPARTURE_GUARD) & (tau <= max_len)
-    if not np.any(good):
+    best = None
+    for t, k in zip((proj[rows] - np.sqrt(disc[rows])).tolist(),
+                    rows.tolist()):
+        if DEPARTURE_GUARD < t <= max_len and (best is None or t < best[0]):
+            best = t, k
+    if best is None:
         return None
-    j = int(np.argmin(np.where(good, tau, math.inf)))
-    t, k = float(tau[j]), int(np.flatnonzero(ok)[j])
-    return t, k, impact_normal(position + t * v, centers[k], eps)
+    t, k = best
+    x, y = map(float, position)
+    cx, cy = centers[k].tolist()
+    return t, k, impact_normal(x + t * float(v[0]), y + t * float(v[1]),
+                               cx, cy, eps)
 
 
 def point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):
@@ -216,15 +234,14 @@ def point_to_segment_distances(centers, p0, v, length):
     return np.hypot(*(centers - closest).T)
 
 
-def reflect(velocity_angle: float, n: np.ndarray) -> float:
+def reflect(velocity_angle: float, nx: float, ny: float) -> float:
     """Angle of the elastically reflected velocity v' = v - 2 (v.n) n.
 
     Applying the map twice with the same normal is the identity.
     """
-    v = unit_vector(velocity_angle)
-    n = np.asarray(n, dtype=float)
-    vp = v - 2.0 * float(v @ n) * n
-    return normalize_angle(math.atan2(vp[1], vp[0]))
+    vn2 = 2.0 * _dot(velocity_angle, (nx, ny))
+    return normalize_angle(math.atan2(math.sin(velocity_angle) - vn2 * ny,
+                                      math.cos(velocity_angle) - vn2 * nx))
 
 
 def deflection_from_impact(b_norm):

@@ -104,7 +104,8 @@ class _Trajectory:
         self.b = params.b_magnitude
         self.radius = params.larmor_radius
         self.t_max = t_max
-        self.pos = start.position.copy()
+        # position and velocity angle, as floats
+        self.x, self.y = start.position.tolist()
         self.alpha = start.velocity_angle
         self.t = 0.0
         self.events: list[CollisionEvent] = []
@@ -112,7 +113,7 @@ class _Trajectory:
         # centers of the obstacles hit so far, in order of first hit
         self.hit_centers: dict[tuple[int, int, int], tuple[float, float]] = {}
         # the current self-recollision streak, one (b, normal phase, time,
-        # position, angle) per leaf, position and angle after the reflection
+        # x, y, angle) per leaf, position and angle after the reflection
         self.run: deque[tuple] = deque(maxlen=k_max_leaves)
         self.near_miss = 0
         self.status = TrajectoryStatus.COMPLETED
@@ -125,7 +126,7 @@ class _Trajectory:
         self.sample_pos = np.empty((len(st), 2))
         self.cursor = 0
         while self.cursor < len(st) and st[self.cursor] == 0.0:
-            self.sample_pos[self.cursor] = self.pos
+            self.sample_pos[self.cursor] = self.x, self.y
             self.cursor += 1
 
     # -- sampling -----------------------------------------------------------
@@ -136,21 +137,21 @@ class _Trajectory:
         if hi <= self.cursor:
             return
         taus = self.sample_t[self.cursor:hi] - self.t
+        out = self.sample_pos[self.cursor:hi]
         if self.b == 0.0:
-            v = unit_vector(self.alpha)
-            self.sample_pos[self.cursor:hi] = self.pos + taus[:, None] * v
+            out[:, 0] = self.x + taus * math.cos(self.alpha)
+            out[:, 1] = self.y + taus * math.sin(self.alpha)
         else:
-            center = larmor_center(self.pos, self.alpha, self.b)
+            cx, cy = larmor_center(self.x, self.y, self.alpha, self.b)
             phase = self.alpha - 0.5 * math.pi + self.b * taus
-            self.sample_pos[self.cursor:hi, 0] = center[0] + self.radius * np.cos(phase)
-            self.sample_pos[self.cursor:hi, 1] = center[1] + self.radius * np.sin(phase)
+            out[:, 0] = cx + self.radius * np.cos(phase)
+            out[:, 1] = cy + self.radius * np.sin(phase)
         self.cursor = hi
 
     def advance(self, duration: float):
         self.emit_samples(duration)
-        state = advance_free(ParticleState(self.pos, self.alpha), self.b, duration)
-        self.pos = state.position
-        self.alpha = state.velocity_angle
+        self.x, self.y, self.alpha = advance_free(self.x, self.y, self.alpha,
+                                                  self.b, duration)
         self.t += duration
 
     # -- near-miss proxy ----------------------------------------------------
@@ -165,13 +166,13 @@ class _Trajectory:
             if not centers:
                 return
             dist = point_to_segment_distances(
-                np.asarray(centers), self.pos, unit_vector(self.alpha), length)
+                np.asarray(centers), np.array((self.x, self.y)),
+                unit_vector(self.alpha), length)
         else:
             # a point within reach of the arc is within reach of its circle;
             # the slack covers the rounding of both distances
             r, reach = self.radius, NEAR_MISS_FACTOR * self.eps
-            center = larmor_center(self.pos, self.alpha, self.b)
-            ox, oy = float(center[0]), float(center[1])
+            ox, oy = larmor_center(self.x, self.y, self.alpha, self.b)
             cut = reach + 1e-9 * (r + reach + abs(ox) + abs(oy))
             centers = [(x, y) for oid, (x, y) in self.hit_centers.items()
                        if oid not in exclude
@@ -179,8 +180,8 @@ class _Trajectory:
             if not centers:
                 return
             dist = point_to_arc_distances(
-                np.asarray(centers), center, r, self.alpha - 0.5 * math.pi,
-                length / r)
+                np.asarray(centers), np.array((ox, oy)), r,
+                self.alpha - 0.5 * math.pi, length / r)
         if np.any(dist <= NEAR_MISS_FACTOR * self.eps):
             self.near_miss += 1
 
@@ -204,12 +205,11 @@ class _Trajectory:
         holds no obstacle (exactly periodic motion), so the trajectory is
         circling forever.
         """
-        pos, alpha, eps, b = self.pos, self.alpha, self.eps, self.b
+        x, y, alpha, eps, b = self.x, self.y, self.alpha, self.eps, self.b
         field_ = self.field
         if b > 0.0:
             r = self.radius
-            center = larmor_center(pos, alpha, b)
-            cx, cy = float(center[0]), float(center[1])
+            cx, cy = larmor_center(x, y, alpha, b)
             phase0 = alpha - 0.5 * math.pi
             step, end = ARC_PIECE * r, TWO_PI * r
             pad = eps + r * (1.0 - math.cos(0.5 * ARC_PIECE))
@@ -223,7 +223,7 @@ class _Trajectory:
                          for key in field_.cells_meeting(x_lo, x_hi, y_lo, y_hi)]
                 pts = (slabs[0][1] if len(slabs) == 1
                        else np.concatenate([p for _, p, _ in slabs]))
-                found = (first_arc_hit(pts, center, alpha, b, eps)
+                found = (first_arc_hit(pts, (cx, cy), alpha, b, eps)
                          if len(pts) else None)
                 if found is None:
                     return None
@@ -233,12 +233,13 @@ class _Trajectory:
                         return length, (*key, first + k), n, p[k]
                     k -= len(p)
         else:
-            v = unit_vector(alpha)
+            pos, v = np.array((x, y)), unit_vector(alpha)
+            vx, vy = v.tolist()
             step, end, pad = field_.cell_size, max_len, eps
             seen = set()
 
             def point(length):
-                return pos + length * v
+                return x + length * vx, y + length * vy
 
             def scan(x_lo, x_hi, y_lo, y_hi):
                 best = None
@@ -318,22 +319,21 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
             tr.check_near_miss(remaining, None)
             tr.advance(remaining)
             break
-        tau, hit_id, n, c = found
+        tau, hit_id, (nx, ny), c = found
         tr.check_near_miss(tau, hit_id)
 
         tr.advance(tau)
-        v = unit_vector(tr.alpha)
-        b_signed = tr.eps * float(v[0] * n[1] - v[1] * n[0])
+        b_signed = tr.eps * (math.cos(tr.alpha) * ny - math.sin(tr.alpha) * nx)
         kind = tr.register_hit(hit_id, c, b_signed, tr.t)
 
-        n_phase = math.atan2(n[1], n[0])
+        n_phase = math.atan2(ny, nx)
         closed_at = None
         if kind is EventKind.SELF_RECOLLISION:
             closed_at = tr.daisy_closure(b_signed, n_phase)
         else:
             tr.run.clear()
 
-        tr.alpha = reflect(tr.alpha, n)
+        tr.alpha = reflect(tr.alpha, nx, ny)
 
         if closed_at is not None:
             tr.status = TrajectoryStatus.TRAPPED_DAISY
@@ -341,13 +341,13 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
             _replay_daisy(tr, closed_at)
             break
 
-        tr.run.append((b_signed, n_phase, tr.t, tr.pos.copy(), tr.alpha))
+        tr.run.append((b_signed, n_phase, tr.t, tr.x, tr.y, tr.alpha))
 
     if tr.cursor < len(tr.sample_t):
         # stragglers within rounding distance of t_max
-        tr.sample_pos[tr.cursor:] = tr.pos
+        tr.sample_pos[tr.cursor:] = tr.x, tr.y
         tr.cursor = len(tr.sample_t)
-    final = ParticleState(tr.pos, tr.alpha)
+    final = ParticleState(np.array((tr.x, tr.y)), tr.alpha)
     return TrajectoryOutcome(
         final_state=final, status=tr.status,
         status_time=tr.status_time, events=tr.events,
@@ -372,14 +372,12 @@ def _replay_daisy(tr: _Trajectory, closed_at: int):
         while k < len(durations) - 1 and rel > durations[k]:
             rel -= durations[k]
             k += 1
-        pos_k, alpha_k = cycle[k][3:]
-        state = advance_free(ParticleState(pos_k, alpha_k), tr.b, max(rel, 0.0))
-        out.append(state)
+        x_k, y_k, alpha_k = cycle[k][3:]
+        out.append(advance_free(x_k, y_k, alpha_k, tr.b, max(rel, 0.0)))
     for j, i in enumerate(remaining_idx):
-        tr.sample_pos[i] = out[j].position
+        tr.sample_pos[i] = out[j][:2]
     tr.cursor = len(tr.sample_t)
-    tr.pos = out[-1].position
-    tr.alpha = out[-1].velocity_angle
+    tr.x, tr.y, tr.alpha = out[-1]
     tr.t = tr.t_max
 
 

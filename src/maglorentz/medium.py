@@ -32,7 +32,8 @@ from . import _rng
 
 _EMPTY_POINTS = np.empty((0, 2))
 
-#: x-strips per cell index: a B > 0 cell's ~16k centers give ~64 per strip
+#: x-strips per cell index: a B > 0 cell's ~16k centers give ~64 per strip;
+#: a strip index fits in one byte
 N_STRIPS = 256
 
 
@@ -149,8 +150,14 @@ class _CellCache:
         if pts is None:
             pts = self.cell_points(ix, iy)
             if self.params.b_magnitude > 0.0:
-                key = np.floor((pts[:, 0] / self.cell_size - ix) * N_STRIPS)
-                key = np.clip(key, 0, N_STRIPS - 1).astype(np.int16)
+                # floor((x / s - ix) * N_STRIPS) clipped to the strips, in
+                # one buffer; one byte holds it, so the stable sort is a
+                # single radix pass
+                key = np.divide(pts[:, 0], self.cell_size)
+                key -= ix
+                key *= N_STRIPS
+                np.floor(key, out=key)
+                key = np.clip(key, 0, N_STRIPS - 1, out=key).astype(np.uint8)
                 pts = pts.take(np.argsort(key, kind="stable"), axis=0)
                 self._strips[ix, iy] = [0, *itertools.accumulate(
                     np.bincount(key, minlength=N_STRIPS).tolist())]
@@ -207,33 +214,8 @@ class ObstacleField(_CellCache):
         pts = gen.random((count, 2))
         pts[:, 0] += cell_x
         pts[:, 1] += cell_y
-        return pts * self.cell_size
-
-
-class ExplicitField(_CellCache):
-    """Field with a fixed obstacle list; same interface as ObstacleField.
-
-    Used for validation runs where the environment must be laid out by hand.
-    """
-
-    def __init__(self, params: ScalingParams, centers, cell_size: float = 0.0):
-        self.params = params
-        self.cell_size = cell_size if cell_size > 0.0 else default_cell_size(params)
-        self._cells = {}
-        self._strips = {}
-        self._centers: dict[tuple[int, int], list] = {}
-        s = self.cell_size
-        for c in np.atleast_2d(np.asarray(centers, dtype=float)):
-            if c.shape != (2,):
-                raise ValueError("centers must be 2-vectors")
-            key = (int(math.floor(c[0] / s)), int(math.floor(c[1] / s)))
-            self._centers.setdefault(key, []).append(c)
-
-    def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
-        pts = self._centers.get((cell_x, cell_y))
-        if not pts:
-            return _EMPTY_POINTS
-        return np.array(pts)
+        pts *= self.cell_size
+        return pts
 
 
 def is_admissible_start(field_, x) -> bool:

@@ -17,41 +17,47 @@ def state(x, y, alpha):
     return ParticleState(np.array([x, y], dtype=float), alpha)
 
 
+def advance(st, b, tau):
+    """``advance_free`` from a ParticleState, as a ParticleState."""
+    x, y, alpha = advance_free(*st.position, st.velocity_angle, b, tau)
+    return ParticleState(np.array([x, y]), alpha)
+
+
 class TestLarmorCenter:
     def test_unit_field_center_above(self):
-        c = larmor_center(np.array([0.0, 0.0]), 0.0, 1.0)
+        c = larmor_center(0.0, 0.0, 0.0, 1.0)
         assert np.allclose(c, [0.0, 1.0], atol=1e-15)
 
     def test_half_radius(self):
-        c = larmor_center(np.array([0.0, 0.0]), math.pi / 2, 2.0)
+        c = larmor_center(0.0, 0.0, math.pi / 2, 2.0)
         assert np.allclose(c, [-0.5, 0.0], atol=1e-15)
 
     def test_distance_is_radius(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             st = state(*rng.normal(size=2), rng.uniform(0, TWO_PI))
-            c = larmor_center(st.position, st.velocity_angle, 1.0)
+            c = larmor_center(*st.position, st.velocity_angle, 1.0)
             assert math.hypot(*(c - st.position)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError):
-            larmor_center(np.array([0.0, 0.0]), 0.0, 0.0)
+            larmor_center(0.0, 0.0, 0.0, 0.0)
 
 
 class TestAdvanceFree:
     def test_full_period_identity(self):
         st = state(0.3, -1.2, 1.1)
-        out = advance_free(st, 2.5, TWO_PI / 2.5)
+        out = advance(st, 2.5, TWO_PI / 2.5)
         assert np.allclose(out.position, st.position, atol=1e-12)
         assert out.velocity_angle == pytest.approx(st.velocity_angle, abs=1e-12)
 
     def test_half_orbit_antipode(self):
-        out = advance_free(state(0, 0, 0.0), 1.0, math.pi)
+        out = advance(state(0, 0, 0.0), 1.0, math.pi)
         assert np.allclose(out.position, [0.0, 2.0], atol=1e-12)
         assert out.velocity_angle == pytest.approx(math.pi, abs=1e-12)
 
     def test_straight_flight(self):
-        out = advance_free(state(0, 0, 0.0), 0.0, 3.0)
+        out = advance(state(0, 0, 0.0), 0.0, 3.0)
         assert np.allclose(out.position, [3.0, 0.0])
         assert out.velocity_angle == 0.0
 
@@ -61,8 +67,8 @@ class TestAdvanceFree:
             for _ in range(40):
                 st = state(*rng.normal(size=2), rng.uniform(0, TWO_PI))
                 t1, t2 = rng.uniform(0, 2, size=2)
-                one = advance_free(st, b, t1 + t2)
-                two = advance_free(advance_free(st, b, t1), b, t2)
+                one = advance(st, b, t1 + t2)
+                two = advance(advance(st, b, t1), b, t2)
                 assert np.allclose(one.position, two.position, atol=1e-12)
                 assert abs(math.remainder(
                     one.velocity_angle - two.velocity_angle, TWO_PI)) < 1e-12
@@ -73,14 +79,14 @@ class TestAdvanceFree:
 def hit_oracle(st, b, center, radius, horizon, step=1e-5):
     """Dense time stepping of the signed distance, bisection refinement."""
     def gap(tau):
-        pos = advance_free(st, b, tau).position
+        pos = advance(st, b, tau).position
         return math.hypot(*(pos - center)) - radius
 
     taus = np.arange(0.0, horizon + step, step)
     if b == 0.0:
         pos = st.position + taus[:, None] * st.velocity
     else:
-        orbit = larmor_center(st.position, st.velocity_angle, b)
+        orbit = larmor_center(*st.position, st.velocity_angle, b)
         phase = st.velocity_angle - 0.5 * math.pi + b * taus
         pos = orbit + np.stack([np.cos(phase), np.sin(phase)], axis=1) / b
     g = np.hypot(pos[:, 0] - center[0], pos[:, 1] - center[1]) - radius
@@ -107,14 +113,14 @@ def kernel_hit(st, b, centers, radius, horizon):
     if b == 0.0:
         return first_ray_entry(centers, st.position, st.velocity, radius,
                                horizon)
-    orbit = larmor_center(st.position, st.velocity_angle, b)
+    orbit = larmor_center(*st.position, st.velocity_angle, b)
     got = first_arc_hit(centers, orbit, st.velocity_angle, b, radius)
     return None if got is None or got[0] > horizon else got
 
 
 def grazing_at(st, b, tau, center, radius):
     """|v.n| at flight time ``tau`` on the disk boundary."""
-    after = advance_free(st, b, tau)
+    after = advance(st, b, tau)
     nvec = (after.position - center) / radius
     return abs(float(after.velocity @ nvec))
 
@@ -140,7 +146,7 @@ class TestFirstArcDiskHit:
         ref = hit_oracle(st, 1.0, center, 0.1, TWO_PI)
         assert ref is not None
         assert tau == pytest.approx(ref, abs=1e-8)
-        pos = advance_free(st, 1.0, tau).position
+        pos = advance(st, 1.0, tau).position
         assert math.hypot(*(pos - center)) == pytest.approx(0.1, abs=1e-12)
         assert np.allclose(n, (pos - center) / 0.1, atol=1e-9)
 
@@ -154,7 +160,7 @@ class TestFirstArcDiskHit:
             # bias half the disks toward the flight path so hits are common
             if i % 2 == 0:
                 horizon0 = TWO_PI / b if b > 0 else 3.0
-                on_path = advance_free(st, b, rng.uniform(0.1, horizon0)).position
+                on_path = advance(st, b, rng.uniform(0.1, horizon0)).position
                 center = on_path + rng.normal(scale=0.1, size=2)
             else:
                 center = st.position + rng.normal(scale=1.0, size=2)
@@ -188,7 +194,7 @@ class TestFirstArcDiskHit:
         for _ in range(40):
             st = state(*rng.normal(scale=0.5, size=2), rng.uniform(0, TWO_PI))
             radius = float(rng.uniform(0.02, 0.2))
-            on_path = [advance_free(st, b, t).position
+            on_path = [advance(st, b, t).position
                        for t in rng.uniform(0.1, horizon, size=n_disks)]
             centers = np.array(on_path) + rng.normal(scale=radius,
                                                      size=(n_disks, 2))
@@ -275,15 +281,15 @@ class TestNearMissDistances:
 
 class TestReflect:
     def test_head_on_reversal(self):
-        out = reflect(0.0, np.array([-1.0, 0.0]))
+        out = reflect(0.0, -1.0, 0.0)
         assert out == pytest.approx(math.pi, abs=1e-12)
 
     def test_grazing_unchanged(self):
-        out = reflect(0.0, np.array([0.0, 1.0]))
+        out = reflect(0.0, 0.0, 1.0)
         assert out == pytest.approx(0.0, abs=1e-12)
 
     def test_mirror_45_degrees(self):
-        out = reflect(0.0, np.array([-math.sqrt(0.5), math.sqrt(0.5)]))
+        out = reflect(0.0, -math.sqrt(0.5), math.sqrt(0.5))
         assert out == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_involution(self):
@@ -291,7 +297,7 @@ class TestReflect:
         for _ in range(200):
             a = rng.uniform(0, TWO_PI)
             n = unit_vector(rng.uniform(0, TWO_PI))
-            assert reflect(reflect(a, n), n) == pytest.approx(a, abs=1e-12)
+            assert reflect(reflect(a, *n), *n) == pytest.approx(a, abs=1e-12)
 
     def test_deflection_convention_consistency(self):
         # the angle shift of a reflection equals the signed deflection of the
@@ -305,7 +311,7 @@ class TestReflect:
             if float(v @ n) >= -1e-6:
                 continue
             b = float(v[0] * n[1] - v[1] * n[0])
-            shift = reflect(a, n) - a
+            shift = reflect(a, *n) - a
             expected = deflection_from_impact(b)
             assert abs(math.remainder(shift - expected, TWO_PI)) < 1e-10
 

@@ -14,8 +14,10 @@ from maglorentz.geometry import (ParticleState, advance_free, first_arc_hit,
 from maglorentz.lorentz_sim import (ChatteringError, EventKind,
                                     TrajectoryStatus, event_rate_study,
                                     msd_estimate, simulate_trajectory)
-from maglorentz.medium import (ExplicitField, ObstacleField,
-                               is_admissible_start, scaling_from)
+from maglorentz.medium import (ObstacleField, is_admissible_start,
+                               scaling_from)
+
+from explicit_field import ExplicitField
 
 
 def empty_params(eps=0.05, b=0.0):
@@ -71,8 +73,7 @@ class TestObstacleFreeFlight:
         assert disp.max() <= 2.0 + 1e-12
         # positions sit exactly on the orbit
         for t, pos in zip(out.sample_times, out.sample_positions):
-            ref = advance_free(ParticleState(np.array([0.0, 0.0]), 0.0),
-                               1.0, t).position
+            ref = advance_free(0.0, 0.0, 0.0, 1.0, t)[:2]
             assert np.allclose(pos, ref, atol=1e-12)
 
     def test_ballistic(self):
@@ -310,7 +311,7 @@ class TestArcSearch:
         assert is_admissible_start(field_, x) == free
 
         start = ParticleState(x, alpha)
-        c = larmor_center(start.position, start.velocity_angle, b)
+        c = larmor_center(*start.position, start.velocity_angle, b)
         reach = params.larmor_radius + eps
         pts, owners = concatenated_cells(field_, c[0] - reach, c[0] + reach,
                                          c[1] - reach, c[1] + reach)
@@ -424,7 +425,7 @@ class TestRaySearch:
             got_tau, (cell_x, cell_y, row), got_n, got_c = got
             assert got_tau == tau
             assert np.array_equal(got_c, c)
-            assert np.array_equal(got_n, impact_normal(x + tau * v, c, eps))
+            assert np.array_equal(got_n, impact_normal(*(x + tau * v), *c, eps))
             assert (cell_x, cell_y) == (ix, iy)
             assert np.array_equal(f.cell_points(ix, iy)[row], c)
 
@@ -479,7 +480,7 @@ class TestNearMissCut:
         tr = ls._Trajectory(ObstacleField(1, empty_params(eps=eps, b=b)),
                             start, 1.0, (), 8)
         r = 1.0 / b
-        o = larmor_center(start.position, start.velocity_angle, b)
+        o = larmor_center(*start.position, start.velocity_angle, b)
         phase0 = start.velocity_angle - 0.5 * math.pi
         ids = [(0, 0, i) for i in range(len(spots))]
         for oid, spot in zip(ids, spots):

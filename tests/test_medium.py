@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maglorentz import _rng, medium
-from maglorentz.medium import (AnnulusVoidEstimate, ExplicitField,
-                               ObstacleField, RegimeWarning,
-                               empty_annulus_probability_mc,
+from maglorentz.medium import (AnnulusVoidEstimate, ObstacleField,
+                               RegimeWarning, empty_annulus_probability_mc,
                                is_admissible_start, scaling_from)
+
+from explicit_field import ExplicitField
 
 
 def empty_params(eps=0.05, b=0.0):
