@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -194,11 +195,12 @@ class _Trajectory:
         The leg is walked in pieces, a cell size of a ray or ``ARC_PIECE``
         of an arc's sweep.  Each piece scans the obstacles of the cells that
         its bounding box meets, widened by eps and, for an arc, by the
-        piece's sagitta, the farthest the arc strays from its chord.  An arc
-        piece reads each cell's slab over the box's x-range, all slabs in
-        one kernel call; slabs of successive pieces overlap, so an obstacle
-        may be scanned twice.  A ray piece reads the whole cells not read
-        yet.  A disk entered at length <= hi has its center within eps of
+        piece's sagitta, the farthest the arc strays from its chord.  A
+        piece reads each cell's slab over the box's x-range (at B = 0 the
+        whole cell), all slabs in one kernel call; the boxes of successive
+        pieces overlap, so an obstacle may be scanned twice.  The kernel
+        computes each row alone, so the earliest piece, cell and row wins a
+        tie.  A disk entered at length <= hi has its center within eps of
         the leg on [0, hi], so the walk stops at the first piece end hi at
         or past the best hit.  A ray ends at ``max_len``.  An arc walks its
         whole revolution whatever ``max_len``: None then means the orbit
@@ -218,43 +220,33 @@ class _Trajectory:
                 phase = phase0 + b * length
                 return cx + r * math.cos(phase), cy + r * math.sin(phase)
 
-            def scan(x_lo, x_hi, y_lo, y_hi):
-                slabs = [(key, *field_.slab(*key, x_lo, x_hi))
-                         for key in field_.cells_meeting(x_lo, x_hi, y_lo, y_hi)]
-                pts = (slabs[0][1] if len(slabs) == 1
-                       else np.concatenate([p for _, p, _ in slabs]))
-                found = (first_arc_hit(pts, (cx, cy), alpha, b, eps)
-                         if len(pts) else None)
-                if found is None:
-                    return None
-                length, k, n = found
-                for key, p, first in slabs:
-                    if k < len(p):
-                        return length, (*key, first + k), n, p[k]
-                    k -= len(p)
+            def hit(pts):
+                return first_arc_hit(pts, (cx, cy), alpha, b, eps)
         else:
             pos, v = np.array((x, y)), unit_vector(alpha)
             vx, vy = v.tolist()
             step, end, pad = field_.cell_size, max_len, eps
-            seen = set()
 
             def point(length):
                 return x + length * vx, y + length * vy
 
-            def scan(x_lo, x_hi, y_lo, y_hi):
-                best = None
-                for key in field_.cells_meeting(x_lo, x_hi, y_lo, y_hi):
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    pts = field_.cell(*key)
-                    found = (first_ray_entry(pts, pos, v, eps, max_len)
-                             if len(pts) else None)
-                    if found is not None and (best is None
-                                              or found[0] < best[0]):
-                        tau, k, n = found
-                        best = (tau, (*key, k), n, pts[k])
-                return best
+            def hit(pts):
+                return first_ray_entry(pts, pos, v, eps, max_len)
+
+        def scan(x_lo, x_hi, y_lo, y_hi):
+            slabs = [(key, *field_.slab(*key, x_lo, x_hi))
+                     for key in field_.cells_meeting(x_lo, x_hi, y_lo, y_hi)]
+            pts = (slabs[0][1] if len(slabs) == 1
+                   else np.concatenate([p for _, p, _ in slabs]))
+            found = hit(pts) if len(pts) else None
+            if found is None:
+                return None
+            length, k, n = found
+            for key, p, first in slabs:
+                if k < len(p):
+                    return length, (*key, first + k), n, p[k]
+                k -= len(p)
+
         best = None
         hi = 0.0
         while (best is None or best[0] > hi) and hi < end:
@@ -425,7 +417,8 @@ def _run_replicas(rungs, n_replicas: int, sample_times, t_max: float,
     A rung is ``(params, field key, start key)``: its replica ``r`` runs in
     the field ``mix(seed, *field key, r)`` from a start drawn from
     ``generator(seed, STREAM_START, *start key, r)``, so the records do not
-    depend on ``workers``.  The chunks of all rungs share one process pool.
+    depend on ``workers``.  The chunks of all rungs share one process pool,
+    no larger than ``workers``, the number of chunks or the CPU count.
     """
     per = (max(1, math.ceil(n_replicas / workers / 4)) if workers > 1
            else n_replicas)
@@ -434,7 +427,8 @@ def _run_replicas(rungs, n_replicas: int, sample_times, t_max: float,
             for params, field_key, start_key in rungs
             for lo in range(0, n_replicas, per)]
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+        size = min(workers, len(args), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             chunks = list(pool.map(_replica_chunk, args))
     else:
         chunks = [_replica_chunk(a) for a in args]

@@ -6,11 +6,11 @@ stream.  Trajectories of unbounded extent therefore see one consistent
 infinite environment without it ever being stored, and concurrent readers
 need no coordination.  A field object memoizes the cells it has served,
 so its memory grows with the area queried; each replica gets its own.
-Obstacles are read through the memoized cell, whole, or one slab of its
-x-strips at a time; rectangles are scanned cell by cell.  A B > 0 cell is
-stored once, sorted by x-strip, so that a slab is a run of its rows: one
-orbit's cell holds thousands of centers and a leg reaches only a thin
-sliver of them.  A B = 0 cell keeps its draw order and is read whole: its
+Every search reads obstacles through slabs of the memoized cells, the
+cells of a rectangle in one fixed order.  A B > 0 cell is stored once,
+sorted by x-strip, so that a slab is a run of its rows: one orbit's cell
+holds thousands of centers and a leg reaches only a thin sliver of them.
+A B = 0 cell keeps its draw order and its slab is the whole cell: its
 pitch is sized so that it holds about 30 obstacles, few enough to scan
 and enough to keep the set-up of its generator small next to the points
 it draws.  Every cell is drawn by its own generator.
@@ -134,14 +134,14 @@ class _CellCache:
     """Memo of drawn cells; every obstacle query.
 
     Row k of ``cell(ix, iy)`` is the obstacle keyed ``(ix, iy, k)``.  Every
-    query reads through here, so a replica's start check and its flight
-    draw each cell once.  A B = 0 cell keeps its draw order.  A B > 0 cell
-    is stored in x-strip order, the draw order kept within a strip, with
-    its strip offsets beside it, so ``slab`` returns a run of its rows.
-    ``cells_meeting`` is the one cell enumeration of every search (the hit
-    walk and the start check); it holds for any cell size.  Subclasses set
-    ``_cells`` and ``_strips`` to empty dicts and provide ``params``,
-    ``cell_size`` and ``cell_points``.
+    query reads through ``slab``, so a replica's start check and its
+    flight draw each cell once.  A B = 0 cell keeps its draw order and is
+    its own slab.  A B > 0 cell is stored in x-strip order, the draw order
+    kept within a strip, with its strip offsets beside it, so ``slab``
+    returns a run of its rows.  ``cells_meeting`` is the one cell
+    enumeration of every search (the hit walk and the start check); it
+    holds for any cell size.  Subclasses set ``_cells`` and ``_strips`` to
+    empty dicts and provide ``params``, ``cell_size`` and ``cell_points``.
     """
 
     def cell(self, ix: int, iy: int) -> np.ndarray:
@@ -167,12 +167,15 @@ class _CellCache:
     def slab(self, ix: int, iy: int, x_lo: float, x_hi: float):
         """(centers, first) of a run of the cell's x-strips covering [x_lo, x_hi].
 
-        B > 0 only.  The centers are the view ``cell(ix, iy)[first:first +
-        n]``; every center of the cell whose x lies in the range is among
-        them, which may hold others of the cell too.
+        The centers are the view ``cell(ix, iy)[first:first + n]``; every
+        center of the cell whose x lies in the range is among them, which
+        may hold others of the cell too.  A cell with no strips (B = 0) is
+        returned whole, ``(cell(ix, iy), 0)``.
         """
         pts = self.cell(ix, iy)
-        offsets = self._strips[ix, iy]
+        offsets = self._strips.get((ix, iy))
+        if offsets is None:
+            return pts, 0
         # the strip key of cell, in the same float operations, so it is
         # monotone in x: a center with x_lo <= x <= x_hi is in [lo, hi]
         s = self.cell_size
@@ -221,17 +224,14 @@ class ObstacleField(_CellCache):
 def is_admissible_start(field_, x) -> bool:
     """True when every obstacle center is strictly farther than eps from x.
 
-    At B > 0 it reads each cell's slab [x - eps, x + eps]; at B = 0 it
-    reads the whole cell, whose 30 or so centers cost less than an index.
+    It reads each cell's slab [x - eps, x + eps]: at B = 0 the whole cell,
+    whose 30 or so centers cost less than an index.
     """
     x = np.asarray(x, dtype=float)
     eps = field_.params.eps
     x_lo, x_hi = float(x[0]) - eps, float(x[0]) + eps
     for ix, iy in field_.cells_meeting(x_lo, x_hi, x[1] - eps, x[1] + eps):
-        if field_.params.b_magnitude > 0.0:
-            pts = field_.slab(ix, iy, x_lo, x_hi)[0]
-        else:
-            pts = field_.cell(ix, iy)
+        pts = field_.slab(ix, iy, x_lo, x_hi)[0]
         if len(pts) and np.min(np.sum((pts - x) ** 2, axis=1)) <= eps * eps:
             return False
     return True

@@ -371,8 +371,8 @@ class TestArcSearch:
 class TestRaySearch:
     """The segment scan agrees with a scan of every cell of the whole leg.
 
-    The oracle runs the kernel cell by cell, as the search does: on one
-    concatenated array its last bit can differ for a one-row cell.
+    The oracle runs the kernel cell by cell, so it checks the search's
+    grouped scan, one kernel call on the concatenated cells of a piece.
     """
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -538,10 +538,13 @@ class TestMsdEstimate:
 
         monkeypatch.setattr(ls, "ProcessPoolExecutor", SerialPool)
         params = scaling_from(0.05, 1.0, 1.0, 0.0)
-        wide = msd_estimate(params, 3, [0.5], seed=4, workers=64)
-        assert sizes == [3]
         one = msd_estimate(params, 3, [0.5], seed=4, workers=1)
-        assert np.array_equal(wide.msd, one.msd)
+        # nor the CPUs; a host that reports none gets one process
+        for cpus, size in ((64, 3), (2, 2), (None, 1)):
+            monkeypatch.setattr(ls.os, "cpu_count", lambda n=cpus: n)
+            wide = msd_estimate(params, 3, [0.5], seed=4, workers=64)
+            assert sizes.pop() == size and not sizes
+            assert np.array_equal(wide.msd, one.msd)
 
     def test_short_time_ballistic_regime(self):
         # well below the mean free time MSD(t) is near t^2; the exact
@@ -623,9 +626,11 @@ class TestEventRateStudy:
             return pool_class(*args, **kwargs)
 
         monkeypatch.setattr(ls, "ProcessPoolExecutor", counting)
+        # two CPUs on any host, so the pool is not capped below two
+        monkeypatch.setattr(ls.os, "cpu_count", lambda: 2)
         pooled = event_rate_study([4e-3, 2e-3], 2.0, 1.0, 1.0, 0.5, 8,
                                   seed=9, workers=2)
-        assert len(made) == 1
+        assert made == [{"max_workers": 2}]
         serial = event_rate_study([4e-3, 2e-3], 2.0, 1.0, 1.0, 0.5, 8,
                                   seed=9, workers=1)
         assert pooled.rows == serial.rows

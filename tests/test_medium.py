@@ -258,6 +258,19 @@ class TestSlab:
         empty = ObstacleField(5, empty_params(b=1.0))
         pts, first = empty.slab(0, 0, 0.0, s)
         assert pts.shape == (0, 2) and first == 0
+        # a B = 0 cell has no strips: every slab is the whole cell, in
+        # draw order
+        flat = ObstacleField(5, b0_params(1000.0))
+        s = flat.cell_size
+        cell = flat.cell(-2, 1)
+        assert len(cell) > 0
+        assert np.array_equal(cell, generator_cell(flat, -2, 1))
+        for u, width in ((0.0, 1.0), (0.3, 0.01), (0.9, 0.0), (-1.0, 0.5),
+                         (2.0, 3.0)):
+            x_lo = (-2 + u) * s
+            pts, first = flat.slab(-2, 1, x_lo, x_lo + width * s)
+            assert first == 0 and np.array_equal(pts, cell)
+            assert np.shares_memory(pts, cell)
 
 
 class TestAdmissibleStart:
