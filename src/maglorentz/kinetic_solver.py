@@ -154,22 +154,19 @@ class KineticModel:
         self.eta = eta
         self.b_magnitude = b_magnitude
         self.grid = grid
-        self.period = 2.0 * math.pi / b_magnitude if b_magnitude > 0.0 else math.inf
+        self.period = operators.cyclotron_period(b_magnitude)
         self.delay = self.period / eta
+        if k_cut is None:
+            k_cut = operators.default_k_cut(mu, self.period)
+        elif k_cut and math.isinf(self.delay):
+            raise ValueError(f"k_cut={k_cut} needs a field: at B = 0 the "
+                             "memory has no delay to look back by")
+        self.k_cut = k_cut
         m_modes = grid.n_v // 2
-        ell_op = operators.build_L(mu, m_modes)
-        self.ell = ell_op.fft_multipliers(grid.n_v)
-        if b_magnitude > 0.0:
-            self.k_cut = (operators.default_k_cut(mu, self.period)
-                          if k_cut is None else k_cut)
-            table = operators.memory_mode_table(
-                mu, self.period, m_modes, self.k_cut)
-            m_abs = np.abs(grid.angular_modes)
-            self.memory_rows = table[:, m_abs] if self.k_cut else \
-                np.zeros((0, grid.n_v))
-        else:
-            self.k_cut = 0
-            self.memory_rows = np.zeros((0, grid.n_v))
+        self.ell = operators.build_L(mu, m_modes).fft_multipliers(grid.n_v)
+        # one row per delay k = 1..k_cut, none without a field
+        self.memory_rows = operators.memory_mode_table(
+            mu, self.period, m_modes, k_cut)[:, np.abs(grid.angular_modes)]
         self._propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- time step control ---------------------------------------------------
@@ -177,7 +174,7 @@ class KineticModel:
     def default_dt(self, safety: float = 0.1) -> float:
         """Stability-motivated step: collision stiffness binds, transport is exact."""
         w = operators.survival_weight(self.mu, self.period)
-        mem_ratio = (w / (1.0 - w)) * (operators.BETA + 1.0) if w else 0.0
+        mem_ratio = (w / (1.0 - w)) * (operators.BETA + 1.0)
         return safety / (self.eta ** 2 * 2.0 * self.mu * (1.0 + mem_ratio))
 
     # -- elementary operators --------------------------------------------------
@@ -219,10 +216,10 @@ class KineticModel:
                       ) -> np.ndarray:
         """eta^2 (L + delayed memory) in angle-mode space."""
         out = hat * self.ell
-        if self.k_cut:
-            k_active = min(self.k_cut, int(math.floor(t / self.delay + 1e-12)))
-            for k in range(1, k_active + 1):
-                out += self.memory_rows[k - 1] * history.modes_at(t - k * self.delay)
+        # none is active without a field: t / inf = 0
+        k_active = min(self.k_cut, int(math.floor(t / self.delay + 1e-12)))
+        for k in range(1, k_active + 1):
+            out += self.memory_rows[k - 1] * history.modes_at(t - k * self.delay)
         return out * self.eta ** 2
 
 
@@ -343,8 +340,8 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
     # the (0, 0) row's place among the modes, if carried: the mass is 0
     # without it
     at0 = np.flatnonzero(~modes.any(axis=1))
-    # the oldest delayed field read lies k_cut * delay back; delay is
-    # infinite without a field, where k_cut is 0
+    # the oldest delayed field read lies k_cut * delay back; without a field
+    # k_cut is 0 and the delay infinite, and 0 * inf is NaN
     reach = math.ceil(model.k_cut * model.delay / dt) if model.k_cut else 0
     hist = _History(len(modes), grid.n_v, dt, min(n_steps + 1, reach + 4))
     fld = KineticField(grid, modes, f0.values_hat, f0.time, hist)
@@ -457,8 +454,8 @@ def hilbert_residual_study(eta_list, mu: float, b_magnitude: float,
     """
     rows = []
     rho0, modes = angle_average_modes(f0), f0.modes
-    period = 2.0 * math.pi / b_magnitude if b_magnitude > 0.0 else math.inf
-    op = operators.build_LG(mu, period, m_modes=max(grid.n_v // 2, 8))
+    op = operators.build_LG(mu, operators.cyclotron_period(b_magnitude),
+                            m_modes=max(grid.n_v // 2, 8))
     diffusivity = operators.spatial_diffusivity(op)
     for eta in eta_list:
         model = KineticModel(mu, float(eta), b_magnitude, grid)

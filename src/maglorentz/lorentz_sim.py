@@ -91,7 +91,7 @@ class TrajectoryOutcome:
     events: list
     sample_times: np.ndarray
     sample_positions: np.ndarray
-    near_miss_count: int
+    near_miss: bool
 
 
 class _Trajectory:
@@ -116,7 +116,7 @@ class _Trajectory:
         # the current self-recollision streak, one (b, normal phase, time,
         # x, y, angle) per leaf, position and angle after the reflection
         self.run: deque[tuple] = deque(maxlen=k_max_leaves)
-        self.near_miss = 0
+        self.near_miss = False
         self.status = TrajectoryStatus.COMPLETED
         self.status_time = t_max
         st = np.asarray(sample_times, dtype=float)
@@ -158,7 +158,8 @@ class _Trajectory:
     # -- near-miss proxy ----------------------------------------------------
 
     def check_near_miss(self, length: float, hit_id):
-        if not self.hit_centers:
+        """Flag a near miss on the next ``length`` of the leg; one is enough."""
+        if self.near_miss or not self.hit_centers:
             return
         exclude = {hit_id, self.prev_id}
         if self.b == 0.0:
@@ -183,8 +184,7 @@ class _Trajectory:
             dist = point_to_arc_distances(
                 np.asarray(centers), np.array((ox, oy)), r,
                 self.alpha - 0.5 * math.pi, length / r)
-        if np.any(dist <= NEAR_MISS_FACTOR * self.eps):
-            self.near_miss += 1
+        self.near_miss = bool(np.any(dist <= NEAR_MISS_FACTOR * self.eps))
 
     # -- hit search ---------------------------------------------------------
 
@@ -344,7 +344,7 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
         final_state=final, status=tr.status,
         status_time=tr.status_time, events=tr.events,
         sample_times=tr.sample_t, sample_positions=tr.sample_pos,
-        near_miss_count=tr.near_miss)
+        near_miss=tr.near_miss)
 
 
 def _replay_daisy(tr: _Trajectory, closed_at: int):
@@ -406,7 +406,7 @@ def _replica_chunk(args):
         disp = out.sample_positions - start.position
         recollided = any(ev.kind is EventKind.RECOLLISION for ev in out.events)
         records.append((np.einsum("ij,ij->i", disp, disp).tolist(), out.status,
-                        out.status_time, recollided, out.near_miss_count > 0))
+                        out.status_time, recollided, out.near_miss))
     return records
 
 

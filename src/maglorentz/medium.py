@@ -7,13 +7,12 @@ infinite environment without it ever being stored, and concurrent readers
 need no coordination.  A field object memoizes the cells it has served,
 so its memory grows with the area queried; each replica gets its own.
 Every search reads obstacles through slabs of the memoized cells, the
-cells of a rectangle in one fixed order.  A B > 0 cell is stored once,
-sorted by x-strip, so that a slab is a run of its rows: one orbit's cell
-holds thousands of centers and a leg reaches only a thin sliver of them.
-A B = 0 cell keeps its draw order and its slab is the whole cell: its
-pitch is sized so that it holds about 30 obstacles, few enough to scan
-and enough to keep the set-up of its generator small next to the points
-it draws.  Every cell is drawn by its own generator.
+cells of a rectangle in one fixed order.  A cell of ``N_STRIPS`` centers
+or more (a B > 0 orbit's square holds thousands, of which a leg reaches a
+thin sliver) is stored once, sorted by x-strip, so a slab is a run of its
+rows.  A smaller cell keeps its draw order and is its own slab: a B = 0
+cell holds about 30 obstacles, few enough to scan and enough to keep the
+set-up of its generator small next to the points it draws.
 
 Obstacles may overlap each other; the underlying measure is pure Poisson
 with no hard-core thinning.
@@ -32,8 +31,8 @@ from . import _rng
 
 _EMPTY_POINTS = np.empty((0, 2))
 
-#: x-strips per cell index: a B > 0 cell's ~16k centers give ~64 per strip;
-#: a strip index fits in one byte
+#: x-strips per cell index, and the fewest centers of a cell sorted into
+#: strips: ~16k in an orbit's cell give ~64 per strip; an index is one byte
 N_STRIPS = 256
 
 
@@ -135,13 +134,14 @@ class _CellCache:
 
     Row k of ``cell(ix, iy)`` is the obstacle keyed ``(ix, iy, k)``.  Every
     query reads through ``slab``, so a replica's start check and its
-    flight draw each cell once.  A B = 0 cell keeps its draw order and is
-    its own slab.  A B > 0 cell is stored in x-strip order, the draw order
-    kept within a strip, with its strip offsets beside it, so ``slab``
-    returns a run of its rows.  ``cells_meeting`` is the one cell
-    enumeration of every search (the hit walk and the start check); it
-    holds for any cell size.  Subclasses set ``_cells`` and ``_strips`` to
-    empty dicts and provide ``params``, ``cell_size`` and ``cell_points``.
+    flight draw each cell once.  A cell's count alone picks its layout: a
+    cell of at least ``N_STRIPS`` centers is stored in x-strip order, the
+    draw order kept within a strip, with its strip offsets beside it, so
+    ``slab`` returns a run of its rows; a smaller cell keeps its draw order
+    and is its own slab.  ``cells_meeting`` is the one cell enumeration of
+    every search (the hit walk and the start check); it holds for any cell
+    size.  Subclasses set ``_cells`` and ``_strips`` to empty dicts and
+    provide ``cell_size`` and ``cell_points``.
     """
 
     def cell(self, ix: int, iy: int) -> np.ndarray:
@@ -149,7 +149,7 @@ class _CellCache:
         pts = self._cells.get((ix, iy))
         if pts is None:
             pts = self.cell_points(ix, iy)
-            if self.params.b_magnitude > 0.0:
+            if len(pts) >= N_STRIPS:
                 # floor((x / s - ix) * N_STRIPS) clipped to the strips, in
                 # one buffer; one byte holds it, so the stable sort is a
                 # single radix pass
@@ -169,8 +169,8 @@ class _CellCache:
 
         The centers are the view ``cell(ix, iy)[first:first + n]``; every
         center of the cell whose x lies in the range is among them, which
-        may hold others of the cell too.  A cell with no strips (B = 0) is
-        returned whole, ``(cell(ix, iy), 0)``.
+        may hold others of the cell too.  A cell of fewer than ``N_STRIPS``
+        centers has no strips and is returned whole, ``(cell(ix, iy), 0)``.
         """
         pts = self.cell(ix, iy)
         offsets = self._strips.get((ix, iy))
@@ -224,8 +224,8 @@ class ObstacleField(_CellCache):
 def is_admissible_start(field_, x) -> bool:
     """True when every obstacle center is strictly farther than eps from x.
 
-    It reads each cell's slab [x - eps, x + eps]: at B = 0 the whole cell,
-    whose 30 or so centers cost less than an index.
+    It reads each cell's slab [x - eps, x + eps]: a cell of fewer than
+    ``N_STRIPS`` centers whole, since so few cost less than an index.
     """
     x = np.asarray(x, dtype=float)
     eps = field_.params.eps
@@ -249,10 +249,10 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     """Monte Carlo estimate of the empty-orbit-annulus probability.
 
     Each sample is an independent field realization restricted to the square
-    bounding the annulus with radii (R - eps, R + eps) about ``center``; the
-    estimate is the fraction of realizations with no obstacle center in the
-    annulus.  The closed-form comparison value is
-    ``exp(-mu_eff * 4 pi R eps)``.
+    bounding the annulus with radii (R - eps, R + eps); the estimate is the
+    fraction of realizations with no obstacle center in the annulus.  The
+    closed-form comparison value is ``exp(-mu_eff * 4 pi R eps)``.  The
+    field is homogeneous: ``center`` is unused.
     """
     if params.b_magnitude <= 0.0:
         raise ValueError("no orbit annulus without a magnetic field")
@@ -263,7 +263,6 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     closed = math.exp(-params.mu_eff * 4.0 * math.pi * r * eps)
     if params.mu_eff == 0.0:
         return AnnulusVoidEstimate(1.0, 0.0, 1.0)
-    center = np.asarray(center, dtype=float)
     half = r + eps
     lam_box = params.mu_eff * (2.0 * half) ** 2
     gen = _rng.generator(seed, _rng.STREAM_ANNULUS)

@@ -21,7 +21,8 @@ Multipliers:
 
 with the per-period survival weight ``w = exp(-2 mu T)`` for cyclotron
 period T.  The memory series realizes repeated identical deflections off
-the same obstacle, one per completed period.
+the same obstacle, one per completed period.  At B = 0 the period is
+infinite, w = 0 and M vanishes: L + M is then the plain Lorentz gas's L.
 """
 
 from __future__ import annotations
@@ -49,10 +50,16 @@ class NearSingularOperatorError(ArithmeticError):
     """A multiplier needed for inversion is numerically zero."""
 
 
+def cyclotron_period(b: float) -> float:
+    """Period 2 pi / B of the unit-speed orbit; infinite when B = 0."""
+    return 2.0 * math.pi / b if b > 0.0 else math.inf
+
+
 def survival_weight(mu: float, period: float) -> float:
-    """Probability of completing one cyclotron period without scattering."""
-    if period == math.inf:
-        return 0.0
+    """Probability of completing one cyclotron period without scattering.
+
+    It is exactly 0 without a field: exp(-inf) = 0.
+    """
     return math.exp(-2.0 * mu * period)
 
 
@@ -61,7 +68,8 @@ def default_k_cut(mu: float, period: float, tol: float = MEMORY_TOL) -> int:
     w = survival_weight(mu, period)
     if w == 0.0:
         return 0
-    k = int(math.ceil(math.log(tol) / math.log(w))) + 1
+    # w rounds to 1 below 2 mu T = 1e-16 or so: no truncation will do
+    k = int(math.ceil(math.log(tol) / math.log(w))) + 1 if w < 1.0 else math.inf
     if k > _MAX_K_CUT:
         raise ValueError(
             f"memory series needs {k} terms at mu={mu}, T={period}; the period "
@@ -156,8 +164,6 @@ def memory_mode_table(mu: float, period: float, m_modes: int,
     delayed kinetic solver applies row k to the field one period times k in
     the past.
     """
-    if k_cut == 0:
-        return np.zeros((0, m_modes + 1))
     w = survival_weight(mu, period)
     c = deflection_cosine_moments(m_modes * (k_cut + 1))
     m = np.arange(m_modes + 1)
@@ -177,21 +183,17 @@ def build_M(mu: float, period: float, m_modes: int,
         raise ValueError("period must be positive (it may be infinite)")
     if k_cut is None:
         k_cut = default_k_cut(mu, period)
-    elif survival_weight(mu, period) ** max(k_cut, 1) >= MEMORY_TOL and \
-            survival_weight(mu, period) > 0.0:
+    elif survival_weight(mu, period) ** max(k_cut, 1) >= MEMORY_TOL:
         raise ValueError(
             f"k_cut={k_cut} leaves a memory tail above {MEMORY_TOL:g}")
-    rows = memory_mode_table(mu, period, m_modes, k_cut)
-    vals = rows.sum(axis=0) if len(rows) else np.zeros(m_modes + 1)
+    vals = memory_mode_table(mu, period, m_modes, k_cut).sum(axis=0)
     return AngularOperator(vals, mu=mu, period=period, k_cut=k_cut)
 
 
 def build_LG(mu: float, period: float, m_modes: int,
              k_cut: int | None = None) -> AngularOperator:
-    """Full collision operator with memory: L + M."""
+    """Full collision operator with memory: L + M (L exactly at B = 0)."""
     ell = build_L(mu, m_modes)
-    if period == math.inf:
-        return ell
     mem = build_M(mu, period, m_modes, k_cut)
     return AngularOperator(ell.multipliers + mem.multipliers, mu=mu,
                            period=period, k_cut=mem.k_cut)
@@ -231,8 +233,7 @@ def _grid_series_setup(mu, period, g):
     g = np.asarray(g, dtype=complex)
     n = len(g)
     _check_zero_mean(np.mean(g), float(np.max(np.abs(g))))
-    mf = build_M(mu, period, n // 2).fft_multipliers(n) \
-        if period != math.inf else np.zeros(n)
+    mf = build_M(mu, period, n // 2).fft_multipliers(n)
     return g, n, mf
 
 
@@ -274,12 +275,11 @@ def invert_split_series(mu: float, period: float, g: np.ndarray,
     The k = 0 truncation is the memoryless inverse; higher terms add the
     memory corrections.  Refuses when ``|M| |L^-1|`` is not below 1.
     """
-    if period != math.inf:
-        gain = split_series_gain(mu, period)
-        if gain >= 1.0:
-            raise SeriesDivergenceError(
-                f"split-series bound {gain:.6f} >= 1: series not guaranteed "
-                "convergent")
+    gain = split_series_gain(mu, period)
+    if gain >= 1.0:
+        raise SeriesDivergenceError(
+            f"split-series bound {gain:.6f} >= 1: series not guaranteed "
+            "convergent")
     g, n, mf = _grid_series_setup(mu, period, g)
     inv_ell = build_L(mu, n // 2).fft_inverse(n)
     u = np.fft.fft(g)
@@ -365,11 +365,11 @@ def diffusion_sweep(mu: float, b_values, m_modes: int = 64):
     d_markov = 3.0 / (8.0 * mu)
     for b in b_values:
         b = float(b)
-        period = 2.0 * math.pi / b if b > 0.0 else math.inf
+        period = cyclotron_period(b)
         op = build_LG(mu, period, m_modes)
         d_direct = diffusion_coefficient(op)
         converged = (neumann_contraction_factor(mu, period) < 1.0
-                     and (period == math.inf or split_series_gain(mu, period) < 1.0))
+                     and split_series_gain(mu, period) < 1.0)
         rows.append((b, period, d_direct, d_markov, d_direct - d_markov,
                      bool(converged)))
     return rows

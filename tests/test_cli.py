@@ -258,6 +258,16 @@ class TestMainFlow:
         assert "eps=0.004 reached max_events=1" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
 
+    def test_memory_weight_of_one_exits_1(self, tmp_path, capsys):
+        # exp(-2 mu T) rounds to 1 at mu = 1e-300: no truncation will do
+        cfg = tmp_path / "kin.cfg"
+        cfg.write_text(with_key(with_key(KINETIC_CONFIG, "mu", "1e-300"),
+                                "t_end", "0.1"))
+        assert main(["kinetic", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "error: memory series needs" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
     def test_circling_run_outputs(self, tmp_path):
         cfg = tmp_path / "circ.cfg"
         cfg.write_text(CIRCLING_CONFIG)

@@ -257,6 +257,25 @@ class TestRelaxation:
             ks.KineticModel(mu, eta, b, small_grid)
 
 
+class TestNoField:
+    """At B = 0 the general memory code carries no term at all."""
+
+    def test_no_memory_rows_and_plain_collision(self, small_grid):
+        model = ks.KineticModel(0.7, 2.0, 0.0, small_grid)
+        assert model.k_cut == 0
+        assert model.memory_rows.shape == (0, small_grid.n_v)
+        hat = ks.make_initial_field(small_grid, 0.5, 1, 0.3).values_hat
+        hist = ks._History(len(hat), small_grid.n_v, 0.01, 4)
+        for t in (0.0, 0.5, 1e6):
+            assert np.array_equal(model.collision_rhs(hat, t, hist),
+                                  hat * model.ell * model.eta ** 2)
+
+    def test_explicit_k_cut_refused(self, small_grid):
+        with pytest.raises(ValueError, match="k_cut=2"):
+            ks.KineticModel(1.0, 2.0, 0.0, small_grid, k_cut=2)
+        assert ks.KineticModel(1.0, 2.0, 0.0, small_grid, k_cut=0).k_cut == 0
+
+
 class TestSolveArguments:
     @pytest.fixture(scope="class")
     def problem(self):

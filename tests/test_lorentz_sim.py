@@ -427,7 +427,7 @@ class TestRaySearch:
             assert np.array_equal(got_c, c)
             assert np.array_equal(got_n, impact_normal(*(x + tau * v), *c, eps))
             assert (cell_x, cell_y) == (ix, iy)
-            assert np.array_equal(f.cell_points(ix, iy)[row], c)
+            assert np.array_equal(f.cell(ix, iy)[row], c)
 
     def test_far_candidate_does_not_stop_the_scan(self):
         # cells of 0.8 eps: the first segment's cells hold the disk at
@@ -494,7 +494,7 @@ class TestNearMissCut:
             point_to_arc_distances(np.asarray(kept), o, r, phase0, length / r)
             <= ls.NEAR_MISS_FACTOR * eps))
         tr.check_near_miss(length, hit_id)
-        assert tr.near_miss == int(want)
+        assert tr.near_miss == want
 
 
 class TestMsdEstimate:

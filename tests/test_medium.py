@@ -250,6 +250,28 @@ class TestSlab:
         assert np.shares_memory(pts, cell)
         assert f.cell(-3, 2) is cell
 
+    def test_layout_follows_the_count(self):
+        # a B > 0 cell of fewer than N_STRIPS centers (about 41 here) is
+        # kept whole, in draw order
+        f = ObstacleField(5, b_params(0.01, 10.0, 1.0))
+        s = f.cell_size
+        cell = f.cell(1, -2)
+        assert 0 < len(cell) < medium.N_STRIPS
+        assert np.array_equal(cell, generator_cell(f, 1, -2))
+        pts, first = f.slab(1, -2, 1.4 * s, 1.5 * s)
+        assert first == 0 and pts is cell
+        # a B = 0 cell of N_STRIPS centers or more is stored in strip order
+        drawn = np.random.default_rng(3).random((medium.N_STRIPS + 40, 2))
+        drawn = drawn * 2.0 + (2.0, -4.0)  # all in cell (1, -2) of pitch 2
+        g = ExplicitField(empty_params(eps=0.01), drawn, cell_size=2.0)
+        cell = g.cell(1, -2)
+        key = np.clip(np.floor((drawn[:, 0] / 2.0 - 1) * medium.N_STRIPS),
+                      0, medium.N_STRIPS - 1)
+        assert not np.array_equal(cell, drawn)
+        assert np.array_equal(cell, drawn[np.argsort(key, kind="stable")])
+        pts, first = g.slab(1, -2, 2.9, 3.0)
+        assert first > 0 and 0 < len(pts) < len(cell)
+
     def test_whole_cell_and_empty_cell(self):
         f = ObstacleField(5, b_params(0.01, 200.0, 1.0))
         s = f.cell_size

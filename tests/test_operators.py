@@ -189,6 +189,27 @@ class TestBuildM:
         m = ops.build_M(1.0, math.inf, 16)
         assert m.k_cut == 0 and np.all(m.multipliers == 0.0)
 
+    @pytest.mark.parametrize("period", [math.inf, 1.0])
+    def test_zero_k_cut_table_has_no_rows(self, period):
+        assert ops.memory_mode_table(1.0, period, 16, 0).shape == (0, 17)
+
+    @pytest.mark.parametrize("mu,m_modes", [(0.25, 8), (1.0, 64), (3.0, 17)])
+    def test_infinite_period_full_operator_is_L(self, mu, m_modes):
+        lg = ops.build_LG(mu, math.inf, m_modes)
+        assert np.array_equal(lg.multipliers,
+                              ops.build_L(mu, m_modes).multipliers)
+        assert lg.k_cut == 0 and lg.period == math.inf
+
+    def test_cyclotron_period(self):
+        assert ops.cyclotron_period(0.0) == math.inf
+        assert ops.cyclotron_period(4.0) == 0.5 * math.pi
+
+    def test_weight_rounding_to_one_refused(self):
+        # exp(-2 mu T) is 1.0 here and log(w) is 0: no truncation will do
+        assert ops.survival_weight(1e-300, 1.0) == 1.0
+        with pytest.raises(ValueError, match="memory series needs"):
+            ops.default_k_cut(1e-300, 1.0)
+
     def test_first_memory_multiplier_against_grid_kernel(self):
         mu, period = 1.0, 1.0
         m = ops.build_M(mu, period, 16)
