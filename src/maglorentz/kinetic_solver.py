@@ -143,10 +143,15 @@ def _mass(raw: complex, grid: SpectralGrid) -> float:
 
 
 class KineticModel:
-    """Precomputed multipliers and propagators for one parameter set."""
+    """Precomputed multipliers and propagators for one parameter set.
+
+    ``memory_rows`` holds the rows of ``operators.memory_mode_table``, one
+    per delay k = 1..k_cut and none without a field; ``k_cut`` is their
+    count, the one truncation that ``operators`` decides.
+    """
 
     def __init__(self, mu: float, eta: float, b_magnitude: float,
-                 grid: SpectralGrid, k_cut: int | None = None):
+                 grid: SpectralGrid):
         if not (0.0 < mu < math.inf and 1.0 <= eta < math.inf
                 and 0.0 <= b_magnitude < math.inf):
             raise ValueError("need finite mu > 0, eta >= 1, B >= 0")
@@ -156,25 +161,21 @@ class KineticModel:
         self.grid = grid
         self.period = operators.cyclotron_period(b_magnitude)
         self.delay = self.period / eta
-        if k_cut is None:
-            k_cut = operators.default_k_cut(mu, self.period)
-        elif k_cut and math.isinf(self.delay):
-            raise ValueError(f"k_cut={k_cut} needs a field: at B = 0 the "
-                             "memory has no delay to look back by")
-        self.k_cut = k_cut
         m_modes = grid.n_v // 2
         self.ell = operators.build_L(mu, m_modes).fft_multipliers(grid.n_v)
-        # one row per delay k = 1..k_cut, none without a field
         self.memory_rows = operators.memory_mode_table(
-            mu, self.period, m_modes, k_cut)[:, np.abs(grid.angular_modes)]
+            mu, self.period, m_modes)[:, np.abs(grid.angular_modes)]
         self._propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def k_cut(self) -> int:
+        return len(self.memory_rows)
 
     # -- time step control ---------------------------------------------------
 
     def default_dt(self, safety: float = 0.1) -> float:
         """Stability-motivated step: collision stiffness binds, transport is exact."""
-        w = operators.survival_weight(self.mu, self.period)
-        mem_ratio = (w / (1.0 - w)) * (operators.BETA + 1.0)
+        mem_ratio = operators.memory_norm_bound(self.mu, self.period)
         return safety / (self.eta ** 2 * 2.0 * self.mu * (1.0 + mem_ratio))
 
     # -- elementary operators --------------------------------------------------

@@ -21,8 +21,10 @@ Multipliers:
 
 with the per-period survival weight ``w = exp(-2 mu T)`` for cyclotron
 period T.  The memory series realizes repeated identical deflections off
-the same obstacle, one per completed period.  At B = 0 the period is
-infinite, w = 0 and M vanishes: L + M is then the plain Lorentz gas's L.
+the same obstacle, one per completed period.  It is truncated after
+``default_k_cut`` terms and nowhere else: ``memory_mode_table`` has one row
+per kept term, and no builder takes a cut of its own.  At B = 0 the period
+is infinite, w = 0 and M vanishes: L + M is then the plain Lorentz gas's L.
 """
 
 from __future__ import annotations
@@ -63,13 +65,14 @@ def survival_weight(mu: float, period: float) -> float:
     return math.exp(-2.0 * mu * period)
 
 
-def default_k_cut(mu: float, period: float, tol: float = MEMORY_TOL) -> int:
-    """Smallest truncation with ``survival_weight**k_cut < tol``."""
+def default_k_cut(mu: float, period: float) -> int:
+    """Smallest truncation with ``survival_weight**k_cut < MEMORY_TOL``."""
     w = survival_weight(mu, period)
     if w == 0.0:
         return 0
     # w rounds to 1 below 2 mu T = 1e-16 or so: no truncation will do
-    k = int(math.ceil(math.log(tol) / math.log(w))) + 1 if w < 1.0 else math.inf
+    k = (int(math.ceil(math.log(MEMORY_TOL) / math.log(w))) + 1 if w < 1.0
+         else math.inf)
     if k > _MAX_K_CUT:
         raise ValueError(
             f"memory series needs {k} terms at mu={mu}, T={period}; the period "
@@ -95,14 +98,10 @@ class AngularOperator:
 
     ``multipliers[m]`` is the eigenvalue on the harmonics ``exp(+-i m alpha)``
     for m in [0, m_modes]; the operator is real and even in m, so the
-    negative harmonics are not stored.  ``period`` is infinite for
-    memoryless operators.
+    negative harmonics are not stored.
     """
 
     multipliers: np.ndarray
-    mu: float
-    period: float
-    k_cut: int
 
     @property
     def m_modes(self) -> int:
@@ -142,7 +141,7 @@ class AngularOperator:
 def build_K(m_modes: int) -> AngularOperator:
     """Gain-only kernel: average of the post-collision value over impacts."""
     c = deflection_cosine_moments(m_modes)
-    return AngularOperator(c, mu=math.nan, period=math.inf, k_cut=0)
+    return AngularOperator(c)
 
 
 def build_L(mu: float, m_modes: int) -> AngularOperator:
@@ -150,20 +149,21 @@ def build_L(mu: float, m_modes: int) -> AngularOperator:
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
     c = deflection_cosine_moments(m_modes)
-    return AngularOperator(2.0 * mu * (c - 1.0), mu=mu,
-                           period=math.inf, k_cut=0)
+    return AngularOperator(2.0 * mu * (c - 1.0))
 
 
-def memory_mode_table(mu: float, period: float, m_modes: int,
-                      k_cut: int) -> np.ndarray:
+def memory_mode_table(mu: float, period: float, m_modes: int) -> np.ndarray:
     """Per-delay multiplier table of the memory operator.
 
     Row k-1 (k = 1..k_cut) holds, for m in [0, m_modes],
     ``2 mu w^k (c_{m(k+1)} - c_{m k})``: the contribution of the k-th
-    repeated deflection.  Summing rows gives the memory multipliers; the
-    delayed kinetic solver applies row k to the field one period times k in
-    the past.
+    repeated deflection.  The row count k_cut is ``default_k_cut``'s, the
+    one truncation of the memory series: none without a field, and a
+    ``ValueError`` when w rounds to 1.  Summing rows gives the memory
+    multipliers; the delayed kinetic solver applies row k to the field one
+    period times k in the past.
     """
+    k_cut = default_k_cut(mu, period)
     w = survival_weight(mu, period)
     c = deflection_cosine_moments(m_modes * (k_cut + 1))
     m = np.arange(m_modes + 1)
@@ -174,29 +174,19 @@ def memory_mode_table(mu: float, period: float, m_modes: int,
     return rows
 
 
-def build_M(mu: float, period: float, m_modes: int,
-            k_cut: int | None = None) -> AngularOperator:
+def build_M(mu: float, period: float, m_modes: int) -> AngularOperator:
     """Memory operator: repeated identical deflections, one per period."""
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
     if not period > 0.0:
         raise ValueError("period must be positive (it may be infinite)")
-    if k_cut is None:
-        k_cut = default_k_cut(mu, period)
-    elif survival_weight(mu, period) ** max(k_cut, 1) >= MEMORY_TOL:
-        raise ValueError(
-            f"k_cut={k_cut} leaves a memory tail above {MEMORY_TOL:g}")
-    vals = memory_mode_table(mu, period, m_modes, k_cut).sum(axis=0)
-    return AngularOperator(vals, mu=mu, period=period, k_cut=k_cut)
+    return AngularOperator(memory_mode_table(mu, period, m_modes).sum(axis=0))
 
 
-def build_LG(mu: float, period: float, m_modes: int,
-             k_cut: int | None = None) -> AngularOperator:
+def build_LG(mu: float, period: float, m_modes: int) -> AngularOperator:
     """Full collision operator with memory: L + M (L exactly at B = 0)."""
-    ell = build_L(mu, m_modes)
-    mem = build_M(mu, period, m_modes, k_cut)
-    return AngularOperator(ell.multipliers + mem.multipliers, mu=mu,
-                           period=period, k_cut=mem.k_cut)
+    return AngularOperator(build_L(mu, m_modes).multipliers
+                           + build_M(mu, period, m_modes).multipliers)
 
 
 def _check_zero_mean(g_hat_0: complex, scale: float):
@@ -211,22 +201,29 @@ def invert_LG_direct(op: AngularOperator, g: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(g) * op.fft_inverse(len(g)))
 
 
+def memory_norm_bound(mu: float, period: float) -> float:
+    """Norm bound ``w/(1-w) (beta + 1)`` of M / (2 mu) on zero-mean functions.
+
+    It sums ``w^k (beta + 1)`` over the delays k >= 1, with the survival
+    weight w; both series bounds and the kinetic time step read it.
+    """
+    w = survival_weight(mu, period)
+    return w / (1.0 - w) * (BETA + 1.0)
+
+
 def neumann_contraction_factor(mu: float, period: float) -> float:
     """Operator-norm bound of the fixed-point map of the direct series.
 
     The inversion iterates ``h <- -g/(2 mu) + (K + M/(2 mu)) h``; the bound
-    on zero-mean functions is ``beta + w/(1-w) (beta + 1)`` with the
-    survival weight w.  The series is guaranteed convergent when this is
-    below 1.
+    on zero-mean functions is ``beta + memory_norm_bound``.  The series is
+    guaranteed convergent when this is below 1.
     """
-    w = survival_weight(mu, period)
-    return BETA + w / (1.0 - w) * (BETA + 1.0)
+    return BETA + memory_norm_bound(mu, period)
 
 
 def split_series_gain(mu: float, period: float) -> float:
     """Sufficient-condition bound ``|M| * |L^-1|`` for the split series."""
-    w = survival_weight(mu, period)
-    return (w / (1.0 - w)) * (BETA + 1.0) / (1.0 - BETA)
+    return memory_norm_bound(mu, period) / (1.0 - BETA)
 
 
 def _grid_series_setup(mu, period, g):
@@ -235,6 +232,25 @@ def _grid_series_setup(mu, period, g):
     _check_zero_mean(np.mean(g), float(np.max(np.abs(g))))
     mf = build_M(mu, period, n // 2).fft_multipliers(n)
     return g, n, mf
+
+
+def _sum_series(g, ratio, out, tol, max_terms):
+    """``ifft(sum_k out ratio^k fft(g))`` over k >= 0, per FFT bin.
+
+    ``out=None`` stands for multipliers of 1, left unapplied: a complex
+    product with 1 can flip the sign of a zero.  Terms are added until the
+    newest one's grid maximum drops below ``tol`` times that of g.
+    """
+    u = np.fft.fft(g)
+    total = u.copy() if out is None else out * u
+    scale = float(np.max(np.abs(g))) or 1.0
+    for _ in range(max_terms):
+        u = ratio * u
+        term = u if out is None else out * u
+        total += term
+        if np.max(np.abs(np.fft.ifft(term))) < tol * scale:
+            return np.fft.ifft(total)
+    raise SeriesDivergenceError("series did not settle within max_terms")
 
 
 def invert_LG_neumann(mu: float, period: float, g: np.ndarray,
@@ -252,19 +268,8 @@ def invert_LG_neumann(mu: float, period: float, g: np.ndarray,
             f"contraction factor {q:.6f} >= 1: series not guaranteed convergent "
             f"(period {period:g} at or below the inversion threshold)")
     g, n, mf = _grid_series_setup(mu, period, g)
-    kf = build_K(n // 2).fft_multipliers(n)
-    step = kf + mf / (2.0 * mu)
-    term = np.fft.fft(g)
-    total = term.copy()
-    scale = float(np.max(np.abs(g))) or 1.0
-    for _ in range(max_terms):
-        term = term * step
-        total += term
-        if np.max(np.abs(np.fft.ifft(term))) < tol * scale:
-            break
-    else:
-        raise SeriesDivergenceError("series did not settle within max_terms")
-    return np.fft.ifft(total) * (-1.0 / (2.0 * mu))
+    ratio = build_K(n // 2).fft_multipliers(n) + mf / (2.0 * mu)
+    return _sum_series(g, ratio, None, tol, max_terms) * (-1.0 / (2.0 * mu))
 
 
 def invert_split_series(mu: float, period: float, g: np.ndarray,
@@ -282,18 +287,7 @@ def invert_split_series(mu: float, period: float, g: np.ndarray,
             "convergent")
     g, n, mf = _grid_series_setup(mu, period, g)
     inv_ell = build_L(mu, n // 2).fft_inverse(n)
-    u = np.fft.fft(g)
-    total = u * inv_ell
-    scale = float(np.max(np.abs(g))) or 1.0
-    for _ in range(max_terms):
-        u = mf * (-inv_ell) * u
-        term = inv_ell * u
-        total += term
-        if np.max(np.abs(np.fft.ifft(term))) < tol * scale:
-            break
-    else:
-        raise SeriesDivergenceError("series did not settle within max_terms")
-    return np.fft.ifft(total)
+    return _sum_series(g, mf * (-inv_ell), inv_ell, tol, max_terms)
 
 
 def diffusion_coefficient(op: AngularOperator) -> float:

@@ -112,7 +112,7 @@ class TestTransportExactness:
     def test_plane_wave_advection(self, small_grid):
         # collisionless limit is integrated exactly by the propagator:
         # compare one long step against many short ones
-        model = ks.KineticModel(1e-12, 1.0, 0.7, small_grid, k_cut=0)
+        model = ks.KineticModel(1.0, 1.0, 0.7, small_grid)
         f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
         one = model.propagate(f0.values_hat, 0.8, f0.modes)
         many = f0.values_hat
@@ -215,7 +215,8 @@ class TestRelaxation:
         # t < delay: the truncated sum is causal
         mu, eta, b = 1.0, 2.0, 4.0
         with_mem = ks.KineticModel(mu, eta, b, small_grid)
-        without = ks.KineticModel(mu, eta, b, small_grid, k_cut=0)
+        without = ks.KineticModel(mu, eta, b, small_grid)
+        without.memory_rows = without.memory_rows[:0]
         assert with_mem.delay == pytest.approx(2 * math.pi / b / eta)
         f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
         horizon = 0.9 * with_mem.delay
@@ -227,7 +228,8 @@ class TestRelaxation:
     def test_memory_active_after_one_delay(self, small_grid):
         mu, eta, b = 1.0, 2.0, 4.0
         with_mem = ks.KineticModel(mu, eta, b, small_grid)
-        without = ks.KineticModel(mu, eta, b, small_grid, k_cut=0)
+        without = ks.KineticModel(mu, eta, b, small_grid)
+        without.memory_rows = without.memory_rows[:0]
         horizon = 2.5 * with_mem.delay
         dt = horizon / 256
         a = ks.solve(with_mem, f0 := ks.make_initial_field(small_grid, 0.5, 1, 0.3),
@@ -270,10 +272,14 @@ class TestNoField:
             assert np.array_equal(model.collision_rhs(hat, t, hist),
                                   hat * model.ell * model.eta ** 2)
 
-    def test_explicit_k_cut_refused(self, small_grid):
-        with pytest.raises(ValueError, match="k_cut=2"):
-            ks.KineticModel(1.0, 2.0, 0.0, small_grid, k_cut=2)
-        assert ks.KineticModel(1.0, 2.0, 0.0, small_grid, k_cut=0).k_cut == 0
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(mu=st.floats(0.1, 5.0),
+       b=st.one_of(st.just(0.0), st.floats(0.1, 10.0)))
+def test_k_cut_is_the_default(mu, b):
+    # the model keeps the operators' truncation, with or without a field
+    model = ks.KineticModel(mu, 2.0, b, ks.SpectralGrid(2 * math.pi, 1, 16))
+    assert model.k_cut == ops.default_k_cut(mu, ops.cyclotron_period(b))
 
 
 class TestSolveArguments:
@@ -392,10 +398,11 @@ class TestHistory:
         assert np.array_equal(got.values_hat, want.values_hat)
 
     def test_wrapped_ring_matches_full_history(self, small_grid, monkeypatch):
-        # k_cut = 1 reaches one delay back, far less than the run: the ring
-        # wraps many times and must read the same fields as a ring that
-        # holds every step
-        model = ks.KineticModel(1.0, 2.0, 4.0, small_grid, k_cut=1)
+        # one memory row reaches one delay back, far less than the run: the
+        # ring wraps many times and must read the same fields as a ring
+        # that holds every step
+        model = ks.KineticModel(1.0, 2.0, 4.0, small_grid)
+        model.memory_rows = model.memory_rows[:1]
         f0 = ks.make_initial_field(small_grid, 0.5, 1, 0.3)
         ring = ks.solve(model, f0, 2.0, dt=0.01)
         assert ring.final.history.count > 2 * len(ring.final.history.buf)

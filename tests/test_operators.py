@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from maglorentz import operators as ops
 from maglorentz.geometry import deflection_from_impact
+from maglorentz.kinetic_solver import KineticModel, SpectralGrid
 
 
 def closed_form_moment(j: int) -> float:
@@ -167,12 +168,8 @@ class TestBuildM:
         assert m.mode(0) == 0.0
 
     def test_vanishes_without_memory(self):
-        m = ops.build_M(1.0, 1e6, 16, k_cut=0)
+        m = ops.build_M(1.0, 1e6, 16)
         assert np.all(m.multipliers == 0.0)
-
-    def test_insufficient_k_cut(self):
-        with pytest.raises(ValueError, match="k_cut"):
-            ops.build_M(1.0, 1.0, 16, k_cut=2)
 
     @pytest.mark.parametrize("build, args, name", [
         (ops.build_L, (math.nan, 4), "mu"),
@@ -187,18 +184,24 @@ class TestBuildM:
 
     def test_infinite_period_has_no_memory(self):
         m = ops.build_M(1.0, math.inf, 16)
-        assert m.k_cut == 0 and np.all(m.multipliers == 0.0)
+        assert ops.default_k_cut(1.0, math.inf) == 0
+        assert np.all(m.multipliers == 0.0)
 
-    @pytest.mark.parametrize("period", [math.inf, 1.0])
-    def test_zero_k_cut_table_has_no_rows(self, period):
-        assert ops.memory_mode_table(1.0, period, 16, 0).shape == (0, 17)
+    def test_zero_k_cut_table_has_no_rows(self):
+        assert ops.memory_mode_table(1.0, math.inf, 16).shape == (0, 17)
+
+    @pytest.mark.parametrize("mu,period", [
+        (1.0, 1.0), (0.25, 0.5), (3.0, 0.1), (1.0, 1e6)])
+    def test_table_rows_are_the_default_cut(self, mu, period):
+        assert (len(ops.memory_mode_table(mu, period, 16))
+                == ops.default_k_cut(mu, period))
 
     @pytest.mark.parametrize("mu,m_modes", [(0.25, 8), (1.0, 64), (3.0, 17)])
     def test_infinite_period_full_operator_is_L(self, mu, m_modes):
         lg = ops.build_LG(mu, math.inf, m_modes)
         assert np.array_equal(lg.multipliers,
                               ops.build_L(mu, m_modes).multipliers)
-        assert lg.k_cut == 0 and lg.period == math.inf
+        assert ops.default_k_cut(mu, math.inf) == 0
 
     def test_cyclotron_period(self):
         assert ops.cyclotron_period(0.0) == math.inf
@@ -209,12 +212,19 @@ class TestBuildM:
         assert ops.survival_weight(1e-300, 1.0) == 1.0
         with pytest.raises(ValueError, match="memory series needs"):
             ops.default_k_cut(1e-300, 1.0)
+        # every truncation goes through default_k_cut, so every entry refuses
+        for entry in (ops.build_M, ops.build_LG, ops.memory_mode_table):
+            with pytest.raises(ValueError, match="memory series needs"):
+                entry(1e-300, 1.0, 16)
+        with pytest.raises(ValueError, match="memory series needs"):
+            KineticModel(1e-300, 2.0, 1.0, SpectralGrid(2 * math.pi, 1, 16))
 
     def test_first_memory_multiplier_against_grid_kernel(self):
         mu, period = 1.0, 1.0
         m = ops.build_M(mu, period, 16)
         ell = ops.build_L(mu, 16)
-        ref = grid_kernel_apply(1, mu, period, k_cut=m.k_cut)
+        ref = grid_kernel_apply(1, mu, period,
+                                k_cut=ops.default_k_cut(mu, period))
         assert abs(ref.imag) < 1e-10
         assert m.mode(1) + ell.mode(1) == pytest.approx(ref.real, abs=1e-10)
 
@@ -222,7 +232,8 @@ class TestBuildM:
         mu, period = 1.0, 1.0
         lg = ops.build_LG(mu, period, 64)
         for mode in (1, 2, 3, 5, 9, 17, 33, 64):
-            ref = grid_kernel_apply(mode, mu, period, k_cut=lg.k_cut)
+            ref = grid_kernel_apply(mode, mu, period,
+                                    k_cut=ops.default_k_cut(mu, period))
             assert abs(ref.imag) < 1e-10
             assert lg.mode(mode) == pytest.approx(ref.real, abs=1e-10)
 
@@ -270,8 +281,7 @@ class TestDirectInversion:
 
 class TestFftInverse:
     def test_singular_harmonic_rejected(self):
-        op = ops.AngularOperator(np.array([0.0, 0.0, -1.0]), mu=1.0,
-                                 period=math.inf, k_cut=0)
+        op = ops.AngularOperator(np.array([0.0, 0.0, -1.0]))
         with pytest.raises(ops.NearSingularOperatorError):
             op.fft_inverse(4)
 
