@@ -367,14 +367,15 @@ EXPERIMENTS: dict[str, _Experiment] = {
         ("B", "T", "D_direct", "D_markovian_term", "D_memory_sum",
          "series_converged"), _sweep_rule),
     "kinetic": _Experiment(
-        {"mu": _POSITIVE, "b": _POSITIVE, "eta": _ETA, "t_end": _POSITIVE,
-         "dt": _Key("float", None, "positive"), **_INITIAL_FIELD},
+        {"mu": _POSITIVE, "b": _Key("float", bound="nonnegative"), "eta": _ETA,
+         "t_end": _POSITIVE, "dt": _Key("float", None, "positive"),
+         **_INITIAL_FIELD},
         _run_kinetic, "diagnostics", ("t", "mass", "dist_to_avg", "dist_to_heat"),
         _field_rule),
     "hilbert": _Experiment(
-        {"mu": _POSITIVE, "b": _POSITIVE, "eta_list": _Key("floats"),
-         "t_probe": _POSITIVE, "dt_safety": _Key("float", 0.1, "positive"),
-         **_INITIAL_FIELD},
+        {"mu": _POSITIVE, "b": _Key("float", bound="nonnegative"),
+         "eta_list": _Key("floats"), "t_probe": _POSITIVE,
+         "dt_safety": _Key("float", 0.1, "positive"), **_INITIAL_FIELD},
         _run_hilbert, "hilbert", ("eta", "dist_heat", "dist_hilbert1"),
         _hilbert_rule),
     "circling": _Experiment(

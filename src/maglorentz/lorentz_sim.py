@@ -193,19 +193,18 @@ class _Trajectory:
 
         ``key`` is ``(ix, iy, row)``: the row of ``field.cell(ix, iy)`` hit.
         The leg is walked in pieces, a cell size of a ray or ``ARC_PIECE``
-        of an arc's sweep.  Each piece scans the obstacles of the cells that
-        its bounding box meets, widened by eps and, for an arc, by the
-        piece's sagitta, the farthest the arc strays from its chord.  A
-        piece reads each cell's slab over the box's x-range (at B = 0 the
-        whole cell), all slabs in one kernel call; the boxes of successive
-        pieces overlap, so an obstacle may be scanned twice.  The kernel
-        computes each row alone, so the earliest piece, cell and row wins a
-        tie.  A disk entered at length <= hi has its center within eps of
-        the leg on [0, hi], so the walk stops at the first piece end hi at
-        or past the best hit.  A ray ends at ``max_len``.  An arc walks its
-        whole revolution whatever ``max_len``: None then means the orbit
-        holds no obstacle (exactly periodic motion), so the trajectory is
-        circling forever.
+        of an arc's sweep.  Each piece scans every obstacle of the cells
+        that its bounding box meets, widened by eps and, for an arc, by the
+        piece's sagitta, the farthest the arc strays from its chord, all
+        cells in one kernel call; the boxes of successive pieces overlap,
+        so an obstacle may be scanned twice.  The kernel computes each row
+        alone, so the earliest piece, cell and row wins a tie.  A disk
+        entered at length <= hi has its center within eps of the leg on
+        [0, hi], so the walk stops at the first piece end hi at or past the
+        best hit.  A ray ends at ``max_len``.  An arc walks its whole
+        revolution whatever ``max_len``: None then means the orbit holds no
+        obstacle (exactly periodic motion), so the trajectory is circling
+        forever.
         """
         x, y, alpha, eps, b = self.x, self.y, self.alpha, self.eps, self.b
         field_ = self.field
@@ -234,17 +233,17 @@ class _Trajectory:
                 return first_ray_entry(pts, pos, v, eps, max_len)
 
         def scan(x_lo, x_hi, y_lo, y_hi):
-            slabs = [(key, *field_.slab(*key, x_lo, x_hi))
+            cells = [(key, field_.cell(*key))
                      for key in field_.cells_meeting(x_lo, x_hi, y_lo, y_hi)]
-            pts = (slabs[0][1] if len(slabs) == 1
-                   else np.concatenate([p for _, p, _ in slabs]))
+            pts = (cells[0][1] if len(cells) == 1
+                   else np.concatenate([p for _, p in cells]))
             found = hit(pts) if len(pts) else None
             if found is None:
                 return None
             length, k, n = found
-            for key, p, first in slabs:
+            for key, p in cells:
                 if k < len(p):
-                    return length, (*key, first + k), n, p[k]
+                    return length, (*key, k), n, p[k]
                 k -= len(p)
 
         best = None

@@ -6,13 +6,9 @@ stream.  Trajectories of unbounded extent therefore see one consistent
 infinite environment without it ever being stored, and concurrent readers
 need no coordination.  A field object memoizes the cells it has served,
 so its memory grows with the area queried; each replica gets its own.
-Every search reads obstacles through slabs of the memoized cells, the
-cells of a rectangle in one fixed order.  A cell of ``N_STRIPS`` centers
-or more (a B > 0 orbit's square holds thousands, of which a leg reaches a
-thin sliver) is stored once, sorted by x-strip, so a slab is a run of its
-rows.  A smaller cell keeps its draw order and is its own slab: a B = 0
-cell holds about 30 obstacles, few enough to scan and enough to keep the
-set-up of its generator small next to the points it draws.
+Every cell holds ``CELL_COUNT`` obstacles on average, at any field
+strength, and keeps its draw order; a search scans each cell it reaches
+whole.
 
 Obstacles may overlap each other; the underlying measure is pure Poisson
 with no hard-core thinning.
@@ -31,9 +27,8 @@ from . import _rng
 
 _EMPTY_POINTS = np.empty((0, 2))
 
-#: x-strips per cell index, and the fewest centers of a cell sorted into
-#: strips: ~16k in an orbit's cell give ~64 per strip; an index is one byte
-N_STRIPS = 256
+#: mean obstacle count of a cell
+CELL_COUNT = 500
 
 
 class RegimeWarning(UserWarning):
@@ -112,77 +107,39 @@ def scaling_from(eps: float, mu: float, eta: float, b_magnitude: float = 0.0
 
 
 def default_cell_size(params: ScalingParams) -> float:
-    """Grid pitch: one orbit's bounding square when B > 0, else 30 obstacles.
+    """Grid pitch sqrt(CELL_COUNT / mu_eff), at any field strength.
 
-    At B = 0 the pitch sqrt(30 / mu_eff) puts 30 obstacles in a cell on
-    average, so one generator set-up draws about 30 points and a share
-    e^-30 of cells is empty; an empty field (mu_eff = 0) keeps the finite
-    pitch 10 eps.  No search needs either pitch (the hit walk and the
-    start check hold for any cell size).  The pitch stays because it keys
-    every cell's random stream: cell (ix, iy) is the pitch-sized square
-    its stream fills, so another pitch would draw another field.
+    A cell then holds CELL_COUNT obstacles on average: enough that the
+    set-up of its generator is small next to the points it draws, few
+    enough that a search scans whole cells.  An empty field (mu_eff = 0)
+    keeps the finite pitch 10 eps.  No search needs this pitch (the hit
+    walk and the start check hold for any cell size).  The pitch stays
+    because it keys every cell's random stream: cell (ix, iy) is the
+    pitch-sized square its stream fills, so another pitch would draw
+    another field.
     """
-    if params.b_magnitude > 0.0:
-        return max(2.0 * (params.larmor_radius + params.eps), 10.0 * params.eps)
     if params.mu_eff > 0.0:
-        return math.sqrt(30.0 / params.mu_eff)
+        return math.sqrt(CELL_COUNT / params.mu_eff)
     return 10.0 * params.eps
 
 
 class _CellCache:
     """Memo of drawn cells; every obstacle query.
 
-    Row k of ``cell(ix, iy)`` is the obstacle keyed ``(ix, iy, k)``.  Every
-    query reads through ``slab``, so a replica's start check and its
-    flight draw each cell once.  A cell's count alone picks its layout: a
-    cell of at least ``N_STRIPS`` centers is stored in x-strip order, the
-    draw order kept within a strip, with its strip offsets beside it, so
-    ``slab`` returns a run of its rows; a smaller cell keeps its draw order
-    and is its own slab.  ``cells_meeting`` is the one cell enumeration of
-    every search (the hit walk and the start check); it holds for any cell
-    size.  Subclasses set ``_cells`` and ``_strips`` to empty dicts and
-    provide ``cell_size`` and ``cell_points``.
+    Row k of ``cell(ix, iy)`` is the obstacle keyed ``(ix, iy, k)``, in
+    draw order.  Every query reads through ``cell``, so a replica's start
+    check and its flight draw each cell once.  ``cells_meeting`` is the
+    one cell enumeration of every search (the hit walk and the start
+    check); it holds for any cell size.  Subclasses set ``_cells`` to an
+    empty dict and provide ``cell_size`` and ``cell_points``.
     """
 
     def cell(self, ix: int, iy: int) -> np.ndarray:
         """Obstacle centers of one cell, the same object on every call."""
         pts = self._cells.get((ix, iy))
         if pts is None:
-            pts = self.cell_points(ix, iy)
-            if len(pts) >= N_STRIPS:
-                # floor((x / s - ix) * N_STRIPS) clipped to the strips, in
-                # one buffer; one byte holds it, so the stable sort is a
-                # single radix pass
-                key = np.divide(pts[:, 0], self.cell_size)
-                key -= ix
-                key *= N_STRIPS
-                np.floor(key, out=key)
-                key = np.clip(key, 0, N_STRIPS - 1, out=key).astype(np.uint8)
-                pts = pts.take(np.argsort(key, kind="stable"), axis=0)
-                self._strips[ix, iy] = [0, *itertools.accumulate(
-                    np.bincount(key, minlength=N_STRIPS).tolist())]
-            self._cells[ix, iy] = pts
+            pts = self._cells[ix, iy] = self.cell_points(ix, iy)
         return pts
-
-    def slab(self, ix: int, iy: int, x_lo: float, x_hi: float):
-        """(centers, first) of a run of the cell's x-strips covering [x_lo, x_hi].
-
-        The centers are the view ``cell(ix, iy)[first:first + n]``; every
-        center of the cell whose x lies in the range is among them, which
-        may hold others of the cell too.  A cell of fewer than ``N_STRIPS``
-        centers has no strips and is returned whole, ``(cell(ix, iy), 0)``.
-        """
-        pts = self.cell(ix, iy)
-        offsets = self._strips.get((ix, iy))
-        if offsets is None:
-            return pts, 0
-        # the strip key of cell, in the same float operations, so it is
-        # monotone in x: a center with x_lo <= x <= x_hi is in [lo, hi]
-        s = self.cell_size
-        lo = min(max(math.floor((x_lo / s - ix) * N_STRIPS), 0), N_STRIPS - 1)
-        hi = min(max(math.floor((x_hi / s - ix) * N_STRIPS), 0), N_STRIPS - 1)
-        first = offsets[lo]
-        return pts[first:offsets[hi + 1]], first
 
     def cells_meeting(self, x_lo, x_hi, y_lo, y_hi):
         """(ix, iy) of every cell meeting the rectangle, ix outer, iy inner."""
@@ -201,7 +158,6 @@ class ObstacleField(_CellCache):
 
     def __post_init__(self):
         object.__setattr__(self, "_cells", {})
-        object.__setattr__(self, "_strips", {})
         object.__setattr__(self, "cell_size", default_cell_size(self.params))
 
     def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
@@ -224,14 +180,14 @@ class ObstacleField(_CellCache):
 def is_admissible_start(field_, x) -> bool:
     """True when every obstacle center is strictly farther than eps from x.
 
-    It reads each cell's slab [x - eps, x + eps]: a cell of fewer than
-    ``N_STRIPS`` centers whole, since so few cost less than an index.
+    It scans every center of each cell that the square of half-side eps
+    around x meets.
     """
     x = np.asarray(x, dtype=float)
     eps = field_.params.eps
-    x_lo, x_hi = float(x[0]) - eps, float(x[0]) + eps
-    for ix, iy in field_.cells_meeting(x_lo, x_hi, x[1] - eps, x[1] + eps):
-        pts = field_.slab(ix, iy, x_lo, x_hi)[0]
+    for ix, iy in field_.cells_meeting(x[0] - eps, x[0] + eps,
+                                       x[1] - eps, x[1] + eps):
+        pts = field_.cell(ix, iy)
         if len(pts) and np.min(np.sum((pts - x) ** 2, axis=1)) <= eps * eps:
             return False
     return True

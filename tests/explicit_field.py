@@ -18,7 +18,6 @@ class ExplicitField(_CellCache):
         self.params = params
         self.cell_size = cell_size if cell_size > 0.0 else default_cell_size(params)
         self._cells = {}
-        self._strips = {}
         self._centers: dict[tuple[int, int], list] = {}
         s = self.cell_size
         for c in np.atleast_2d(np.asarray(centers, dtype=float)):

@@ -1,9 +1,7 @@
 """Acceptance criteria for the toolkit, one test per criterion.
 
 Each test prints a single PASS line with the measured numbers once its
-assertions hold (run with ``-s`` to see them during the run).  Criterion 10
-carries the ``slow`` marker and is excluded from the fast suite; run it
-with ``pytest -m slow``.
+assertions hold (run with ``-s`` to see them during the run).
 """
 
 import math
@@ -179,7 +177,6 @@ def test_criterion_09_event_scaling_shapes():
               f"(exponent {exp_rec:.2f} >= 0.4); {daisy_note}")
 
 
-@pytest.mark.slow
 def test_criterion_10_microscopic_msd_slope():
     # extended consistency run: microscopic mean squared displacement,
     # B = 0, against the operator-route coefficient.  The displacement

@@ -407,6 +407,22 @@ class TestMainFlow:
         summary = json.loads((tmp_path / "kin_summary.json").read_text())
         assert summary["results"]["mass_drift"] == 0.0
 
+    def test_kinetic_run_at_zero_field_same_bytes(self, tmp_path):
+        # B = 0 has no memory term; the run is accepted and repeatable
+        cfg = tmp_path / "kin.cfg"
+        cfg.write_text(with_key(KINETIC_CONFIG, "b", "0"))
+        blobs = []
+        for tag in ("a", "b"):
+            (tmp_path / tag).mkdir()
+            out = tmp_path / tag / "kin"
+            assert main(["kinetic", "--config", str(cfg), "--out", str(out)]) == 0
+            blobs.append([f.read_bytes()
+                          for f in sorted((tmp_path / tag).glob("kin_*"))])
+        assert len(blobs[0]) == 2 and blobs[0] == blobs[1]
+        summary = json.loads((tmp_path / "a" / "kin_summary.json").read_text())
+        assert summary["config"]["b"] == 0.0
+        assert summary["results"]["mass_drift"] == 0.0
+
     @pytest.mark.parametrize("kind,text", [("kinetic", KINETIC_CONFIG),
                                            ("hilbert", HILBERT_CONFIG)],
                              ids=["kinetic", "hilbert"])

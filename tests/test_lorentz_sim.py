@@ -131,17 +131,7 @@ class TestSingleObstacle:
 
 
 class TestFieldRange:
-    """Cells of any size and at any index hold addressable obstacles."""
-
-    def test_cells_above_a_million_obstacles(self):
-        # eps = 5e-6 at B = 1, eta = 2: about 1.6M centers per cell, stored
-        # in x-strip order; this flight keeps to x > 1.3 in cell (0, 0),
-        # where the rows lie beyond 2**20, and hits obstacles there
-        f = ObstacleField(909, scaling_from(5e-6, 1.0, 2.0, 1.0))
-        out = simulate_trajectory(
-            f, ParticleState(np.array([1.5, 1.5]), 2.0), 1.0)
-        assert len(f.cell(0, 0)) > 2 ** 20
-        assert any(e.obstacle_id[2] >= 2 ** 20 for e in out.events)
+    """Cells at any index hold addressable obstacles."""
 
     def test_start_beyond_cell_index_2_19(self):
         # every obstacle met within t_max lies within t_max + eps of the
@@ -564,15 +554,25 @@ class TestMsdEstimate:
                            match="all 6 replicas at eps=0.004 reached max_events=1"):
             msd_estimate(params, 6, [2.0], seed=9, max_events=1)
 
-    def test_fewer_than_two_left_raises(self):
+    def test_fewer_than_two_left_raises(self, monkeypatch):
         # one replica has no standard error; it used to come out as NaN
         params = scaling_from(4e-3, 1.0, 2.0, 1.0)
         with pytest.raises(ValueError, match="at least 2 replicas"):
             msd_estimate(params, 1, [0.5], seed=10)
+        # about 20 collisions expected by t = 5, so every replica reaches
+        # the cap whatever the field
+        with pytest.raises(ChatteringError,
+                           match="all 3 replicas at eps=0.004 reached "
+                                 "max_events=2, fewer than 2 left"):
+            msd_estimate(params, 3, [5.0], seed=10, max_events=2)
+        # one replica left of three: the message counts the two aborted
+        kept = ([0.1], TrajectoryStatus.COMPLETED, 5.0, False, False)
+        monkeypatch.setattr(ls, "_run_replicas",
+                            lambda *args: [[None, kept, None]])
         with pytest.raises(ChatteringError,
                            match="2 of 3 replicas at eps=0.004 reached "
                                  "max_events=2, fewer than 2 left"):
-            msd_estimate(params, 3, [0.5], seed=10, max_events=2)
+            msd_estimate(params, 3, [5.0], seed=10, max_events=2)
 
 
 class TestEventRateStudy:

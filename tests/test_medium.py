@@ -21,11 +21,12 @@ def empty_params(eps=0.05, b=0.0):
                                 b_magnitude=b, larmor_radius=r, t_larmor=t)
 
 
-def b0_params(mu_eff, eps=1e-3):
-    """B = 0 parameters of obstacle intensity mu_eff."""
+def field_params(mu_eff, b=0.0, eps=1e-3):
+    """Parameters of obstacle intensity mu_eff at field strength b."""
+    r = 1.0 / b if b > 0 else math.inf
+    t = 2 * math.pi / b if b > 0 else math.inf
     return medium.ScalingParams(eps=eps, mu=mu_eff * eps, eta=1.0, mu_eff=mu_eff,
-                                b_magnitude=0.0, larmor_radius=math.inf,
-                                t_larmor=math.inf)
+                                b_magnitude=b, larmor_radius=r, t_larmor=t)
 
 
 def generator_cell(field, ix, iy):
@@ -146,10 +147,12 @@ class TestObstacleField:
         assert abs(stats["near"][1] - lam) < 0.3 * lam
         assert abs(stats["far"][1] - lam) < 0.3 * lam
 
-    def test_cell_size_invariant_for_orbits(self):
-        p = scaling_from(0.01, 1.0, 1.0, b_magnitude=1.0)
-        f = ObstacleField(1, p)
-        assert f.cell_size >= 2 * (p.larmor_radius + p.eps)
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    @pytest.mark.parametrize("mu_eff", [1e-2, 1.0, 1e3, 1e7])
+    def test_cell_holds_cell_count_on_average(self, mu_eff, b):
+        f = ObstacleField(1, field_params(mu_eff, b))
+        assert f.params.mu_eff * f.cell_size ** 2 == pytest.approx(
+            medium.CELL_COUNT, rel=1e-12)
 
     def test_rectangle_cells_in_order_and_cell_memoized(self):
         f = ObstacleField(9, scaling_from(0.05, 1.0, 1.0))
@@ -162,14 +165,8 @@ class TestObstacleField:
 
 
 class TestB0Pitch:
-    @pytest.mark.parametrize("mu_eff", [1e-2, 1.0, 1e3, 1e7])
-    def test_cell_holds_thirty_on_average(self, mu_eff):
-        f = ObstacleField(1, b0_params(mu_eff))
-        assert f.params.mu_eff * f.cell_size ** 2 == pytest.approx(30.0,
-                                                                   rel=1e-12)
-
     def test_empty_field_pitch_finite(self):
-        # mu_eff = 0 keeps 10 eps instead of sqrt(30 / 0)
+        # mu_eff = 0 keeps 10 eps instead of sqrt(CELL_COUNT / 0)
         assert ObstacleField(1, empty_params(eps=0.05)).cell_size == \
             pytest.approx(0.5)
 
@@ -178,121 +175,10 @@ class TestB0Pitch:
            ix=st.integers(-2 ** 40, 2 ** 40), iy=st.integers(-2 ** 40, 2 ** 40),
            mu_eff=st.floats(1e-2, 1e7))
     def test_cell_equals_generator_draw(self, seed, ix, iy, mu_eff):
-        f = ObstacleField(seed, b0_params(mu_eff))
+        f = ObstacleField(seed, field_params(mu_eff))
         for dx, dy in ((0, 0), (1, 0), (0, -1)):
             got = f.cell(ix + dx, iy + dy)
             assert np.array_equal(got, generator_cell(f, ix + dx, iy + dy))
-
-
-def b_params(eps, mu_eff, b):
-    """B > 0 parameters of obstacle intensity mu_eff."""
-    return medium.ScalingParams(eps=eps, mu=mu_eff * eps, eta=1.0,
-                                mu_eff=mu_eff, b_magnitude=b,
-                                larmor_radius=1.0 / b, t_larmor=2 * math.pi / b)
-
-
-# an x-range's start and width in cell units, from the cell's left edge:
-# any value, or a whole number of strips, so ranges cross the cell's edges
-# and start or end on strip edges
-_CELL_X = st.one_of(st.floats(-0.3, 1.3),
-                    st.integers(-3, medium.N_STRIPS + 3).map(
-                        lambda j: j / medium.N_STRIPS))
-_CELL_WIDTH = st.one_of(st.floats(0.0, 0.6),
-                        st.integers(0, 64).map(lambda j: j / medium.N_STRIPS))
-
-
-class TestSlab:
-    @settings(derandomize=True, max_examples=80, deadline=None)
-    @given(eps=st.floats(1e-3, 0.05), mu_eff=st.floats(1.0, 4000.0),
-           b=st.floats(0.5, 4.0), seed=st.integers(0, 2 ** 64 - 1),
-           cells=st.lists(st.tuples(st.integers(-2 ** 30, 2 ** 30),
-                                    st.integers(-3, 3)),
-                          min_size=1, max_size=3),
-           ranges=st.lists(st.tuples(_CELL_X, _CELL_WIDTH),
-                           min_size=1, max_size=6))
-    def test_slab_holds_every_center_of_the_range(self, eps, mu_eff, b, seed,
-                                                  cells, ranges):
-        f = ObstacleField(seed, b_params(eps, mu_eff, b))
-        drawn = []
-        draw = f.cell_points
-
-        def counting_draw(ix, iy):
-            drawn.append((ix, iy))
-            return draw(ix, iy)
-
-        object.__setattr__(f, "cell_points", counting_draw)
-        s = f.cell_size
-        for ix, iy in cells:
-            for u, width in ranges:
-                x_lo = (ix + u) * s
-                x_hi = x_lo + width * s
-                pts, first = f.slab(ix, iy, x_lo, x_hi)
-                cell = f.cell(ix, iy)
-                assert np.array_equal(pts, cell[first:first + len(pts)])
-                inside = np.flatnonzero((cell[:, 0] >= x_lo)
-                                        & (cell[:, 0] <= x_hi))
-                assert np.all((inside >= first)
-                              & (inside < first + len(pts)))
-        assert sorted(set(drawn)) == sorted(drawn) == sorted(set(cells))
-
-    def test_cell_stored_once_in_strip_order(self):
-        f = ObstacleField(5, b_params(0.01, 200.0, 1.0))
-        s = f.cell_size
-        cell = f.cell(-3, 2)
-        drawn = f.cell_points(-3, 2)
-        key = np.clip(np.floor((drawn[:, 0] / s + 3) * medium.N_STRIPS),
-                      0, medium.N_STRIPS - 1)
-        # a stable sort of the draw by strip key: draw order within a strip
-        assert not np.all(np.diff(key) >= 0)
-        assert np.array_equal(cell, drawn[np.argsort(key, kind="stable")])
-        pts, first = f.slab(-3, 2, -2.7 * s, -2.6 * s)
-        assert first > 0 and len(pts) > 0
-        assert np.shares_memory(pts, cell)
-        assert f.cell(-3, 2) is cell
-
-    def test_layout_follows_the_count(self):
-        # a B > 0 cell of fewer than N_STRIPS centers (about 41 here) is
-        # kept whole, in draw order
-        f = ObstacleField(5, b_params(0.01, 10.0, 1.0))
-        s = f.cell_size
-        cell = f.cell(1, -2)
-        assert 0 < len(cell) < medium.N_STRIPS
-        assert np.array_equal(cell, generator_cell(f, 1, -2))
-        pts, first = f.slab(1, -2, 1.4 * s, 1.5 * s)
-        assert first == 0 and pts is cell
-        # a B = 0 cell of N_STRIPS centers or more is stored in strip order
-        drawn = np.random.default_rng(3).random((medium.N_STRIPS + 40, 2))
-        drawn = drawn * 2.0 + (2.0, -4.0)  # all in cell (1, -2) of pitch 2
-        g = ExplicitField(empty_params(eps=0.01), drawn, cell_size=2.0)
-        cell = g.cell(1, -2)
-        key = np.clip(np.floor((drawn[:, 0] / 2.0 - 1) * medium.N_STRIPS),
-                      0, medium.N_STRIPS - 1)
-        assert not np.array_equal(cell, drawn)
-        assert np.array_equal(cell, drawn[np.argsort(key, kind="stable")])
-        pts, first = g.slab(1, -2, 2.9, 3.0)
-        assert first > 0 and 0 < len(pts) < len(cell)
-
-    def test_whole_cell_and_empty_cell(self):
-        f = ObstacleField(5, b_params(0.01, 200.0, 1.0))
-        s = f.cell_size
-        pts, first = f.slab(0, 0, -s, 2 * s)
-        assert first == 0 and np.array_equal(pts, f.cell(0, 0))
-        empty = ObstacleField(5, empty_params(b=1.0))
-        pts, first = empty.slab(0, 0, 0.0, s)
-        assert pts.shape == (0, 2) and first == 0
-        # a B = 0 cell has no strips: every slab is the whole cell, in
-        # draw order
-        flat = ObstacleField(5, b0_params(1000.0))
-        s = flat.cell_size
-        cell = flat.cell(-2, 1)
-        assert len(cell) > 0
-        assert np.array_equal(cell, generator_cell(flat, -2, 1))
-        for u, width in ((0.0, 1.0), (0.3, 0.01), (0.9, 0.0), (-1.0, 0.5),
-                         (2.0, 3.0)):
-            x_lo = (-2 + u) * s
-            pts, first = flat.slab(-2, 1, x_lo, x_lo + width * s)
-            assert first == 0 and np.array_equal(pts, cell)
-            assert np.shares_memory(pts, cell)
 
 
 class TestAdmissibleStart:
@@ -323,32 +209,22 @@ class TestAdmissibleStart:
 class TestVoidProbability:
     def test_disk_void_statistics(self):
         # disjoint disks around distinct cell centers are independent
-        p = scaling_from(0.05, 1.2, 1.0)  # mu_eff = 24, cell sqrt(30 / 24)
+        p = scaling_from(0.05, 1.2, 1.0)  # mu_eff = 24
         f = ObstacleField(2024, p)
         s = f.cell_size
         r = 0.2
         n = 100_000
         void = 0
-        cache = {}
-
-        def col(ix):
-            got = cache.get(ix)
-            if got is None:
-                got = [f.cell_points(ix, dy) for dy in (-1, 0, 1)]
-                cache[ix] = got
-                cache.pop(ix - 3, None)
-            return got
-
         for i in range(n):
             cx = (i + 0.5) * s
             cy = 0.5 * s
-            chunks = [c for ix in (i - 1, i, i + 1) for c in col(ix) if len(c)]
-            if not chunks:
-                void += 1
-                continue
-            pts = np.concatenate(chunks)
+            # drawn, not read through the field's memo, which would keep
+            # every cell
+            pts = np.concatenate([
+                f.cell_points(*key)
+                for key in f.cells_meeting(cx - r, cx + r, cy - r, cy + r)])
             d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
-            void += bool(np.min(d2) > r * r)
+            void += bool(len(d2) == 0 or np.min(d2) > r * r)
         p_void = math.exp(-p.mu_eff * math.pi * r * r)
         se = math.sqrt(p_void * (1 - p_void) / n)
         assert abs(void / n - p_void) < 3 * se
