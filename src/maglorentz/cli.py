@@ -193,9 +193,24 @@ def _scaling_rule(config):
                 break
 
 
+#: the most rows (b-values) an operator sweep may have
+MAX_SWEEP_ROWS = 10 ** 6
+
+
+def _sweep_rows(config):
+    """Rows of an operator sweep, b_min by b_step up to b_max (inf when
+    the ratio overflows)."""
+    ratio = (config["b_max"] - config["b_min"]) / config["b_step"]
+    return math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else math.inf
+
+
 def _sweep_rule(config):
     if config.get("b_max", math.inf) < config.get("b_min", -math.inf):
         yield "'b_max' must be at least 'b_min'"
+    elif (all(k in config for k in ("b_min", "b_max", "b_step"))
+          and config["b_step"] > 0 and _sweep_rows(config) > MAX_SWEEP_ROWS):
+        yield (f"the sweep from 'b_min' to 'b_max' by 'b_step' must have at "
+               f"most {MAX_SWEEP_ROWS} rows")
 
 
 def _field_rule(config):
@@ -255,9 +270,8 @@ def _run_green_kubo(config, workers):
 
 
 def _run_operator_sweep(config, workers):
-    n = int(math.floor((config["b_max"] - config["b_min"]) / config["b_step"]
-                       + 1e-9)) + 1
-    b_values = [config["b_min"] + i * config["b_step"] for i in range(n)]
+    b_values = [config["b_min"] + i * config["b_step"]
+                for i in range(_sweep_rows(config))]
     rows = operators.diffusion_sweep(config["mu"], b_values,
                                      m_modes=config["m_modes"])
     info = operators.invertibility_threshold()

@@ -15,8 +15,8 @@ floats, so the simulator's event loop runs without 2-element arrays; the
 float forms do the IEEE operations of the array forms they replaced, in
 the same order, and keep numpy wherever its rounding differs from the C
 library's (``arccos``, ``arctan2`` and the 2-vector dot product).
-``point_to_arc_distances`` and ``point_to_segment_distances`` measure how
-close a leg passes to given points, for the simulator's near-miss count.
+``point_to_arc_distances`` measures how close an arc passes to given
+points, for the simulator's near-miss count, which only arcs take part in.
 
 Sign conventions used throughout:
 
@@ -224,14 +224,6 @@ def point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):
     d_end = np.hypot(*(centers - p_end).T)
     endpoint = np.minimum(d_start, d_end)
     return np.where(ang <= sweep, radial, endpoint)
-
-
-def point_to_segment_distances(centers, p0, v, length):
-    """Distance from each point to the segment p0 + s v, s in [0, length]."""
-    rel = centers - p0
-    proj = np.clip(rel @ v, 0.0, length)
-    closest = p0 + proj[:, None] * v
-    return np.hypot(*(centers - closest).T)
 
 
 def reflect(velocity_angle: float, nx: float, ny: float) -> float:

@@ -22,9 +22,12 @@ direction of a self-recollision streak repeat within tolerance, closing a
 periodic flower.  Both outcomes keep producing exact positions for the
 remaining sample times.
 
-As a measurable stand-in for trajectory-tube interference, each leg is also
+As a measurable stand-in for trajectory-tube interference, each arc is also
 checked for near misses: passing within twice the obstacle radius of a
-previously hit obstacle's center without touching it.
+previously hit obstacle's center without touching it.  Straight legs
+(B = 0) have no closed orbit and are not checked.  ``advance_free`` is the
+one formula for a point on a leg: the hit walk takes its piece ends and
+the samples their positions from it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from . import _rng
 from .geometry import (TWO_PI, ParticleState, advance_free, first_arc_hit,
                        first_ray_entry, larmor_center, point_to_arc_distances,
-                       point_to_segment_distances, reflect, unit_vector)
+                       reflect, unit_vector)
 from .medium import (ObstacleField, ScalingParams, is_admissible_start,
                      scaling_from)
 
@@ -85,6 +88,8 @@ class CollisionEvent:
 
 @dataclass(frozen=True)
 class TrajectoryOutcome:
+    """Result of one run; ``near_miss`` is always False without a field."""
+
     final_state: ParticleState
     status: TrajectoryStatus
     status_time: float
@@ -134,19 +139,12 @@ class _Trajectory:
 
     def emit_samples(self, duration: float):
         """Record sample positions falling inside the current leg."""
-        hi = np.searchsorted(self.sample_t, self.t + duration, side="right")
-        if hi <= self.cursor:
-            return
-        taus = self.sample_t[self.cursor:hi] - self.t
-        out = self.sample_pos[self.cursor:hi]
-        if self.b == 0.0:
-            out[:, 0] = self.x + taus * math.cos(self.alpha)
-            out[:, 1] = self.y + taus * math.sin(self.alpha)
-        else:
-            cx, cy = larmor_center(self.x, self.y, self.alpha, self.b)
-            phase = self.alpha - 0.5 * math.pi + self.b * taus
-            out[:, 0] = cx + self.radius * np.cos(phase)
-            out[:, 1] = cy + self.radius * np.sin(phase)
+        hi = int(np.searchsorted(self.sample_t, self.t + duration,
+                                 side="right"))
+        for i in range(self.cursor, hi):
+            self.sample_pos[i] = advance_free(
+                self.x, self.y, self.alpha, self.b,
+                float(self.sample_t[i]) - self.t)[:2]
         self.cursor = hi
 
     def advance(self, duration: float):
@@ -158,32 +156,27 @@ class _Trajectory:
     # -- near-miss proxy ----------------------------------------------------
 
     def check_near_miss(self, length: float, hit_id):
-        """Flag a near miss on the next ``length`` of the leg; one is enough."""
-        if self.near_miss or not self.hit_centers:
+        """Flag a near miss on the next ``length`` of an arc; one is enough.
+
+        A straight leg is never checked: without a field the trajectory
+        has no closed orbit to pass back through its own tube.
+        """
+        if self.b == 0.0 or self.near_miss or not self.hit_centers:
             return
+        # a point within reach of the arc is within reach of its circle;
+        # the slack covers the rounding of both distances
+        r, reach = self.radius, NEAR_MISS_FACTOR * self.eps
+        ox, oy = larmor_center(self.x, self.y, self.alpha, self.b)
+        cut = reach + 1e-9 * (r + reach + abs(ox) + abs(oy))
         exclude = {hit_id, self.prev_id}
-        if self.b == 0.0:
-            centers = [c for oid, c in self.hit_centers.items()
-                       if oid not in exclude]
-            if not centers:
-                return
-            dist = point_to_segment_distances(
-                np.asarray(centers), np.array((self.x, self.y)),
-                unit_vector(self.alpha), length)
-        else:
-            # a point within reach of the arc is within reach of its circle;
-            # the slack covers the rounding of both distances
-            r, reach = self.radius, NEAR_MISS_FACTOR * self.eps
-            ox, oy = larmor_center(self.x, self.y, self.alpha, self.b)
-            cut = reach + 1e-9 * (r + reach + abs(ox) + abs(oy))
-            centers = [(x, y) for oid, (x, y) in self.hit_centers.items()
-                       if oid not in exclude
-                       and abs(math.hypot(x - ox, y - oy) - r) <= cut]
-            if not centers:
-                return
-            dist = point_to_arc_distances(
-                np.asarray(centers), np.array((ox, oy)), r,
-                self.alpha - 0.5 * math.pi, length / r)
+        centers = [(x, y) for oid, (x, y) in self.hit_centers.items()
+                   if oid not in exclude
+                   and abs(math.hypot(x - ox, y - oy) - r) <= cut]
+        if not centers:
+            return
+        dist = point_to_arc_distances(
+            np.asarray(centers), np.array((ox, oy)), r,
+            self.alpha - 0.5 * math.pi, length / r)
         self.near_miss = bool(np.any(dist <= NEAR_MISS_FACTOR * self.eps))
 
     # -- hit search ---------------------------------------------------------
@@ -211,23 +204,14 @@ class _Trajectory:
         if b > 0.0:
             r = self.radius
             cx, cy = larmor_center(x, y, alpha, b)
-            phase0 = alpha - 0.5 * math.pi
             step, end = ARC_PIECE * r, TWO_PI * r
             pad = eps + r * (1.0 - math.cos(0.5 * ARC_PIECE))
-
-            def point(length):
-                phase = phase0 + b * length
-                return cx + r * math.cos(phase), cy + r * math.sin(phase)
 
             def hit(pts):
                 return first_arc_hit(pts, (cx, cy), alpha, b, eps)
         else:
             pos, v = np.array((x, y)), unit_vector(alpha)
-            vx, vy = v.tolist()
             step, end, pad = field_.cell_size, max_len, eps
-
-            def point(length):
-                return x + length * vx, y + length * vy
 
             def hit(pts):
                 return first_ray_entry(pts, pos, v, eps, max_len)
@@ -248,10 +232,11 @@ class _Trajectory:
 
         best = None
         hi = 0.0
+        z = advance_free(x, y, alpha, b, hi)
         while (best is None or best[0] > hi) and hi < end:
-            a = point(hi)
+            a = z
             hi = min(hi + step, end)
-            z = point(hi)
+            z = advance_free(x, y, alpha, b, hi)
             found = scan(min(a[0], z[0]) - pad, max(a[0], z[0]) + pad,
                          min(a[1], z[1]) - pad, max(a[1], z[1]) + pad)
             if found is not None and (best is None or found[0] < best[0]):
@@ -529,7 +514,11 @@ def event_rate_study(eps_list, eta_rule, mu: float, b_magnitude: float,
     radius; ``ChatteringError`` is raised when every replica of a radius
     aborts.  Power-law exponents are fitted on the positive probabilities
     of each event class (NaN when fewer than two radii show the event).
+    The interference probability counts near misses, which only arcs have,
+    so ``b_magnitude`` must be positive.
     """
+    if not b_magnitude > 0.0:
+        raise ValueError("the event rate study needs a field, b_magnitude > 0")
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
         raise ValueError("radii must lie in (0, 1)")

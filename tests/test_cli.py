@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maglorentz.cli import EXPERIMENTS, ConfigError, config_to_text, main, validate
+from maglorentz.cli import (EXPERIMENTS, MAX_SWEEP_ROWS, ConfigError,
+                            config_to_text, main, validate)
 
 MSD_CONFIG = """
 # minimal msd experiment
@@ -175,6 +176,24 @@ class TestValidate:
         assert shown in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize("b_max,b_step,ok", [
+        ("999999", "1", True),  # 10^6 rows, the cap
+        ("1000000", "1", False),  # one row more
+        ("10", "1e-9", False),
+        ("1e300", "1e-300", False),  # the ratio overflows to inf
+    ])
+    def test_sweep_rows_capped(self, b_max, b_step, ok):
+        # validation alone: nothing runs and no row is allocated
+        text = with_key(with_key(SWEEP_CONFIG, "b_max", b_max), "b_step", b_step)
+        if ok:
+            assert validate(text, "operator-sweep")["b_max"] == float(b_max)
+            return
+        with pytest.raises(ConfigError) as err:
+            validate(text, "operator-sweep")
+        assert err.value.errors == [
+            "the sweep from 'b_min' to 'b_max' by 'b_step' must have at most "
+            f"{MAX_SWEEP_ROWS} rows"]
+
     def test_kind_mismatch(self):
         with pytest.raises(ConfigError, match="does not match"):
             validate(MSD_CONFIG + "\nkind = circling", "msd")
@@ -189,8 +208,9 @@ class TestValidate:
 _LOWEST = {"positive": (0, True), "nonnegative": (0, False),
            "at least 1": (1, False), "at least 2": (2, False),
            "at least 8": (8, False)}
-# keys drawn so that their kind's rule holds: the float lists, and an eta
-# rule that gives a finite eta of at least 1 on all but extreme eps lists
+# keys drawn so that their kind's rule holds: the float lists, an eta rule
+# that gives a finite eta of at least 1 on all but extreme eps lists, and an
+# operator sweep of at most 10^5 + 1 rows
 _RULED = {
     "t_grid": st.lists(st.floats(0.0, 1e6, exclude_min=True), min_size=1,
                        max_size=5, unique=True).map(sorted),
@@ -201,6 +221,9 @@ _RULED = {
                          unique=True).map(sorted),
     "eta_coeff": st.floats(1.0, 1e6),
     "eta_exponent": st.floats(0.0, 1.0),
+    "b_min": st.floats(0.0, 1e3),
+    "b_max": st.floats(1e3, 1e4),
+    "b_step": st.floats(0.1, 1e6),
 }
 
 

@@ -6,8 +6,7 @@ import pytest
 from maglorentz.geometry import (ParticleState, advance_free,
                                  deflection_from_impact, first_arc_hit,
                                  first_ray_entry, larmor_center,
-                                 point_to_arc_distances,
-                                 point_to_segment_distances, reflect,
+                                 point_to_arc_distances, reflect,
                                  unit_vector)
 
 TWO_PI = 2.0 * math.pi
@@ -245,7 +244,7 @@ class TestFirstArcDiskHit:
 
 
 class TestNearMissDistances:
-    """Closed-form distances against the nearest of 20k points on the curve."""
+    """Closed-form distances against the nearest of 20k points on the arc."""
 
     N_SAMPLES = 20_000
 
@@ -263,20 +262,6 @@ class TestNearMissDistances:
             ref = np.min(np.hypot(pts[:, None, 0] - curve[None, :, 0],
                                   pts[:, None, 1] - curve[None, :, 1]), axis=1)
             assert np.max(np.abs(got - ref)) < 1e-3 * radius * sweep
-
-    def test_segment(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            p0 = rng.normal(size=2)
-            v = unit_vector(rng.uniform(0.0, TWO_PI))
-            length = rng.uniform(0.05, 3.0)
-            pts = p0 + rng.uniform(-1.5, 1.5, size=(50, 2)) * length
-            got = point_to_segment_distances(pts, p0, v, length)
-            s_ = np.linspace(0.0, length, self.N_SAMPLES)
-            curve = p0 + s_[:, None] * v
-            ref = np.min(np.hypot(pts[:, None, 0] - curve[None, :, 0],
-                                  pts[:, None, 1] - curve[None, :, 1]), axis=1)
-            assert np.max(np.abs(got - ref)) < 1e-3 * length
 
 
 class TestReflect:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maglorentz import _rng, medium
@@ -83,6 +83,16 @@ class TestObstacleFreeFlight:
         assert out.status is TrajectoryStatus.COMPLETED
         for t, pos in zip(out.sample_times, out.sample_positions):
             assert np.allclose(pos, st.position + t * st.velocity, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    def test_sample_at_t_max_is_the_final_position(self, b):
+        # samples and the final state come from the one free-flight formula
+        f = ObstacleField(1, empty_params(b=b))
+        st = ParticleState(np.array([0.3125, -1.7]), 2.9)
+        for t_max in (0.1, 7.0, 123.456):
+            out = simulate_trajectory(f, st, t_max, [0.5 * t_max, t_max])
+            assert out.sample_positions[-1].tolist() == \
+                out.final_state.position.tolist()
 
 
 class TestSingleObstacle:
@@ -372,20 +382,28 @@ class TestRaySearch:
            snap=st.sampled_from([(), (0,), (1,), (0, 1)]),
            alpha=st.one_of(st.floats(0.0, 2 * math.pi),
                            st.integers(0, 7).map(lambda k: k * math.pi / 4)),
-           cells=st.floats(0.01, 4.0),
+           paths=st.floats(0.01, 8.0),
            pitch=st.one_of(st.none(), st.floats(0.25, 100.0)))
+    # cells far below eps, and legs from near a corner that enter the
+    # field cells around it and hit something there
+    @example(eps=0.01, density=0.3, seed=5, u=(-0.5, -0.5), snap=(),
+             alpha=0.3, paths=8.0, pitch=0.25)
     def test_matches_every_cell_of_the_leg(self, eps, density, seed, u, snap,
-                                           alpha, cells, pitch):
-        # density = mu_eff * eps^2, up to far beyond the dilute regime
+                                           alpha, paths, pitch):
+        # density = mu_eff * eps^2, up to far beyond the dilute regime; the
+        # start offset and the leg are sized in mean free paths, so a leg
+        # from near the corner of four field cells crosses several of them
+        # at low density, and many re-bucketed cells at any density
         params = medium.ScalingParams(eps, density / eps, 1.0,
                                       density / eps ** 2, 0.0, math.inf,
                                       math.inf)
         field_ = ObstacleField(seed, params)
         s = field_.cell_size if pitch is None else pitch * eps
-        x = np.array(u) * field_.cell_size
+        mfp = eps / (2.0 * density)
+        x = np.array(u) * mfp
         for axis in snap:  # start on a cell edge
             x[axis] = round(x[axis] / s) * s
-        max_len = cells * field_.cell_size
+        max_len = paths * mfp
         for turn in range(8):  # a fan of rays; multiples of pi/4 stay so
             start = ParticleState(x, alpha + turn * math.pi / 4)
             v = start.velocity
@@ -449,7 +467,8 @@ def _near_arc_center(o, r, phase0, sweep, eps, spot):
 
 
 class TestNearMissCut:
-    """The B > 0 circle cut before the distance test drops no near miss."""
+    """The B > 0 circle cut before the distance test drops no near miss;
+    a straight leg is not checked at all."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(eps=st.floats(1e-4, 0.05), b=st.floats(0.25, 8.0),
@@ -485,6 +504,15 @@ class TestNearMissCut:
             <= ls.NEAR_MISS_FACTOR * eps))
         tr.check_near_miss(length, hit_id)
         assert tr.near_miss == want
+
+    def test_straight_leg_not_checked(self):
+        # a hit center on the leg itself: no near miss without a field
+        tr = ls._Trajectory(ObstacleField(1, empty_params(b=0.0)),
+                            ParticleState(np.zeros(2), 0.0), 1.0, (), 8)
+        tr.register_hit((0, 0, 0), (0.5, 0.0), 0.0, 0.0)
+        tr.register_hit((0, 0, 1), (-1.0, 0.0), 0.0, 0.0)
+        tr.check_near_miss(1.0, None)
+        assert not tr.near_miss
 
 
 class TestMsdEstimate:
@@ -581,6 +609,15 @@ class TestEventRateStudy:
             event_rate_study([0.5, 0.6], 1.0, 1.0, 1.0, 1.0, 10, 0)
         with pytest.raises(ValueError):
             event_rate_study([1.5], 1.0, 1.0, 1.0, 1.0, 10, 0)
+
+    def test_no_field_refused_before_any_replica(self, monkeypatch):
+        # near misses, the interference count, are only taken on arcs
+        def no_run(*args):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(ls, "_run_replicas", no_run)
+        with pytest.raises(ValueError, match="b_magnitude > 0"):
+            event_rate_study([4e-3, 2e-3], 2.0, 1.0, 0.0, 0.5, 10, seed=9)
 
     def test_eta_rule_forms(self):
         eps_list = [4e-3, 2e-3]
