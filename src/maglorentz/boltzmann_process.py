@@ -23,10 +23,12 @@ scatter's repeated deflections ("leaves") land:
   ``velocity_autocorrelation_paths`` exposes that route so the gap can be
   measured rather than hidden.
 
-Both routes reduce their blocks the same way: one phase lookup gives each
-path's accumulated deflection on the time grid (the magnetic rotation
-``2 pi t / period`` is added on the grid when asked for), and the trapezoid
-rule integrates the mean cosine.
+Both routes reduce their blocks the same way: a block's phase table holds
+each path's accumulated deflection after each of its jumps, a lookup maps
+each path and grid time to its row, and the trapezoid rule integrates the
+mean cosine.  Without rotation the cosine is taken once per table row;
+with it, the magnetic rotation ``2 pi t / period`` is added on the grid
+and the cosine taken per path and grid point.
 """
 
 from __future__ import annotations
@@ -91,20 +93,33 @@ def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
             theta[src], replay, circling)
 
 
-def _phase_chunks(counts, times, theta, t_grid, spin=None, chunk=2500):
-    """Each path's phase on the time grid, ``chunk`` paths at a time.
+def _phase_table(counts, theta):
+    """Every path's phase after each number of its jumps, in one column.
 
-    Yields ``(lo, hi, phase)``: ``phase[p - lo, k]`` is the summed
-    deflection of path p's jumps at or before ``t_grid[k]``, plus
-    ``spin[k]`` when given.  ``chunk`` caps the (paths x grid) scratch
-    arrays.
+    Row ``starts[p] + p + c`` (``starts`` the offset of path p's first
+    jump) holds the summed deflection of path p's first c jumps, for c = 0
+    to ``counts[p]``.
+    """
+    starts = np.cumsum(counts) - counts
+    cs = np.concatenate([[0.0], np.cumsum(theta)])
+    # path p's rows take cs[starts[p]] to cs[starts[p] + counts[p]]: cs with
+    # each later path's first entry repeated once more, less its first entry
+    return (np.insert(cs, starts[1:], cs[starts[1:]])
+            - np.repeat(cs[starts], counts + 1))
+
+
+def _phase_chunks(counts, times, t_grid, chunk=2500):
+    """Rows of ``_phase_table`` on the time grid, ``chunk`` paths at a time.
+
+    Yields ``(lo, hi, rows)``: ``rows[p - lo, k]`` is the table row that
+    holds path p's phase at ``t_grid[k]``, the sum of its jumps at or
+    before that time.  ``chunk`` caps the (paths x grid) scratch arrays.
     """
     n, n_grid = len(counts), len(t_grid)
     ends = np.cumsum(counts)
     starts = ends - counts
+    row0 = starts + np.arange(n)
     path_of = np.repeat(np.arange(n), counts)
-    # path p's phase after its first c jumps: cs[starts[p] + c] - cs[starts[p]]
-    cs = np.concatenate([[0.0], np.cumsum(theta)])
     # a jump counts from the first grid time at or after it (n_grid: never)
     gbin = np.searchsorted(t_grid, times, side="left")
     for lo in range(0, n, chunk):
@@ -112,12 +127,10 @@ def _phase_chunks(counts, times, theta, t_grid, spin=None, chunk=2500):
         a, b = starts[lo], ends[hi - 1]
         slot = (path_of[a:b] - lo) * (n_grid + 1) + gbin[a:b]
         jumps = np.bincount(slot, minlength=(hi - lo) * (n_grid + 1))
-        c = np.cumsum(jumps.reshape(hi - lo, n_grid + 1)[:, :n_grid], axis=1)
-        first = starts[lo:hi, None]
-        phase = cs[first + c] - cs[first]
-        if spin is not None:
-            phase += spin
-        yield lo, hi, phase
+        rows = np.cumsum(jumps.reshape(hi - lo, n_grid + 1)[:, :n_grid],
+                         axis=1)
+        rows += row0[lo:hi, None]
+        yield lo, hi, rows
 
 
 @dataclass(frozen=True)
@@ -196,12 +209,16 @@ def _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
         counts, times, theta, _, circling = _block_jumps(
             mu, period, t_cut, min(GK_BLOCK_SIZE, n_paths - done),
             _rng.generator(seed, stream, block_idx), lumped)
+        table = _phase_table(counts, theta)
+        if spin is None:
+            # a cosine per (path, jumps taken), not per path and grid point
+            np.cos(table, out=table)
         s = np.zeros(len(t_grid))
         sq = np.zeros(len(t_grid))
-        for lo, hi, phase in _phase_chunks(counts, times, theta, t_grid, spin):
+        for lo, hi, rows in _phase_chunks(counts, times, t_grid):
             if wandering_only:
-                phase = phase[~circling[lo:hi]]
-            cosvals = np.cos(phase)
+                rows = rows[~circling[lo:hi]]
+            cosvals = table[rows] if spin is None else np.cos(table[rows] + spin)
             s += cosvals.sum(axis=0)
             sq += (cosvals ** 2).sum(axis=0)
             integrals.append(cosvals @ trap_w)

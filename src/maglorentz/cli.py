@@ -213,6 +213,37 @@ def _sweep_rule(config):
                f"most {MAX_SWEEP_ROWS} rows")
 
 
+#: the longest Green-Kubo time grid: each (2,500 paths x grid) array of
+#: the reduction then holds at most 200 MB
+MAX_GK_GRID = 10 ** 4
+
+
+def _green_kubo_rule(config):
+    t_cut, dt = config.get("t_cut"), config.get("dt_quad")
+    if t_cut is not None and dt is not None and dt > 0 \
+            and t_cut / dt + 1 > MAX_GK_GRID:
+        yield (f"the grid from 0 to 't_cut' by 'dt_quad' must have at most "
+               f"{MAX_GK_GRID} points")
+
+
+#: the most obstacles one circling field sample may hold on average: its
+#: points then take at most 160 MB of the draw buffer
+MAX_ANNULUS_BOX = 10 ** 7
+
+
+def _circling_rule(config):
+    keys = [config.get(k) for k in ("eps", "mu", "eta", "b")]
+    if all(v is not None and v > 0 for v in keys):
+        eps, mu, eta, b = keys
+        # mu_eff times the area of the square bounding the orbit annulus
+        side = 2.0 * (1.0 / b + eps)
+        count = eta * mu / eps * side * side
+        if count > MAX_ANNULUS_BOX:
+            yield (f"one field sample's box must hold at most "
+                   f"{MAX_ANNULUS_BOX} obstacles on average, "
+                   f"got mu_eff (2 (1/b + eps))^2 = {count:.3g}")
+
+
 def _field_rule(config):
     n_x, p = config.get("n_x"), config.get("rho_mode")
     if config.get("rho_amplitude") and p and n_x is not None \
@@ -370,7 +401,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
     "green-kubo": _Experiment(
         {"mu": _POSITIVE, "period": _POSITIVE, "n_paths": _SAMPLES,
          "t_cut": _POSITIVE, "dt_quad": _POSITIVE, "seed": _SEED},
-        _run_green_kubo, "vacf", ("t", "vacf", "vacf_se")),
+        _run_green_kubo, "vacf", ("t", "vacf", "vacf_se"), _green_kubo_rule),
     "operator-sweep": _Experiment(
         {"mu": _POSITIVE, "b_min": _Key("float", 0.0, "nonnegative"),
          "b_max": _Key("float"), "b_step": _POSITIVE,
@@ -395,7 +426,8 @@ EXPERIMENTS: dict[str, _Experiment] = {
     "circling": _Experiment(
         {"eps": _POSITIVE, "mu": _POSITIVE, "eta": _ETA, "b": _POSITIVE,
          "n_fields": _COUNT, "n_paths": _COUNT, "seed": _SEED},
-        _run_circling, "circling", ("route", "estimate", "std_error", "reference")),
+        _run_circling, "circling", ("route", "estimate", "std_error", "reference"),
+        _circling_rule),
 }
 
 

@@ -200,6 +200,30 @@ class AnnulusVoidEstimate:
     closed_form: float
 
 
+# radii above this have squares of full relative precision; see _void_count
+_TINY_RADIUS = 1e-140
+
+
+def _void_count(pts, counts, r: float, eps: float) -> int:
+    """Samples with no point strictly inside the annulus (r - eps, r + eps).
+
+    Sample i owns the next ``counts[i]`` rows of ``pts``.  A squared-radius
+    window picks the candidates; ``np.hypot`` decides on them alone.  The
+    window's 1e-9 relative margin far exceeds the rounding of ``x*x + y*y``
+    and of its bounds, so it keeps every point the decision accepts; a
+    bound below ``_TINY_RADIUS``, where squares lose precision, is dropped
+    (the lower one whenever r <= eps).
+    """
+    lo = (r - eps) ** 2 * (1.0 - 1e-9) if r - eps > _TINY_RADIUS else -math.inf
+    hi = (r + eps) ** 2 * (1.0 + 1e-9) if r + eps > _TINY_RADIUS else math.inf
+    sq = np.einsum("ij,ij->i", pts, pts)
+    cand = np.flatnonzero((sq > lo) & (sq < hi))
+    rad = np.hypot(pts[cand, 0], pts[cand, 1])
+    hit = cand[(rad > r - eps) & (rad < r + eps)]
+    owner = np.searchsorted(np.cumsum(counts), hit, side="right")
+    return len(counts) - len(np.unique(owner))
+
+
 def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
                                  seed: int) -> AnnulusVoidEstimate:
     """Monte Carlo estimate of the empty-orbit-annulus probability.
@@ -208,7 +232,9 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     bounding the annulus with radii (R - eps, R + eps); the estimate is the
     fraction of realizations with no obstacle center in the annulus.  The
     closed-form comparison value is ``exp(-mu_eff * 4 pi R eps)``.  The
-    field is homogeneous: ``center`` is unused.
+    field is homogeneous: ``center`` is unused.  Samples are drawn in
+    chunks of about 2M points, each into one buffer that is reused from
+    chunk to chunk and grows only when a chunk needs more room.
     """
     if params.b_magnitude <= 0.0:
         raise ValueError("no orbit annulus without a magnetic field")
@@ -224,22 +250,21 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     gen = _rng.generator(seed, _rng.STREAM_ANNULUS)
     void = 0
     chunk = max(1, min(n_samples, int(2e6 / max(lam_box, 1.0))))
+    buf = np.empty((0, 2))
     done = 0
     while done < n_samples:
         n = min(chunk, n_samples - done)
         counts = gen.poisson(lam_box, n)
         total = int(counts.sum())
-        pts = gen.random((total, 2)) * (2.0 * half) - half
-        rad = np.hypot(pts[:, 0], pts[:, 1])
-        inside = (rad > r - eps) & (rad < r + eps)
-        hits = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(inside, out=hits[1:])
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        void += int(np.count_nonzero(hits[ends] - hits[starts] == 0))
+        if total > len(buf):
+            buf = None  # free the smaller buffer before allocating
+            buf = np.empty((total, 2))
+        pts = gen.random(out=buf[:total])
+        pts *= 2.0 * half
+        pts -= half
+        void += _void_count(pts, counts, r, eps)
+        del pts  # a view of buf, which would keep it alive when it grows
         done += n
-        # free this chunk's arrays before the next chunk draws its own
-        del pts, rad, inside, hits
     p = void / n_samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
     return AnnulusVoidEstimate(p, se, closed)

@@ -1,0 +1,115 @@
+"""Grid forms of the continuum Monte Carlo estimators, kept as a reference.
+
+These are the bodies the Green-Kubo reduction and the annulus void count
+had before the per-jump phase table and the squared-radius prefilter:
+the phase is looked up as ``cs[first + c] - cs[first]`` and its cosine
+taken per path and grid point, and every point's radius goes through
+``np.hypot``.  The package must return bit-identical results;
+``tests/test_continuum_reference.py`` checks that it does.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+
+from maglorentz import _rng
+from maglorentz import boltzmann_process as bp
+
+
+def phase_chunks(counts, times, theta, t_grid, spin=None, chunk=2500):
+    """Each path's phase on the time grid, ``chunk`` paths at a time."""
+    n, n_grid = len(counts), len(t_grid)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    path_of = np.repeat(np.arange(n), counts)
+    cs = np.concatenate([[0.0], np.cumsum(theta)])
+    gbin = np.searchsorted(t_grid, times, side="left")
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        a, b = starts[lo], ends[hi - 1]
+        slot = (path_of[a:b] - lo) * (n_grid + 1) + gbin[a:b]
+        jumps = np.bincount(slot, minlength=(hi - lo) * (n_grid + 1))
+        c = np.cumsum(jumps.reshape(hi - lo, n_grid + 1)[:, :n_grid], axis=1)
+        first = starts[lo:hi, None]
+        phase = cs[first + c] - cs[first]
+        if spin is not None:
+            phase += spin
+        yield lo, hi, phase
+
+
+def vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
+            include_rotation, wandering_only, chunk=2500):
+    """``boltzmann_process._vacf_mc`` with a cosine per path and grid point.
+
+    Blocks hold ``bp.GK_BLOCK_SIZE`` paths, read at call time.
+    """
+    t_grid, trap_w = bp._trapezoid_grid(t_cut, dt_quad)
+    spin = 2.0 * math.pi / period * t_grid if include_rotation else None
+    stream = _rng.STREAM_GK_BLOCK if lumped else _rng.STREAM_GB_PATH
+    vsum = np.zeros(len(t_grid))
+    vsq = np.zeros(len(t_grid))
+    integrals = []
+    n_circling = 0
+    for block_idx, done in enumerate(range(0, n_paths, bp.GK_BLOCK_SIZE)):
+        counts, times, theta, _, circling = bp._block_jumps(
+            mu, period, t_cut, min(bp.GK_BLOCK_SIZE, n_paths - done),
+            _rng.generator(seed, stream, block_idx), lumped)
+        s = np.zeros(len(t_grid))
+        sq = np.zeros(len(t_grid))
+        for lo, hi, phase in phase_chunks(counts, times, theta, t_grid, spin,
+                                          chunk):
+            if wandering_only:
+                phase = phase[~circling[lo:hi]]
+            cosvals = np.cos(phase)
+            s += cosvals.sum(axis=0)
+            sq += (cosvals ** 2).sum(axis=0)
+            integrals.append(cosvals @ trap_w)
+        vsum += s
+        vsq += sq
+        n_circling += int(np.count_nonzero(circling))
+    per_path = np.concatenate(integrals) if integrals else np.empty(0)
+    kept = len(per_path)
+    if kept < 2:
+        raise ValueError(f"need at least 2 paths to average, got {kept}")
+    vacf = vsum / kept
+    var = np.maximum(vsq / kept - vacf ** 2, 0.0)
+    return bp.GreenKuboEstimate(
+        float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(kept)),
+        t_grid, vacf, np.sqrt(var / kept), n_circling / n_paths, n_paths)
+
+
+def green_kubo_mc(mu, period, n_paths, t_cut, dt_quad, seed, chunk=2500):
+    est = vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, True, False,
+                  False, chunk)
+    circ = bp.circling_fraction_mc(mu, period, n_paths, _rng.mix(seed, 0xC1))
+    return dataclasses.replace(est, circling_fraction=circ.fraction)
+
+
+def void_count(pts, counts, r, eps):
+    """Samples with no point inside the annulus, every radius by hypot."""
+    rad = np.hypot(pts[:, 0], pts[:, 1])
+    inside = (rad > r - eps) & (rad < r + eps)
+    hits = np.zeros(len(pts) + 1, dtype=np.int64)
+    np.cumsum(inside, out=hits[1:])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return int(np.count_nonzero(hits[ends] - hits[starts] == 0))
+
+
+def empty_annulus_void(params, n_samples, seed):
+    """Void samples of ``medium.empty_annulus_probability_mc``'s draws."""
+    r, eps = params.larmor_radius, params.eps
+    half = r + eps
+    lam_box = params.mu_eff * (2.0 * half) ** 2
+    gen = _rng.generator(seed, _rng.STREAM_ANNULUS)
+    void = 0
+    chunk = max(1, min(n_samples, int(2e6 / max(lam_box, 1.0))))
+    done = 0
+    while done < n_samples:
+        n = min(chunk, n_samples - done)
+        counts = gen.poisson(lam_box, n)
+        pts = gen.random((int(counts.sum()), 2)) * (2.0 * half) - half
+        void += void_count(pts, counts, r, eps)
+        done += n
+    return void

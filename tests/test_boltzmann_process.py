@@ -22,8 +22,10 @@ def path_jumps(mu, period, n, t_max, seed):
 
 def phases(counts, times, theta, t_grid, spin=None, chunk=2500):
     """Every path's phase on ``t_grid``, one row per path."""
-    return np.vstack([phase for _, _, phase in bp._phase_chunks(
-        counts, times, theta, np.asarray(t_grid, dtype=float), spin, chunk)])
+    rows = np.vstack([rows for _, _, rows in bp._phase_chunks(
+        counts, times, np.asarray(t_grid, dtype=float), chunk)])
+    phase = bp._phase_table(counts, theta)[rows]
+    return phase if spin is None else phase + spin
 
 
 def replay_runs(replay):

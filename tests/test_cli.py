@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maglorentz.cli import (EXPERIMENTS, MAX_SWEEP_ROWS, ConfigError,
+from maglorentz.cli import (EXPERIMENTS, MAX_ANNULUS_BOX, MAX_GK_GRID,
+                            MAX_SWEEP_ROWS, ConfigError,
                             config_to_text, main, validate)
 
 MSD_CONFIG = """
@@ -193,6 +194,49 @@ class TestValidate:
         assert err.value.errors == [
             "the sweep from 'b_min' to 'b_max' by 'b_step' must have at most "
             f"{MAX_SWEEP_ROWS} rows"]
+
+    @pytest.mark.parametrize("t_cut,dt_quad,ok", [
+        ("9999", "1", True),  # 10^4 grid points, the cap
+        ("10000", "1", False),  # one point more
+        ("6", "1e-4", False),
+        ("1e300", "1e-300", False),  # the ratio overflows to inf
+    ])
+    def test_green_kubo_grid_capped(self, t_cut, dt_quad, ok):
+        # validation alone: no path is drawn and no grid allocated
+        text = with_key(with_key(GREEN_KUBO_CONFIG, "t_cut", t_cut),
+                        "dt_quad", dt_quad)
+        if ok:
+            assert validate(text, "green-kubo")["t_cut"] == float(t_cut)
+            return
+        with pytest.raises(ConfigError) as err:
+            validate(text, "green-kubo")
+        assert err.value.errors == [
+            "the grid from 0 to 't_cut' by 'dt_quad' must have at most "
+            f"{MAX_GK_GRID} points"]
+
+    @pytest.mark.parametrize("key,value,shown", [
+        ("b", "2.5e-3", None),  # mu_eff = 10, box side 1600.02: 6.4e6
+        ("b", "1.25e-3", "2.56e+07"),
+        ("mu", "1e6", "4.08e+08"),
+        ("mu", "1e308", "inf"),  # mu_eff overflows
+    ])
+    def test_circling_box_capped(self, tmp_path, capsys, key, value, shown):
+        text = with_key(CIRCLING_CONFIG, key, value)
+        if shown is None:
+            assert validate(text, "circling")[key] == float(value)
+            return
+        message = (f"one field sample's box must hold at most "
+                   f"{MAX_ANNULUS_BOX} obstacles on average, "
+                   f"got mu_eff (2 (1/b + eps))^2 = {shown}")
+        with pytest.raises(ConfigError) as err:
+            validate(text, "circling")
+        assert err.value.errors == [message]
+        cfg = tmp_path / "circ.cfg"
+        cfg.write_text(text)
+        assert main(["circling", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
 
     def test_kind_mismatch(self):
         with pytest.raises(ConfigError, match="does not match"):

@@ -1,0 +1,178 @@
+"""The continuum Monte Carlo estimators give the bits of their grid forms.
+
+``continuum_reference`` keeps the Green-Kubo reduction with a cosine per
+path and grid point, and the annulus void count with every radius through
+``np.hypot``.  The package takes one cosine per table row (path, jumps
+taken) and gathers it, and decides ``np.hypot`` only on the points of a
+squared-radius window; both rely on numpy computing each element to the
+same bits in whatever array it sits.  Estimates, autocorrelations and
+void counts are compared with ``==`` and ``tobytes``.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maglorentz import boltzmann_process as bp
+from maglorentz import medium
+
+import continuum_reference as ref
+
+# (lumped, include_rotation, wandering_only)
+ROUTES = [(True, False, False), (False, True, False), (False, False, False),
+          (False, True, True), (False, False, True)]
+
+
+def outcome(f, *args):
+    """Every output of a Green-Kubo estimate as bytes, or its error."""
+    try:
+        est = f(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return (est.d_estimate, est.std_error, est.circling_fraction,
+            est.n_paths, est.t_grid.tobytes(), est.vacf.tobytes(),
+            est.vacf_se.tobytes())
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(mu=st.floats(0.05, 3.0),
+       period=st.one_of(st.floats(0.05, 5.0), st.just(math.inf)),
+       t_cut=st.floats(0.1, 4.0), dt_quad=st.floats(0.02, 0.5),
+       n=st.integers(2, 60), seed=st.integers(0, 2 ** 32),
+       chunk=st.sampled_from([1, 7, 2500]),
+       block=st.sampled_from([5, 16, bp.GK_BLOCK_SIZE]),
+       route=st.sampled_from(ROUTES))
+def test_green_kubo_matches_grid_form(mu, period, t_cut, dt_quad, n, seed,
+                                      chunk, block, route):
+    lumped, rotation, wandering = route
+    if not lumped and period == math.inf:
+        # the path-resolved sampler places replays at replay * period,
+        # which is 0 * inf for a scatter at an infinite period
+        period = 1e6
+    args = (mu, period, n, t_cut, dt_quad, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bp, "GK_BLOCK_SIZE", block)
+        mp.setattr(bp, "_phase_chunks",
+                   functools.partial(bp._phase_chunks, chunk=chunk))
+        if lumped:
+            got = outcome(bp.green_kubo_mc, *args)
+            want = outcome(ref.green_kubo_mc, *args, chunk)
+        else:
+            got = outcome(bp.velocity_autocorrelation_paths, *args, rotation,
+                          wandering)
+            want = outcome(ref.vacf_mc, *args, False, rotation, wandering,
+                           chunk)
+    assert got == want
+
+
+@pytest.mark.parametrize("lumped", [True, False])
+def test_green_kubo_matches_grid_form_over_blocks(lumped):
+    # two full blocks and a partial one, at the production block and chunk
+    args = (1.0, 1.0, 2 * bp.GK_BLOCK_SIZE + 301, 2.0, 0.05, 777)
+    if lumped:
+        assert outcome(bp.green_kubo_mc, *args) == \
+            outcome(ref.green_kubo_mc, *args)
+    else:
+        assert outcome(bp.velocity_autocorrelation_paths, *args) == \
+            outcome(ref.vacf_mc, *args, False, True, False)
+
+
+def shell_points(rng, rho, k):
+    """``k`` points at random angles within 3 ulps of radius ``rho``."""
+    a = rng.uniform(0.0, 2.0 * math.pi, k)
+    scale = 1.0 + rng.integers(-3, 4, k) * np.finfo(float).eps
+    return np.column_stack([rho * np.cos(a), rho * np.sin(a)]) * scale[:, None]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(r=st.floats(0.01, 5.0), eps=st.floats(1e-3, 3.0),
+       lam=st.floats(0.0, 30.0), n=st.integers(1, 60),
+       shell=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32))
+def test_void_count_matches_hypot(r, eps, lam, n, shell, seed):
+    # uniform points in the annulus's box, a share of them moved onto the
+    # two boundary circles, where the window and hypot must agree
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(lam, n)
+    total = int(counts.sum())
+    half = r + eps
+    pts = rng.random((total, 2)) * (2.0 * half) - half
+    moved = rng.random(total) < shell
+    on_outer = rng.random(total) < 0.5
+    for mask, rho in ((moved & on_outer, r + eps), (moved & ~on_outer, r - eps)):
+        pts[mask] = shell_points(rng, abs(rho), int(np.count_nonzero(mask)))
+    assert medium._void_count(pts, counts, r, eps) == \
+        ref.void_count(pts, counts, r, eps)
+
+
+def boundary_points(r, eps):
+    """Points on, and ulp steps inside and outside, both circles."""
+    pts = []
+    for rho in (r - eps, r + eps):
+        if rho < 0.0:
+            continue
+        steps = np.array([np.nextafter(rho, -math.inf), rho,
+                          np.nextafter(rho, math.inf)])
+        zeros = np.zeros(3)
+        pts += [np.column_stack([steps, zeros]),
+                np.column_stack([zeros, -steps])]
+        # x swept across the circle in ulp steps at fixed y, at 1,000 angles
+        a = np.linspace(0.0, 2.0 * math.pi, 1001)[:-1]
+        x, y = rho * np.cos(a), rho * np.sin(a)
+        for k in range(-4, 5):
+            pts.append(np.column_stack([x + k * np.spacing(x), y]))
+    return np.concatenate(pts)
+
+
+def test_boundary_points_defeat_an_unpadded_window():
+    # on these points x*x + y*y and hypot order some points differently
+    # against a circle, so a window without its margin would decide wrong
+    r, eps = 1.0, 0.01
+    pts = boundary_points(r, eps)
+    sq = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+    rad = np.hypot(pts[:, 0], pts[:, 1])
+    rho = r - eps
+    assert np.any((rad > rho) & ~(sq > rho * rho))
+
+
+@pytest.mark.parametrize("r, eps", [(1.0, 0.01), (0.25, 0.5), (0.3, 0.3),
+                                    (1e3, 1e-3), (0.5, 0.125),
+                                    # squares that underflow: no window
+                                    (1e-160, 2e-161)])
+def test_void_count_on_the_boundaries(r, eps):
+    pts = boundary_points(r, eps)
+    rad = np.hypot(pts[:, 0], pts[:, 1])
+    # the set meets each circle exactly and has points on both sides of it
+    for rho in (r - eps, r + eps):
+        if rho >= 0.0:
+            assert np.any(rad == rho)
+            assert np.any(rad < rho) or rho == 0.0
+            assert np.any(rad > rho)
+    n = len(pts)
+    for counts in (np.ones(n, dtype=np.int64), np.array([n]),
+                   np.array([3] * (n // 3) + [n % 3])):
+        assert medium._void_count(pts, counts, r, eps) == \
+            ref.void_count(pts, counts, r, eps)
+    # point by point: a point counts as a void sample exactly when hypot
+    # puts it on or outside a circle
+    inside = (rad > r - eps) & (rad < r + eps)
+    assert medium._void_count(pts, np.ones(n, dtype=np.int64), r, eps) == \
+        n - np.count_nonzero(inside)
+
+
+@pytest.mark.parametrize("eps, mu_eff, b, n", [
+    (0.01, 25.0, 1.0, 2000),      # the continuum config's annulus
+    (0.01, 5e4, 1.0, 27),         # about 2e5 points a sample: three chunks
+    (0.5, 40.0, 4.0, 3000),       # R < eps: no inner circle
+    (0.25, 80.0, 4.0, 3000),      # R = eps
+    (2e-3, 200.0, 0.05, 7)])      # a wide annulus, chunks of six samples
+def test_annulus_estimate_matches_hypot(eps, mu_eff, b, n):
+    params = medium.ScalingParams(
+        eps=eps, mu=mu_eff * eps, eta=1.0, mu_eff=mu_eff, b_magnitude=b,
+        larmor_radius=1.0 / b, t_larmor=2.0 * math.pi / b)
+    for seed in (2026, 7):
+        est = medium.empty_annulus_probability_mc(params, (0.0, 0.0), n, seed)
+        assert est.estimate == ref.empty_annulus_void(params, n, seed) / n
