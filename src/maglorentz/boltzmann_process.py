@@ -89,8 +89,12 @@ def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
                     1 + np.floor((nxt - jt) / period).astype(np.int64))
     src = np.repeat(np.arange(total), runs)
     replay = np.arange(len(src)) - np.repeat(np.cumsum(runs) - runs, runs)
-    return (np.bincount(path_of[src], minlength=n), jt[src] + replay * period,
-            theta[src], replay, circling)
+    # a scatter keeps its time: 0 * period is NaN at an infinite period
+    times = jt[src]
+    later = replay > 0
+    times[later] += replay[later] * period
+    return (np.bincount(path_of[src], minlength=n), times, theta[src], replay,
+            circling)
 
 
 def _phase_table(counts, theta):

@@ -217,6 +217,11 @@ def _sweep_rule(config):
 #: the reduction then holds at most 200 MB
 MAX_GK_GRID = 10 ** 4
 
+#: the most jumps one Green-Kubo block may expect, 2 mu t_cut per path
+#: times ``GK_BLOCK_SIZE`` paths (mu t_cut at most 100): a block's jumps and
+#: phase table then peak below 300 MB on a short grid
+MAX_GK_BLOCK_JUMPS = 4 * 10 ** 6
+
 
 def _green_kubo_rule(config):
     t_cut, dt = config.get("t_cut"), config.get("dt_quad")
@@ -224,6 +229,14 @@ def _green_kubo_rule(config):
             and t_cut / dt + 1 > MAX_GK_GRID:
         yield (f"the grid from 0 to 't_cut' by 'dt_quad' must have at most "
                f"{MAX_GK_GRID} points")
+    mu = config.get("mu")
+    if mu is not None and t_cut is not None:
+        jumps = 2.0 * mu * t_cut * boltzmann_process.GK_BLOCK_SIZE
+        if jumps > MAX_GK_BLOCK_JUMPS:
+            yield (f"one block of {boltzmann_process.GK_BLOCK_SIZE} paths "
+                   f"must expect at most {MAX_GK_BLOCK_JUMPS} jumps, got "
+                   f"2 mu t_cut x {boltzmann_process.GK_BLOCK_SIZE} = "
+                   f"{jumps:.3g}")
 
 
 #: the most obstacles one circling field sample may hold on average: its

@@ -182,17 +182,21 @@ def first_arc_hit(centers, orbit_center, velocity_angle: float,
 def first_ray_entry(centers, position, v, eps: float, max_len: float):
     """First entry of the ray ``position + tau v`` into disks of radius ``eps``.
 
-    ``centers`` is an (n, 2) array of disk centers, ``position`` a 2-vector
-    and ``v`` a unit 2-vector.  Returns ``(tau, k, n)`` with the flight time
-    to impact, within (``DEPARTURE_GUARD``, ``max_len``], the row of
-    ``centers`` hit and the outward unit normal there, a pair of floats;
-    None when no disk is entered.  Grazing lines (half-chord below
-    ``eps * GRAZING_TOL``) are misses.  Every row is computed elementwise,
-    so a row's hit time does not depend on the other rows of ``centers``.
+    ``centers`` is an (n, 2) array of disk centers, ``position`` a point
+    and ``v`` a unit vector, each a pair of floats.  Returns ``(tau, k, n)``
+    with the flight time to impact, within (``DEPARTURE_GUARD``,
+    ``max_len``], the row of ``centers`` hit and the outward unit normal
+    there, a pair of floats; None when no disk is entered.  Grazing lines
+    (half-chord below ``eps * GRAZING_TOL``) are misses.  Every row is
+    computed elementwise from the two coordinate columns, so a row's hit
+    time does not depend on the other rows of ``centers``.
     """
-    rel = centers - position
-    proj = rel[:, 0] * v[0] + rel[:, 1] * v[1]
-    perp_sq = np.einsum("ij,ij->i", rel, rel) - proj * proj
+    x, y = map(float, position)
+    v0, v1 = map(float, v)
+    rx = centers[:, 0] - x
+    ry = centers[:, 1] - y
+    proj = rx * v0 + ry * v1
+    perp_sq = (rx * rx + ry * ry) - proj * proj
     disc = eps * eps - perp_sq
     rows = (disc > (eps * GRAZING_TOL) ** 2).nonzero()[0]
     if not len(rows):
@@ -205,10 +209,8 @@ def first_ray_entry(centers, position, v, eps: float, max_len: float):
     if best is None:
         return None
     t, k = best
-    x, y = map(float, position)
     cx, cy = centers[k].tolist()
-    return t, k, impact_normal(x + t * float(v[0]), y + t * float(v[1]),
-                               cx, cy, eps)
+    return t, k, impact_normal(x + t * v0, y + t * v1, cx, cy, eps)
 
 
 def point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):

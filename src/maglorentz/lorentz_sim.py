@@ -45,7 +45,7 @@ import numpy as np
 from . import _rng
 from .geometry import (TWO_PI, ParticleState, advance_free, first_arc_hit,
                        first_ray_entry, larmor_center, point_to_arc_distances,
-                       reflect, unit_vector)
+                       reflect)
 from .medium import (ObstacleField, ScalingParams, is_admissible_start,
                      scaling_from)
 
@@ -210,11 +210,11 @@ class _Trajectory:
             def hit(pts):
                 return first_arc_hit(pts, (cx, cy), alpha, b, eps)
         else:
-            pos, v = np.array((x, y)), unit_vector(alpha)
+            v = math.cos(alpha), math.sin(alpha)
             step, end, pad = field_.cell_size, max_len, eps
 
             def hit(pts):
-                return first_ray_entry(pts, pos, v, eps, max_len)
+                return first_ray_entry(pts, (x, y), v, eps, max_len)
 
         def scan(x_lo, x_hi, y_lo, y_hi):
             cells = [(key, field_.cell(*key))

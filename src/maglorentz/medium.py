@@ -3,9 +3,12 @@
 The field is deterministic: the obstacle list of every grid cell is a pure
 function of (master seed, cell index), drawn from a counter-based random
 stream.  Trajectories of unbounded extent therefore see one consistent
-infinite environment without it ever being stored, and concurrent readers
-need no coordination.  A field object memoizes the cells it has served,
-so its memory grows with the area queried; each replica gets its own.
+infinite environment without it ever being stored, and field objects of
+one seed in different processes agree without coordination.  A field
+object memoizes the cells it has served, so its memory grows with the
+area queried, and it rekeys one Philox generator to each cell's stream
+for that cell's draw, so it is not to be shared between threads; each
+replica gets its own.
 Every cell holds ``CELL_COUNT`` obstacles on average, at any field
 strength, and keeps its draw order; a search scans each cell it reaches
 whole.
@@ -159,14 +162,17 @@ class ObstacleField(_CellCache):
     def __post_init__(self):
         object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "cell_size", default_cell_size(self.params))
+        # rekeyed for each cell drawn; its own key is never drawn from
+        object.__setattr__(self, "_gen", _rng.generator(
+            self.master_seed, _rng.STREAM_FIELD_CELL))
 
     def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
         """Obstacle centers of one cell, identical on every call."""
         lam = self.params.mu_eff * self.cell_size ** 2
         if lam == 0.0:
             return _EMPTY_POINTS
-        gen = _rng.generator(
-            self.master_seed, _rng.STREAM_FIELD_CELL, cell_x, cell_y)
+        gen = _rng.rekey(self._gen, self.master_seed, _rng.STREAM_FIELD_CELL,
+                         cell_x, cell_y)
         count = int(gen.poisson(lam))
         if count == 0:
             return _EMPTY_POINTS
@@ -183,13 +189,15 @@ def is_admissible_start(field_, x) -> bool:
     It scans every center of each cell that the square of half-side eps
     around x meets.
     """
-    x = np.asarray(x, dtype=float)
+    x, y = map(float, x)
     eps = field_.params.eps
-    for ix, iy in field_.cells_meeting(x[0] - eps, x[0] + eps,
-                                       x[1] - eps, x[1] + eps):
+    for ix, iy in field_.cells_meeting(x - eps, x + eps, y - eps, y + eps):
         pts = field_.cell(ix, iy)
-        if len(pts) and np.min(np.sum((pts - x) ** 2, axis=1)) <= eps * eps:
-            return False
+        if len(pts):
+            dx = pts[:, 0] - x
+            dy = pts[:, 1] - y
+            if np.min(dx * dx + dy * dy) <= eps * eps:
+                return False
     return True
 
 

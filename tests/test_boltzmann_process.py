@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ class TestPathRouteDiagnostic:
             i = int(round(t_probe / 0.02))
             assert abs(est.vacf[i] - math.exp(ell1 * t_probe)) < \
                 4 * max(est.vacf_se[i], 1e-4)
+
+    def test_infinite_period_is_the_memoryless_limit(self):
+        # a scatter's time is kept, not offset by 0 * inf; no replay and no
+        # circling fits in the window at either period, so the estimates
+        # agree bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = velocity_autocorrelation_paths(
+                1.0, math.inf, 1000, 3.0, 0.5, seed=1, include_rotation=False)
+        ref = velocity_autocorrelation_paths(
+            1.0, 1e6, 1000, 3.0, 0.5, seed=1, include_rotation=False)
+        assert math.isfinite(est.d_estimate)
+        assert est.d_estimate == ref.d_estimate
+        assert np.array_equal(est.vacf, ref.vacf)
 
     def test_finite_period_gap_from_operator_route(self):
         # the path-resolved autocorrelation integral differs from the

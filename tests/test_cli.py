@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maglorentz.cli import (EXPERIMENTS, MAX_ANNULUS_BOX, MAX_GK_GRID,
-                            MAX_SWEEP_ROWS, ConfigError,
+from maglorentz.boltzmann_process import GK_BLOCK_SIZE
+from maglorentz.cli import (EXPERIMENTS, MAX_ANNULUS_BOX, MAX_GK_BLOCK_JUMPS,
+                            MAX_GK_GRID, MAX_SWEEP_ROWS, ConfigError,
                             config_to_text, main, validate)
 
 MSD_CONFIG = """
@@ -202,9 +203,10 @@ class TestValidate:
         ("1e300", "1e-300", False),  # the ratio overflows to inf
     ])
     def test_green_kubo_grid_capped(self, t_cut, dt_quad, ok):
-        # validation alone: no path is drawn and no grid allocated
-        text = with_key(with_key(GREEN_KUBO_CONFIG, "t_cut", t_cut),
-                        "dt_quad", dt_quad)
+        # validation alone: no path is drawn and no grid allocated; a tiny
+        # mu keeps every block's expected jumps under their own cap
+        text = with_key(with_key(with_key(GREEN_KUBO_CONFIG, "mu", "1e-300"),
+                                 "t_cut", t_cut), "dt_quad", dt_quad)
         if ok:
             assert validate(text, "green-kubo")["t_cut"] == float(t_cut)
             return
@@ -213,6 +215,24 @@ class TestValidate:
         assert err.value.errors == [
             "the grid from 0 to 't_cut' by 'dt_quad' must have at most "
             f"{MAX_GK_GRID} points"]
+
+    @pytest.mark.parametrize("mu,t_cut,shown", [
+        ("25", "4", None),  # 2 x 25 x 4 x 20000 = 4e6 jumps, the cap
+        ("26", "4", "4.16e+06"),
+        ("1e308", "4", "inf"),  # the product overflows
+    ])
+    def test_green_kubo_block_jumps_capped(self, mu, t_cut, shown):
+        # validation alone: no path is drawn
+        text = with_key(with_key(GREEN_KUBO_CONFIG, "mu", mu), "t_cut", t_cut)
+        if shown is None:
+            assert validate(text, "green-kubo")["mu"] == float(mu)
+            return
+        with pytest.raises(ConfigError) as err:
+            validate(text, "green-kubo")
+        assert err.value.errors == [
+            f"one block of {GK_BLOCK_SIZE} paths must expect at most "
+            f"{MAX_GK_BLOCK_JUMPS} jumps, got 2 mu t_cut x {GK_BLOCK_SIZE} = "
+            f"{shown}"]
 
     @pytest.mark.parametrize("key,value,shown", [
         ("b", "2.5e-3", None),  # mu_eff = 10, box side 1600.02: 6.4e6

@@ -49,10 +49,6 @@ def outcome(f, *args):
 def test_green_kubo_matches_grid_form(mu, period, t_cut, dt_quad, n, seed,
                                       chunk, block, route):
     lumped, rotation, wandering = route
-    if not lumped and period == math.inf:
-        # the path-resolved sampler places replays at replay * period,
-        # which is 0 * inf for a scatter at an infinite period
-        period = 1e6
     args = (mu, period, n, t_cut, dt_quad, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bp, "GK_BLOCK_SIZE", block)

@@ -142,4 +142,17 @@ class TestFloatForms:
     def test_first_ray_entry(self, case):
         centers, x, v, eps, max_len = case
         want = ref.first_ray_entry(centers, x, v, eps, max_len)
-        assert same_hit(first_ray_entry(centers, x, v, eps, max_len), want)
+        got = first_ray_entry(centers, tuple(x.tolist()), tuple(v.tolist()),
+                              eps, max_len)
+        assert same_hit(got, want)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.sampled_from([1, 3, 8, 17, 1000]),
+           seed=st.integers(0, 2 ** 32), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_ray_squares_on_columns_equal_einsum(self, n, seed, scale):
+        # the ray kernel sums a row's squares from its two columns, where
+        # the array form took einsum of the row with itself
+        rel = np.random.default_rng(seed).normal(0.0, scale, (n, 2))
+        rx, ry = rel[:, 0], rel[:, 1]
+        assert np.array_equal(rx * rx + ry * ry,
+                              np.einsum("ij,ij->i", rel, rel))

@@ -176,12 +176,75 @@ class TestB0Pitch:
            mu_eff=st.floats(1e-2, 1e7))
     def test_cell_equals_generator_draw(self, seed, ix, iy, mu_eff):
         f = ObstacleField(seed, field_params(mu_eff))
+        g = ObstacleField(seed ^ 1, field_params(mu_eff))
         for dx, dy in ((0, 0), (1, 0), (0, -1)):
-            got = f.cell(ix + dx, iy + dy)
-            assert np.array_equal(got, generator_cell(f, ix + dx, iy + dy))
+            key = ix + dx, iy + dy
+            want = generator_cell(f, *key)
+            assert np.array_equal(f.cell(*key), want)
+            # drawn again by f after a draw of g: each draw rekeys its
+            # field's one generator, so nothing of an earlier cell leaks
+            assert np.array_equal(g.cell_points(*key),
+                                  generator_cell(g, *key))
+            assert np.array_equal(f.cell_points(*key), want)
+
+
+def array_form_admissible(field_, x):
+    """The start check as it was written on arrays, for comparison."""
+    x = np.asarray(x, dtype=float)
+    eps = field_.params.eps
+    for ix, iy in field_.cells_meeting(x[0] - eps, x[0] + eps,
+                                       x[1] - eps, x[1] + eps):
+        pts = field_.cell(ix, iy)
+        if len(pts) and np.min(np.sum((pts - x) ** 2, axis=1)) <= eps * eps:
+            return False
+    return True
+
+
+@st.composite
+def start_cases(draw):
+    """(field, x): centers at distance eps from x, nudged by an ulp or not.
+
+    On a dyadic grid the center x + eps along an axis is exact, so its
+    squared distance is eps^2 to the bit; elsewhere it is eps up to the
+    rounding of the offset.
+    """
+    if draw(st.booleans()):
+        x = np.array([draw(st.integers(-2 ** 20, 2 ** 20)),
+                      draw(st.integers(-2 ** 20, 2 ** 20))]) / 1024.0
+        eps = draw(st.integers(1, 256)) / 4096.0
+    else:
+        x = np.array([draw(st.floats(-1e3, 1e3)),
+                      draw(st.floats(-1e3, 1e3))])
+        eps = draw(st.floats(1e-6, 0.2))
+    centers = []
+    for axis, angle, nudge in draw(st.lists(st.tuples(
+            st.booleans(), st.floats(0.0, 2 * math.pi),
+            st.sampled_from([-1, 0, 1])), min_size=1, max_size=6)):
+        if axis:
+            c = x.copy()
+            c[int(angle) % 2] += eps if angle < math.pi else -eps
+        else:
+            c = x + eps * np.array([math.cos(angle), math.sin(angle)])
+        if nudge:
+            c = np.nextafter(c, c + nudge * np.inf)
+        centers.append(c)
+    cell = draw(st.floats(0.3, 5.0)) * eps
+    return ExplicitField(empty_params(eps=eps), centers, cell_size=cell), x
 
 
 class TestAdmissibleStart:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=start_cases())
+    def test_column_form_equals_array_form(self, case):
+        f, x = case
+        pts = np.concatenate([f.cell_points(*k) for k in list(f._centers)])
+        dx, dy = pts[:, 0] - x[0], pts[:, 1] - x[1]
+        assert np.array_equal(dx * dx + dy * dy,
+                              np.sum((pts - x) ** 2, axis=1))
+        assert is_admissible_start(f, x) == array_form_admissible(f, x)
+        assert is_admissible_start(f, tuple(x.tolist())) == \
+            array_form_admissible(f, x)
+
     def test_empty_field_always(self):
         f = ObstacleField(8, empty_params())
         assert is_admissible_start(f, (0.3, 0.4))
