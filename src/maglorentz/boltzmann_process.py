@@ -24,11 +24,12 @@ scatter's repeated deflections ("leaves") land:
   measured rather than hidden.
 
 Both routes reduce their blocks the same way: a block's phase table holds
-each path's accumulated deflection after each of its jumps, a lookup maps
-each path and grid time to its row, and the trapezoid rule integrates the
-mean cosine.  Without rotation the cosine is taken once per table row;
-with it, the magnetic rotation ``2 pi t / period`` is added on the grid
-and the cosine taken per path and grid point.
+each path's accumulated deflection after each of its jumps, each row is
+repeated over the grid times at which it is the path's phase, and the
+trapezoid rule integrates the mean cosine.  Without rotation the cosine
+is taken once per table row; with it, the magnetic rotation
+``2 pi t / period`` is added on the grid and the cosine taken per path
+and grid point.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ from .geometry import deflection_from_impact
 GK_BLOCK_SIZE = 20_000
 
 
+def _sorted_jumps(counts, raw_t):
+    """Path of each jump, and the jump times sorted within each path.
+
+    Path p owns the next ``counts[p]`` entries of ``raw_t``.  The times are
+    sorted, then stably by path, whose index takes the smallest unsigned
+    type that holds it: ``uint16`` at ``GK_BLOCK_SIZE``, which numpy's
+    stable sort orders by radix.
+    """
+    n = len(counts)
+    path_of = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), counts)
+    order = np.argsort(raw_t)
+    return path_of, raw_t[order][np.argsort(path_of[order], kind="stable")]
+
+
 def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
                  lumped: bool):
     """Jumps of ``n`` independent paths on [0, t_cut].
@@ -59,9 +74,7 @@ def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
     """
     counts = rng.poisson(2.0 * mu * t_cut, n)
     total = int(counts.sum())
-    raw_t = rng.random(total) * t_cut
-    path_of = np.repeat(np.arange(n), counts)
-    jt = raw_t[np.lexsort((raw_t, path_of))]
+    path_of, jt = _sorted_jumps(counts, rng.random(total) * t_cut)
     if lumped:
         # geometric(1.0) still consumes draws, so test the escape probability
         escape = 1.0 - math.exp(-2.0 * mu * period)
@@ -112,29 +125,43 @@ def _phase_table(counts, theta):
             - np.repeat(cs[starts], counts + 1))
 
 
-def _phase_chunks(counts, times, t_grid, chunk=2500):
-    """Rows of ``_phase_table`` on the time grid, ``chunk`` paths at a time.
+def _phase_chunks(counts, times, table, t_grid, chunk=2500):
+    """Entries of ``table`` on the time grid, ``chunk`` paths at a time.
 
-    Yields ``(lo, hi, rows)``: ``rows[p - lo, k]`` is the table row that
-    holds path p's phase at ``t_grid[k]``, the sum of its jumps at or
-    before that time.  ``chunk`` caps the (paths x grid) scratch arrays.
+    ``table`` holds a value for each row of ``_phase_table``: the phase or
+    its cosine.  Yields ``(lo, hi, values)``: ``values[p - lo, k]`` is the
+    entry of the row that holds path p's phase at ``t_grid[k]``, the sum
+    of its jumps at or before that time.  Path p's row c holds from the
+    grid time of its c-th jump to that of its next, so a chunk is one
+    ``np.repeat`` of a slice of ``table``.  ``chunk`` caps the (paths x
+    grid) arrays; each ``values`` is a new array, the caller's to overwrite.
     """
     n, n_grid = len(counts), len(t_grid)
     ends = np.cumsum(counts)
     starts = ends - counts
-    row0 = starts + np.arange(n)
-    path_of = np.repeat(np.arange(n), counts)
-    # a jump counts from the first grid time at or after it (n_grid: never)
+    bounds = np.append(starts + np.arange(n), len(table))  # first table rows
+    # a jump counts from the first grid time at or after it (n_grid: never);
+    # sorted within each path, so that row c starts at the c-th bin even
+    # where a replay time rounds past the next scatter's.  This frame lives
+    # through the chunk loop, so the per-jump arrays are freed here
     gbin = np.searchsorted(t_grid, times, side="left")
+    key = np.repeat(np.arange(n) * (n_grid + 1), counts)
+    gbin += key
+    gbin.sort(kind="stable")
+    gbin -= key
+    del key
+    first = np.insert(gbin, starts, 0)  # each table row's first grid time
+    del gbin
+    # a row holds until the next row's first grid time, a path's last row
+    # to the end of the grid
+    runs = np.append(first[1:], n_grid)
+    runs[bounds[1:] - 1] = n_grid
+    runs -= first
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        a, b = starts[lo], ends[hi - 1]
-        slot = (path_of[a:b] - lo) * (n_grid + 1) + gbin[a:b]
-        jumps = np.bincount(slot, minlength=(hi - lo) * (n_grid + 1))
-        rows = np.cumsum(jumps.reshape(hi - lo, n_grid + 1)[:, :n_grid],
-                         axis=1)
-        rows += row0[lo:hi, None]
-        yield lo, hi, rows
+        a, b = bounds[lo], bounds[hi]
+        yield lo, hi, np.repeat(table[a:b], runs[a:b]).reshape(hi - lo,
+                                                               n_grid)
 
 
 @dataclass(frozen=True)
@@ -219,13 +246,18 @@ def _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
             np.cos(table, out=table)
         s = np.zeros(len(t_grid))
         sq = np.zeros(len(t_grid))
-        for lo, hi, rows in _phase_chunks(counts, times, t_grid):
+        for lo, hi, cosvals in _phase_chunks(counts, times, table, t_grid):
             if wandering_only:
-                rows = rows[~circling[lo:hi]]
-            cosvals = table[rows] if spin is None else np.cos(table[rows] + spin)
+                cosvals = cosvals[~circling[lo:hi]]
+            if spin is not None:
+                # the table holds phases: rotate them and take the cosine
+                cosvals += spin
+                np.cos(cosvals, out=cosvals)
             s += cosvals.sum(axis=0)
-            sq += (cosvals ** 2).sum(axis=0)
             integrals.append(cosvals @ trap_w)
+            np.square(cosvals, out=cosvals)
+            sq += cosvals.sum(axis=0)
+            del cosvals  # freed before the next chunk is gathered
         vsum += s
         vsq += sq
         n_circling += int(np.count_nonzero(circling))

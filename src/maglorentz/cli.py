@@ -239,8 +239,8 @@ def _green_kubo_rule(config):
                    f"{jumps:.3g}")
 
 
-#: the most obstacles one circling field sample may hold on average: its
-#: points then take at most 160 MB of the draw buffer
+#: the most obstacles one circling field sample may hold on average, which
+#: bounds the draws of one sample; its points are drawn in fixed blocks
 MAX_ANNULUS_BOX = 10 ** 7
 
 

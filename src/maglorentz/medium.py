@@ -211,25 +211,51 @@ class AnnulusVoidEstimate:
 # radii above this have squares of full relative precision; see _void_count
 _TINY_RADIUS = 1e-140
 
+# points per block of the annulus count: a block's coordinates and squares
+# stay in cache.  Philox hands out the same doubles in blocks of any size,
+# so the block is not part of the results
+_ANNULUS_BLOCK = 2 ** 15
 
-def _void_count(pts, counts, r: float, eps: float) -> int:
+
+def _void_count(blocks, counts, r: float, eps: float) -> int:
     """Samples with no point strictly inside the annulus (r - eps, r + eps).
 
-    Sample i owns the next ``counts[i]`` rows of ``pts``.  A squared-radius
-    window picks the candidates; ``np.hypot`` decides on them alone.  The
-    window's 1e-9 relative margin far exceeds the rounding of ``x*x + y*y``
-    and of its bounds, so it keeps every point the decision accepts; a
-    bound below ``_TINY_RADIUS``, where squares lose precision, is dropped
-    (the lower one whenever r <= eps).
+    ``blocks`` yields (m, 2) point arrays; sample i owns the next
+    ``counts[i]`` points of their concatenation, which a block may split.
+    A block is read before the next one is taken, so the blocks may share
+    one buffer.  A squared-radius window picks the candidates; ``np.hypot``
+    decides on them alone.  The window's 1e-9 relative margin far exceeds
+    the rounding of ``x*x + y*y`` and of its bounds, so it keeps every
+    point the decision accepts; a bound below ``_TINY_RADIUS``, where
+    squares lose precision, is dropped (the lower one whenever r <= eps).
     """
     lo = (r - eps) ** 2 * (1.0 - 1e-9) if r - eps > _TINY_RADIUS else -math.inf
     hi = (r + eps) ** 2 * (1.0 + 1e-9) if r + eps > _TINY_RADIUS else math.inf
-    sq = np.einsum("ij,ij->i", pts, pts)
-    cand = np.flatnonzero((sq > lo) & (sq < hi))
-    rad = np.hypot(pts[cand, 0], pts[cand, 1])
-    hit = cand[(rad > r - eps) & (rad < r + eps)]
-    owner = np.searchsorted(np.cumsum(counts), hit, side="right")
-    return len(counts) - len(np.unique(owner))
+    ends = np.cumsum(counts)
+    hit = np.zeros(len(counts), dtype=bool)
+    start = 0
+    for pts in blocks:
+        x, y = pts[:, 0], pts[:, 1]
+        sq = x * x + y * y
+        cand = np.flatnonzero((sq > lo) & (sq < hi))
+        rad = np.hypot(x[cand], y[cand])
+        inside = cand[(rad > r - eps) & (rad < r + eps)]
+        hit[np.searchsorted(ends, start + inside, side="right")] = True
+        start += len(pts)
+    return len(counts) - int(np.count_nonzero(hit))
+
+
+def _box_blocks(gen, total: int, buf, half: float):
+    """``total`` uniform points of the box [-half, half]^2, in blocks of buf.
+
+    Each block is drawn into ``buf`` over the previous one; together they
+    are the points of one ``gen.random((total, 2))`` call.
+    """
+    for start in range(0, total, len(buf)):
+        pts = gen.random(out=buf[:min(len(buf), total - start)])
+        pts *= 2.0 * half
+        pts -= half
+        yield pts
 
 
 def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
@@ -241,8 +267,9 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     fraction of realizations with no obstacle center in the annulus.  The
     closed-form comparison value is ``exp(-mu_eff * 4 pi R eps)``.  The
     field is homogeneous: ``center`` is unused.  Samples are drawn in
-    chunks of about 2M points, each into one buffer that is reused from
-    chunk to chunk and grows only when a chunk needs more room.
+    chunks of about 2M points, each chunk's counts before its points; the
+    points are drawn and counted ``_ANNULUS_BLOCK`` at a time into one
+    small buffer, so memory does not grow with a sample's size.
     """
     if params.b_magnitude <= 0.0:
         raise ValueError("no orbit annulus without a magnetic field")
@@ -258,20 +285,13 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     gen = _rng.generator(seed, _rng.STREAM_ANNULUS)
     void = 0
     chunk = max(1, min(n_samples, int(2e6 / max(lam_box, 1.0))))
-    buf = np.empty((0, 2))
+    buf = np.empty((_ANNULUS_BLOCK, 2))
     done = 0
     while done < n_samples:
         n = min(chunk, n_samples - done)
         counts = gen.poisson(lam_box, n)
-        total = int(counts.sum())
-        if total > len(buf):
-            buf = None  # free the smaller buffer before allocating
-            buf = np.empty((total, 2))
-        pts = gen.random(out=buf[:total])
-        pts *= 2.0 * half
-        pts -= half
-        void += _void_count(pts, counts, r, eps)
-        del pts  # a view of buf, which would keep it alive when it grows
+        void += _void_count(_box_blocks(gen, int(counts.sum()), buf, half),
+                            counts, r, eps)
         done += n
     p = void / n_samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)

@@ -4,8 +4,10 @@ These are the bodies the Green-Kubo reduction and the annulus void count
 had before the per-jump phase table and the squared-radius prefilter:
 the phase is looked up as ``cs[first + c] - cs[first]`` and its cosine
 taken per path and grid point, and every point's radius goes through
-``np.hypot``.  The package must return bit-identical results;
-``tests/test_continuum_reference.py`` checks that it does.
+``np.hypot``.  A path's jump times are sorted by one ``lexsort``, and each
+chunk of annulus samples draws its points in one call.  The package must
+return bit-identical results; ``tests/test_continuum_reference.py`` checks
+that it does.
 """
 
 import dataclasses
@@ -84,6 +86,11 @@ def green_kubo_mc(mu, period, n_paths, t_cut, dt_quad, seed, chunk=2500):
                   False, chunk)
     circ = bp.circling_fraction_mc(mu, period, n_paths, _rng.mix(seed, 0xC1))
     return dataclasses.replace(est, circling_fraction=circ.fraction)
+
+
+def sorted_jump_times(raw_t, path_of):
+    """Jump times grouped by path and sorted within each path, by lexsort."""
+    return raw_t[np.lexsort((raw_t, path_of))]
 
 
 def void_count(pts, counts, r, eps):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,9 +24,9 @@ def path_jumps(mu, period, n, t_max, seed):
 
 def phases(counts, times, theta, t_grid, spin=None, chunk=2500):
     """Every path's phase on ``t_grid``, one row per path."""
-    rows = np.vstack([rows for _, _, rows in bp._phase_chunks(
-        counts, times, np.asarray(t_grid, dtype=float), chunk)])
-    phase = bp._phase_table(counts, theta)[rows]
+    phase = np.vstack([values for _, _, values in bp._phase_chunks(
+        counts, times, bp._phase_table(counts, theta),
+        np.asarray(t_grid, dtype=float), chunk)])
     return phase if spin is None else phase + spin
 
 
@@ -228,6 +229,20 @@ class TestGreenKubo:
 
     def test_infinite_period_never_circles(self):
         assert circling_fraction_mc(1.0, math.inf, 10, 1).fraction == 0.0
+
+    def test_traced_peak(self):
+        # one 20,000-path block; each (2,500 paths x 601 grid times) array
+        # takes 12 MB, and one is alive at a time.  24.9 MB at numpy 2.4,
+        # where a reduction that keeps row indices, gathered cosines and
+        # their squares for each chunk, and holds a chunk's arrays while
+        # the next one's are built, peaks at 60.9 MB
+        tracemalloc.start()
+        try:
+            green_kubo_mc(1, 1, 20_000, 6, 0.01, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_fewer_than_two_paths_rejected(self):
         # one path has no standard error: fail instead of returning NaN

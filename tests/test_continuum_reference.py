@@ -3,10 +3,11 @@
 ``continuum_reference`` keeps the Green-Kubo reduction with a cosine per
 path and grid point, and the annulus void count with every radius through
 ``np.hypot``.  The package takes one cosine per table row (path, jumps
-taken) and gathers it, and decides ``np.hypot`` only on the points of a
-squared-radius window; both rely on numpy computing each element to the
-same bits in whatever array it sits.  Estimates, autocorrelations and
-void counts are compared with ``==`` and ``tobytes``.
+taken) and repeats it over the grid, and decides ``np.hypot`` only on the
+points of a squared-radius window, drawn and counted in blocks; both rely
+on numpy computing each element to the same bits in whatever array it
+sits.  Estimates, autocorrelations and void counts are compared with
+``==`` and ``tobytes``.
 """
 
 import functools
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maglorentz import _rng
 from maglorentz import boltzmann_process as bp
 from maglorentz import medium
 
@@ -65,6 +67,30 @@ def test_green_kubo_matches_grid_form(mu, period, t_cut, dt_quad, n, seed,
     assert got == want
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), lam=st.floats(0.0, 8.0),
+       n_grid=st.integers(1, 40), chunk=st.sampled_from([1, 7, 2500]),
+       seed=st.integers(0, 2 ** 32))
+def test_phase_chunks_match_grid_form(n, lam, n_grid, chunk, seed):
+    # a path's times in any order, some of them on grid times or past the
+    # last one: a row holds from the c-th smallest of its path's bins, as
+    # the grid form counts the jumps at or before each grid time
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(lam, n)
+    total = int(counts.sum())
+    t_grid = np.arange(n_grid) * 0.25
+    times = rng.integers(0, 4 * n_grid + 2, total) / 8.0
+    theta = rng.uniform(-math.pi, math.pi, total)
+    table = bp._phase_table(counts, theta)
+    got = [(lo, hi, v.tobytes())
+           for lo, hi, v in bp._phase_chunks(counts, times, table, t_grid,
+                                             chunk)]
+    want = [(lo, hi, v.tobytes())
+            for lo, hi, v in ref.phase_chunks(counts, times, theta, t_grid,
+                                              chunk=chunk)]
+    assert got == want
+
+
 @pytest.mark.parametrize("lumped", [True, False])
 def test_green_kubo_matches_grid_form_over_blocks(lumped):
     # two full blocks and a partial one, at the production block and chunk
@@ -77,11 +103,35 @@ def test_green_kubo_matches_grid_form_over_blocks(lumped):
             outcome(ref.vacf_mc, *args, False, True, False)
 
 
+@pytest.mark.parametrize("n", [1, 2, 65_535, 65_536, 70_000])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(lam=st.sampled_from([0.0, 0.3, 3.0]),
+       ties=st.sampled_from([2, 1000, None]), seed=st.integers(0, 2 ** 32))
+def test_sorted_jumps_match_lexsort(n, lam, ties, seed):
+    # uint8 path indices up to n = 256, uint16 up to 65,536, uint32 above;
+    # each rate leaves paths without jumps; with ``ties``, the times take
+    # that many values, so equal times fall within and across paths
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(lam, n)
+    total = int(counts.sum())
+    raw_t = rng.random(total) if ties is None else \
+        rng.integers(0, ties, total) / ties
+    path_of, times = bp._sorted_jumps(counts, raw_t)
+    want_path = np.repeat(np.arange(n), counts)
+    assert np.array_equal(path_of, want_path)
+    assert times.tobytes() == ref.sorted_jump_times(raw_t, want_path).tobytes()
+
+
 def shell_points(rng, rho, k):
     """``k`` points at random angles within 3 ulps of radius ``rho``."""
     a = rng.uniform(0.0, 2.0 * math.pi, k)
     scale = 1.0 + rng.integers(-3, 4, k) * np.finfo(float).eps
     return np.column_stack([rho * np.cos(a), rho * np.sin(a)]) * scale[:, None]
+
+
+def blocks_of(pts, size):
+    """``pts`` in consecutive blocks of ``size`` rows, the last one shorter."""
+    return (pts[i:i + size] for i in range(0, len(pts), size))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -100,8 +150,10 @@ def test_void_count_matches_hypot(r, eps, lam, n, shell, seed):
     on_outer = rng.random(total) < 0.5
     for mask, rho in ((moved & on_outer, r + eps), (moved & ~on_outer, r - eps)):
         pts[mask] = shell_points(rng, abs(rho), int(np.count_nonzero(mask)))
-    assert medium._void_count(pts, counts, r, eps) == \
-        ref.void_count(pts, counts, r, eps)
+    want = ref.void_count(pts, counts, r, eps)
+    # the points whole, and in blocks that split samples
+    for size in (max(total, 1), 7, 1):
+        assert medium._void_count(blocks_of(pts, size), counts, r, eps) == want
 
 
 def boundary_points(r, eps):
@@ -150,25 +202,83 @@ def test_void_count_on_the_boundaries(r, eps):
     n = len(pts)
     for counts in (np.ones(n, dtype=np.int64), np.array([n]),
                    np.array([3] * (n // 3) + [n % 3])):
-        assert medium._void_count(pts, counts, r, eps) == \
-            ref.void_count(pts, counts, r, eps)
+        want = ref.void_count(pts, counts, r, eps)
+        assert medium._void_count([pts], counts, r, eps) == want
+        assert medium._void_count(blocks_of(pts, 7), counts, r, eps) == want
     # point by point: a point counts as a void sample exactly when hypot
     # puts it on or outside a circle
     inside = (rad > r - eps) & (rad < r + eps)
-    assert medium._void_count(pts, np.ones(n, dtype=np.int64), r, eps) == \
+    assert medium._void_count([pts], np.ones(n, dtype=np.int64), r, eps) == \
         n - np.count_nonzero(inside)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(total=st.integers(0, 100), block=st.sampled_from([1, 7, 16, 128]),
+       seed=st.integers(0, 2 ** 32))
+def test_box_blocks_continue_one_stream(total, block, seed):
+    # the blocks are the points of one draw, and leave the stream where
+    # that draw does
+    gen = _rng.generator(seed, _rng.STREAM_ANNULUS)
+    buf = np.empty((block, 2))
+    got = [pts.copy() for pts in medium._box_blocks(gen, total, buf, 1.5)]
+    want = _rng.generator(seed, _rng.STREAM_ANNULUS)
+    pts = want.random((total, 2)) * 3.0 - 1.5
+    assert np.concatenate(got + [np.empty((0, 2))]).tobytes() == pts.tobytes()
+    assert gen.random() == want.random()
+
+
+def annulus_params(eps, mu_eff, b):
+    return medium.ScalingParams(
+        eps=eps, mu=mu_eff * eps, eta=1.0, mu_eff=mu_eff, b_magnitude=b,
+        larmor_radius=1.0 / b, t_larmor=2.0 * math.pi / b)
+
+
+def chunk_counts(params, n, seed):
+    """Counts of each chunk ``empty_annulus_probability_mc`` draws."""
+    seen = []
+    count = medium._void_count
+
+    def spy(blocks, counts, r, eps):
+        seen.append(counts)
+        return count(blocks, counts, r, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(medium, "_void_count", spy)
+        medium.empty_annulus_probability_mc(params, (0.0, 0.0), n, seed)
+    return seen
 
 
 @pytest.mark.parametrize("eps, mu_eff, b, n", [
     (0.01, 25.0, 1.0, 2000),      # the continuum config's annulus
-    (0.01, 5e4, 1.0, 27),         # about 2e5 points a sample: three chunks
+    (0.01, 5e4, 1.0, 27),         # about 2e5 points a sample: three chunks,
+                                  # a sample spans about six blocks
     (0.5, 40.0, 4.0, 3000),       # R < eps: no inner circle
     (0.25, 80.0, 4.0, 3000),      # R = eps
     (2e-3, 200.0, 0.05, 7)])      # a wide annulus, chunks of six samples
 def test_annulus_estimate_matches_hypot(eps, mu_eff, b, n):
-    params = medium.ScalingParams(
-        eps=eps, mu=mu_eff * eps, eta=1.0, mu_eff=mu_eff, b_magnitude=b,
-        larmor_radius=1.0 / b, t_larmor=2.0 * math.pi / b)
+    params = annulus_params(eps, mu_eff, b)
     for seed in (2026, 7):
         est = medium.empty_annulus_probability_mc(params, (0.0, 0.0), n, seed)
         assert est.estimate == ref.empty_annulus_void(params, n, seed) / n
+
+
+@pytest.mark.parametrize("eps, mu_eff, b, n, seed, shape", [
+    # about 32 points a sample, so a sample spans several blocks of 7
+    (0.01, 8.0, 1.0, 150, 2026, "several"),
+    # 4,837 points in the one chunk: 691 blocks of 7 exactly
+    (0.01, 8.0, 1.0, 150, 2020, "multiple"),
+    # no point in the one chunk: nothing is drawn, every sample is void
+    (0.01, 1e-3, 1.0, 3, 2026, "empty")])
+@pytest.mark.parametrize("block", [1, 7, medium._ANNULUS_BLOCK])
+def test_annulus_estimate_in_any_block(eps, mu_eff, b, n, seed, shape, block):
+    params = annulus_params(eps, mu_eff, b)
+    (counts,) = chunk_counts(params, n, seed)
+    total = int(counts.sum())
+    assert {"several": counts.max() > 7, "multiple": total % 7 == 0,
+            "empty": total == 0}[shape]
+    want = ref.empty_annulus_void(params, n, seed) / n
+    assert 0.0 < want <= 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(medium, "_ANNULUS_BLOCK", block)
+        est = medium.empty_annulus_probability_mc(params, (0.0, 0.0), n, seed)
+    assert est.estimate == want

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,3 +323,17 @@ class TestAnnulusVoid:
         assert est.closed_form == pytest.approx(math.exp(-0.4 * math.pi), rel=1e-12)
         se = math.sqrt(est.closed_form * (1 - est.closed_form) / 100_000)
         assert abs(est.estimate - est.closed_form) < 3 * se
+
+    def test_traced_peak(self):
+        # about 1e6 points a sample, three samples: the points are drawn and
+        # counted in blocks of one small buffer.  1.3 MB at numpy 2.4, where
+        # drawing each two-sample chunk whole peaks at 52.0 MB
+        p = field_params(2.45e5, b=1.0, eps=0.01)
+        assert 0.99e6 < p.mu_eff * (2.0 * (1.0 + p.eps)) ** 2 < 1e6
+        tracemalloc.start()
+        try:
+            empty_annulus_probability_mc(p, (0.0, 0.0), 3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
