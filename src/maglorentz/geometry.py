@@ -10,13 +10,15 @@ The first-hit kernels ``first_arc_hit`` (B > 0) and ``first_ray_entry``
 (B = 0) take arrays of obstacle centers and plain floats and return the
 first hit as ``(length, row, normal)``; they and ``reflect`` are the only
 arc/ray-vs-disk arithmetic of the package, and the event-driven simulator
-calls them on every flight leg.  Positions, angles and normals are plain
-floats, so the simulator's event loop runs without 2-element arrays; the
-float forms do the IEEE operations of the array forms they replaced, in
-the same order, and keep numpy wherever its rounding differs from the C
-library's (``arccos``, ``arctan2`` and the 2-vector dot product).
-``point_to_arc_distances`` measures how close an arc passes to given
-points, for the simulator's near-miss count, which only arcs take part in.
+calls them on every flight leg.  ``arc_passes_within`` tells whether an
+arc passes within reach of given points, for the simulator's near-miss
+count, which only arcs take part in.
+
+One rule fixes the hit arithmetic: numpy does only correctly rounded
+elementwise work over many rows (the annulus mask, the ray kernel), every
+transcendental is ``math`` on the few candidates' Python floats, and every
+dot product a plain ``a*b + c*d``, which is never fused.  A hit's bits
+then depend on the C library, not on the numpy or BLAS build.
 
 Sign conventions used throughout:
 
@@ -127,15 +129,6 @@ def impact_normal(x: float, y: float, cx: float, cy: float, eps: float
     return nx / h, ny / h
 
 
-def _dot(velocity_angle: float, n) -> float:
-    """v . n as numpy's 2-vector dot product rounds it.
-
-    The dot may fuse its multiply-add, which ``v0*n0 + v1*n1`` never does;
-    the grazing test and ``reflect`` keep numpy's rounding.
-    """
-    return float(unit_vector(velocity_angle) @ np.array(n))
-
-
 def first_arc_hit(centers, orbit_center, velocity_angle: float,
                   b_magnitude: float, eps: float):
     """First impact of a counterclockwise orbit on disks of radius ``eps``.
@@ -149,8 +142,8 @@ def first_arc_hit(centers, orbit_center, velocity_angle: float,
     hit within one revolution.  Grazing contacts (|v.n| below
     ``GRAZING_TOL``) and stale contacts (flight times below
     ``DEPARTURE_GUARD``) are skipped.  The annulus rows are found with
-    numpy; they are few, so they are ordered by sweep, then by row, and
-    checked in Python.
+    numpy; they are few, so each one's sweep is taken with ``math``, and
+    they are ordered by sweep, then by row, and checked in Python.
     """
     ox, oy = orbit_center
     r = 1.0 / b_magnitude
@@ -160,22 +153,26 @@ def first_arc_hit(centers, orbit_center, velocity_angle: float,
     rows = ((d_sq > (r - eps) ** 2) & (d_sq < (r + eps) ** 2)).nonzero()[0]
     if not len(rows):
         return None
-    d = np.sqrt(d_sq[rows])
-    cos_g = (d * d + r * r - eps * eps) / (2.0 * d * r)
-    gamma = np.arccos(np.minimum(np.maximum(cos_g, -1.0), 1.0))
     phase0 = velocity_angle - 0.5 * math.pi
-    sweep = np.mod(np.arctan2(dy[rows], dx[rows]) - gamma - phase0, TWO_PI)
+    candidates = []
+    for k, ex, ey, e_sq in zip(rows.tolist(), dx[rows].tolist(),
+                               dy[rows].tolist(), d_sq[rows].tolist()):
+        d = math.sqrt(e_sq)
+        cos_g = (d * d + r * r - eps * eps) / (2.0 * d * r)
+        gamma = math.acos(min(max(cos_g, -1.0), 1.0))
+        candidates.append(((math.atan2(ey, ex) - gamma - phase0) % TWO_PI, k))
     guard_sweep = DEPARTURE_GUARD * b_magnitude
-    for sw, k in sorted(zip(sweep.tolist(), rows.tolist())):
+    for sw, k in sorted(candidates):
         if sw <= guard_sweep:
             continue
         hit_phase = phase0 + sw
         cx, cy = centers[k].tolist()
-        n = impact_normal(ox + r * math.cos(hit_phase),
-                          oy + r * math.sin(hit_phase), cx, cy, eps)
-        if _dot(velocity_angle + sw, n) >= -GRAZING_TOL:
+        nx, ny = impact_normal(ox + r * math.cos(hit_phase),
+                               oy + r * math.sin(hit_phase), cx, cy, eps)
+        a = velocity_angle + sw
+        if math.cos(a) * nx + math.sin(a) * ny >= -GRAZING_TOL:
             continue
-        return sw * r, k, n
+        return sw * r, k, (nx, ny)
     return None
 
 
@@ -213,19 +210,30 @@ def first_ray_entry(centers, position, v, eps: float, max_len: float):
     return t, k, impact_normal(x + t * v0, y + t * v1, cx, cy, eps)
 
 
-def point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):
-    """Distance from each point to the arc swept from phase0 by sweep (CCW)."""
-    rel = centers - orbit_center
-    d = np.hypot(rel[:, 0], rel[:, 1])
-    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]) - phase0, TWO_PI)
-    radial = np.abs(d - radius)
-    p_start = orbit_center + radius * np.array([math.cos(phase0), math.sin(phase0)])
-    p_end = orbit_center + radius * np.array(
-        [math.cos(phase0 + sweep), math.sin(phase0 + sweep)])
-    d_start = np.hypot(*(centers - p_start).T)
-    d_end = np.hypot(*(centers - p_end).T)
-    endpoint = np.minimum(d_start, d_end)
-    return np.where(ang <= sweep, radial, endpoint)
+def arc_passes_within(points, orbit_center, radius: float, phase0: float,
+                      sweep: float, reach: float) -> bool:
+    """Whether the arc swept counterclockwise by ``sweep`` from ``phase0``
+    passes within ``reach`` of any of ``points``, pairs of floats.
+
+    A point is as far from the arc as from the circle when its polar angle
+    lies on the arc, else as far as from the nearer end; one ``hypot``
+    gives the circle distance and cuts the points beyond reach of it.
+    """
+    ox, oy = orbit_center
+    ends = None
+    for x, y in points:
+        dx, dy = x - ox, y - oy
+        radial = abs(math.hypot(dx, dy) - radius)
+        if radial > reach:
+            continue
+        if (math.atan2(dy, dx) - phase0) % TWO_PI <= sweep:
+            return True
+        if ends is None:
+            ends = [(ox + radius * math.cos(p), oy + radius * math.sin(p))
+                    for p in (phase0, phase0 + sweep)]
+        if min(math.hypot(x - ex, y - ey) for ex, ey in ends) <= reach:
+            return True
+    return False
 
 
 def reflect(velocity_angle: float, nx: float, ny: float) -> float:
@@ -233,9 +241,9 @@ def reflect(velocity_angle: float, nx: float, ny: float) -> float:
 
     Applying the map twice with the same normal is the identity.
     """
-    vn2 = 2.0 * _dot(velocity_angle, (nx, ny))
-    return normalize_angle(math.atan2(math.sin(velocity_angle) - vn2 * ny,
-                                      math.cos(velocity_angle) - vn2 * nx))
+    c, s = math.cos(velocity_angle), math.sin(velocity_angle)
+    vn2 = 2.0 * (c * nx + s * ny)
+    return normalize_angle(math.atan2(s - vn2 * ny, c - vn2 * nx))
 
 
 def deflection_from_impact(b_norm):
@@ -247,11 +255,14 @@ def deflection_from_impact(b_norm):
     or arrays.
     """
     b = np.asarray(b_norm, dtype=float)
-    if np.any(np.abs(b) > 1.0):
+    out = np.abs(b, out=np.empty_like(b))
+    if np.any(out > 1.0):
         raise ValueError("normalized impact parameter must lie in [-1, 1]")
-    out = np.where(
-        b == 0.0, math.pi, np.sign(b) * (math.pi - 2.0 * np.arcsin(np.abs(b)))
-    )
+    np.arcsin(out, out=out)
+    out *= 2.0
+    np.subtract(math.pi, out, out=out)
+    np.copysign(out, b, out=out)
+    out[b == 0.0] = math.pi
     if np.isscalar(b_norm) or getattr(b_norm, "shape", None) == ():
         return float(out)
     return out

@@ -147,7 +147,7 @@ class KineticModel:
 
     ``memory_rows`` holds the rows of ``operators.memory_mode_table``, one
     per delay k = 1..k_cut and none without a field; ``k_cut`` is their
-    count, the one truncation that ``operators`` decides.
+    count, the one truncation that ``operators`` decides.  ``op`` is L + M.
     """
 
     def __init__(self, mu: float, eta: float, b_magnitude: float,
@@ -165,6 +165,7 @@ class KineticModel:
         self.ell = operators.build_L(mu, m_modes).fft_multipliers(grid.n_v)
         self.memory_rows = operators.memory_mode_table(
             mu, self.period, m_modes)[:, np.abs(grid.angular_modes)]
+        self.op = operators.build_LG(mu, self.period, m_modes)
         self._propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -333,9 +334,7 @@ def solve(model: KineticModel, f0: KineticField, t_end: float,
     n_steps = int(math.ceil(t_end / dt))
     dt = t_end / n_steps
     diag_every = max(1, n_steps // 400)
-    op = operators.build_LG(model.mu, model.period,
-                            m_modes=max(model.grid.n_v // 2, 8))
-    diffusivity = operators.spatial_diffusivity(op)
+    diffusivity = operators.spatial_diffusivity(model.op)
     rho0 = angle_average_modes(f0)
     grid, modes = model.grid, f0.modes
     # the (0, 0) row's place among the modes, if carried: the mass is 0
@@ -455,19 +454,16 @@ def hilbert_residual_study(eta_list, mu: float, b_magnitude: float,
     """
     rows = []
     rho0, modes = angle_average_modes(f0), f0.modes
-    op = operators.build_LG(mu, operators.cyclotron_period(b_magnitude),
-                            m_modes=max(grid.n_v // 2, 8))
-    diffusivity = operators.spatial_diffusivity(op)
     for eta in eta_list:
         model = KineticModel(mu, float(eta), b_magnitude, grid)
         res = solve(model, f0, t_probe, dt=model.default_dt(dt_safety))
         hat = res.final.values_hat
-        rho_t = heat_reference(diffusivity, rho0, modes, t_probe, grid)
+        rho_t = heat_reference(res.diffusivity, rho0, modes, t_probe, grid)
         diff = hat.copy()
         diff[:, 0] -= rho_t * grid.n_v
         dist_heat = field_norm_hat(diff, grid)
-        corr = hilbert_correctors(rho_t, modes, op, b_magnitude, diffusivity,
-                                  grid)
+        corr = hilbert_correctors(rho_t, modes, model.op, b_magnitude,
+                                  res.diffusivity, grid)
         diff1 = diff - corr.g1_hat / float(eta)
         dist_h1 = field_norm_hat(diff1, grid)
         rows.append(HilbertStudyRow(float(eta), dist_heat, dist_h1))

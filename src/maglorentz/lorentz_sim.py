@@ -6,7 +6,10 @@ grid cells a flight leg can reach, so trajectories of unbounded extent run
 against the infinite deterministic field of :mod:`maglorentz.medium`.
 The hit geometry and the reflection are those of
 :mod:`maglorentz.geometry`; this module walks the cells, runs the event
-loop and keeps the books.
+loop and keeps the books.  It keeps that module's one rule: the event loop
+runs on Python floats and ``math``, and numpy does only elementwise
+arithmetic over many rows (the squared displacements of a replica's
+samples) and the statistics over replicas.
 
 Event taxonomy per impact:
 
@@ -43,9 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .geometry import (TWO_PI, ParticleState, advance_free, first_arc_hit,
-                       first_ray_entry, larmor_center, point_to_arc_distances,
-                       reflect)
+from .geometry import (TWO_PI, ParticleState, advance_free, arc_passes_within,
+                       first_arc_hit, first_ray_entry, larmor_center, reflect)
 from .medium import (ObstacleField, ScalingParams, is_admissible_start,
                      scaling_from)
 
@@ -163,21 +165,12 @@ class _Trajectory:
         """
         if self.b == 0.0 or self.near_miss or not self.hit_centers:
             return
-        # a point within reach of the arc is within reach of its circle;
-        # the slack covers the rounding of both distances
-        r, reach = self.radius, NEAR_MISS_FACTOR * self.eps
-        ox, oy = larmor_center(self.x, self.y, self.alpha, self.b)
-        cut = reach + 1e-9 * (r + reach + abs(ox) + abs(oy))
         exclude = {hit_id, self.prev_id}
-        centers = [(x, y) for oid, (x, y) in self.hit_centers.items()
-                   if oid not in exclude
-                   and abs(math.hypot(x - ox, y - oy) - r) <= cut]
-        if not centers:
-            return
-        dist = point_to_arc_distances(
-            np.asarray(centers), np.array((ox, oy)), r,
-            self.alpha - 0.5 * math.pi, length / r)
-        self.near_miss = bool(np.any(dist <= NEAR_MISS_FACTOR * self.eps))
+        self.near_miss = arc_passes_within(
+            (c for oid, c in self.hit_centers.items() if oid not in exclude),
+            larmor_center(self.x, self.y, self.alpha, self.b), self.radius,
+            self.alpha - 0.5 * math.pi, length / self.radius,
+            NEAR_MISS_FACTOR * self.eps)
 
     # -- hit search ---------------------------------------------------------
 
@@ -387,9 +380,9 @@ def _replica_chunk(args):
         except ChatteringError:
             records.append(None)
             continue
-        disp = out.sample_positions - start.position
+        dx, dy = (out.sample_positions - start.position).T
         recollided = any(ev.kind is EventKind.RECOLLISION for ev in out.events)
-        records.append((np.einsum("ij,ij->i", disp, disp).tolist(), out.status,
+        records.append(((dx * dx + dy * dy).tolist(), out.status,
                         out.status_time, recollided, out.near_miss))
     return records
 

@@ -221,12 +221,14 @@ def neumann_contraction_factor(mu: float, period: float) -> float:
     return BETA + memory_norm_bound(mu, period)
 
 
-def split_series_gain(mu: float, period: float) -> float:
-    """Sufficient-condition bound ``|M| * |L^-1|`` for the split series."""
-    return memory_norm_bound(mu, period) / (1.0 - BETA)
-
-
 def _grid_series_setup(mu, period, g):
+    """Checked input and memory multipliers of both series routes; the
+    split bound ``|M| |L^-1| < 1`` is the contraction factor's rewritten."""
+    q = neumann_contraction_factor(mu, period)
+    if q >= 1.0:
+        raise SeriesDivergenceError(
+            f"contraction factor {q:.6f} >= 1: series not guaranteed convergent "
+            f"(period {period:g} at or below the inversion threshold)")
     g = np.asarray(g, dtype=complex)
     n = len(g)
     _check_zero_mean(np.mean(g), float(np.max(np.abs(g))))
@@ -262,11 +264,6 @@ def invert_LG_neumann(mu: float, period: float, g: np.ndarray,
     sums partial terms until the newest term norm drops below ``tol``.
     Refuses when the contraction bound is not below 1.
     """
-    q = neumann_contraction_factor(mu, period)
-    if q >= 1.0:
-        raise SeriesDivergenceError(
-            f"contraction factor {q:.6f} >= 1: series not guaranteed convergent "
-            f"(period {period:g} at or below the inversion threshold)")
     g, n, mf = _grid_series_setup(mu, period, g)
     ratio = build_K(n // 2).fft_multipliers(n) + mf / (2.0 * mu)
     return _sum_series(g, ratio, None, tol, max_terms) * (-1.0 / (2.0 * mu))
@@ -280,11 +277,6 @@ def invert_split_series(mu: float, period: float, g: np.ndarray,
     The k = 0 truncation is the memoryless inverse; higher terms add the
     memory corrections.  Refuses when ``|M| |L^-1|`` is not below 1.
     """
-    gain = split_series_gain(mu, period)
-    if gain >= 1.0:
-        raise SeriesDivergenceError(
-            f"split-series bound {gain:.6f} >= 1: series not guaranteed "
-            "convergent")
     g, n, mf = _grid_series_setup(mu, period, g)
     inv_ell = build_L(mu, n // 2).fft_inverse(n)
     return _sum_series(g, mf * (-inv_ell), inv_ell, tol, max_terms)
@@ -362,8 +354,7 @@ def diffusion_sweep(mu: float, b_values, m_modes: int = 64):
         period = cyclotron_period(b)
         op = build_LG(mu, period, m_modes)
         d_direct = diffusion_coefficient(op)
-        converged = (neumann_contraction_factor(mu, period) < 1.0
-                     and split_series_gain(mu, period) < 1.0)
+        converged = neumann_contraction_factor(mu, period) < 1.0
         rows.append((b, period, d_direct, d_markov, d_direct - d_markov,
-                     bool(converged)))
+                     converged))
     return rows

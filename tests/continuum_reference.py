@@ -5,9 +5,10 @@ had before the per-jump phase table and the squared-radius prefilter:
 the phase is looked up as ``cs[first + c] - cs[first]`` and its cosine
 taken per path and grid point, and every point's radius goes through
 ``np.hypot``.  A path's jump times are sorted by one ``lexsort``, and each
-chunk of annulus samples draws its points in one call.  The package must
-return bit-identical results; ``tests/test_continuum_reference.py`` checks
-that it does.
+chunk of annulus samples draws its points in one call.  The deflection of
+an impact is taken from a chain of full-size temporaries, where the
+package works in place.  The package must return bit-identical results;
+``tests/test_continuum_reference.py`` checks that it does.
 """
 
 import dataclasses
@@ -120,3 +121,16 @@ def empty_annulus_void(params, n_samples, seed):
         void += void_count(pts, counts, r, eps)
         done += n
     return void
+
+
+def deflection_from_impact(b_norm):
+    """``sign(b) (pi - 2 asin|b|)``, +pi at b = 0, through temporaries."""
+    b = np.asarray(b_norm, dtype=float)
+    if np.any(np.abs(b) > 1.0):
+        raise ValueError("normalized impact parameter must lie in [-1, 1]")
+    out = np.where(
+        b == 0.0, math.pi, np.sign(b) * (math.pi - 2.0 * np.arcsin(np.abs(b)))
+    )
+    if np.isscalar(b_norm) or getattr(b_norm, "shape", None) == ():
+        return float(out)
+    return out

@@ -1,17 +1,31 @@
-"""Array forms of the hit geometry, kept as the reference for the float forms.
+"""Reference forms of the hit geometry: array forms, exact oracles, distances.
 
-These are the bodies ``maglorentz.geometry`` had when the event loop ran on
-``ParticleState``s and 2-element numpy arrays.  The float forms of the
-package must return bit-identical results; ``tests/test_geometry.py``
-checks that they do.
+* ``larmor_center``, ``advance_free``, ``impact_normal`` and
+  ``first_ray_entry`` are the bodies ``maglorentz.geometry`` had when the
+  event loop ran on ``ParticleState``s and 2-element numpy arrays.  The
+  float forms of the package must return bit-identical results.
+* ``exact_reflect`` and ``exact_arc_rows`` evaluate the reflection and the
+  arc-disk contacts in 50-digit ``mpmath`` arithmetic from the float
+  inputs.  The package's ``reflect`` and ``first_arc_hit`` take their
+  transcendentals from the C library, so they are held to these within a
+  few units of roundoff, not to any other build's bits.
+* ``point_to_arc_distances`` measures, with numpy, how close an arc passes
+  to given points: the oracle of the simulator's near-miss test.
+
+``tests/test_geometry_reference.py`` and ``tests/test_geometry.py`` check
+the package against them.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from maglorentz.geometry import (DEPARTURE_GUARD, GRAZING_TOL, TWO_PI,
-                                 ParticleState, normalize_angle, unit_vector)
+                                 ParticleState, unit_vector)
+
+#: digits of the exact oracles
+DIGITS = 50
 
 
 def larmor_center(position, velocity_angle: float, b_magnitude: float
@@ -46,38 +60,6 @@ def impact_normal(point, center, eps: float) -> np.ndarray:
     return n / math.hypot(n[0], n[1])
 
 
-def first_arc_hit(centers, orbit_center, velocity_angle: float,
-                  b_magnitude: float, eps: float):
-    r = 1.0 / b_magnitude
-    dx = centers[:, 0] - orbit_center[0]
-    dy = centers[:, 1] - orbit_center[1]
-    d_sq = dx * dx + dy * dy
-    mask = (d_sq > (r - eps) ** 2) & (d_sq < (r + eps) ** 2)
-    if not np.any(mask):
-        return None
-    rows = np.flatnonzero(mask)
-    d = np.sqrt(d_sq[mask])
-    cos_g = (d * d + r * r - eps * eps) / (2.0 * d * r)
-    gamma = np.arccos(np.clip(cos_g, -1.0, 1.0))
-    phase0 = velocity_angle - 0.5 * math.pi
-    sweep = np.mod(np.arctan2(dy[mask], dx[mask]) - gamma - phase0, TWO_PI)
-    guard_sweep = DEPARTURE_GUARD * b_magnitude
-    for j in np.argsort(sweep):
-        sw = float(sweep[j])
-        if sw <= guard_sweep:
-            continue
-        hit_phase = phase0 + sw
-        hit = orbit_center + r * np.array([math.cos(hit_phase),
-                                           math.sin(hit_phase)])
-        k = int(rows[j])
-        n = impact_normal(hit, centers[k], eps)
-        v = unit_vector(velocity_angle + sw)
-        if float(v @ n) >= -GRAZING_TOL:
-            continue
-        return sw * r, k, n
-    return None
-
-
 def first_ray_entry(centers, position, v, eps: float, max_len: float):
     rel = centers - position
     proj = rel[:, 0] * v[0] + rel[:, 1] * v[1]
@@ -95,8 +77,69 @@ def first_ray_entry(centers, position, v, eps: float, max_len: float):
     return t, k, impact_normal(position + t * v, centers[k], eps)
 
 
-def reflect(velocity_angle: float, n: np.ndarray) -> float:
-    v = unit_vector(velocity_angle)
-    n = np.asarray(n, dtype=float)
-    vp = v - 2.0 * float(v @ n) * n
-    return normalize_angle(math.atan2(vp[1], vp[0]))
+def point_to_arc_distances(centers, orbit_center, radius, phase0, sweep):
+    """Distance from each point to the arc swept from phase0 by sweep (CCW)."""
+    rel = centers - orbit_center
+    d = np.hypot(rel[:, 0], rel[:, 1])
+    ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]) - phase0, TWO_PI)
+    radial = np.abs(d - radius)
+    p_start = orbit_center + radius * np.array([math.cos(phase0), math.sin(phase0)])
+    p_end = orbit_center + radius * np.array(
+        [math.cos(phase0 + sweep), math.sin(phase0 + sweep)])
+    d_start = np.hypot(*(centers - p_start).T)
+    d_end = np.hypot(*(centers - p_end).T)
+    endpoint = np.minimum(d_start, d_end)
+    return np.where(ang <= sweep, radial, endpoint)
+
+
+def exact_reflect(velocity_angle: float, nx: float, ny: float) -> float:
+    """Angle of v - 2 (v.n) n in [0, 2 pi), rounded once from the exact."""
+    with mpmath.workdps(DIGITS):
+        c, s = mpmath.cos(velocity_angle), mpmath.sin(velocity_angle)
+        vn2 = 2 * (c * nx + s * ny)
+        return float(mpmath.atan2(s - vn2 * ny, c - vn2 * nx)
+                     % (2 * mpmath.pi))
+
+
+def exact_arc_rows(centers, orbit_center, velocity_angle: float,
+                   b_magnitude: float, eps: float):
+    """Exact contact of the orbit with each disk, one dict per row.
+
+    The orbit has radius exactly ``1/b_magnitude`` and starts at phase
+    ``velocity_angle - pi/2`` about ``orbit_center``.  Each row gets the
+    signed gaps of its squared distance to the annulus bounds, ``inner``
+    and ``outer`` (both positive inside the annulus).  A row off the
+    orbit center also gets its contact: ``gamma``, the angle at the orbit
+    center between the disk center and the contact (its cosine clamped to
+    [-1, 1], so a row outside the annulus gets the nearest tangency), the
+    ``sweep`` to the contact in [0, 2 pi), its ``length``, the outward
+    ``normal`` there and ``vn``, the velocity there dotted with that
+    normal.  Floats throughout, each rounded once.
+    """
+    with mpmath.workdps(DIGITS):
+        r = 1 / mpmath.mpf(b_magnitude)
+        ox, oy = map(mpmath.mpf, orbit_center)
+        e = mpmath.mpf(eps)
+        phase0 = velocity_angle - mpmath.pi / 2
+        rows = []
+        for cx, cy in np.asarray(centers).tolist():
+            dx, dy = cx - ox, cy - oy
+            d_sq = dx * dx + dy * dy
+            row = {"inner": float(d_sq - (r - e) ** 2),
+                   "outer": float((r + e) ** 2 - d_sq)}
+            rows.append(row)
+            if d_sq == 0:
+                continue
+            d = mpmath.sqrt(d_sq)
+            cos_g = (d_sq + r * r - e * e) / (2 * d * r)
+            gamma = mpmath.acos(min(max(cos_g, -1), 1))
+            sweep = (mpmath.atan2(dy, dx) - gamma - phase0) % (2 * mpmath.pi)
+            px = ox + r * mpmath.cos(phase0 + sweep)
+            py = oy + r * mpmath.sin(phase0 + sweep)
+            h = mpmath.hypot(px - cx, py - cy)
+            nx, ny = (px - cx) / h, (py - cy) / h
+            a = velocity_angle + sweep
+            row.update(gamma=float(gamma), sweep=float(sweep),
+                       length=float(sweep * r), normal=(float(nx), float(ny)),
+                       vn=float(mpmath.cos(a) * nx + mpmath.sin(a) * ny))
+        return rows

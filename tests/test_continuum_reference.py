@@ -6,12 +6,14 @@ path and grid point, and the annulus void count with every radius through
 taken) and repeats it over the grid, and decides ``np.hypot`` only on the
 points of a squared-radius window, drawn and counted in blocks; both rely
 on numpy computing each element to the same bits in whatever array it
-sits.  Estimates, autocorrelations and void counts are compared with
-``==`` and ``tobytes``.
+sits.  The deflection of an impact, computed in place, must give the bits
+of its chain of temporaries.  Estimates, autocorrelations, void counts
+and deflections are compared with ``==`` and ``tobytes``.
 """
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from maglorentz import _rng
 from maglorentz import boltzmann_process as bp
 from maglorentz import medium
+from maglorentz.geometry import deflection_from_impact
 
 import continuum_reference as ref
 
@@ -282,3 +285,33 @@ def test_annulus_estimate_in_any_block(eps, mu_eff, b, n, seed, shape, block):
         mp.setattr(medium, "_ANNULUS_BLOCK", block)
         est = medium.empty_annulus_probability_mc(params, (0.0, 0.0), n, seed)
     assert est.estimate == want
+
+
+# the ends and zeros of the domain, and the smallest normal and subnormal
+EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0 ** -1022, -(2.0 ** -1074)]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.sampled_from([0, 1, 7, 100_000]), seed=st.integers(0, 2 ** 32))
+def test_deflection_matches_temporaries(n, seed):
+    b = np.concatenate([EDGES, np.random.default_rng(seed).uniform(-1, 1, n)])
+    assert deflection_from_impact(b).tobytes() == \
+        ref.deflection_from_impact(b).tobytes()
+    for x in [*EDGES, np.float64(0.25), np.array(-0.75)]:
+        got, want = deflection_from_impact(x), ref.deflection_from_impact(x)
+        assert type(got) is float
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert got == want
+
+
+def test_deflection_memory():
+    # in place, the traced peak is the result plus a boolean mask; the
+    # chain of temporaries peaks near 3.1 times the result
+    b = np.random.default_rng(5).uniform(-1.0, 1.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        deflection_from_impact(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * b.nbytes

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from maglorentz.geometry import (ParticleState, advance_free,
-                                 deflection_from_impact, first_arc_hit,
-                                 first_ray_entry, larmor_center,
-                                 point_to_arc_distances, reflect,
-                                 unit_vector)
+                                 arc_passes_within, deflection_from_impact,
+                                 first_arc_hit, first_ray_entry,
+                                 larmor_center, reflect, unit_vector)
+
+from geometry_reference import point_to_arc_distances
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,24 +245,45 @@ class TestFirstArcDiskHit:
 
 
 class TestNearMissDistances:
-    """Closed-form distances against the nearest of 20k points on the arc."""
+    """Distances to an arc against the nearest of 20k points on it."""
 
     N_SAMPLES = 20_000
 
-    def test_arc(self):
-        rng = np.random.default_rng(41)
+    def cases(self, seed):
+        rng = np.random.default_rng(seed)
         for _ in range(20):
             center = rng.normal(size=2)
             radius = rng.uniform(0.3, 2.0)
             phase0 = rng.uniform(-math.pi, math.pi)
             sweep = rng.uniform(0.05, TWO_PI)
             pts = center + rng.uniform(-2.0, 2.0, size=(50, 2)) * radius
-            got = point_to_arc_distances(pts, center, radius, phase0, sweep)
             phi = phase0 + np.linspace(0.0, sweep, self.N_SAMPLES)
             curve = center + radius * np.column_stack([np.cos(phi), np.sin(phi)])
-            ref = np.min(np.hypot(pts[:, None, 0] - curve[None, :, 0],
-                                  pts[:, None, 1] - curve[None, :, 1]), axis=1)
-            assert np.max(np.abs(got - ref)) < 1e-3 * radius * sweep
+            dense = np.min(np.hypot(pts[:, None, 0] - curve[None, :, 0],
+                                    pts[:, None, 1] - curve[None, :, 1]), axis=1)
+            yield rng, center, radius, phase0, sweep, pts, dense
+
+    def test_arc(self):
+        # the near-miss oracle of tests/geometry_reference.py
+        for _, center, radius, phase0, sweep, pts, dense in self.cases(41):
+            got = point_to_arc_distances(pts, center, radius, phase0, sweep)
+            assert np.max(np.abs(got - dense)) < 1e-3 * radius * sweep
+
+    def test_arc_passes_within(self):
+        # points clear of the reach by more than the dense arc's error
+        n_checked = 0
+        for rng, center, radius, phase0, sweep, pts, dense in self.cases(43):
+            reach = rng.uniform(0.01, 1.0) * radius
+            clear = np.abs(dense - reach) > 1e-3 * radius * sweep
+            for p, d in zip(pts[clear].tolist(), dense[clear]):
+                assert arc_passes_within([p], center.tolist(), radius,
+                                         phase0, sweep, reach) == (d <= reach)
+                n_checked += 1
+            # one point within reach is enough
+            assert arc_passes_within(pts[clear].tolist(), center.tolist(),
+                                     radius, phase0, sweep, reach) == bool(
+                np.any(dense[clear] <= reach))
+        assert n_checked >= 900
 
 
 class TestReflect:

@@ -1,13 +1,13 @@
-"""The float forms of the hit geometry give the bits of the array forms.
+"""The float forms of the hit geometry against their references.
 
-``geometry_reference`` keeps the array forms the event loop used to run
-on.  Every length, row, coordinate, angle and normal component of the
-float forms is compared with ``==``, over random inputs, near-grazing
-contacts, contacts just past the departure guard, and candidate arrays of
-0, 1 and many rows.  One difference is allowed: when two disks are met at
-the same sweep, the array form broke the tie by numpy's argsort, whose
-order among equal keys depends on the numpy build, and the float form
-takes the lower row.
+``larmor_center``, ``advance_free`` and ``first_ray_entry`` must give the
+bits of the array forms the event loop used to run on: every length,
+row, coordinate, angle and normal component is compared with ``==``.
+``reflect`` and ``first_arc_hit`` take their transcendentals from the C
+library and are held to 50-digit ``mpmath`` oracles instead, within a few
+units of roundoff carried through the condition of each step.  The inputs
+cover random placements, near-grazing contacts, contacts just past the
+departure guard, and candidate arrays of 0, 1 and many rows.
 """
 
 import math
@@ -16,8 +16,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maglorentz.geometry import (DEPARTURE_GUARD, TWO_PI, ParticleState,
-                                 advance_free, first_arc_hit,
+from maglorentz.geometry import (DEPARTURE_GUARD, GRAZING_TOL, TWO_PI,
+                                 ParticleState, advance_free, first_arc_hit,
                                  first_ray_entry, larmor_center, reflect,
                                  unit_vector)
 
@@ -40,6 +40,78 @@ def same_hit(got, want):
     length, k, n = want
     return (got is not None and got[0] == length and got[1] == k
             and got[2][0] == n[0] and got[2][1] == n[1])
+
+
+#: unit roundoff of a float
+U = 2.0 ** -53
+#: "a few ulp": the roundoffs of one step, carried through its condition
+ULPS = 8
+
+
+def arc_hit_tolerances(row, o, alpha, b, eps):
+    """Error bounds of the float kernel's sweep, length, normal and v.n.
+
+    The sweep adds rounded angles of up to a few pi and a clamped acos,
+    whose error grows as 1/sin(gamma) near tangency; the contact point is
+    rounded at the size of the orbit center's coordinates, and the normal
+    divides that error by eps.
+    """
+    ox, oy = o
+    r = 1.0 / b
+    phase0 = alpha - 0.5 * math.pi
+    sin_g = math.sin(row["gamma"])
+    sweep = ULPS * U * (4.0 * math.pi + abs(phase0)) + (
+        ULPS * U / sin_g if sin_g > 0.0 else math.inf)
+    length = r * sweep + ULPS * U * row["length"]
+    phase = sweep + ULPS * U * (abs(phase0) + TWO_PI)
+    point = r * phase + ULPS * U * (abs(ox) + abs(oy) + r)
+    normal = point / eps + ULPS * U
+    vn = 2.0 * normal + phase + ULPS * U * (abs(alpha) + TWO_PI)
+    return sweep, length, normal, vn
+
+
+def arc_row_status(row, tol, o, b, eps):
+    """"hit", "miss" or "maybe": whether the float kernel must take the
+    row, must pass it over, or may do either because the row lies within
+    its error bounds of the annulus, the departure guard, the grazing
+    threshold or the 2 pi wrap of the sweep."""
+    r = 1.0 / b
+    band = ULPS * U * (r + eps) ** 2
+    if row["inner"] < -band or row["outer"] < -band or "sweep" not in row:
+        return "miss"
+    sweep_tol, _, _, vn_tol = tol
+    sw, guard = row["sweep"], DEPARTURE_GUARD * b
+    statuses = {
+        "miss" if row["vn"] > -GRAZING_TOL + vn_tol else
+        "hit" if row["vn"] < -GRAZING_TOL - vn_tol else "maybe",
+        "miss" if sweep_tol <= sw <= guard - sweep_tol else
+        "hit" if guard + sweep_tol < sw < TWO_PI - sweep_tol else "maybe",
+        "hit" if min(row["inner"], row["outer"]) > band else "maybe"}
+    return min(statuses, key=["miss", "maybe", "hit"].index)
+
+
+def check_arc_hit(got, centers, o, alpha, b, eps):
+    """``got`` is a hit the exact geometry allows, within its bounds."""
+    rows = ref.exact_arc_rows(centers, o, alpha, b, eps)
+    tols = [arc_hit_tolerances(row, o, alpha, b, eps) if "sweep" in row
+            else None for row in rows]
+    status = [arc_row_status(row, tol, o, b, eps)
+              for row, tol in zip(rows, tols)]
+    hits = [k for k, st_ in enumerate(status) if st_ == "hit"]
+    if got is None:
+        assert not hits
+        return
+    length, k, (nx, ny) = got
+    assert status[k] != "miss"
+    row, (sweep_tol, length_tol, normal_tol, _) = rows[k], tols[k]
+    # no sure hit comes clearly before the kernel's own sweep, which may
+    # have wrapped past 2 pi where the exact one is near 0
+    for j in hits:
+        assert rows[j]["sweep"] + tols[j][0] >= length * b - 2.0 * sweep_tol
+    assert abs(math.remainder(length - row["length"], TWO_PI / b)) \
+        <= length_tol
+    assert abs(nx - row["normal"][0]) <= normal_tol
+    assert abs(ny - row["normal"][1]) <= normal_tol
 
 
 @st.composite
@@ -110,32 +182,52 @@ class TestFloatForms:
     def test_reflect(self, alpha, phi, grazing):
         if grazing is not None:  # normal almost across the velocity
             phi = alpha + 0.5 * math.pi + grazing
-        n = unit_vector(phi)
-        assert reflect(alpha, *n.tolist()) == ref.reflect(alpha, n)
+        nx, ny = unit_vector(phi).tolist()
+        got = reflect(alpha, nx, ny)
+        want = ref.exact_reflect(alpha, nx, ny)
+        assert abs(math.remainder(got - want, TWO_PI)) \
+            <= ULPS * U * TWO_PI
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(case=arc_cases())
     def test_first_arc_hit(self, case):
         centers, o, alpha, b, eps = case
-        want = ref.first_arc_hit(centers, o, alpha, b, eps)
-        got = first_arc_hit(centers, tuple(o.tolist()), alpha, b, eps)
-        if got is not None and want is not None and got[1] < want[1]:
-            # a tie: the lower row is hit at the same length on its own
-            alone = ref.first_arc_hit(centers[got[1]:got[1] + 1], o, alpha,
-                                      b, eps)
-            assert alone[0] == want[0]
-            want = alone[0], got[1], alone[2]
-        assert same_hit(got, want)
+        o = tuple(o.tolist())
+        check_arc_hit(first_arc_hit(centers, o, alpha, b, eps), centers, o,
+                      alpha, b, eps)
 
     def test_tie_goes_to_the_lower_row(self):
         # three copies of one disk
-        o, alpha, b, eps = np.zeros(2), 0.0, 1.0, 0.1
+        alpha, b, eps = 0.0, 1.0, 0.1
         p = unit_vector(-0.5 * math.pi + 1.0)
         disk = p - eps * unit_vector(1.0 + math.pi + 0.3)
         centers = np.array([disk, disk, disk])
         got = first_arc_hit(centers, (0.0, 0.0), alpha, b, eps)
         assert got[1] == 0
-        assert same_hit(got, ref.first_arc_hit(centers[:1], o, alpha, b, eps))
+        assert got == first_arc_hit(centers[:1], (0.0, 0.0), alpha, b, eps)
+        check_arc_hit(got, centers, (0.0, 0.0), alpha, b, eps)
+
+    def test_clamped_tangency_is_grazing(self):
+        # near tangency the clamped acos is too coarse for the oracle to
+        # place v.n against GRAZING_TOL; at a contact cosine that rounds to
+        # 1 the contact is the tangency itself, v.n is rounding noise, and
+        # the grazing rule must pass the disk over
+        alpha, r, eps = 0.3, 1.0, 0.1
+        u = unit_vector(2.0)
+        d = r + eps
+        while True:  # the kernel's annulus test and contact cosine
+            d = math.nextafter(d, 0.0)
+            cx, cy = (d * u).tolist()
+            d_sq = cx * cx + cy * cy
+            e = math.sqrt(d_sq)
+            if (d_sq < (r + eps) ** 2
+                    and (e * e + r * r - eps * eps) / (2.0 * e * r) >= 1.0):
+                break
+        b = 1.0 / r
+        assert first_arc_hit(np.array([[cx, cy]]), (0.0, 0.0), alpha, b,
+                             eps) is None
+        deeper = np.array([(r + 0.5 * eps) * u])
+        assert first_arc_hit(deeper, (0.0, 0.0), alpha, b, eps) is not None
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(case=ray_cases())

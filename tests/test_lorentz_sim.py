@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from maglorentz import _rng, medium
 from maglorentz import lorentz_sim as ls
 from maglorentz.geometry import (ParticleState, advance_free, first_arc_hit,
                                  first_ray_entry, impact_normal,
-                                 larmor_center, point_to_arc_distances,
-                                 unit_vector)
+                                 larmor_center, unit_vector)
 from maglorentz.lorentz_sim import (ChatteringError, EventKind,
                                     TrajectoryStatus, event_rate_study,
                                     msd_estimate, simulate_trajectory)
@@ -18,6 +18,7 @@ from maglorentz.medium import (ObstacleField, is_admissible_start,
                                scaling_from)
 
 from explicit_field import ExplicitField
+from geometry_reference import point_to_arc_distances
 
 
 def empty_params(eps=0.05, b=0.0):
@@ -467,8 +468,8 @@ def _near_arc_center(o, r, phase0, sweep, eps, spot):
 
 
 class TestNearMissCut:
-    """The B > 0 circle cut before the distance test drops no near miss;
-    a straight leg is not checked at all."""
+    """A B > 0 arc's near-miss test, with its circle cut, gives the verdict
+    of the numpy distance oracle; a straight leg is not checked at all."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(eps=st.floats(1e-4, 0.05), b=st.floats(0.25, 8.0),
@@ -678,3 +679,58 @@ class TestEventRateStudy:
         p = res.probabilities("recollision")
         assert p[0] > p[1] > 0.0
         assert res.exponents["recollision"] > 0.2
+
+
+def record_text(records) -> str:
+    """One line per replica record, every float in hex."""
+    lines = []
+    for rec in records:
+        if rec is None:
+            lines.append("aborted")
+            continue
+        sq, status, status_time, recollided, near_miss = rec
+        lines.append(" ".join([*map(float.hex, sq), status.value,
+                               float.hex(status_time), str(recollided),
+                               str(near_miss)]))
+    return "\n".join(lines)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenDigest:
+    """Pinned SHA-256 digests of replica records and event probabilities.
+
+    The hit geometry takes its transcendentals from the C library, writes
+    every dot product as a plain ``a*b + c*d`` and leaves numpy only
+    correctly rounded elementwise arithmetic (see ``maglorentz.geometry``),
+    so these bytes must not depend on the numpy or BLAS build.  What still varies is the C library's ``sin``,
+    ``cos``, ``atan2``, ``acos`` and ``hypot``, and numpy's Philox and
+    Poisson streams, which draw the cells and the starts.  The scaling
+    study's exponent fit (``np.polyfit`` goes through LAPACK) and the msd
+    averages (numpy's SIMD reductions) are left out.
+    """
+
+    T_GRID = (10.0, 20.0, 30.0, 40.0)
+    RECORDS = {
+        0.0: "d1308016052152eec461a9c62b03b0c9d81115b292cd263e9b2f41a7acb41166",
+        1.5: "fd66d2d05af5ee4601b4a73dcc9ae2f136119ddfcc319f5da7899ffa638e66c9",
+    }
+    SCALING = "4bc131d6adc0f03392094b8037aff5a4abb3d3cce6f28e4b2dd794e28b87eb14"
+
+    @pytest.mark.parametrize("b", sorted(RECORDS))
+    def test_replica_records(self, b):
+        params = scaling_from(0.01, 1.0, 1.0, b)
+        records = ls._replica_chunk(
+            (params, 4242, (0xF1E1D,), (), 0, 8, self.T_GRID, self.T_GRID[-1],
+             ls.DEFAULT_K_MAX_LEAVES, ls.DEFAULT_MAX_EVENTS))
+        assert sha256(record_text(records)) == self.RECORDS[b]
+
+    def test_scaling_probabilities(self):
+        res = event_rate_study([4e-3, 2e-3, 1e-3], 1.0, 1.0, 1.5, 5.0, 24,
+                               seed=77)
+        assert sha256("\n".join(
+            " ".join(float.hex(p) for p in (
+                r.p_recollision, r.p_interference, r.p_daisy, r.p_circling))
+            for r in res.rows)) == self.SCALING

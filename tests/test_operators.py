@@ -363,6 +363,27 @@ class TestSeriesRoutes:
             ops.invert_split_series(1.0, 0.2, random_zero_mean(
                 np.random.default_rng(0), 32))
 
+    def test_one_guard_for_both_routes(self):
+        # the split bound |M| |L^-1| < 1 is the contraction factor < 1
+        # rewritten; on the float periods around the threshold both routes
+        # run or refuse together, including the one period where the
+        # rewritten bound rounds below 1 and the factor does not
+        g = random_zero_mean(np.random.default_rng(2), 32)
+        period = ops.invertibility_threshold().t_star
+        for _ in range(20):
+            period = math.nextafter(period, 0.0)
+        for _ in range(40):
+            refused = []
+            for route in (ops.invert_LG_neumann, ops.invert_split_series):
+                try:
+                    route(1.0, period, g, max_terms=10)
+                    refused.append(False)
+                except ops.SeriesDivergenceError as exc:
+                    refused.append("not guaranteed" in str(exc))
+            assert refused[0] == refused[1] == (
+                ops.neumann_contraction_factor(1.0, period) >= 1.0)
+            period = math.nextafter(period, 1.0)
+
 
 class TestDiffusion:
     def test_memoryless_value(self):
