@@ -42,6 +42,7 @@ import numpy as np
 
 from . import _rng
 from .geometry import deflection_from_impact
+from .operators import survival_weight
 
 # paths per sampled block; block i draws from its own stream
 # generator(seed, <route's stream>, i), so this size is part of the results
@@ -77,7 +78,7 @@ def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
     path_of, jt = _sorted_jumps(counts, rng.random(total) * t_cut)
     if lumped:
         # geometric(1.0) still consumes draws, so test the escape probability
-        escape = 1.0 - math.exp(-2.0 * mu * period)
+        escape = 1.0 - survival_weight(mu, period)
         leaves = rng.geometric(escape, total) if escape < 1.0 else \
             np.ones(total, dtype=np.int64)
         theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total)) * leaves
@@ -92,8 +93,8 @@ def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
     if period > t_cut:
         # no scatter in the window: the first wait exceeds t_cut, and it
         # exceeds the period too with probability exp(-2 mu (T - t_cut))
-        circling &= scattered | (rng.random(n) < math.exp(
-            -2.0 * mu * (period - t_cut)))
+        circling &= scattered | (rng.random(n) < survival_weight(
+            mu, period - t_cut))
     # a scatter replays once per whole period before the next scatter, or
     # before t_cut for a path's last scatter
     nxt = np.append(jt[1:], t_cut)
@@ -184,7 +185,7 @@ def circling_fraction_mc(mu: float, period: float, n_paths: int, seed: int
         raise ValueError("mu must be nonnegative and finite")
     if not period > 0.0:
         raise ValueError("period must be positive (it may be infinite)")
-    expected = math.exp(-2.0 * mu * period) if mu > 0.0 else 1.0
+    expected = survival_weight(mu, period) if mu > 0.0 else 1.0
     if mu == 0.0:
         return CirclingEstimate(1.0, 0.0, 1.0)
     rng = _rng.generator(seed, _rng.STREAM_CIRCLING)
@@ -205,9 +206,20 @@ class GreenKuboEstimate:
     n_paths: int
 
 
+def grid_points(t_cut: float, dt_quad: float):
+    """Points of the Green-Kubo grid on [0, t_cut] of spacing ``dt_quad``.
+
+    It is ``np.arange``'s count from 0 to ``t_cut + dt_quad / 2``: the
+    grid ends within half a step of ``t_cut``.  Inf when the count
+    overflows.
+    """
+    n = (t_cut + 0.5 * dt_quad) / dt_quad
+    return math.ceil(n) if n < math.inf else math.inf
+
+
 def _trapezoid_grid(t_cut: float, dt_quad: float):
     """Uniform grid on [0, t_cut] of spacing ``dt_quad``, trapezoid weights."""
-    t_grid = np.arange(0.0, t_cut + 0.5 * dt_quad, dt_quad)
+    t_grid = dt_quad * np.arange(grid_points(t_cut, dt_quad))
     trap_w = np.full(len(t_grid), dt_quad)
     trap_w[0] *= 0.5
     trap_w[-1] *= 0.5

@@ -226,7 +226,7 @@ MAX_GK_BLOCK_JUMPS = 4 * 10 ** 6
 def _green_kubo_rule(config):
     t_cut, dt = config.get("t_cut"), config.get("dt_quad")
     if t_cut is not None and dt is not None and dt > 0 \
-            and t_cut / dt + 1 > MAX_GK_GRID:
+            and boltzmann_process.grid_points(t_cut, dt) > MAX_GK_GRID:
         yield (f"the grid from 0 to 't_cut' by 'dt_quad' must have at most "
                f"{MAX_GK_GRID} points")
     mu = config.get("mu")
@@ -279,8 +279,7 @@ def _run_msd(config, workers):
                                  config["b"])
     res = lorentz_sim.msd_estimate(
         params, config["n_replicas"], config["t_grid"], config["seed"],
-        workers=workers, k_max_leaves=config["k_max_leaves"],
-        max_events=config["max_events"])
+        workers=workers, max_events=config["max_events"])
     rows = zip(res.time_grid, res.msd, res.msd_se, res.circling_fraction)
     return rows, {"n_replicas": res.n_replicas, "n_aborted": res.n_aborted}
 
@@ -294,7 +293,7 @@ def _run_scaling(config, workers):
     res = lorentz_sim.event_rate_study(
         config["eps_list"], rule, config["mu"], config["b"], config["t"],
         config["n_replicas"], config["seed"], workers=workers,
-        k_max_leaves=config["k_max_leaves"], max_events=config["max_events"])
+        max_events=config["max_events"])
     rows = [(r.eps, r.eta, r.p_recollision, r.p_recollision_se,
              r.p_interference, r.p_interference_se, r.p_daisy, r.p_daisy_se,
              r.p_circling, r.p_circling_se,
@@ -316,11 +315,9 @@ def _run_green_kubo(config, workers):
 def _run_operator_sweep(config, workers):
     b_values = [config["b_min"] + i * config["b_step"]
                 for i in range(_sweep_rows(config))]
-    rows = operators.diffusion_sweep(config["mu"], b_values,
-                                     m_modes=config["m_modes"])
-    info = operators.invertibility_threshold()
-    return rows, {"t_star": info.t_star, "b_star": info.b_star,
-                  "b_stated": info.b_stated}
+    rows = operators.diffusion_sweep(config["mu"], b_values)
+    return rows, {"t_star": operators.T_STAR, "b_star": operators.B_STAR,
+                  "b_stated": operators.B_STATED}
 
 
 def _make_field(config):
@@ -371,12 +368,6 @@ def _run_circling(config, workers):
 
 # -- the experiment table ------------------------------------------------------
 
-# max_events comes first: its error is reported before k_max_leaves's
-_REPLICA_CAPS = {
-    "max_events": _Key("int", lorentz_sim.DEFAULT_MAX_EVENTS, "positive"),
-    "k_max_leaves": _Key("int", lorentz_sim.DEFAULT_K_MAX_LEAVES, "nonnegative"),
-}
-
 # the datum of kinetic_solver.make_initial_field on a SpectralGrid; n_x bounds
 # |rho_mode| (see _field_rule) and sizes nothing
 _INITIAL_FIELD = {
@@ -394,19 +385,20 @@ _COUNT = _Key("int", bound="positive")
 _SAMPLES = _Key("int", bound="at least 2")  # averaged with a standard error
 _ETA = _Key("float", bound="at least 1")
 _SEED = _Key("int")
+_MAX_EVENTS = _Key("int", lorentz_sim.DEFAULT_MAX_EVENTS, "positive")
 
 EXPERIMENTS: dict[str, _Experiment] = {
     "msd": _Experiment(
         {"eps": _POSITIVE, "mu": _POSITIVE, "eta": _ETA,
          "b": _Key("float", 0.0, "nonnegative"), "t_grid": _Key("floats"),
-         "n_replicas": _SAMPLES, "seed": _SEED, **_REPLICA_CAPS},
+         "n_replicas": _SAMPLES, "seed": _SEED, "max_events": _MAX_EVENTS},
         _run_msd, "msd", ("t", "msd", "msd_se", "circling_frac"), _msd_rule),
     "scaling-study": _Experiment(
         {"eps_list": _Key("floats"), "mu": _POSITIVE, "b": _POSITIVE,
          "t": _POSITIVE, "n_replicas": _COUNT, "seed": _SEED,
          "eta": _Key("float", None, "at least 1"),
          "eta_coeff": _Key("float", None), "eta_exponent": _Key("float", None),
-         **_REPLICA_CAPS},
+         "max_events": _MAX_EVENTS},
         _run_scaling, "scaling",
         ("eps", "eta", "p_recoll", "p_recoll_se", "p_interf", "p_interf_se",
          "p_daisy", "p_daisy_se", "p_circ", "p_circ_se", "exponent_fit"),
@@ -418,8 +410,9 @@ EXPERIMENTS: dict[str, _Experiment] = {
     "operator-sweep": _Experiment(
         {"mu": _POSITIVE, "b_min": _Key("float", 0.0, "nonnegative"),
          "b_max": _Key("float"), "b_step": _POSITIVE,
+         # accepted and validated, with no effect: the rows read only
+         # lambda_1, and the moments are exact
          "m_modes": _Key("int", 64, "positive"),
-         # accepted and validated, with no effect: the moments are exact
          "quadrature_order": _Key("int", 256, "positive")},
         _run_operator_sweep, "dsweep",
         ("B", "T", "D_direct", "D_markovian_term", "D_memory_sum",

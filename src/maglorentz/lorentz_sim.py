@@ -60,7 +60,9 @@ DAISY_CLOSURE_TOL = 1e-9
 #: swept angle of one arc piece of the hit walk
 ARC_PIECE = math.pi / 8
 
-DEFAULT_K_MAX_LEAVES = 64
+#: leaves of a self-recollision streak that a new leaf is matched against
+DAISY_MAX_LEAVES = 64
+
 DEFAULT_MAX_EVENTS = 100_000
 
 
@@ -105,7 +107,7 @@ class _Trajectory:
     """Mutable state of one event-driven run."""
 
     def __init__(self, field_, start: ParticleState, t_max: float,
-                 sample_times, k_max_leaves: int):
+                 sample_times):
         params = field_.params
         self.field = field_
         self.eps = params.eps
@@ -122,7 +124,7 @@ class _Trajectory:
         self.hit_centers: dict[tuple[int, int, int], tuple[float, float]] = {}
         # the current self-recollision streak, one (b, normal phase, time,
         # x, y, angle) per leaf, position and angle after the reflection
-        self.run: deque[tuple] = deque(maxlen=k_max_leaves)
+        self.run: deque[tuple] = deque(maxlen=DAISY_MAX_LEAVES)
         self.near_miss = False
         self.status = TrajectoryStatus.COMPLETED
         self.status_time = t_max
@@ -263,15 +265,14 @@ class _Trajectory:
 
 
 def simulate_trajectory(field_, start: ParticleState, t_max: float,
-                        sample_times=(), k_max_leaves: int = DEFAULT_K_MAX_LEAVES,
-                        max_events: int = DEFAULT_MAX_EVENTS
+                        sample_times=(), max_events: int = DEFAULT_MAX_EVENTS
                         ) -> TrajectoryOutcome:
     """Run the exact event-driven dynamics from an admissible start."""
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     if not is_admissible_start(field_, start.position):
         raise ValueError("start position overlaps an obstacle")
-    tr = _Trajectory(field_, start, t_max, sample_times, k_max_leaves)
+    tr = _Trajectory(field_, start, t_max, sample_times)
 
     while tr.t < t_max:
         if len(tr.events) >= max_events:
@@ -350,10 +351,10 @@ def _replay_daisy(tr: _Trajectory, closed_at: int):
     tr.t = tr.t_max
 
 
-def _draw_start(field_, rng, max_tries: int = 10_000) -> ParticleState:
+def _draw_start(field_, rng) -> ParticleState:
     """Admissible start with uniform position in one cell, uniform angle."""
     s = field_.cell_size
-    for _ in range(max_tries):
+    for _ in range(10_000):
         pos = rng.random(2) * s
         if is_admissible_start(field_, pos):
             return ParticleState(pos, rng.uniform(0.0, TWO_PI))
@@ -368,7 +369,7 @@ def _replica_chunk(args):
     replica aborts on the event cap.
     """
     (params, seed, field_key, start_key, lo, hi, sample_times, t_max,
-     k_max, max_events) = args
+     max_events) = args
     records = []
     for r in range(lo, hi):
         field_ = ObstacleField(_rng.mix(seed, *field_key, r), params)
@@ -376,7 +377,7 @@ def _replica_chunk(args):
         start = _draw_start(field_, rng)
         try:
             out = simulate_trajectory(field_, start, t_max, sample_times,
-                                      k_max_leaves=k_max, max_events=max_events)
+                                      max_events=max_events)
         except ChatteringError:
             records.append(None)
             continue
@@ -388,7 +389,7 @@ def _replica_chunk(args):
 
 
 def _run_replicas(rungs, n_replicas: int, sample_times, t_max: float,
-                  seed: int, workers: int, k_max: int, max_events: int):
+                  seed: int, workers: int, max_events: int):
     """Records of replicas ``0..n_replicas-1`` of every rung, rung by rung.
 
     A rung is ``(params, field key, start key)``: its replica ``r`` runs in
@@ -400,7 +401,7 @@ def _run_replicas(rungs, n_replicas: int, sample_times, t_max: float,
     per = (max(1, math.ceil(n_replicas / workers / 4)) if workers > 1
            else n_replicas)
     args = [(params, seed, field_key, start_key, lo, min(lo + per, n_replicas),
-             sample_times, t_max, k_max, max_events)
+             sample_times, t_max, max_events)
             for params, field_key, start_key in rungs
             for lo in range(0, n_replicas, per)]
     if workers > 1 and len(args) > 1:
@@ -425,8 +426,8 @@ class MsdResult:
 
 
 def msd_estimate(params: ScalingParams, n_replicas: int, time_grid, seed: int,
-                 workers: int = 1, k_max_leaves: int = DEFAULT_K_MAX_LEAVES,
-                 max_events: int = DEFAULT_MAX_EVENTS) -> MsdResult:
+                 workers: int = 1, max_events: int = DEFAULT_MAX_EVENTS
+                 ) -> MsdResult:
     """Mean squared displacement over independent fields and starts.
 
     Replicas that end up circling or trapped stay in the average (their
@@ -440,7 +441,7 @@ def msd_estimate(params: ScalingParams, n_replicas: int, time_grid, seed: int,
         raise ValueError("need at least 2 replicas and one time point")
     [records] = _run_replicas([(params, (0xF1E1D,), ())], n_replicas,
                               time_grid, float(time_grid[-1]), seed, workers,
-                              k_max_leaves, max_events)
+                              max_events)
     sq = np.full((n_replicas, len(time_grid)), np.nan)
     nonwander = np.full(n_replicas, np.inf)
     for r, rec in enumerate(records):
@@ -498,7 +499,6 @@ def _fit_exponent(eps: np.ndarray, p: np.ndarray) -> float:
 
 def event_rate_study(eps_list, eta_rule, mu: float, b_magnitude: float,
                      t: float, n_replicas: int, seed: int, workers: int = 1,
-                     k_max_leaves: int = DEFAULT_K_MAX_LEAVES,
                      max_events: int = DEFAULT_MAX_EVENTS) -> EventRateResult:
     """Empirical event probabilities across a decreasing radius ladder.
 
@@ -522,7 +522,7 @@ def event_rate_study(eps_list, eta_rule, mu: float, b_magnitude: float,
     rungs = [(scaling_from(eps, mu, eta, b_magnitude), (0xE5, i), (i,))
              for i, (eps, eta) in enumerate(zip(eps_arr, etas))]
     records = _run_replicas(rungs, n_replicas, (), t, seed, workers,
-                            k_max_leaves, max_events)
+                            max_events)
     rows = []
     for eps, eta, recs in zip(eps_arr, etas, records):
         kept = [rec for rec in recs if rec is not None]

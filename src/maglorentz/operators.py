@@ -38,6 +38,15 @@ import numpy as np
 #: contraction bound of the gain kernel on zero-mean functions
 BETA = (math.pi - 2.0) / 2.0
 
+# Inversion threshold of the series routes at mu = 1: T_STAR solves
+# ``neumann_contraction_factor(1, T) = 1`` and B_STAR = 2 pi / T_STAR is its
+# field.  The stated admissible range is B below B_STATED, i.e. a period
+# above 3/4; it does not coincide with the derived sufficient threshold, and
+# the gap B_STATED - B_STAR is left as a documented discrepancy.
+T_STAR = 0.5 * math.log(2.0 / (1.0 - BETA))
+B_STAR = 2.0 * math.pi / T_STAR
+B_STATED = 8.0 * math.pi / 3.0
+
 #: memory-series truncation guarantees a tail below this
 MEMORY_TOL = 1e-14
 
@@ -308,41 +317,10 @@ def spatial_diffusivity(op: AngularOperator) -> float:
     return 0.5 * diffusion_coefficient(op)
 
 
-@dataclass(frozen=True)
-class ThresholdInfo:
-    """Inversion threshold of the series routes, with the stated field range.
-
-    ``t_star`` solves ``contraction factor = 1`` at mu = 1; ``b_star`` is the
-    corresponding field strength.  The stated admissible range (field below
-    ``b_stated``, i.e. period above ``t_stated = 3/4``) does not coincide
-    with the derived sufficient threshold; both are reported and the gap is
-    left as a documented discrepancy.
-    """
-
-    t_star: float
-    b_star: float
-    t_stated: float
-    b_stated: float
-
-    @property
-    def b_gap(self) -> float:
-        return self.b_stated - self.b_star
-
-
-def invertibility_threshold() -> ThresholdInfo:
-    """Threshold period/field for the guaranteed series inversion (mu = 1)."""
-    t_star = 0.5 * math.log(2.0 / (1.0 - BETA))
-    return ThresholdInfo(
-        t_star=t_star,
-        b_star=2.0 * math.pi / t_star,
-        t_stated=0.75,
-        b_stated=8.0 * math.pi / 3.0,
-    )
-
-
-def diffusion_sweep(mu: float, b_values, m_modes: int = 64):
+def diffusion_sweep(mu: float, b_values):
     """Rows (B, T, D_direct, D_markovian_term, D_memory_sum, series_converged).
 
+    ``D_direct`` reads only lambda_1, so one harmonic is built.
     ``D_markovian_term`` is the memoryless value 3/(8 mu); the memory sum is
     the remainder of the split series.  ``series_converged`` records whether
     the sufficient condition of the series routes holds at that field.
@@ -352,7 +330,7 @@ def diffusion_sweep(mu: float, b_values, m_modes: int = 64):
     for b in b_values:
         b = float(b)
         period = cyclotron_period(b)
-        op = build_LG(mu, period, m_modes)
+        op = build_LG(mu, period, 1)
         d_direct = diffusion_coefficient(op)
         converged = neumann_contraction_factor(mu, period) < 1.0
         rows.append((b, period, d_direct, d_markov, d_direct - d_markov,

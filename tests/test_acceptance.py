@@ -94,17 +94,16 @@ def test_criterion_04_green_kubo_cross_validation():
 
 
 def test_criterion_05_threshold_arithmetic():
-    info = ops.invertibility_threshold()
     t_star = 0.5 * math.log(2.0 / (1.0 - ops.BETA))
-    assert info.t_star == pytest.approx(t_star, abs=1e-15)
+    assert ops.T_STAR == pytest.approx(t_star, abs=1e-15)
     assert t_star > 0.75
     q = ops.neumann_contraction_factor(1.0, t_star)
     assert abs(q - 1.0) <= 1e-12
     # the discrepancy with the stated field range is reported, not erased
-    assert info.b_star < info.b_stated
-    report(5, f"T* = {info.t_star:.6f} > 3/4, q(T*) - 1 = {q - 1.0:.2e}; "
-              f"B* = {info.b_star:.4f} vs stated bound "
-              f"{info.b_stated:.4f} (gap {info.b_gap:.4f})")
+    assert ops.B_STAR < ops.B_STATED
+    report(5, f"T* = {ops.T_STAR:.6f} > 3/4, q(T*) - 1 = {q - 1.0:.2e}; "
+              f"B* = {ops.B_STAR:.4f} vs stated bound "
+              f"{ops.B_STATED:.4f} (gap {ops.B_STATED - ops.B_STAR:.4f})")
 
 
 def test_criterion_06_kinetic_relaxation_rate():

@@ -201,6 +201,15 @@ class TestGreenKubo:
             ref = math.exp(lam1 * t_probe)
             assert abs(est.vacf[i] - ref) < 4 * max(est.vacf_se[i], 1e-4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(t_cut=st.floats(1e-3, 100.0), dt_quad=st.floats(1e-3, 1.0))
+    def test_grid_is_numpys_arange(self, t_cut, dt_quad):
+        # the grid and the CLI's cap on it read one count, np.arange's
+        t_grid, _ = bp._trapezoid_grid(t_cut, dt_quad)
+        ref = np.arange(0.0, t_cut + 0.5 * dt_quad, dt_quad)
+        assert bp.grid_points(t_cut, dt_quad) == len(ref)
+        assert t_grid.tobytes() == ref.tobytes()
+
     def test_circling_fraction_reported(self):
         est = green_kubo_mc(1.0, 1.0, 20_000, 3.0, 0.05, seed=13)
         p_ref = math.exp(-2.0)

@@ -3,6 +3,7 @@ import math
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -70,7 +71,6 @@ class TestValidate:
         config = validate(MSD_CONFIG, "msd")
         assert config["kind"] == "msd"
         assert config["b"] == 0.0
-        assert config["k_max_leaves"] == 64
         assert config["max_events"] == 100_000
         assert config["t_grid"] == [0.5, 1.0]
 
@@ -107,12 +107,13 @@ class TestValidate:
         ("msd", MSD_CONFIG), ("scaling-study", SCALING_CONFIG)],
         ids=["msd", "scaling-study"])
     def test_replica_caps_checked(self, kind, text):
+        # max_events is the one cap; the daisy window is a constant
         with pytest.raises(ConfigError) as err:
-            validate(text + "k_max_leaves = -1\nmax_events = 0\n", kind)
-        assert err.value.errors == ["key 'max_events' must be positive",
-                                    "key 'k_max_leaves' must be nonnegative"]
-        ok = validate(text + "k_max_leaves = 0\nmax_events = 1\n", kind)
-        assert (ok["k_max_leaves"], ok["max_events"]) == (0, 1)
+            validate(text + "k_max_leaves = 64\nmax_events = 0\n", kind)
+        assert err.value.errors == [
+            f"unknown key 'k_max_leaves' for kind '{kind}'",
+            "key 'max_events' must be positive"]
+        assert validate(text + "max_events = 1\n", kind)["max_events"] == 1
 
     @pytest.mark.parametrize("kind,key,value,bound", [
         ("kinetic", "dt", "0", "positive"),
@@ -216,6 +217,22 @@ class TestValidate:
             "the grid from 0 to 't_cut' by 'dt_quad' must have at most "
             f"{MAX_GK_GRID} points"]
 
+    @pytest.mark.parametrize("t_cut", [99.99, 99.992, 99.995, 99.996])
+    def test_green_kubo_grid_cap_counts_the_built_grid(self, t_cut):
+        # these t_cut straddle 10^4 grid points at dt_quad = 0.01; the cap
+        # counts the points the grid is built with
+        built = len(np.arange(0.0, t_cut + 0.005, 0.01))
+        text = with_key(with_key(GREEN_KUBO_CONFIG, "t_cut", t_cut),
+                        "dt_quad", 0.01)
+        try:
+            accepted = validate(text, "green-kubo")["t_cut"] == t_cut
+        except ConfigError as err:
+            assert err.errors == [
+                "the grid from 0 to 't_cut' by 'dt_quad' must have at most "
+                f"{MAX_GK_GRID} points"]
+            accepted = False
+        assert accepted == (built <= MAX_GK_GRID)
+
     @pytest.mark.parametrize("mu,t_cut,shown", [
         ("25", "4", None),  # 2 x 25 x 4 x 20000 = 4e6 jumps, the cap
         ("26", "4", "4.16e+06"),
@@ -301,13 +318,25 @@ def _key_values(spec, key):
                      allow_infinity=False)
 
 
+# optional keys drawn as one choice among alternatives: scaling-study takes
+# 'eta' or both keys of the eta rule, so independent draws would break its
+# rule in most cases
+_ALTERNATIVES = {"scaling-study": (("eta",), ("eta_coeff", "eta_exponent"))}
+
+
 @pytest.mark.parametrize("kind", list(EXPERIMENTS))
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_config_round_trip(kind, data):
     config = {"kind": kind}
+    alternatives = _ALTERNATIVES.get(kind, ())
+    chosen = data.draw(st.sampled_from(alternatives)) if alternatives else ()
+    grouped = {key for keys in alternatives for key in keys}
     for key, spec in EXPERIMENTS[kind].keys.items():
-        if spec.default is None and not data.draw(st.booleans()):
+        if key in grouped:
+            if key not in chosen:
+                continue  # the alternative not drawn
+        elif spec.default is None and not data.draw(st.booleans()):
             continue  # an optional key left out
         config[key] = data.draw(_key_values(spec, key), label=key)
     assume(not list(EXPERIMENTS[kind].rule(config)))
@@ -383,6 +412,21 @@ class TestMainFlow:
         summary = json.loads((tmp_path / "circ_summary.json").read_text())
         resolved = validate(config_to_text(summary["config"]), "circling")
         assert resolved == summary["config"]
+
+    @pytest.mark.parametrize("kind", list(EXPERIMENTS))
+    def test_summary_config_is_the_resolved_schema(self, tmp_path, kind):
+        # every schema key, defaults resolved; optional keys only when given
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CONFIGS[kind])
+        assert main([kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        given = {line.split("=")[0].strip()
+                 for line in BASE_CONFIGS[kind].splitlines() if "=" in line}
+        assert set(summary["config"]) == {"kind"} | {
+            key for key, spec in EXPERIMENTS[kind].keys.items()
+            if spec.default is not None or key in given}
+        assert summary["config"] == validate(BASE_CONFIGS[kind], kind)
 
     @pytest.mark.parametrize("kind,text", [("msd", MSD_CONFIG),
                                            ("scaling-study", SCALING_CONFIG)],

@@ -31,7 +31,7 @@ def empty_params(eps=0.05, b=0.0):
 def register(ids):
     """Trajectory after ``register_hit`` saw ``ids`` in order, and the kinds."""
     tr = ls._Trajectory(ObstacleField(1, empty_params()),
-                        ParticleState(np.zeros(2), 0.0), 1.0, (), 8)
+                        ParticleState(np.zeros(2), 0.0), 1.0, ())
     kinds = [tr.register_hit(oid, np.array([float(oid), 0.0]), 0.0, float(i))
              for i, oid in enumerate(ids)]
     return tr, kinds
@@ -320,7 +320,7 @@ class TestArcSearch:
         if pitch is not None:  # cells of 2% to 20% of the orbit radius
             f = ExplicitField(params, pts,
                               cell_size=pitch * params.larmor_radius)
-        got = ls._Trajectory(f, start, 1.0, (), 8).next_hit(1.0)
+        got = ls._Trajectory(f, start, 1.0, ()).next_hit(1.0)
         want = (first_arc_hit(pts, c, start.velocity_angle, b, eps)
                 if len(pts) else None)
         if want is None:
@@ -345,7 +345,7 @@ class TestArcSearch:
         phase = -math.pi / 16
         start = ParticleState(np.array([math.cos(phase), math.sin(phase)]),
                               phase + math.pi / 2)
-        got = ls._Trajectory(f, start, 1.0, (), 8).next_hit(1.0)
+        got = ls._Trajectory(f, start, 1.0, ()).next_hit(1.0)
         assert got is not None
         length, key, _, c = got
         want = first_arc_hit(np.array([[0.0, 1.0025]]), np.zeros(2),
@@ -363,7 +363,7 @@ class TestArcSearch:
         f = ExplicitField(empty_params(eps=eps, b=1.0), [(1.0, -eps), far],
                           cell_size=0.05)
         start = ParticleState(np.array([1.0, 0.0]), math.pi / 2)
-        length, key, _, c = ls._Trajectory(f, start, 1.0, (), 8).next_hit(1.0)
+        length, key, _, c = ls._Trajectory(f, start, 1.0, ()).next_hit(1.0)
         assert length == pytest.approx(0.75 * math.pi - eps, abs=1e-4)
         assert np.array_equal(c, far)
         assert np.array_equal(f.cell(*key[:2])[key[2]], far)
@@ -416,7 +416,7 @@ class TestRaySearch:
                 pts, _ = concatenated_cells(f, x_lo - eps, x_hi + eps,
                                             y_lo - eps, y_hi + eps)
                 f = ExplicitField(params, pts, cell_size=s)
-            got = ls._Trajectory(f, start, 1.0, (), 8).next_hit(max_len)
+            got = ls._Trajectory(f, start, 1.0, ()).next_hit(max_len)
             want = None
             for ix in range(math.floor((x_lo - eps) / s),
                             math.floor((x_hi + eps) / s) + 1):
@@ -444,7 +444,7 @@ class TestRaySearch:
         # at (0.245, 0), entered first at 0.145, lies in a cell met later
         f = ExplicitField(empty_params(eps=0.1), [(0.23, 0.095), (0.245, 0.0)],
                           cell_size=0.08)
-        tr = ls._Trajectory(f, ParticleState(np.zeros(2), 0.0), 1.0, (), 8)
+        tr = ls._Trajectory(f, ParticleState(np.zeros(2), 0.0), 1.0, ())
         tau, key, _, c = tr.next_hit(1.0)
         assert tau == pytest.approx(0.145, abs=1e-12)
         assert c.tolist() == [0.245, 0.0]
@@ -488,7 +488,7 @@ class TestNearMissCut:
                                              spots, excluded):
         start = ParticleState(np.array(pos), alpha)
         tr = ls._Trajectory(ObstacleField(1, empty_params(eps=eps, b=b)),
-                            start, 1.0, (), 8)
+                            start, 1.0, ())
         r = 1.0 / b
         o = larmor_center(*start.position, start.velocity_angle, b)
         phase0 = start.velocity_angle - 0.5 * math.pi
@@ -509,7 +509,7 @@ class TestNearMissCut:
     def test_straight_leg_not_checked(self):
         # a hit center on the leg itself: no near miss without a field
         tr = ls._Trajectory(ObstacleField(1, empty_params(b=0.0)),
-                            ParticleState(np.zeros(2), 0.0), 1.0, (), 8)
+                            ParticleState(np.zeros(2), 0.0), 1.0, ())
         tr.register_hit((0, 0, 0), (0.5, 0.0), 0.0, 0.0)
         tr.register_hit((0, 0, 1), (-1.0, 0.0), 0.0, 0.0)
         tr.check_near_miss(1.0, None)
@@ -724,7 +724,7 @@ class TestGoldenDigest:
         params = scaling_from(0.01, 1.0, 1.0, b)
         records = ls._replica_chunk(
             (params, 4242, (0xF1E1D,), (), 0, 8, self.T_GRID, self.T_GRID[-1],
-             ls.DEFAULT_K_MAX_LEAVES, ls.DEFAULT_MAX_EVENTS))
+             ls.DEFAULT_MAX_EVENTS))
         assert sha256(record_text(records)) == self.RECORDS[b]
 
     def test_scaling_probabilities(self):

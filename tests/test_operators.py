@@ -337,13 +337,11 @@ class TestSeriesRoutes:
             assert np.max(np.abs(split - direct)) < 1e-8
 
     def test_contraction_factor_at_threshold(self):
-        info = ops.invertibility_threshold()
-        q = ops.neumann_contraction_factor(1.0, info.t_star)
+        q = ops.neumann_contraction_factor(1.0, ops.T_STAR)
         assert abs(q - 1.0) <= 1e-12
 
     def test_refusal_below_threshold(self):
-        info = ops.invertibility_threshold()
-        bad_period = info.t_star * 0.98
+        bad_period = ops.T_STAR * 0.98
         with pytest.raises(ops.SeriesDivergenceError):
             ops.invert_LG_neumann(1.0, bad_period, random_zero_mean(
                 np.random.default_rng(0), 32))
@@ -369,7 +367,7 @@ class TestSeriesRoutes:
         # run or refuse together, including the one period where the
         # rewritten bound rounds below 1 and the factor does not
         g = random_zero_mean(np.random.default_rng(2), 32)
-        period = ops.invertibility_threshold().t_star
+        period = ops.T_STAR
         for _ in range(20):
             period = math.nextafter(period, 0.0)
         for _ in range(40):
@@ -417,7 +415,7 @@ class TestDiffusion:
     def test_sweep_rows(self):
         # B = 8.3 sits between the derived series threshold (about 8.165)
         # and the stated admissible range boundary 8*pi/3 (about 8.378)
-        rows = ops.diffusion_sweep(1.0, [0.0, 1.0, 8.0, 8.3], m_modes=32)
+        rows = ops.diffusion_sweep(1.0, [0.0, 1.0, 8.0, 8.3])
         b, period, d_direct, d_markov, d_mem, converged = rows[0]
         assert b == 0.0 and period == math.inf
         assert d_direct == pytest.approx(0.375, abs=1e-12)
@@ -429,15 +427,28 @@ class TestDiffusion:
         assert rows[3][2] > 0.375
         assert all(r[3] == pytest.approx(0.375) for r in rows)
 
+    @pytest.mark.parametrize("mu", [1.0, 0.25])
+    def test_sweep_rows_equal_a_64_mode_build(self, mu):
+        # the rows read only lambda_1, so one harmonic gives the rows of a
+        # 64-harmonic build bit for bit
+        b_values = [0.1 * i for i in range(101)]
+        d_markov = 3.0 / (8.0 * mu)
+        expected = []
+        for b in b_values:
+            period = ops.cyclotron_period(b)
+            d = -1.0 / ops.build_LG(mu, period, 64).mode(1)
+            expected.append((b, period, d, d_markov, d - d_markov,
+                             ops.neumann_contraction_factor(mu, period) < 1.0))
+        assert ops.diffusion_sweep(mu, b_values) == expected
+
 
 class TestThreshold:
     def test_values(self):
-        info = ops.invertibility_threshold()
         assert ops.BETA == pytest.approx((math.pi - 2.0) / 2.0, abs=1e-15)
-        assert info.t_star == pytest.approx(
+        assert ops.T_STAR == pytest.approx(
             0.5 * math.log(2.0 / (1.0 - ops.BETA)), abs=1e-15)
-        assert info.t_star > 0.75
-        assert info.b_star == pytest.approx(2.0 * math.pi / info.t_star, abs=1e-12)
-        assert info.b_star < info.b_stated
-        assert info.b_stated == pytest.approx(8.0 * math.pi / 3.0, abs=1e-15)
-        assert info.b_gap > 0.2
+        assert ops.T_STAR > 0.75
+        assert ops.B_STAR == pytest.approx(2.0 * math.pi / ops.T_STAR, abs=1e-12)
+        assert ops.B_STAR < ops.B_STATED
+        assert ops.B_STATED == pytest.approx(8.0 * math.pi / 3.0, abs=1e-15)
+        assert ops.B_STATED - ops.B_STAR > 0.2
