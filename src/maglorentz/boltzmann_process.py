@@ -23,13 +23,17 @@ scatter's repeated deflections ("leaves") land:
   ``velocity_autocorrelation_paths`` exposes that route so the gap can be
   measured rather than hidden.
 
-Both routes reduce their blocks the same way: a block's phase table holds
-each path's accumulated deflection after each of its jumps, each row is
-repeated over the grid times at which it is the path's phase, and the
-trapezoid rule integrates the mean cosine.  Without rotation the cosine
-is taken once per table row; with it, the magnetic rotation
-``2 pi t / period`` is added on the grid and the cosine taken per path
-and grid point.
+Both routes reduce their blocks the same way, in time and memory linear
+in the jumps plus the grid.  A block's phase table holds each path's
+accumulated deflection after each of its jumps, and each row is the
+path's phase on one run of grid times, from its jump's grid bin to the
+next jump's.  The mean cosine and its square on the grid are running sums
+of the values that enter and leave at the runs' ends, and a path's
+trapezoid integral sums each row's cosine times its run's weight.  With
+rotation the phase gains ``2 pi t / period`` along the run, so each
+cosine splits as ``cos(phi) cos(wt) - sin(phi) sin(wt)``: the sums run
+over ``cos(phi)`` and ``sin(phi)`` and the weights carry the grid's
+``cos(wt)`` and ``sin(wt)``.
 """
 
 from __future__ import annotations
@@ -49,33 +53,41 @@ from .operators import survival_weight
 GK_BLOCK_SIZE = 20_000
 
 
-def _sorted_jumps(counts, raw_t):
+def _sorted_jumps(counts, raw_t, t_grid=None):
     """Path of each jump, and the jump times sorted within each path.
 
     Path p owns the next ``counts[p]`` entries of ``raw_t``.  The times are
     sorted, then stably by path, whose index takes the smallest unsigned
     type that holds it: ``uint16`` at ``GK_BLOCK_SIZE``, which numpy's
-    stable sort orders by radix.
+    stable sort orders by radix.  Given ``t_grid``, each time is replaced
+    by its grid bin, searched in the global order, where numpy starts each
+    search from the bin of the time before.
     """
     n = len(counts)
     path_of = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), counts)
     order = np.argsort(raw_t)
-    return path_of, raw_t[order][np.argsort(path_of[order], kind="stable")]
+    jt = raw_t[order]
+    if t_grid is not None:
+        jt = np.searchsorted(t_grid, jt)
+    return path_of, jt[np.argsort(path_of[order], kind="stable")]
 
 
 def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
-                 lumped: bool):
+                 lumped: bool, t_grid=None):
     """Jumps of ``n`` independent paths on [0, t_cut].
 
     Returns ``(counts, times, theta, replay, circling)``: the number of
     jumps of each path; the jump times, grouped by path and sorted within
     each path; each jump's deflection; each jump's replay number (0 for a
     scatter, r for the replay r periods after it); and whether each path
-    circles.  Lumped jumps are all scatters and no path circles.
+    circles.  Lumped jumps are all scatters and no path circles.  Given
+    ``t_grid``, each jump's time is replaced by its grid bin, the index of
+    the first grid time at or after it (``len(t_grid)``: none).
     """
     counts = rng.poisson(2.0 * mu * t_cut, n)
     total = int(counts.sum())
-    path_of, jt = _sorted_jumps(counts, rng.random(total) * t_cut)
+    path_of, jt = _sorted_jumps(counts, rng.random(total) * t_cut,
+                                t_grid if lumped else None)
     if lumped:
         # geometric(1.0) still consumes draws, so test the escape probability
         escape = 1.0 - survival_weight(mu, period)
@@ -107,6 +119,8 @@ def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
     times = jt[src]
     later = replay > 0
     times[later] += replay[later] * period
+    if t_grid is not None:
+        times = np.searchsorted(t_grid, times)
     return (np.bincount(path_of[src], minlength=n), times, theta[src], replay,
             circling)
 
@@ -126,43 +140,41 @@ def _phase_table(counts, theta):
             - np.repeat(cs[starts], counts + 1))
 
 
-def _phase_chunks(counts, times, table, t_grid, chunk=2500):
-    """Entries of ``table`` on the time grid, ``chunk`` paths at a time.
+def _row_runs(counts, bins, n_grid):
+    """Grid run ``[first, stop)`` of each row of ``_phase_table``.
 
-    ``table`` holds a value for each row of ``_phase_table``: the phase or
-    its cosine.  Yields ``(lo, hi, values)``: ``values[p - lo, k]`` is the
-    entry of the row that holds path p's phase at ``t_grid[k]``, the sum
-    of its jumps at or before that time.  Path p's row c holds from the
-    grid time of its c-th jump to that of its next, so a chunk is one
-    ``np.repeat`` of a slice of ``table``.  ``chunk`` caps the (paths x
-    grid) arrays; each ``values`` is a new array, the caller's to overwrite.
+    ``bins`` holds each jump's grid bin, grouped by path.  Row c of path p
+    is its phase from the c-th smallest of its bins (row 0 from index 0)
+    to the next one, and its last row to the end of the grid: the rows of
+    the jumps at or before each grid time.  The bins are sorted within
+    each path because a replay time can round past the next scatter's.
     """
-    n, n_grid = len(counts), len(t_grid)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    bounds = np.append(starts + np.arange(n), len(table))  # first table rows
-    # a jump counts from the first grid time at or after it (n_grid: never);
-    # sorted within each path, so that row c starts at the c-th bin even
-    # where a replay time rounds past the next scatter's.  This frame lives
-    # through the chunk loop, so the per-jump arrays are freed here
-    gbin = np.searchsorted(t_grid, times, side="left")
-    key = np.repeat(np.arange(n) * (n_grid + 1), counts)
-    gbin += key
-    gbin.sort(kind="stable")
-    gbin -= key
+    starts = np.cumsum(counts) - counts
+    key = np.repeat(np.arange(len(counts)) * (n_grid + 1), counts)
+    bins = bins + key
+    bins.sort(kind="stable")
+    bins -= key
     del key
-    first = np.insert(gbin, starts, 0)  # each table row's first grid time
-    del gbin
-    # a row holds until the next row's first grid time, a path's last row
-    # to the end of the grid
-    runs = np.append(first[1:], n_grid)
-    runs[bounds[1:] - 1] = n_grid
-    runs -= first
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        a, b = bounds[lo], bounds[hi]
-        yield lo, hi, np.repeat(table[a:b], runs[a:b]).reshape(hi - lo,
-                                                               n_grid)
+    first = np.insert(bins, starts, 0)
+    stop = np.append(first[1:], n_grid)
+    stop[starts + counts + np.arange(len(counts))] = n_grid
+    return first, stop
+
+
+def _run_sums(first, stop, values, n_grid):
+    """Sum, at each grid index, of the values whose run covers it."""
+    edges = np.bincount(first, values, n_grid + 1)
+    edges -= np.bincount(stop, values, n_grid + 1)
+    return np.cumsum(edges[:n_grid])
+
+
+def _run_integrals(first, stop, values, cum):
+    """Each row's value times its run's weight, ``cum`` the prefix sums of
+    the grid's weights from 0."""
+    weight = cum[stop]
+    weight -= cum[first]
+    weight *= values
+    return weight
 
 
 @dataclass(frozen=True)
@@ -242,41 +254,76 @@ def _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
     if not period > 0.0:
         raise ValueError("period must be positive (it may be infinite)")
     t_grid, trap_w = _trapezoid_grid(t_cut, dt_quad)
-    spin = 2.0 * math.pi / period * t_grid if include_rotation else None
+    n_grid = len(t_grid)
+    if include_rotation:
+        spin = 2.0 * math.pi / period * t_grid
+        cos_wt, sin_wt = np.cos(spin), np.sin(spin)
+        cos_2wt, sin_2wt = np.cos(2.0 * spin), np.sin(2.0 * spin)
+        weights = (trap_w * cos_wt, trap_w * sin_wt)
+    else:
+        weights = (trap_w,)
+    # each weight's sum over the grid before each index: a row's run
+    # [first, stop) weighs cum[stop] - cum[first]
+    cum = [np.concatenate([[0.0], np.cumsum(w)]) for w in weights]
+
+    def block(n, rng):
+        """One block's sums over its kept paths: of the cosine on the grid,
+        of its square (with rotation, of cos(2 phi + 2 wt)), and of each
+        path's integral; and its number of circling paths."""
+        counts, bins, theta, replay, circling = _block_jumps(
+            mu, period, t_cut, n, rng, lumped, t_grid)
+        # each array goes once used, so that no step holds more than
+        # _block_jumps did
+        del replay
+        table = _phase_table(counts, theta)
+        del theta
+        first, stop = _row_runs(counts, bins, n_grid)
+        del bins
+        rows = counts + 1
+        if wandering_only:
+            # a circling path has one row, phase 0 on the whole grid
+            keep = np.repeat(~circling, rows)
+            table, first, stop = table[keep], first[keep], stop[keep]
+            rows = rows[~circling]
+        if include_rotation:
+            sin = np.sin(table)
+            cos = np.cos(table, out=table)
+            s = cos_wt * _run_sums(first, stop, cos, n_grid)
+            s -= sin_wt * _run_sums(first, stop, sin, n_grid)
+            sq = cos_2wt * _run_sums(first, stop, cos * cos - sin * sin,
+                                     n_grid)
+            sq -= sin_2wt * _run_sums(first, stop, 2.0 * cos * sin, n_grid)
+            row = _run_integrals(first, stop, cos, cum[0])
+            row -= _run_integrals(first, stop, sin, cum[1])
+        else:
+            cos = np.cos(table, out=table)
+            s = _run_sums(first, stop, cos, n_grid)
+            sq = _run_sums(first, stop, cos * cos, n_grid)
+            row = _run_integrals(first, stop, cos, cum[0])
+        return (s, sq, np.add.reduceat(row, np.cumsum(rows) - rows),
+                int(np.count_nonzero(circling)))
+
     stream = _rng.STREAM_GK_BLOCK if lumped else _rng.STREAM_GB_PATH
-    vsum = np.zeros(len(t_grid))
-    vsq = np.zeros(len(t_grid))
+    vsum = np.zeros(n_grid)
+    vsq = np.zeros(n_grid)
     integrals = []
     n_circling = 0
     for block_idx, done in enumerate(range(0, n_paths, GK_BLOCK_SIZE)):
-        counts, times, theta, _, circling = _block_jumps(
-            mu, period, t_cut, min(GK_BLOCK_SIZE, n_paths - done),
-            _rng.generator(seed, stream, block_idx), lumped)
-        table = _phase_table(counts, theta)
-        if spin is None:
-            # a cosine per (path, jumps taken), not per path and grid point
-            np.cos(table, out=table)
-        s = np.zeros(len(t_grid))
-        sq = np.zeros(len(t_grid))
-        for lo, hi, cosvals in _phase_chunks(counts, times, table, t_grid):
-            if wandering_only:
-                cosvals = cosvals[~circling[lo:hi]]
-            if spin is not None:
-                # the table holds phases: rotate them and take the cosine
-                cosvals += spin
-                np.cos(cosvals, out=cosvals)
-            s += cosvals.sum(axis=0)
-            integrals.append(cosvals @ trap_w)
-            np.square(cosvals, out=cosvals)
-            sq += cosvals.sum(axis=0)
-            del cosvals  # freed before the next chunk is gathered
+        s, sq, per_path, circling = block(
+            min(GK_BLOCK_SIZE, n_paths - done),
+            _rng.generator(seed, stream, block_idx))
         vsum += s
         vsq += sq
-        n_circling += int(np.count_nonzero(circling))
+        integrals.append(per_path)
+        n_circling += circling
     per_path = np.concatenate(integrals) if integrals else np.empty(0)
     kept = len(per_path)
     if kept < 2:
         raise ValueError(f"need at least 2 paths to average, got {kept}")
+    if include_rotation:
+        # cos^2 x = (1 + cos 2x) / 2, and each kept path has one value at
+        # each grid time
+        vsq = 0.5 * (kept + vsq)
     vacf = vsum / kept
     var = np.maximum(vsq / kept - vacf ** 2, 0.0)
     return GreenKuboEstimate(
@@ -310,8 +357,11 @@ def velocity_autocorrelation_paths(mu: float, period: float, n_paths: int,
                                    ) -> GreenKuboEstimate:
     """Autocorrelation of the path-resolved process (diagnostic route).
 
-    With rotation included, circling paths contribute a pure oscillation
-    that averages toward zero; with ``wandering_only`` they are dropped and
+    With rotation included, a circling path keeps phase 0 and contributes
+    the pure oscillation ``cos(2 pi t / period)``, so circling paths add
+    ``p_c sin(2 pi t_cut / period) / (2 pi / period)`` to the integral
+    (``p_c`` the circling fraction), which vanishes when ``t_cut`` is a
+    whole number of periods; with ``wandering_only`` they are dropped and
     the mean is taken over the surviving paths.  At finite ``mu * period``
     this route does not integrate to the operator value: replays spread
     over whole periods retard the angular decorrelation.

@@ -15,6 +15,8 @@ from maglorentz.boltzmann_process import (circling_fraction_mc,
                                           green_kubo_mc,
                                           velocity_autocorrelation_paths)
 
+import continuum_reference as ref
+
 
 def path_jumps(mu, period, n, t_max, seed):
     """``n`` path-resolved paths: (counts, times, theta, replay, circling)."""
@@ -23,11 +25,9 @@ def path_jumps(mu, period, n, t_max, seed):
 
 
 def phases(counts, times, theta, t_grid, spin=None, chunk=2500):
-    """Every path's phase on ``t_grid``, one row per path."""
-    phase = np.vstack([values for _, _, values in bp._phase_chunks(
-        counts, times, bp._phase_table(counts, theta),
-        np.asarray(t_grid, dtype=float), chunk)])
-    return phase if spin is None else phase + spin
+    """Every path's phase on ``t_grid``, one row per path, by the grid form."""
+    return np.vstack([phase for _, _, phase in ref.phase_chunks(
+        counts, times, theta, np.asarray(t_grid, dtype=float), spin, chunk)])
 
 
 def replay_runs(replay):
@@ -240,18 +240,31 @@ class TestGreenKubo:
         assert circling_fraction_mc(1.0, math.inf, 10, 1).fraction == 0.0
 
     def test_traced_peak(self):
-        # one 20,000-path block; each (2,500 paths x 601 grid times) array
-        # takes 12 MB, and one is alive at a time.  24.9 MB at numpy 2.4,
-        # where a reduction that keeps row indices, gathered cosines and
-        # their squares for each chunk, and holds a chunk's arrays while
-        # the next one's are built, peaks at 60.9 MB
+        # one 20,000-path block of about 260,000 phase-table rows: the
+        # reduction holds a few row arrays of 2.1 MB at a time.  10.9 MB at
+        # numpy 2.4, of which the jump sampler alone peaks at 10.2 MB; a
+        # reduction that expands 2,500-path chunks onto the 601-point grid
+        # peaks at 24.9 MB
         tracemalloc.start()
         try:
             green_kubo_mc(1, 1, 20_000, 6, 0.01, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 18e6
+
+    def test_traced_peak_long_grid(self):
+        # a 6,001-point grid with about 7 rows a path: the reduction's
+        # arrays grow with the rows and the grid, not their product.
+        # 6.4 MB at numpy 2.4; expanding chunks onto the grid peaks at
+        # 127 MB
+        tracemalloc.start()
+        try:
+            green_kubo_mc(0.05, 2, 20_000, 60, 0.01, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_fewer_than_two_paths_rejected(self):
         # one path has no standard error: fail instead of returning NaN

@@ -308,9 +308,23 @@ _RULED = {
 }
 
 
-def _key_values(spec, key):
-    if key in _RULED:
-        return _RULED[key]
+# keys drawn, for one kind, from ranges on which its rule holds whatever
+# the other keys: a green-kubo grid of at most 9,901 points (t_cut / dt_quad
+# at most 9,900) and mu t_cut at most 99, and a circling box of at most
+# 10 / 1e-3 x (2 (1 + 1))^2 = 1.6e5 obstacles
+_RULED_BY_KIND = {
+    "green-kubo": {"mu": st.floats(0.0, 1.0, exclude_min=True),
+                   "t_cut": st.floats(0.0, 99.0, exclude_min=True),
+                   "dt_quad": st.floats(0.01, 1e6)},
+    "circling": {"eps": st.floats(1e-3, 1.0), "mu": st.floats(1e-3, 1.0),
+                 "eta": st.floats(1.0, 10.0), "b": st.floats(1.0, 1e3)},
+}
+
+
+def _key_values(kind, spec, key):
+    ruled = {**_RULED, **_RULED_BY_KIND.get(kind, {})}
+    if key in ruled:
+        return ruled[key]
     low, strict = _LOWEST.get(spec.bound, (None, False))
     if spec.typ == "int":
         return st.integers(min_value=None if low is None else low + strict)
@@ -338,7 +352,7 @@ def test_config_round_trip(kind, data):
                 continue  # the alternative not drawn
         elif spec.default is None and not data.draw(st.booleans()):
             continue  # an optional key left out
-        config[key] = data.draw(_key_values(spec, key), label=key)
+        config[key] = data.draw(_key_values(kind, spec, key), label=key)
     assume(not list(EXPERIMENTS[kind].rule(config)))
     assert validate(config_to_text(config), kind) == config
 

@@ -1,17 +1,19 @@
-"""The continuum Monte Carlo estimators give the bits of their grid forms.
+"""The continuum Monte Carlo estimators against their grid forms.
 
 ``continuum_reference`` keeps the Green-Kubo reduction with a cosine per
 path and grid point, and the annulus void count with every radius through
-``np.hypot``.  The package takes one cosine per table row (path, jumps
-taken) and repeats it over the grid, and decides ``np.hypot`` only on the
-points of a squared-radius window, drawn and counted in blocks; both rely
-on numpy computing each element to the same bits in whatever array it
-sits.  The deflection of an impact, computed in place, must give the bits
-of its chain of temporaries.  Estimates, autocorrelations, void counts
-and deflections are compared with ``==`` and ``tobytes``.
+``np.hypot``.  The package sums each phase-table row (path, jumps taken)
+over its run of grid times, so its Green-Kubo sums round differently:
+they must match the grid form's within a bound derived from the
+summation, while the grid, the circling fraction, the path count and the
+jump counts behind each run must match exactly.  The package decides
+``np.hypot`` only on the points of a squared-radius window, drawn and
+counted in blocks, which relies on numpy computing each element to the
+same bits in whatever array it sits.  The deflection of an impact,
+computed in place, must give the bits of its chain of temporaries.  Void
+counts and deflections are compared with ``==`` and ``tobytes``.
 """
 
-import functools
 import math
 import tracemalloc
 
@@ -32,15 +34,59 @@ ROUTES = [(True, False, False), (False, True, False), (False, False, False),
           (False, True, True), (False, False, True)]
 
 
-def outcome(f, *args):
-    """Every output of a Green-Kubo estimate as bytes, or its error."""
+def estimate(f, *args):
+    """A Green-Kubo estimate, or its error message."""
     try:
-        est = f(*args)
+        return f(*args)
     except ValueError as exc:
-        return "error", str(exc)
-    return (est.d_estimate, est.std_error, est.circling_fraction,
-            est.n_paths, est.t_grid.tobytes(), est.vacf.tobytes(),
-            est.vacf_se.tobytes())
+        return str(exc)
+
+
+def assert_close(got, want, t_cut, spin, wandering):
+    """``got`` has ``want``'s grid, circling fraction, path count or error,
+    and its sums within their rounding.
+
+    The two forms add the same cosines in other orders.  Each per-grid-time
+    sum is off by about u = 2^-52 per path and per running-sum step, so its
+    mean by (n_grid + n) u, and a path's integral by the same times t_cut,
+    the largest weight sum.  With rotation the grid form rounds phase +
+    spin before its cosine, which adds about u per radian of that sum; the
+    bound counts the rotation's part, at most ``spin``.  The bound takes 8
+    times the total.  ``vacf_se`` is compared squared, times the paths
+    kept (``wandering``: the wandering ones), as the variance its square
+    root would magnify near 0.
+    """
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert (got.t_grid.tobytes(), got.circling_fraction, got.n_paths) == \
+        (want.t_grid.tobytes(), want.circling_fraction, want.n_paths)
+    kept = want.n_paths
+    if wandering:
+        kept -= round(want.circling_fraction * want.n_paths)
+    tol = 8.0 * (len(want.t_grid) + want.n_paths + spin) * 2.0 ** -52
+    assert np.all(np.abs(got.vacf - want.vacf) <= tol)
+    assert np.all(np.abs(got.vacf_se ** 2 - want.vacf_se ** 2) * kept
+                  <= 4.0 * tol)
+    assert abs(got.d_estimate - want.d_estimate) <= tol * t_cut
+    assert abs(got.std_error - want.std_error) <= tol * t_cut
+
+
+def compare_routes(args, route):
+    """The package's estimate against the grid form's, on one route."""
+    lumped, rotation, wandering = route
+    mu, period, n, t_cut, dt_quad, seed = args
+    if lumped:
+        got = estimate(bp.green_kubo_mc, *args)
+        want = estimate(ref.green_kubo_mc, *args)
+    else:
+        got = estimate(bp.velocity_autocorrelation_paths, *args, rotation,
+                       wandering)
+        want = estimate(ref.vacf_mc, *args, False, rotation, wandering)
+    assert_close(got, want, t_cut,
+                 2.0 * math.pi * t_cut / period if rotation else 0.0,
+                 wandering)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -48,62 +94,71 @@ def outcome(f, *args):
        period=st.one_of(st.floats(0.05, 5.0), st.just(math.inf)),
        t_cut=st.floats(0.1, 4.0), dt_quad=st.floats(0.02, 0.5),
        n=st.integers(2, 60), seed=st.integers(0, 2 ** 32),
-       chunk=st.sampled_from([1, 7, 2500]),
        block=st.sampled_from([5, 16, bp.GK_BLOCK_SIZE]),
        route=st.sampled_from(ROUTES))
 def test_green_kubo_matches_grid_form(mu, period, t_cut, dt_quad, n, seed,
-                                      chunk, block, route):
-    lumped, rotation, wandering = route
-    args = (mu, period, n, t_cut, dt_quad, seed)
+                                      block, route):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bp, "GK_BLOCK_SIZE", block)
-        mp.setattr(bp, "_phase_chunks",
-                   functools.partial(bp._phase_chunks, chunk=chunk))
-        if lumped:
-            got = outcome(bp.green_kubo_mc, *args)
-            want = outcome(ref.green_kubo_mc, *args, chunk)
-        else:
-            got = outcome(bp.velocity_autocorrelation_paths, *args, rotation,
-                          wandering)
-            want = outcome(ref.vacf_mc, *args, False, rotation, wandering,
-                           chunk)
-    assert got == want
+        compare_routes((mu, period, n, t_cut, dt_quad, seed), route)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(n=st.integers(1, 30), lam=st.floats(0.0, 8.0),
-       n_grid=st.integers(1, 40), chunk=st.sampled_from([1, 7, 2500]),
-       seed=st.integers(0, 2 ** 32))
-def test_phase_chunks_match_grid_form(n, lam, n_grid, chunk, seed):
+       n_grid=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
+def test_row_runs_match_grid_form(n, lam, n_grid, seed):
     # a path's times in any order, some of them on grid times or past the
-    # last one: a row holds from the c-th smallest of its path's bins, as
-    # the grid form counts the jumps at or before each grid time
+    # last one.  At each grid index exactly one row of each path covers it,
+    # and it is the row of the jumps the grid form counts at or before that
+    # time: the grid form's phase when every deflection is 1
     rng = np.random.default_rng(seed)
     counts = rng.poisson(lam, n)
     total = int(counts.sum())
     t_grid = np.arange(n_grid) * 0.25
     times = rng.integers(0, 4 * n_grid + 2, total) / 8.0
-    theta = rng.uniform(-math.pi, math.pi, total)
-    table = bp._phase_table(counts, theta)
-    got = [(lo, hi, v.tobytes())
-           for lo, hi, v in bp._phase_chunks(counts, times, table, t_grid,
-                                             chunk)]
-    want = [(lo, hi, v.tobytes())
-            for lo, hi, v in ref.phase_chunks(counts, times, theta, t_grid,
-                                              chunk=chunk)]
-    assert got == want
+    first, stop = bp._row_runs(counts, np.searchsorted(t_grid, times),
+                               n_grid)
+    want = np.vstack([c for _, _, c in ref.phase_chunks(
+        counts, times, np.ones(total), t_grid)])
+    covered = np.zeros((n, n_grid), dtype=np.int64)
+    got = np.zeros((n, n_grid), dtype=np.int64)
+    row = 0
+    for p in range(n):
+        for c in range(counts[p] + 1):
+            assert 0 <= first[row] <= stop[row] <= n_grid
+            covered[p, first[row]:stop[row]] += 1
+            got[p, first[row]:stop[row]] = c
+            row += 1
+    assert row == len(first) == len(stop)
+    assert np.all(covered == 1)
+    assert np.array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mu=st.floats(0.05, 3.0),
+       period=st.one_of(st.floats(0.05, 5.0), st.just(math.inf)),
+       t_cut=st.floats(0.1, 4.0), dt_quad=st.floats(0.02, 0.5),
+       n=st.integers(1, 40), seed=st.integers(0, 2 ** 32),
+       lumped=st.booleans())
+def test_grid_bins_match_search(mu, period, t_cut, dt_quad, n, seed, lumped):
+    # with a grid, each jump's time gives way to the bin that searching the
+    # grid for it gives; every other output and the draws stay.  The grid
+    # holds every other jump time, so that those jumps fall on grid times
+    plain = bp._block_jumps(mu, period, t_cut, n, _rng.generator(seed, 0xEF),
+                            lumped)
+    t_grid = np.union1d(bp._trapezoid_grid(t_cut, dt_quad)[0], plain[1][::2])
+    binned = bp._block_jumps(mu, period, t_cut, n,
+                             _rng.generator(seed, 0xEF), lumped, t_grid)
+    assert np.array_equal(binned[1], np.searchsorted(t_grid, plain[1]))
+    for a, b in zip(plain[:1] + plain[2:], binned[:1] + binned[2:]):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("lumped", [True, False])
 def test_green_kubo_matches_grid_form_over_blocks(lumped):
-    # two full blocks and a partial one, at the production block and chunk
-    args = (1.0, 1.0, 2 * bp.GK_BLOCK_SIZE + 301, 2.0, 0.05, 777)
-    if lumped:
-        assert outcome(bp.green_kubo_mc, *args) == \
-            outcome(ref.green_kubo_mc, *args)
-    else:
-        assert outcome(bp.velocity_autocorrelation_paths, *args) == \
-            outcome(ref.vacf_mc, *args, False, True, False)
+    # two full blocks and a partial one, at the production block
+    compare_routes((1.0, 1.0, 2 * bp.GK_BLOCK_SIZE + 301, 2.0, 0.05, 777),
+                   (True, False, False) if lumped else (False, True, False))
 
 
 @pytest.mark.parametrize("n", [1, 2, 65_535, 65_536, 70_000])
@@ -122,7 +177,13 @@ def test_sorted_jumps_match_lexsort(n, lam, ties, seed):
     path_of, times = bp._sorted_jumps(counts, raw_t)
     want_path = np.repeat(np.arange(n), counts)
     assert np.array_equal(path_of, want_path)
-    assert times.tobytes() == ref.sorted_jump_times(raw_t, want_path).tobytes()
+    want = ref.sorted_jump_times(raw_t, want_path)
+    assert times.tobytes() == want.tobytes()
+    # the grid bins, searched in the global order, are those of the
+    # grouped times; with ``ties``, some times fall on grid times
+    t_grid = np.arange(11) / 10
+    assert np.array_equal(bp._sorted_jumps(counts, raw_t, t_grid)[1],
+                          np.searchsorted(t_grid, want))
 
 
 def shell_points(rng, rho, k):
