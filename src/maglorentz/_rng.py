@@ -3,7 +3,9 @@
 Every stochastic component of the toolkit draws from a Philox generator
 whose 128-bit key is a pure function of (experiment seed, stream tag,
 indices).  Results are therefore reproducible bit for bit regardless of
-evaluation order or worker count.
+evaluation order or worker count.  A consumer may read one stream out of
+order through cursors (``cursor``): copies of its generator set ahead by a
+count of raw draws.
 """
 
 from __future__ import annotations
@@ -76,3 +78,41 @@ def rekey(gen: np.random.Generator, *parts: int) -> np.random.Generator:
         "state": {"counter": _ZEROS4, "key": (key & _MASK64, key >> 64)},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
+
+
+def cursor(gen: np.random.Generator, k: int) -> np.random.Generator:
+    """A generator that draws what ``gen`` draws after its next ``k`` raw
+    64-bit draws; ``gen`` is left as it is.
+
+    Philox makes four raw draws per counter step.  The cursor, a Philox
+    built from ``gen``'s state, uses up what is left of the buffer, then
+    advances the counter by whole steps (which empties the buffer) and
+    takes the rest of ``k`` from the next one.  ``random`` and ``uniform``
+    take one raw draw per value, so a cursor ``n`` raw draws ahead starts
+    where ``n`` of their values end.  Only 64-bit draws are counted: a
+    32-bit half that ``gen`` keeps is not carried past a step.
+    """
+    bits = np.random.Philox(key=0)
+    state = gen.bit_generator.state
+    bits.state = state
+    left = 4 - int(state["buffer_pos"])
+    if k <= left:
+        bits.random_raw(k)
+    else:
+        bits.random_raw(left)
+        bits.advance((k - left) // 4)
+        bits.random_raw((k - left) % 4)
+    return np.random.Generator(bits)
+
+
+def skip_geometric(gen: np.random.Generator, p: float, n: int,
+                   piece: int) -> None:
+    """Move ``gen`` past the draws of ``gen.geometric(p, n)``, drawing and
+    discarding at most ``piece`` values at a time.
+
+    numpy draws a geometric value by a search on one uniform or by
+    inverting an exponential, whose ziggurat takes one or more raw draws,
+    so how far the values reach is found by drawing them.
+    """
+    for done in range(0, n, piece):
+        gen.geometric(p, min(piece, n - done))

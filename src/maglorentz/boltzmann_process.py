@@ -1,7 +1,7 @@
 """Monte Carlo samplers for the memory-carrying velocity jump process.
 
-Two closely related processes live here, and one block sampler,
-``_block_jumps``, draws both.  They share the scattering clock (jumps at
+Two closely related processes live here, and one sampler,
+``_jump_pieces``, draws both.  They share the scattering clock (jumps at
 total rate ``2 mu``) and the impact draws (a uniform normalized impact
 parameter per scatter fixes its deflection); they differ only in where a
 scatter's repeated deflections ("leaves") land:
@@ -23,8 +23,16 @@ scatter's repeated deflections ("leaves") land:
   ``velocity_autocorrelation_paths`` exposes that route so the gap can be
   measured rather than hidden.
 
-Both routes reduce their blocks the same way, in time and memory linear
-in the jumps plus the grid.  A block's phase table holds each path's
+Paths come in blocks of ``GK_BLOCK_SIZE``, each drawn from its own Philox
+stream, and a block is drawn and reduced in pieces of at most
+``GK_PIECE_JUMPS`` scatters, cut between paths, so the memory is bounded
+by a piece (times the replays per scatter on the path-resolved route)
+and not by the block, ``mu`` or ``t_cut``.  A block's stream holds its
+segments one after the other (the times, the leaves, the impacts), and
+three cursors on it (``_rng.cursor``) read each piece's slice of them, so
+the draws are those of the whole block at once.
+Both routes reduce their blocks the same way, in time linear in the
+jumps plus the grid.  A piece's phase table holds each path's
 accumulated deflection after each of its jumps, and each row is the
 path's phase on one run of grid times, from its jump's grid bin to the
 next jump's.  The mean cosine and its square on the grid are running sums
@@ -33,7 +41,11 @@ trapezoid integral sums each row's cosine times its run's weight.  With
 rotation the phase gains ``2 pi t / period`` along the run, so each
 cosine splits as ``cos(phi) cos(wt) - sin(phi) sin(wt)``: the sums run
 over ``cos(phi)`` and ``sin(phi)`` and the weights carry the grid's
-``cos(wt)`` and ``sin(wt)``.
+``cos(wt)`` and ``sin(wt)``.  The pieces give the bits of one reduction
+of the whole block: the running sum of the deflections continues from
+piece to piece, and the values at the runs' ends are added into the
+block's accumulators by ``np.add.at``, in the order one ``np.bincount``
+over the block would add them.
 """
 
 from __future__ import annotations
@@ -52,14 +64,18 @@ from .operators import survival_weight
 # generator(seed, <route's stream>, i), so this size is part of the results
 GK_BLOCK_SIZE = 20_000
 
+# the most drawn jumps of one piece of a block: a block is reduced a piece
+# at a time, so this bounds its memory; not part of the results
+GK_PIECE_JUMPS = 2 ** 15
+
 
 def _sorted_jumps(counts, raw_t, t_grid=None):
     """Path of each jump, and the jump times sorted within each path.
 
     Path p owns the next ``counts[p]`` entries of ``raw_t``.  The times are
     sorted, then stably by path, whose index takes the smallest unsigned
-    type that holds it: ``uint16`` at ``GK_BLOCK_SIZE``, which numpy's
-    stable sort orders by radix.  Given ``t_grid``, each time is replaced
+    type that holds it: at most ``uint16`` for a piece of a block of
+    ``GK_BLOCK_SIZE``, which numpy's stable sort orders by radix.  Given ``t_grid``, each time is replaced
     by its grid bin, searched in the global order, where numpy starts each
     search from the bin of the time before.
     """
@@ -72,72 +88,112 @@ def _sorted_jumps(counts, raw_t, t_grid=None):
     return path_of, jt[np.argsort(path_of[order], kind="stable")]
 
 
-def _block_jumps(mu: float, period: float, t_cut: float, n: int, rng,
-                 lumped: bool, t_grid=None):
-    """Jumps of ``n`` independent paths on [0, t_cut].
+def _pieces(counts):
+    """Path ranges ``[lo, hi)`` that cut a block into pieces of at most
+    ``GK_PIECE_JUMPS`` drawn jumps; a path with more is a piece alone."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        hi = int(np.searchsorted(ends, ends[lo] - counts[lo] + GK_PIECE_JUMPS,
+                                 "right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
-    Returns ``(counts, times, theta, replay, circling)``: the number of
-    jumps of each path; the jump times, grouped by path and sorted within
-    each path; each jump's deflection; each jump's replay number (0 for a
-    scatter, r for the replay r periods after it); and whether each path
-    circles.  Lumped jumps are all scatters and no path circles.  Given
-    ``t_grid``, each jump's time is replaced by its grid bin, the index of
-    the first grid time at or after it (``len(t_grid)``: none).
+
+def _jump_pieces(mu: float, period: float, t_cut: float, n: int, rng,
+                 lumped: bool, t_grid=None):
+    """Jumps of ``n`` independent paths on [0, t_cut], a piece at a time.
+
+    Yields, for each piece of ``_pieces``, ``(counts, times, theta,
+    replay, circling)``: the number of jumps of each of its paths; the jump
+    times, grouped by path and sorted within each path; each jump's
+    deflection; each jump's replay number (0 for a scatter, r for the
+    replay r periods after it); and whether each path circles.  Lumped
+    jumps are all scatters and no path circles.  Given ``t_grid``, each
+    jump's time is replaced by its grid bin, the index of the first grid
+    time at or after it (``len(t_grid)``: none).
+
+    After the ``poisson`` counts, ``rng`` draws in one stream every jump
+    time, then (lumped) each scatter's number of leaves, then each
+    scatter's impact, then (path-resolved, period past ``t_cut``) one
+    uniform per path.  A piece reads its slice of each segment from a
+    cursor on that stream, so the draws are those of the whole block
+    drawn at once.  A time or impact takes one raw draw and a number of
+    leaves an unknown count, so the impacts' cursor is found by drawing
+    the leaves once before.
     """
     counts = rng.poisson(2.0 * mu * t_cut, n)
     total = int(counts.sum())
-    path_of, jt = _sorted_jumps(counts, rng.random(total) * t_cut,
-                                t_grid if lumped else None)
+    impacts = _rng.cursor(rng, total)
+    leaves = late = None
     if lumped:
         # geometric(1.0) still consumes draws, so test the escape probability
         escape = 1.0 - survival_weight(mu, period)
-        leaves = rng.geometric(escape, total) if escape < 1.0 else \
-            np.ones(total, dtype=np.int64)
-        theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total)) * leaves
-        return (counts, jt, theta, np.zeros(total, dtype=np.int64),
-                np.zeros(n, dtype=bool))
-    theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total))
-    ends = np.cumsum(counts)
-    scattered = counts > 0
-    first = np.full(n, np.inf)
-    first[scattered] = jt[ends[scattered] - counts[scattered]]
-    circling = first > period
-    if period > t_cut:
-        # no scatter in the window: the first wait exceeds t_cut, and it
-        # exceeds the period too with probability exp(-2 mu (T - t_cut))
-        circling &= scattered | (rng.random(n) < survival_weight(
-            mu, period - t_cut))
-    # a scatter replays once per whole period before the next scatter, or
-    # before t_cut for a path's last scatter
-    nxt = np.append(jt[1:], t_cut)
-    nxt[ends[scattered] - 1] = t_cut
-    runs = np.where(circling[path_of], 0,
-                    1 + np.floor((nxt - jt) / period).astype(np.int64))
-    src = np.repeat(np.arange(total), runs)
-    replay = np.arange(len(src)) - np.repeat(np.cumsum(runs) - runs, runs)
-    # a scatter keeps its time: 0 * period is NaN at an infinite period
-    times = jt[src]
-    later = replay > 0
-    times[later] += replay[later] * period
-    if t_grid is not None:
-        times = np.searchsorted(t_grid, times)
-    return (np.bincount(path_of[src], minlength=n), times, theta[src], replay,
-            circling)
+        if escape < 1.0:
+            leaves = _rng.cursor(rng, total)
+            _rng.skip_geometric(impacts, escape, total, GK_PIECE_JUMPS)
+    elif period > t_cut:
+        late = _rng.cursor(rng, 2 * total)
+    for lo, hi in _pieces(counts):
+        counts_p = counts[lo:hi]
+        m, n_p = int(counts_p.sum()), hi - lo
+        path_of, jt = _sorted_jumps(counts_p, rng.random(m) * t_cut,
+                                    t_grid if lumped else None)
+        theta = deflection_from_impact(impacts.uniform(-1.0, 1.0, m))
+        if lumped:
+            if leaves is not None:
+                theta *= leaves.geometric(escape, m)
+            yield (counts_p, jt, theta, np.zeros(m, dtype=np.int64),
+                   np.zeros(n_p, dtype=bool))
+            continue
+        ends = np.cumsum(counts_p)
+        scattered = counts_p > 0
+        first = np.full(n_p, np.inf)
+        first[scattered] = jt[ends[scattered] - counts_p[scattered]]
+        circling = first > period
+        if late is not None:
+            # no scatter in the window: the first wait exceeds t_cut, and it
+            # exceeds the period too with probability exp(-2 mu (T - t_cut))
+            circling &= scattered | (late.random(n_p) < survival_weight(
+                mu, period - t_cut))
+        # a scatter replays once per whole period before the next scatter, or
+        # before t_cut for a path's last scatter
+        nxt = np.append(jt[1:], t_cut)
+        nxt[ends[scattered] - 1] = t_cut
+        runs = np.where(circling[path_of], 0,
+                        1 + np.floor((nxt - jt) / period).astype(np.int64))
+        src = np.repeat(np.arange(m), runs)
+        replay = np.arange(len(src)) - np.repeat(np.cumsum(runs) - runs, runs)
+        # a scatter keeps its time: 0 * period is NaN at an infinite period
+        times = jt[src]
+        later = replay > 0
+        times[later] += replay[later] * period
+        if t_grid is not None:
+            times = np.searchsorted(t_grid, times)
+        yield (np.bincount(path_of[src], minlength=n_p), times, theta[src],
+               replay, circling)
 
 
-def _phase_table(counts, theta):
+def _phase_table(counts, theta, carry=None):
     """Every path's phase after each number of its jumps, in one column.
 
     Row ``starts[p] + p + c`` (``starts`` the offset of path p's first
     jump) holds the summed deflection of path p's first c jumps, for c = 0
-    to ``counts[p]``.
+    to ``counts[p]``.  The phases are differences of the running sum of
+    ``theta``; a later piece of a block passes the block's running sum
+    so far as ``carry``, so the sum and its rounding run on across the
+    pieces.  Returns the table and the running sum at its end.
     """
     starts = np.cumsum(counts) - counts
-    cs = np.concatenate([[0.0], np.cumsum(theta)])
+    if carry is None:
+        cs = np.concatenate([[0.0], np.cumsum(theta)])
+    else:
+        cs = np.cumsum(np.concatenate([[carry], theta]))
     # path p's rows take cs[starts[p]] to cs[starts[p] + counts[p]]: cs with
     # each later path's first entry repeated once more, less its first entry
     return (np.insert(cs, starts[1:], cs[starts[1:]])
-            - np.repeat(cs[starts], counts + 1))
+            - np.repeat(cs[starts], counts + 1)), cs[-1]
 
 
 def _row_runs(counts, bins, n_grid):
@@ -159,13 +215,6 @@ def _row_runs(counts, bins, n_grid):
     stop = np.append(first[1:], n_grid)
     stop[starts + counts + np.arange(len(counts))] = n_grid
     return first, stop
-
-
-def _run_sums(first, stop, values, n_grid):
-    """Sum, at each grid index, of the values whose run covers it."""
-    edges = np.bincount(first, values, n_grid + 1)
-    edges -= np.bincount(stop, values, n_grid + 1)
-    return np.cumsum(edges[:n_grid])
 
 
 def _run_integrals(first, stop, values, cum):
@@ -266,58 +315,76 @@ def _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
     # [first, stop) weighs cum[stop] - cum[first]
     cum = [np.concatenate([[0.0], np.cumsum(w)]) for w in weights]
 
-    def block(n, rng):
-        """One block's sums over its kept paths: of the cosine on the grid,
-        of its square (with rotation, of cos(2 phi + 2 wt)), and of each
-        path's integral; and its number of circling paths."""
-        counts, bins, theta, replay, circling = _block_jumps(
-            mu, period, t_cut, n, rng, lumped, t_grid)
-        # each array goes once used, so that no step holds more than
-        # _block_jumps did
-        del replay
-        table = _phase_table(counts, theta)
-        del theta
-        first, stop = _row_runs(counts, bins, n_grid)
-        del bins
-        rows = counts + 1
-        if wandering_only:
-            # a circling path has one row, phase 0 on the whole grid
-            keep = np.repeat(~circling, rows)
-            table, first, stop = table[keep], first[keep], stop[keep]
-            rows = rows[~circling]
+    def block(n, rng, out):
+        """One block's sums over its kept paths, of the cosine on the grid
+        and of its square (with rotation, of cos(2 phi + 2 wt)); its number
+        of kept paths, whose integrals it writes to the front of ``out``;
+        and its number of circling paths."""
+        # with rotation, the run sums of cos phi, sin phi, cos 2phi, sin 2phi
+        edges = np.zeros((4 if include_rotation else 2, 2, n_grid + 1))
+        kept = 0
+        carry = None
+        n_circling = 0
+        for counts, bins, theta, _, circling in _jump_pieces(
+                mu, period, t_cut, n, rng, lumped, t_grid):
+            table, carry = _phase_table(counts, theta, carry)
+            del theta
+            first, stop = _row_runs(counts, bins, n_grid)
+            del bins
+            rows = counts + 1
+            n_circling += int(np.count_nonzero(circling))
+            if wandering_only:
+                # a circling path has one row, phase 0 on the whole grid
+                keep = np.repeat(~circling, rows)
+                table, first, stop = table[keep], first[keep], stop[keep]
+                rows = rows[~circling]
+            if include_rotation:
+                sin = np.sin(table)
+                cos = np.cos(table, out=table)
+                values = (cos, sin, cos * cos - sin * sin, 2.0 * cos * sin)
+                row = _run_integrals(first, stop, cos, cum[0])
+                row -= _run_integrals(first, stop, sin, cum[1])
+            else:
+                cos = np.cos(table, out=table)
+                values = (cos, cos * cos)
+                row = _run_integrals(first, stop, cos, cum[0])
+            # a row's value enters the sum at its run's start and leaves at
+            # its stop; np.add.at adds in np.bincount's order, so the pieces
+            # give the bits of one bincount over the block
+            for e, v in zip(edges, values):
+                np.add.at(e[0], first, v)
+                np.add.at(e[1], stop, v)
+            np.add.reduceat(row, np.cumsum(rows) - rows,
+                            out=out[kept:kept + len(rows)])
+            kept += len(rows)
+        edges[:, 0] -= edges[:, 1]
+        sums = np.cumsum(edges[:, 0, :n_grid], axis=1)
         if include_rotation:
-            sin = np.sin(table)
-            cos = np.cos(table, out=table)
-            s = cos_wt * _run_sums(first, stop, cos, n_grid)
-            s -= sin_wt * _run_sums(first, stop, sin, n_grid)
-            sq = cos_2wt * _run_sums(first, stop, cos * cos - sin * sin,
-                                     n_grid)
-            sq -= sin_2wt * _run_sums(first, stop, 2.0 * cos * sin, n_grid)
-            row = _run_integrals(first, stop, cos, cum[0])
-            row -= _run_integrals(first, stop, sin, cum[1])
+            s = cos_wt * sums[0]
+            s -= sin_wt * sums[1]
+            sq = cos_2wt * sums[2]
+            sq -= sin_2wt * sums[3]
         else:
-            cos = np.cos(table, out=table)
-            s = _run_sums(first, stop, cos, n_grid)
-            sq = _run_sums(first, stop, cos * cos, n_grid)
-            row = _run_integrals(first, stop, cos, cum[0])
-        return (s, sq, np.add.reduceat(row, np.cumsum(rows) - rows),
-                int(np.count_nonzero(circling)))
+            s, sq = sums
+        return s, sq, kept, n_circling
 
     stream = _rng.STREAM_GK_BLOCK if lumped else _rng.STREAM_GB_PATH
     vsum = np.zeros(n_grid)
     vsq = np.zeros(n_grid)
-    integrals = []
+    # one array for every path's integral, filled block by block: lists of
+    # small arrays kept between the pieces' larger ones fragment the heap
+    per_path = np.empty(n_paths)
+    kept = 0
     n_circling = 0
     for block_idx, done in enumerate(range(0, n_paths, GK_BLOCK_SIZE)):
-        s, sq, per_path, circling = block(
+        s, sq, k, circling = block(
             min(GK_BLOCK_SIZE, n_paths - done),
-            _rng.generator(seed, stream, block_idx))
+            _rng.generator(seed, stream, block_idx), per_path[kept:])
         vsum += s
         vsq += sq
-        integrals.append(per_path)
+        kept += k
         n_circling += circling
-    per_path = np.concatenate(integrals) if integrals else np.empty(0)
-    kept = len(per_path)
+    per_path = per_path[:kept]
     if kept < 2:
         raise ValueError(f"need at least 2 paths to average, got {kept}")
     if include_rotation:

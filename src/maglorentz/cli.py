@@ -217,10 +217,13 @@ def _sweep_rule(config):
 #: reduction's few arrays with one entry per grid time
 MAX_GK_GRID = 10 ** 4
 
-#: the most jumps one Green-Kubo block may expect, 2 mu t_cut per path
-#: times ``GK_BLOCK_SIZE`` paths (mu t_cut at most 100): a block's jumps and
-#: phase table then peak at 168 MB traced (numpy 2.4, a 5-point grid)
-MAX_GK_BLOCK_JUMPS = 4 * 10 ** 6
+#: the most jumps one Green-Kubo path may expect, 2 mu t_cut (mu t_cut at
+#: most 2 10^6).  A block is reduced in pieces of at most
+#: ``GK_PIECE_JUMPS`` jumps, cut between paths, so a path is the largest
+#: piece that cannot be split: at the cap its jumps and phase table peak
+#: at about 168 MB traced (numpy 2.4), and any number of paths that
+#: expect fewer jumps stays within a few MB
+MAX_GK_PATH_JUMPS = 4 * 10 ** 6
 
 
 def _green_kubo_rule(config):
@@ -231,12 +234,10 @@ def _green_kubo_rule(config):
                f"{MAX_GK_GRID} points")
     mu = config.get("mu")
     if mu is not None and t_cut is not None:
-        jumps = 2.0 * mu * t_cut * boltzmann_process.GK_BLOCK_SIZE
-        if jumps > MAX_GK_BLOCK_JUMPS:
-            yield (f"one block of {boltzmann_process.GK_BLOCK_SIZE} paths "
-                   f"must expect at most {MAX_GK_BLOCK_JUMPS} jumps, got "
-                   f"2 mu t_cut x {boltzmann_process.GK_BLOCK_SIZE} = "
-                   f"{jumps:.3g}")
+        jumps = 2.0 * mu * t_cut
+        if jumps > MAX_GK_PATH_JUMPS:
+            yield (f"one path must expect at most {MAX_GK_PATH_JUMPS} jumps, "
+                   f"got 2 mu t_cut = {jumps:.3g}")
 
 
 #: the most obstacles one circling field sample may hold on average, which

@@ -4,11 +4,14 @@ These are the bodies the Green-Kubo reduction and the annulus void count
 had before the per-jump phase table and the squared-radius prefilter:
 the phase is looked up as ``cs[first + c] - cs[first]`` and its cosine
 taken per path and grid point, and every point's radius goes through
-``np.hypot``.  A path's jump times are sorted by one ``lexsort``, and each
-chunk of annulus samples draws its points in one call.  The deflection of
-an impact is taken from a chain of full-size temporaries, where the
-package works in place.  The package must return bit-identical results;
-``tests/test_continuum_reference.py`` checks that it does.
+``np.hypot``.  A block's jumps are drawn whole, each segment of its
+stream in one call, where the package draws them a piece at a time
+through cursors on the stream.  A path's jump times are sorted by one
+``lexsort``, and each chunk of annulus samples draws its points in one
+call.  The deflection of an impact is taken from a chain of full-size
+temporaries, where the package works in place.  The package must return
+bit-identical results; ``tests/test_continuum_reference.py`` checks that
+it does.
 """
 
 import dataclasses
@@ -18,6 +21,52 @@ import numpy as np
 
 from maglorentz import _rng
 from maglorentz import boltzmann_process as bp
+from maglorentz.operators import survival_weight
+
+
+def block_jumps(mu, period, t_cut, n, rng, lumped, t_grid=None):
+    """``boltzmann_process._jump_pieces``'s jumps of one block, drawn whole:
+    ``(counts, times, theta, replay, circling)`` of all ``n`` paths."""
+    counts = rng.poisson(2.0 * mu * t_cut, n)
+    total = int(counts.sum())
+    path_of, jt = bp._sorted_jumps(counts, rng.random(total) * t_cut,
+                                   t_grid if lumped else None)
+    if lumped:
+        escape = 1.0 - survival_weight(mu, period)
+        leaves = rng.geometric(escape, total) if escape < 1.0 else \
+            np.ones(total, dtype=np.int64)
+        theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total)) * leaves
+        return (counts, jt, theta, np.zeros(total, dtype=np.int64),
+                np.zeros(n, dtype=bool))
+    theta = deflection_from_impact(rng.uniform(-1.0, 1.0, total))
+    ends = np.cumsum(counts)
+    scattered = counts > 0
+    first = np.full(n, np.inf)
+    first[scattered] = jt[ends[scattered] - counts[scattered]]
+    circling = first > period
+    if period > t_cut:
+        circling &= scattered | (rng.random(n) < survival_weight(
+            mu, period - t_cut))
+    nxt = np.append(jt[1:], t_cut)
+    nxt[ends[scattered] - 1] = t_cut
+    runs = np.where(circling[path_of], 0,
+                    1 + np.floor((nxt - jt) / period).astype(np.int64))
+    src = np.repeat(np.arange(total), runs)
+    replay = np.arange(len(src)) - np.repeat(np.cumsum(runs) - runs, runs)
+    times = jt[src]
+    later = replay > 0
+    times[later] += replay[later] * period
+    if t_grid is not None:
+        times = np.searchsorted(t_grid, times)
+    return (np.bincount(path_of[src], minlength=n), times, theta[src], replay,
+            circling)
+
+
+def joined_pieces(*args, **kwargs):
+    """The pieces of ``boltzmann_process._jump_pieces``, joined into one
+    block's ``(counts, times, theta, replay, circling)``."""
+    return tuple(np.concatenate(parts) for parts in
+                 zip(*bp._jump_pieces(*args, **kwargs)))
 
 
 def phase_chunks(counts, times, theta, t_grid, spin=None, chunk=2500):
@@ -55,7 +104,7 @@ def vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
     integrals = []
     n_circling = 0
     for block_idx, done in enumerate(range(0, n_paths, bp.GK_BLOCK_SIZE)):
-        counts, times, theta, _, circling = bp._block_jumps(
+        counts, times, theta, _, circling = block_jumps(
             mu, period, t_cut, min(bp.GK_BLOCK_SIZE, n_paths - done),
             _rng.generator(seed, stream, block_idx), lumped)
         s = np.zeros(len(t_grid))

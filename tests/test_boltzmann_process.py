@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -20,8 +22,8 @@ import continuum_reference as ref
 
 def path_jumps(mu, period, n, t_max, seed):
     """``n`` path-resolved paths: (counts, times, theta, replay, circling)."""
-    return bp._block_jumps(mu, period, t_max, n, _rng.generator(seed, 0xAB),
-                           lumped=False)
+    return ref.joined_pieces(mu, period, t_max, n,
+                             _rng.generator(seed, 0xAB), lumped=False)
 
 
 def phases(counts, times, theta, t_grid, spin=None, chunk=2500):
@@ -123,7 +125,7 @@ class TestPathSampler:
         t_probe = 5.0 / (2.0 * mu)
         n = 100_000
         a0 = np.random.default_rng(8).uniform(0, 2 * math.pi, n)
-        counts, times, theta, _, _ = bp._block_jumps(
+        counts, times, theta, _, _ = ref.joined_pieces(
             mu, period, t_probe, n, _rng.generator(8, 0xCD), lumped=False)
         spin = np.array([2 * math.pi * t_probe / period])
         angles = (a0 + phases(counts, times, theta, [t_probe], spin)[:, 0]) \
@@ -137,9 +139,9 @@ class TestPathSampler:
        t_cut=st.floats(0.1, 10.0), n=st.integers(1, 40),
        seed=st.integers(0, 2 ** 32))
 def test_placements_share_scatters(mu, period, t_cut, n, seed):
-    lumped = bp._block_jumps(mu, period, t_cut, n, _rng.generator(seed, 0xEF),
-                             lumped=True)
-    counts, times, theta, replay, circling = bp._block_jumps(
+    lumped = ref.joined_pieces(mu, period, t_cut, n,
+                               _rng.generator(seed, 0xEF), lumped=True)
+    counts, times, theta, replay, circling = ref.joined_pieces(
         mu, period, t_cut, n, _rng.generator(seed, 0xEF), lumped=False)
     # the same scatter clock: the path-resolved scatters are the lumped
     # jumps of the paths that do not circle
@@ -240,23 +242,22 @@ class TestGreenKubo:
         assert circling_fraction_mc(1.0, math.inf, 10, 1).fraction == 0.0
 
     def test_traced_peak(self):
-        # one 20,000-path block of about 260,000 phase-table rows: the
-        # reduction holds a few row arrays of 2.1 MB at a time.  10.9 MB at
-        # numpy 2.4, of which the jump sampler alone peaks at 10.2 MB; a
-        # reduction that expands 2,500-path chunks onto the 601-point grid
-        # peaks at 24.9 MB
+        # one 20,000-path block of about 240,000 jumps, reduced in pieces of
+        # at most 2^15 jumps: 4.2 MB at numpy 2.4.  Reducing the whole
+        # block at once peaks at 10.9 MB, and expanding 2,500-path chunks
+        # onto the 601-point grid at 24.9 MB
         tracemalloc.start()
         try:
             green_kubo_mc(1, 1, 20_000, 6, 0.01, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18e6
+        assert peak < 8e6
 
     def test_traced_peak_long_grid(self):
         # a 6,001-point grid with about 7 rows a path: the reduction's
-        # arrays grow with the rows and the grid, not their product.
-        # 6.4 MB at numpy 2.4; expanding chunks onto the grid peaks at
+        # arrays grow with a piece's rows and the grid, not their product.
+        # 4.7 MB at numpy 2.4; expanding chunks onto the grid peaks at
         # 127 MB
         tracemalloc.start()
         try:
@@ -264,7 +265,23 @@ class TestGreenKubo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("lumped", [True, False])
+    def test_traced_peak_many_jumps(self, lumped):
+        # 200 expected jumps a path, 4 million in the block: the memory is
+        # a piece's, 4.0 MB lumped and 5.6 MB path-resolved at numpy 2.4.
+        # Drawing and reducing the whole block at once peaks at 168 MB
+        tracemalloc.start()
+        try:
+            if lumped:
+                green_kubo_mc(25, 1, 20_000, 4, 1, 1)
+            else:
+                velocity_autocorrelation_paths(25, 1, 20_000, 4, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_fewer_than_two_paths_rejected(self):
         # one path has no standard error: fail instead of returning NaN
@@ -274,6 +291,118 @@ class TestGreenKubo:
         with pytest.raises(ValueError, match="at least 2 paths"):
             velocity_autocorrelation_paths(1e-9, 1.0, 10, 3.0, 0.1, seed=1,
                                            wandering_only=True)
+
+
+def digest(est):
+    """SHA-256 of an estimate's D, its error, the vacf and the vacf's error."""
+    h = hashlib.sha256()
+    for a in (np.array([est.d_estimate, est.std_error]), est.vacf,
+              est.vacf_se):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def libm_deflection(b_norm):
+    """``deflection_from_impact`` with the C library's ``asin``: numpy's
+    ``arcsin`` takes an AVX-512 form where the CPU has it, which rounds
+    differently."""
+    asin = np.fromiter(map(math.asin, np.abs(b_norm).tolist()), float,
+                       len(b_norm))
+    out = np.copysign(math.pi - 2.0 * asin, b_norm)
+    out[b_norm == 0.0] = math.pi
+    return out
+
+
+class TestGoldenDigest:
+    """Pinned SHA-256 digests of Green-Kubo estimates on both routes.
+
+    A block draws its jumps through cursors on one Philox stream and is
+    reduced a piece at a time (``GK_PIECE_JUMPS``), so the cursors must
+    land where one whole draw of each segment leaves the stream and the
+    running sums must continue across the pieces.  The digests were taken
+    from the reduction of whole blocks; any piece budget must give them.
+    The deflections take ``asin`` from the C library (``libm_deflection``),
+    so the bytes do not depend on the CPU numpy dispatches to; at numpy
+    2.4, ``cos``, ``sin`` and the sums gave the same bits with and without
+    its AVX-512 and AVX2 kernels.  What still varies is the C library and
+    numpy's Philox, Poisson and geometric streams.
+    The lumped cases cover the geometric leaves by search (period 1), by
+    inversion (mu 0.05, period 2) and left out (an infinite period); the
+    path-resolved ones rotation, dropped circling paths and a period past
+    ``t_cut``, which draws one more uniform per path.  Each config covers
+    two blocks at its first size; the second size, 500 paths, is the one
+    the piece budgets are checked at.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _libm_deflection(self, monkeypatch):
+        monkeypatch.setattr(bp, "deflection_from_impact", libm_deflection)
+
+    CONFIGS = {
+        # (lumped, (mu, period, t_cut, dt_quad, seed), rotation, wandering)
+        "lumped": (True, (1.0, 1.0, 6.0, 0.01, 777), False, False),
+        "lumped-inversion": (True, (0.05, 2.0, 60.0, 0.05, 5), False, False),
+        "lumped-no-leaves": (True, (1.0, math.inf, 4.0, 0.02, 11), False,
+                             False),
+        "path-rotation": (False, (1.0, 1.0, 4.0, 0.02, 21), True, False),
+        "path-wandering": (False, (1.0, 1.0, 4.0, 0.02, 22), True, True),
+        "path-long-period": (False, (0.1, 3.0, 2.0, 0.02, 23), True, False),
+    }
+    DIGESTS = {
+        ("lumped", 50_000):
+            "1af3427f19ac904a89757740b628bf2602a1609c4f661774fdd805db1f7a8e72",
+        ("lumped", 500):
+            "5e3f88bef07f5b195d0f4700512ad391bfc792b82bf42ddb0e9f0e0940d52865",
+        ("lumped-inversion", 30_000):
+            "c363d6a5b95ec3f9be59f1d41f6a5f3934ceab3cf06bb5b057c04d10365a98c9",
+        ("lumped-inversion", 500):
+            "bd8665a234ee5e7a3d0024dba9caa58e7bc1edbd944759843897b10cee705fb8",
+        ("lumped-no-leaves", 30_000):
+            "1787c5ae0c50a1459f9ac84713095c7ebede8ada24658992ec1de25ebb895f78",
+        ("lumped-no-leaves", 500):
+            "baf9eb909166dfbe9d0440240a7f9bfba6ce5ad08afc07a6e99e46fa35d3eb70",
+        ("path-rotation", 30_000):
+            "9a798c4616fabbfb3b43d4659302c81b566b2054ed1f8a1924d747cf1fc6d20c",
+        ("path-rotation", 500):
+            "a99c483cd24e1a6a98837448cacdff96ae3070b8903ef01d090fd822b5b00432",
+        ("path-wandering", 30_000):
+            "ca12c37bac6cb4bb143cde620281b6d42f4a3b9ef758fe36a48a56cb66370b95",
+        ("path-wandering", 500):
+            "05c5c3b6352b30be964e94fe8ec642def5c55b2bd8e843e4a2a2058037b79236",
+        ("path-long-period", 30_000):
+            "857bacafe69e6f8a41703ab54020e0fbbbe60e2e3e312fab945c2e90cf3a6425",
+        ("path-long-period", 500):
+            "6006901a6829728a96aeada5285cd4a94de5d2f38a79886947b142c26c0df55f",
+    }
+
+    def estimate(self, name, n_paths):
+        lumped, (mu, period, t_cut, dt_quad, seed), rotation, wandering = \
+            self.CONFIGS[name]
+        if lumped:
+            return green_kubo_mc(mu, period, n_paths, t_cut, dt_quad, seed)
+        return velocity_autocorrelation_paths(
+            mu, period, n_paths, t_cut, dt_quad, seed,
+            include_rotation=rotation, wandering_only=wandering)
+
+    @pytest.mark.parametrize("name, n_paths",
+                             [key for key in DIGESTS if key[1] > 500])
+    def test_estimate(self, name, n_paths):
+        assert digest(self.estimate(name, n_paths)) == \
+            self.DIGESTS[name, n_paths]
+
+    @pytest.mark.parametrize("budget", [1, 7, bp.GK_PIECE_JUMPS, 10 ** 9])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_any_piece_budget(self, name, budget):
+        # 1 and 7 cut the block at nearly every path; 10^9 leaves it whole
+        fields = {}
+        for jumps in (10 ** 9, budget):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bp, "GK_PIECE_JUMPS", jumps)
+                est = self.estimate(name, 500)
+            fields[jumps] = [np.asarray(v).tobytes()
+                             for v in dataclasses.astuple(est)]
+        assert fields[budget] == fields[10 ** 9]
+        assert digest(est) == self.DIGESTS[name, 500]
 
 
 class TestPathRouteDiagnostic:

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maglorentz.boltzmann_process import GK_BLOCK_SIZE
-from maglorentz.cli import (EXPERIMENTS, MAX_ANNULUS_BOX, MAX_GK_BLOCK_JUMPS,
+from maglorentz.cli import (EXPERIMENTS, MAX_ANNULUS_BOX, MAX_GK_PATH_JUMPS,
                             MAX_GK_GRID, MAX_SWEEP_ROWS, ConfigError,
                             config_to_text, main, validate)
 
@@ -234,11 +233,12 @@ class TestValidate:
         assert accepted == (built <= MAX_GK_GRID)
 
     @pytest.mark.parametrize("mu,t_cut,shown", [
-        ("25", "4", None),  # 2 x 25 x 4 x 20000 = 4e6 jumps, the cap
-        ("26", "4", "4.16e+06"),
+        ("25", "4", None),  # the old cap on a 20,000-path block
+        ("5e5", "4", None),  # 2 x 5e5 x 4 = 4e6 jumps a path, the cap
+        ("5.2e5", "4", "4.16e+06"),
         ("1e308", "4", "inf"),  # the product overflows
     ])
-    def test_green_kubo_block_jumps_capped(self, mu, t_cut, shown):
+    def test_green_kubo_path_jumps_capped(self, mu, t_cut, shown):
         # validation alone: no path is drawn
         text = with_key(with_key(GREEN_KUBO_CONFIG, "mu", mu), "t_cut", t_cut)
         if shown is None:
@@ -247,9 +247,8 @@ class TestValidate:
         with pytest.raises(ConfigError) as err:
             validate(text, "green-kubo")
         assert err.value.errors == [
-            f"one block of {GK_BLOCK_SIZE} paths must expect at most "
-            f"{MAX_GK_BLOCK_JUMPS} jumps, got 2 mu t_cut x {GK_BLOCK_SIZE} = "
-            f"{shown}"]
+            f"one path must expect at most {MAX_GK_PATH_JUMPS} jumps, got "
+            f"2 mu t_cut = {shown}"]
 
     @pytest.mark.parametrize("key,value,shown", [
         ("b", "2.5e-3", None),  # mu_eff = 10, box side 1600.02: 6.4e6
@@ -310,10 +309,10 @@ _RULED = {
 
 # keys drawn, for one kind, from ranges on which its rule holds whatever
 # the other keys: a green-kubo grid of at most 9,901 points (t_cut / dt_quad
-# at most 9,900) and mu t_cut at most 99, and a circling box of at most
+# at most 9,900) and mu t_cut at most 1.98e6, and a circling box of at most
 # 10 / 1e-3 x (2 (1 + 1))^2 = 1.6e5 obstacles
 _RULED_BY_KIND = {
-    "green-kubo": {"mu": st.floats(0.0, 1.0, exclude_min=True),
+    "green-kubo": {"mu": st.floats(0.0, 2e4, exclude_min=True),
                    "t_cut": st.floats(0.0, 99.0, exclude_min=True),
                    "dt_quad": st.floats(0.01, 1e6)},
     "circling": {"eps": st.floats(1e-3, 1.0), "mu": st.floats(1e-3, 1.0),
