@@ -175,7 +175,7 @@ def _jump_pieces(mu: float, period: float, t_cut: float, n: int, rng,
                replay, circling)
 
 
-def _phase_table(counts, theta, carry=None):
+def _phase_table(counts, theta, carry=0.0):
     """Every path's phase after each number of its jumps, in one column.
 
     Row ``starts[p] + p + c`` (``starts`` the offset of path p's first
@@ -186,10 +186,7 @@ def _phase_table(counts, theta, carry=None):
     pieces.  Returns the table and the running sum at its end.
     """
     starts = np.cumsum(counts) - counts
-    if carry is None:
-        cs = np.concatenate([[0.0], np.cumsum(theta)])
-    else:
-        cs = np.cumsum(np.concatenate([[carry], theta]))
+    cs = np.cumsum(np.concatenate([[carry], theta]))
     # path p's rows take cs[starts[p]] to cs[starts[p] + counts[p]]: cs with
     # each later path's first entry repeated once more, less its first entry
     return (np.insert(cs, starts[1:], cs[starts[1:]])
@@ -323,7 +320,7 @@ def _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
         # with rotation, the run sums of cos phi, sin phi, cos 2phi, sin 2phi
         edges = np.zeros((4 if include_rotation else 2, 2, n_grid + 1))
         kept = 0
-        carry = None
+        carry = 0.0
         n_circling = 0
         for counts, bins, theta, _, circling in _jump_pieces(
                 mu, period, t_cut, n, rng, lumped, t_grid):

@@ -320,12 +320,16 @@ class TestGoldenDigest:
     reduced a piece at a time (``GK_PIECE_JUMPS``), so the cursors must
     land where one whole draw of each segment leaves the stream and the
     running sums must continue across the pieces.  The digests were taken
-    from the reduction of whole blocks; any piece budget must give them.
-    The deflections take ``asin`` from the C library (``libm_deflection``),
-    so the bytes do not depend on the CPU numpy dispatches to; at numpy
-    2.4, ``cos``, ``sin`` and the sums gave the same bits with and without
-    its AVX-512 and AVX2 kernels.  What still varies is the C library and
-    numpy's Philox, Poisson and geometric streams.
+    at numpy 2.4 from the reduction of whole blocks (``test_estimate``);
+    any piece budget must give the whole block's bytes
+    (``test_any_piece_budget``, which pins no bytes).
+    The deflections take ``asin`` from the C library (``libm_deflection``);
+    at numpy 2.4, ``cos``, ``sin`` and the sums gave the same bits with
+    and without its AVX-512 and AVX2 kernels.  numpy 1.22 to 1.24 take
+    float64 ``cos`` and ``sin`` from SVML's AVX-512 kernels where the CPU
+    has them, so the pinned digests are not checked at the numpy floor.
+    What else varies is the C library and numpy's Philox, Poisson and
+    geometric streams.
     The lumped cases cover the geometric leaves by search (period 1), by
     inversion (mu 0.05, period 2) and left out (an infinite period); the
     path-resolved ones rotation, dropped circling paths and a period past
@@ -384,8 +388,7 @@ class TestGoldenDigest:
             mu, period, n_paths, t_cut, dt_quad, seed,
             include_rotation=rotation, wandering_only=wandering)
 
-    @pytest.mark.parametrize("name, n_paths",
-                             [key for key in DIGESTS if key[1] > 500])
+    @pytest.mark.parametrize("name, n_paths", list(DIGESTS))
     def test_estimate(self, name, n_paths):
         assert digest(self.estimate(name, n_paths)) == \
             self.DIGESTS[name, n_paths]
@@ -402,7 +405,6 @@ class TestGoldenDigest:
             fields[jumps] = [np.asarray(v).tobytes()
                              for v in dataclasses.astuple(est)]
         assert fields[budget] == fields[10 ** 9]
-        assert digest(est) == self.DIGESTS[name, 500]
 
 
 class TestPathRouteDiagnostic:
