@@ -218,10 +218,10 @@ def _sweep_rule(config):
 MAX_GK_GRID = 10 ** 4
 
 #: the most jumps one Green-Kubo path may expect, 2 mu t_cut (mu t_cut at
-#: most 2 10^6).  A block is reduced in pieces of at most
-#: ``GK_PIECE_JUMPS`` jumps, cut between paths, so a path is the largest
-#: piece that cannot be split: at the cap its jumps and phase table peak
-#: at about 168 MB traced (numpy 2.4), and any number of paths that
+#: most 2 10^6).  Paths are drawn and reduced in blocks that expect at most
+#: ``boltzmann_process.GK_BLOCK`` jumps (``block_paths``), but a path that
+#: expects more is a block alone: at the cap its jumps and phase table
+#: peak at about 168 MB traced (numpy 2.4), and any number of paths that
 #: expect fewer jumps stays within a few MB
 MAX_GK_PATH_JUMPS = 4 * 10 ** 6
 
@@ -238,6 +238,12 @@ def _green_kubo_rule(config):
         if jumps > MAX_GK_PATH_JUMPS:
             yield (f"one path must expect at most {MAX_GK_PATH_JUMPS} jumps, "
                    f"got 2 mu t_cut = {jumps:.3g}")
+    period = config.get("period")
+    if mu is not None and period is not None \
+            and operators.survival_weight(mu, period) == 1.0:
+        # a lumped scatter's geometric leaves would never end
+        yield (f"2 mu period must be large enough that exp(-2 mu period) "
+               f"< 1, got 2 mu period = {2.0 * mu * period:.3g}")
 
 
 #: the most obstacles one circling field sample may hold on average, which

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -16,14 +15,15 @@ from maglorentz import operators as ops
 from maglorentz.boltzmann_process import (circling_fraction_mc,
                                           green_kubo_mc,
                                           velocity_autocorrelation_paths)
+from maglorentz.cli import MAX_GK_PATH_JUMPS
 
 import continuum_reference as ref
 
 
 def path_jumps(mu, period, n, t_max, seed):
     """``n`` path-resolved paths: (counts, times, theta, replay, circling)."""
-    return ref.joined_pieces(mu, period, t_max, n,
-                             _rng.generator(seed, 0xAB), lumped=False)
+    return bp._block_jumps(mu, period, t_max, n, _rng.generator(seed, 0xAB),
+                           lumped=False)
 
 
 def phases(counts, times, theta, t_grid, spin=None, chunk=2500):
@@ -125,7 +125,7 @@ class TestPathSampler:
         t_probe = 5.0 / (2.0 * mu)
         n = 100_000
         a0 = np.random.default_rng(8).uniform(0, 2 * math.pi, n)
-        counts, times, theta, _, _ = ref.joined_pieces(
+        counts, times, theta, _, _ = bp._block_jumps(
             mu, period, t_probe, n, _rng.generator(8, 0xCD), lumped=False)
         spin = np.array([2 * math.pi * t_probe / period])
         angles = (a0 + phases(counts, times, theta, [t_probe], spin)[:, 0]) \
@@ -139,9 +139,9 @@ class TestPathSampler:
        t_cut=st.floats(0.1, 10.0), n=st.integers(1, 40),
        seed=st.integers(0, 2 ** 32))
 def test_placements_share_scatters(mu, period, t_cut, n, seed):
-    lumped = ref.joined_pieces(mu, period, t_cut, n,
-                               _rng.generator(seed, 0xEF), lumped=True)
-    counts, times, theta, replay, circling = ref.joined_pieces(
+    lumped = bp._block_jumps(mu, period, t_cut, n, _rng.generator(seed, 0xEF),
+                             lumped=True)
+    counts, times, theta, replay, circling = bp._block_jumps(
         mu, period, t_cut, n, _rng.generator(seed, 0xEF), lumped=False)
     # the same scatter clock: the path-resolved scatters are the lumped
     # jumps of the paths that do not circle
@@ -242,10 +242,10 @@ class TestGreenKubo:
         assert circling_fraction_mc(1.0, math.inf, 10, 1).fraction == 0.0
 
     def test_traced_peak(self):
-        # one 20,000-path block of about 240,000 jumps, reduced in pieces of
-        # at most 2^15 jumps: 4.2 MB at numpy 2.4.  Reducing the whole
-        # block at once peaks at 10.9 MB, and expanding 2,500-path chunks
-        # onto the 601-point grid at 24.9 MB
+        # 20,000 paths of 12 expected jumps, about 240,000 jumps, in blocks
+        # of 2,730 paths that expect 2^15 jumps: 1.7 MB at numpy 2.4.  One
+        # block of all 20,000 paths peaks at 10.9 MB, and expanding
+        # 2,500-path chunks onto the 601-point grid at 24.9 MB
         tracemalloc.start()
         try:
             green_kubo_mc(1, 1, 20_000, 6, 0.01, 1)
@@ -256,8 +256,8 @@ class TestGreenKubo:
 
     def test_traced_peak_long_grid(self):
         # a 6,001-point grid with about 7 rows a path: the reduction's
-        # arrays grow with a piece's rows and the grid, not their product.
-        # 4.7 MB at numpy 2.4; expanding chunks onto the grid peaks at
+        # arrays grow with a block's rows and the grid, not their product.
+        # 2.2 MB at numpy 2.4; expanding chunks onto the grid peaks at
         # 127 MB
         tracemalloc.start()
         try:
@@ -269,9 +269,10 @@ class TestGreenKubo:
 
     @pytest.mark.parametrize("lumped", [True, False])
     def test_traced_peak_many_jumps(self, lumped):
-        # 200 expected jumps a path, 4 million in the block: the memory is
-        # a piece's, 4.0 MB lumped and 5.6 MB path-resolved at numpy 2.4.
-        # Drawing and reducing the whole block at once peaks at 168 MB
+        # 200 expected jumps a path, 4 million in all: the memory is a
+        # block's of 163 paths, 1.7 MB lumped and 2.4 MB path-resolved at
+        # numpy 2.4.  Drawing and reducing all 20,000 paths as one block
+        # peaks at 168 MB
         tracemalloc.start()
         try:
             if lumped:
@@ -291,6 +292,37 @@ class TestGreenKubo:
         with pytest.raises(ValueError, match="at least 2 paths"):
             velocity_autocorrelation_paths(1e-9, 1.0, 10, 3.0, 0.1, seed=1,
                                            wandering_only=True)
+
+    def test_lumped_refuses_unending_leaves(self):
+        # exp(-2 mu period) rounds to 1: a scatter's geometric leaves would
+        # have escape probability 0, which numpy's geometric refuses
+        with pytest.raises(ValueError, match="mu \\* period is too small"):
+            green_kubo_mc(1e-20, 1.0, 10, 1.0, 0.1, seed=1)
+        # the path-resolved route draws no leaves: every path circles
+        est = velocity_autocorrelation_paths(1e-20, 1.0, 10, 1.0, 0.1, seed=1)
+        assert est.circling_fraction == 1.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mu=st.floats(1e-3, 1e3), t_cut=st.floats(1e-3, 1e4))
+def test_block_paths_bounds(mu, t_cut):
+    # a block holds at most GK_BLOCK paths, which together expect at most
+    # GK_BLOCK jumps, and it is the largest such block; one path that
+    # expects more is a block alone
+    n = bp.block_paths(mu, t_cut)
+    jumps = 2.0 * mu * t_cut
+    assert 1 <= n <= bp.GK_BLOCK
+    assert n == 1 or n * jumps <= bp.GK_BLOCK * (1 + 1e-12)
+    assert n == bp.GK_BLOCK or (n + 1) * jumps > bp.GK_BLOCK
+
+
+def test_block_paths_extremes():
+    # the CLI's cap, 2 mu t_cut = 4 10^6 jumps a path: one path a block
+    assert bp.block_paths(1.0, MAX_GK_PATH_JUMPS / 2) == 1
+    # the quotient is not taken past the float range: 32768 / 2e-305
+    # overflows, and 1e-200 * 1e-200 underflows to 0
+    assert bp.block_paths(1e-305, 1.0) == bp.GK_BLOCK
+    assert bp.block_paths(1e-200, 1e-200) == bp.GK_BLOCK
 
 
 def digest(est):
@@ -316,13 +348,10 @@ def libm_deflection(b_norm):
 class TestGoldenDigest:
     """Pinned SHA-256 digests of Green-Kubo estimates on both routes.
 
-    A block draws its jumps through cursors on one Philox stream and is
-    reduced a piece at a time (``GK_PIECE_JUMPS``), so the cursors must
-    land where one whole draw of each segment leaves the stream and the
-    running sums must continue across the pieces.  The digests were taken
-    at numpy 2.4 from the reduction of whole blocks (``test_estimate``);
-    any piece budget must give the whole block's bytes
-    (``test_any_piece_budget``, which pins no bytes).
+    Paths come in blocks of ``block_paths(mu, t_cut)``, each drawn and
+    reduced whole from its own Philox stream, so a digest pins the draws,
+    their order in the stream and the partition into blocks.  The digests
+    were taken at numpy 2.4.
     The deflections take ``asin`` from the C library (``libm_deflection``);
     at numpy 2.4, ``cos``, ``sin`` and the sums gave the same bits with
     and without its AVX-512 and AVX2 kernels.  numpy 1.22 to 1.24 take
@@ -333,9 +362,11 @@ class TestGoldenDigest:
     The lumped cases cover the geometric leaves by search (period 1), by
     inversion (mu 0.05, period 2) and left out (an infinite period); the
     path-resolved ones rotation, dropped circling paths and a period past
-    ``t_cut``, which draws one more uniform per path.  Each config covers
-    two blocks at its first size; the second size, 500 paths, is the one
-    the piece budgets are checked at.
+    ``t_cut``, which draws one more uniform per path.  At its first size
+    each config spans several blocks (2,730 paths a block at 12 expected
+    jumps a path, 4,096 at 8, 5,461 at 6), except the long period's, whose
+    0.4 expected jumps a path fill one block of ``GK_BLOCK`` paths; at the
+    second size, 500 paths, each is one block.
     """
 
     @pytest.fixture(autouse=True)
@@ -354,27 +385,27 @@ class TestGoldenDigest:
     }
     DIGESTS = {
         ("lumped", 50_000):
-            "1af3427f19ac904a89757740b628bf2602a1609c4f661774fdd805db1f7a8e72",
+            "801a006477a2d8c5fc9dfe2a2a40845041a4c4b85751ffb1822ec0bb18dc1cef",
         ("lumped", 500):
             "5e3f88bef07f5b195d0f4700512ad391bfc792b82bf42ddb0e9f0e0940d52865",
         ("lumped-inversion", 30_000):
-            "c363d6a5b95ec3f9be59f1d41f6a5f3934ceab3cf06bb5b057c04d10365a98c9",
+            "2fc0b47856ca81411f93158943882ceb015baa31ac9aea5f04bb3864b7cc2b97",
         ("lumped-inversion", 500):
             "bd8665a234ee5e7a3d0024dba9caa58e7bc1edbd944759843897b10cee705fb8",
         ("lumped-no-leaves", 30_000):
-            "1787c5ae0c50a1459f9ac84713095c7ebede8ada24658992ec1de25ebb895f78",
+            "dbb79e1a63f3525ddc486d5753714ad9776c53b65fd9f992983dfd814235418b",
         ("lumped-no-leaves", 500):
             "baf9eb909166dfbe9d0440240a7f9bfba6ce5ad08afc07a6e99e46fa35d3eb70",
         ("path-rotation", 30_000):
-            "9a798c4616fabbfb3b43d4659302c81b566b2054ed1f8a1924d747cf1fc6d20c",
+            "fe94601e9de640bc16f37fab985f1c1caaa5e9e915f85e793ce8bac394c7a49f",
         ("path-rotation", 500):
             "a99c483cd24e1a6a98837448cacdff96ae3070b8903ef01d090fd822b5b00432",
         ("path-wandering", 30_000):
-            "ca12c37bac6cb4bb143cde620281b6d42f4a3b9ef758fe36a48a56cb66370b95",
+            "1ef32e4a81a28f95cc858cdf97d48afff5a604cab1da1a06f4a6fb776ea453d8",
         ("path-wandering", 500):
             "05c5c3b6352b30be964e94fe8ec642def5c55b2bd8e843e4a2a2058037b79236",
         ("path-long-period", 30_000):
-            "857bacafe69e6f8a41703ab54020e0fbbbe60e2e3e312fab945c2e90cf3a6425",
+            "4f6eeb39efea5d2e16fcc2cf8a1e2b8ec20d5aacef5375b2a02fda555f38cd28",
         ("path-long-period", 500):
             "6006901a6829728a96aeada5285cd4a94de5d2f38a79886947b142c26c0df55f",
     }
@@ -392,19 +423,6 @@ class TestGoldenDigest:
     def test_estimate(self, name, n_paths):
         assert digest(self.estimate(name, n_paths)) == \
             self.DIGESTS[name, n_paths]
-
-    @pytest.mark.parametrize("budget", [1, 7, bp.GK_PIECE_JUMPS, 10 ** 9])
-    @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_any_piece_budget(self, name, budget):
-        # 1 and 7 cut the block at nearly every path; 10^9 leaves it whole
-        fields = {}
-        for jumps in (10 ** 9, budget):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(bp, "GK_PIECE_JUMPS", jumps)
-                est = self.estimate(name, 500)
-            fields[jumps] = [np.asarray(v).tobytes()
-                             for v in dataclasses.astuple(est)]
-        assert fields[budget] == fields[10 ** 9]
 
 
 class TestPathRouteDiagnostic:
@@ -466,6 +484,25 @@ class TestPathRouteDiagnostic:
         est = velocity_autocorrelation_paths(mu, period, 40_000, 12.0, 0.02,
                                              seed=16, include_rotation=True)
         assert abs(est.d_estimate - pred) < 5 * est.std_error
+
+    @pytest.mark.parametrize("mu, period, t_cut", [
+        (1.0, 1.0, 12.25), (0.5, 0.8, 3.3), (0.3, 2.0, 5.0)])
+    def test_circling_term(self, mu, period, t_cut):
+        # with rotation, a circling path keeps phase 0 and integrates the
+        # pure oscillation, so with one seed the estimate is the wandering
+        # paths' mean weighted by 1 - p_c plus p_c times the oscillation's
+        # trapezoid sum; at (1, 1, 12.25) the term is 0.022 of 0.068.  The
+        # two sides add the same path integrals, at most t_cut each, in
+        # other orders
+        est = velocity_autocorrelation_paths(mu, period, 2000, t_cut, 0.05,
+                                             seed=3)
+        wandering = velocity_autocorrelation_paths(
+            mu, period, 2000, t_cut, 0.05, seed=3, wandering_only=True)
+        t_grid, trap_w = bp._trapezoid_grid(t_cut, 0.05)
+        p_c = est.circling_fraction
+        term = p_c * np.sum(trap_w * np.cos(2 * math.pi / period * t_grid))
+        want = (1 - p_c) * wandering.d_estimate + term
+        assert abs(est.d_estimate - want) <= 16 * 2.0 ** -52 * t_cut
 
 
 class TestPhaseLookup:

@@ -204,9 +204,12 @@ class TestValidate:
     ])
     def test_green_kubo_grid_capped(self, t_cut, dt_quad, ok):
         # validation alone: no path is drawn and no grid allocated; a tiny
-        # mu keeps every block's expected jumps under their own cap
-        text = with_key(with_key(with_key(GREEN_KUBO_CONFIG, "mu", "1e-300"),
-                                 "t_cut", t_cut), "dt_quad", dt_quad)
+        # mu keeps every path's expected jumps under their own cap, and a
+        # long period keeps exp(-2 mu period) below 1
+        text = GREEN_KUBO_CONFIG
+        for key, value in (("mu", "1e-300"), ("period", "1e300"),
+                           ("t_cut", t_cut), ("dt_quad", dt_quad)):
+            text = with_key(text, key, value)
         if ok:
             assert validate(text, "green-kubo")["t_cut"] == float(t_cut)
             return
@@ -249,6 +252,30 @@ class TestValidate:
         assert err.value.errors == [
             f"one path must expect at most {MAX_GK_PATH_JUMPS} jumps, got "
             f"2 mu t_cut = {shown}"]
+
+    @pytest.mark.parametrize("mu, shown", [
+        ("1e-15", None),  # exp(-2e-15) rounds below 1
+        ("1e-20", "2e-20"),
+    ])
+    def test_green_kubo_unending_leaves_refused(self, tmp_path, capsys, mu,
+                                                shown):
+        # exp(-2 mu period) rounding to 1 would leave a lumped scatter's
+        # geometric leaves an escape probability of 0
+        text = with_key(GREEN_KUBO_CONFIG, "mu", mu)
+        if shown is None:
+            assert validate(text, "green-kubo")["mu"] == float(mu)
+            return
+        message = (f"2 mu period must be large enough that exp(-2 mu period) "
+                    f"< 1, got 2 mu period = {shown}")
+        with pytest.raises(ConfigError) as err:
+            validate(text, "green-kubo")
+        assert err.value.errors == [message]
+        cfg = tmp_path / "gk.cfg"
+        cfg.write_text(text)
+        assert main(["green-kubo", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize("key,value,shown", [
         ("b", "2.5e-3", None),  # mu_eff = 10, box side 1600.02: 6.4e6

@@ -94,12 +94,12 @@ def compare_routes(args, route):
        period=st.one_of(st.floats(0.05, 5.0), st.just(math.inf)),
        t_cut=st.floats(0.1, 4.0), dt_quad=st.floats(0.02, 0.5),
        n=st.integers(2, 60), seed=st.integers(0, 2 ** 32),
-       block=st.sampled_from([5, 16, bp.GK_BLOCK_SIZE]),
+       block=st.sampled_from([5, 16, bp.GK_BLOCK]),
        route=st.sampled_from(ROUTES))
 def test_green_kubo_matches_grid_form(mu, period, t_cut, dt_quad, n, seed,
                                       block, route):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bp, "GK_BLOCK_SIZE", block)
+        mp.setattr(bp, "block_paths", lambda *_: block)
         compare_routes((mu, period, n, t_cut, dt_quad, seed), route)
 
 
@@ -144,52 +144,21 @@ def test_grid_bins_match_search(mu, period, t_cut, dt_quad, n, seed, lumped):
     # with a grid, each jump's time gives way to the bin that searching the
     # grid for it gives; every other output and the draws stay.  The grid
     # holds every other jump time, so that those jumps fall on grid times
-    plain = ref.joined_pieces(mu, period, t_cut, n, _rng.generator(seed, 0xEF),
-                              lumped)
+    plain = bp._block_jumps(mu, period, t_cut, n, _rng.generator(seed, 0xEF),
+                            lumped)
     t_grid = np.union1d(bp._trapezoid_grid(t_cut, dt_quad)[0], plain[1][::2])
-    binned = ref.joined_pieces(mu, period, t_cut, n,
-                               _rng.generator(seed, 0xEF), lumped, t_grid)
+    binned = bp._block_jumps(mu, period, t_cut, n, _rng.generator(seed, 0xEF),
+                             lumped, t_grid)
     assert np.array_equal(binned[1], np.searchsorted(t_grid, plain[1]))
     for a, b in zip(plain[:1] + plain[2:], binned[:1] + binned[2:]):
-        assert a.tobytes() == b.tobytes()
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(mu=st.floats(0.01, 3.0),
-       period=st.one_of(st.floats(0.05, 5.0), st.just(math.inf)),
-       t_cut=st.floats(0.1, 8.0), n=st.integers(1, 60),
-       seed=st.integers(0, 2 ** 32), lumped=st.booleans(),
-       budget=st.sampled_from([1, 7, 50, bp.GK_PIECE_JUMPS]),
-       binned=st.booleans())
-def test_pieces_match_whole_block(mu, period, t_cut, n, seed, lumped,
-                                  budget, binned):
-    # each piece holds at most the budget's scatters, or one path, and the
-    # pieces joined are the block drawn whole, bit for bit: the cursors
-    # start where one draw of each segment before theirs ends.  Below
-    # mu period = ln(3/2) / 2 numpy draws the leaves by inversion, above it
-    # by search
-    t_grid = bp._trapezoid_grid(t_cut, 0.05)[0] if binned else None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bp, "GK_PIECE_JUMPS", budget)
-        pieces = list(bp._jump_pieces(mu, period, t_cut, n,
-                                      _rng.generator(seed, 0xEF), lumped,
-                                      t_grid))
-    want = ref.block_jumps(mu, period, t_cut, n, _rng.generator(seed, 0xEF),
-                           lumped, t_grid)
-    scatters = [int(np.count_nonzero(replay == 0))
-                for _, _, _, replay, _ in pieces]
-    paths = [len(circling) for _, _, _, _, circling in pieces]
-    assert sum(paths) == n
-    assert all(s <= budget or p == 1 for s, p in zip(scatters, paths))
-    got = [np.concatenate(parts) for parts in zip(*pieces)]
-    for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("lumped", [True, False])
 def test_green_kubo_matches_grid_form_over_blocks(lumped):
     # two full blocks and a partial one, at the production block
-    compare_routes((1.0, 1.0, 2 * bp.GK_BLOCK_SIZE + 301, 2.0, 0.05, 777),
+    compare_routes((1.0, 1.0, 2 * bp.block_paths(1.0, 2.0) + 301, 2.0, 0.05,
+                    777),
                    (True, False, False) if lumped else (False, True, False))
 
 
