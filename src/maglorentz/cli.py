@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -254,10 +255,7 @@ MAX_ANNULUS_BOX = 10 ** 7
 def _circling_rule(config):
     keys = [config.get(k) for k in ("eps", "mu", "eta", "b")]
     if all(v is not None and v > 0 for v in keys):
-        eps, mu, eta, b = keys
-        # mu_eff times the area of the square bounding the orbit annulus
-        side = 2.0 * (1.0 / b + eps)
-        count = eta * mu / eps * side * side
+        count = medium.annulus_box_mean(medium.ScalingParams(*keys))
         if count > MAX_ANNULUS_BOX:
             yield (f"one field sample's box must hold at most "
                    f"{MAX_ANNULUS_BOX} obstacles on average, "
@@ -328,8 +326,7 @@ def _run_operator_sweep(config, workers):
 
 
 def _make_field(config):
-    grid = kinetic_solver.SpectralGrid(config["l_box"], config["n_x"],
-                                       config["n_v"])
+    grid = kinetic_solver.SpectralGrid(config["l_box"], config["n_v"])
     f0 = kinetic_solver.make_initial_field(
         grid, config["rho_amplitude"], config["rho_mode"],
         config["angle_amplitude"])
@@ -362,8 +359,8 @@ def _run_circling(config, workers):
     annulus = medium.empty_annulus_probability_mc(
         params, (0.0, 0.0), config["n_fields"], config["seed"])
     process = boltzmann_process.circling_fraction_mc(
-        config["mu"], params.t_larmor, config["n_paths"],
-        _rng.mix(config["seed"], 0x51))
+        config["mu"], operators.cyclotron_period(config["b"]),
+        config["n_paths"], _rng.mix(config["seed"], 0x51))
     rows = [("field_annulus", annulus.estimate, annulus.std_error,
              annulus.closed_form),
             ("process_survival", process.fraction, process.std_error,
@@ -375,8 +372,8 @@ def _run_circling(config, workers):
 
 # -- the experiment table ------------------------------------------------------
 
-# the datum of kinetic_solver.make_initial_field on a SpectralGrid; n_x bounds
-# |rho_mode| (see _field_rule) and sizes nothing
+# the datum of kinetic_solver.make_initial_field on a SpectralGrid; n_x only
+# bounds |rho_mode| (see _field_rule): the library sizes nothing by it
 _INITIAL_FIELD = {
     "l_box": _Key("float", 2.0 * math.pi, "positive"),
     "n_x": _Key("int", 2, "nonnegative"),
@@ -482,9 +479,9 @@ def main(argv=None) -> int:
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -493,9 +490,15 @@ def main(argv=None) -> int:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
+    # refused before the computation, which may take long
+    out_dir = os.path.dirname(args.out) or "."
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+        print(f"error: no writable directory '{out_dir}'", file=sys.stderr)
+        return 2
     try:
         return run(config, args.out, args.workers)
-    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
+    except (OSError, ValueError, RuntimeError, ArithmeticError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

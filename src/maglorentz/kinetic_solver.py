@@ -45,18 +45,17 @@ class SolverInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """A box of period l_box and n_v angles; n_x bounds the datum's |mode|."""
+    """A box of period l_box and n_v angles."""
 
     l_box: float
-    n_x: int
     n_v: int
     angles: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.l_box < math.inf:
             raise ValueError("l_box must be positive and finite")
-        if self.n_x < 0 or self.n_v < 8:
-            raise ValueError("need n_x >= 0 and n_v >= 8")
+        if self.n_v < 8:
+            raise ValueError("need n_v >= 8")
         object.__setattr__(
             self, "angles", 2.0 * math.pi * np.arange(self.n_v) / self.n_v)
 
@@ -287,13 +286,10 @@ def make_initial_field(grid: SpectralGrid, rho_amplitude: float = 0.5,
     """Normalized product datum: (1 + a cos(2 pi p x1 / L)) (1 + c cos alpha).
 
     Total mass is exactly 1.  The field carries the modes (0, 0) and, when
-    a and p are nonzero, +-(p, 0), in increasing order; |p| must be at most
-    ``grid.n_x``.
+    a and p are nonzero, +-(p, 0), in increasing order.
     """
     base = 1.0 / (2.0 * math.pi * grid.l_box ** 2)
     p = abs(rho_mode) if rho_amplitude else 0
-    if p > grid.n_x:
-        raise ValueError(f"mode ({rho_mode}, 0) beyond n_x = {grid.n_x}")
     wave = 0.5 * rho_amplitude * base
     side, amps = ([-p, 0, p], [wave, base, wave]) if p else ([0], [base])
     modes = np.array([(a, 0) for a in side], dtype=int)

@@ -40,21 +40,22 @@ class RegimeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Physical parameters of one scaling point.
-
-    ``mu_eff = eta * mu / eps`` is the obstacle intensity actually used to
-    draw the field.  ``larmor_radius`` and ``t_larmor`` are the cyclotron
-    radius 1/B and period 2*pi/B of the unit-speed particle (infinite when
-    B = 0).
-    """
+    """Physical parameters of one scaling point: eps, mu, eta and B."""
 
     eps: float
     mu: float
     eta: float
-    mu_eff: float
     b_magnitude: float
-    larmor_radius: float
-    t_larmor: float
+
+    @property
+    def mu_eff(self) -> float:
+        """eta * mu / eps, the obstacle intensity the field is drawn at."""
+        return self.eta * self.mu / self.eps
+
+    @property
+    def larmor_radius(self) -> float:
+        """Cyclotron radius 1/B of the unit-speed particle (inf at B = 0)."""
+        return 1.0 / self.b_magnitude if self.b_magnitude > 0.0 else math.inf
 
     @property
     def dilute_number(self) -> float:
@@ -86,14 +87,7 @@ def scaling_from(eps: float, mu: float, eta: float, b_magnitude: float = 0.0
                          "(no divergence slower than constant)")
     if not 0.0 <= b_magnitude < math.inf:
         raise ValueError("field magnitude must be finite and nonnegative")
-    mu_eff = eta * mu / eps
-    if b_magnitude > 0.0:
-        r = 1.0 / b_magnitude
-        t_larmor = 2.0 * math.pi / b_magnitude
-    else:
-        r = math.inf
-        t_larmor = math.inf
-    params = ScalingParams(eps, mu, eta, mu_eff, b_magnitude, r, t_larmor)
+    params = ScalingParams(eps, mu, eta, b_magnitude)
     if params.dilute_number > 0.1:
         warnings.warn(
             f"mu_eff*eps^2 = {params.dilute_number:.3g} > 0.1: gas is not dilute",
@@ -258,6 +252,14 @@ def _box_blocks(gen, total: int, buf, half: float):
         yield pts
 
 
+def annulus_box_mean(params: ScalingParams) -> float:
+    """Mean obstacle count of the square bounding the orbit annulus."""
+    try:
+        return params.mu_eff * (2.0 * (params.larmor_radius + params.eps)) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
                                  seed: int) -> AnnulusVoidEstimate:
     """Monte Carlo estimate of the empty-orbit-annulus probability.
@@ -280,8 +282,7 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     closed = math.exp(-params.mu_eff * 4.0 * math.pi * r * eps)
     if params.mu_eff == 0.0:
         return AnnulusVoidEstimate(1.0, 0.0, 1.0)
-    half = r + eps
-    lam_box = params.mu_eff * (2.0 * half) ** 2
+    lam_box = annulus_box_mean(params)
     gen = _rng.generator(seed, _rng.STREAM_ANNULUS)
     void = 0
     chunk = max(1, min(n_samples, int(2e6 / max(lam_box, 1.0))))
@@ -290,7 +291,7 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     while done < n_samples:
         n = min(chunk, n_samples - done)
         counts = gen.poisson(lam_box, n)
-        void += _void_count(_box_blocks(gen, int(counts.sum()), buf, half),
+        void += _void_count(_box_blocks(gen, int(counts.sum()), buf, r + eps),
                             counts, r, eps)
         done += n
     p = void / n_samples

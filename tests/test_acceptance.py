@@ -108,7 +108,7 @@ def test_criterion_05_threshold_arithmetic():
 
 def test_criterion_06_kinetic_relaxation_rate():
     mu, eta = 1.0, 4.0
-    grid = ks.SpectralGrid(2.0 * math.pi, 0, 32)
+    grid = ks.SpectralGrid(2.0 * math.pi, 32)
     model = ks.KineticModel(mu, eta, 0.0, grid)
     f0 = ks.make_initial_field(grid, 0.0, 0, 0.5)
     expect = 2.0 * mu * eta ** 2 * (4.0 / 3.0)
@@ -127,7 +127,7 @@ def test_criterion_06_kinetic_relaxation_rate():
 
 
 def test_criterion_07_mass_conservation_grid():
-    grid = ks.SpectralGrid(2.0 * math.pi, 1, 32)
+    grid = ks.SpectralGrid(2.0 * math.pi, 32)
     f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
     worst = 0.0
     for b in (1.0, 4.0, 7.9):
@@ -142,7 +142,7 @@ def test_criterion_07_mass_conservation_grid():
 
 
 def test_criterion_08_hydrodynamic_trend():
-    grid = ks.SpectralGrid(2.0 * math.pi, 2, 48)
+    grid = ks.SpectralGrid(2.0 * math.pi, 48)
     f0 = ks.make_initial_field(grid, 0.5, 1, 0.2)
     rows = ks.hilbert_residual_study([4.0, 8.0, 16.0], 1.0, 1.0, grid, f0,
                                      t_probe=0.5)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from maglorentz import cli, medium
 from maglorentz.cli import (EXPERIMENTS, MAX_ANNULUS_BOX, MAX_GK_PATH_JUMPS,
                             MAX_GK_GRID, MAX_SWEEP_ROWS, ConfigError,
                             config_to_text, main, validate)
@@ -63,6 +64,11 @@ def with_key(text, key, value):
     lines = [line for line in text.splitlines()
              if line.split("=")[0].strip() != key]
     return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+def _decades(lo, hi):
+    """Floats 10^x for x uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
 
 
 class TestValidate:
@@ -282,6 +288,7 @@ class TestValidate:
         ("b", "1.25e-3", "2.56e+07"),
         ("mu", "1e6", "4.08e+08"),
         ("mu", "1e308", "inf"),  # mu_eff overflows
+        ("b", "1e-200", "inf"),  # the box's squared side overflows
     ])
     def test_circling_box_capped(self, tmp_path, capsys, key, value, shown):
         text = with_key(CIRCLING_CONFIG, key, value)
@@ -300,6 +307,30 @@ class TestValidate:
                      "--out", str(tmp_path / "run")]) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.filterwarnings("ignore::maglorentz.medium.RegimeWarning")
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(eps=_decades(-4, -0.3), mu=_decades(-3, 6), eta=_decades(0, 3),
+           b=_decades(-6, 3))
+    def test_circling_cap_is_the_drawn_box(self, eps, mu, eta, b):
+        # the rule refuses on the very mean count the annulus draw uses
+        # (about a third of these examples are refused), and the field's
+        # intensity and radius are the plain formulas
+        params = medium.scaling_from(eps, mu, eta, b)
+        assert params.mu_eff == eta * mu / eps
+        assert params.larmor_radius == 1.0 / b
+        count = medium.annulus_box_mean(medium.ScalingParams(eps, mu, eta, b))
+        text = CIRCLING_CONFIG
+        for key, value in (("eps", eps), ("mu", mu), ("eta", eta), ("b", b)):
+            text = with_key(text, key, repr(value))
+        if count <= MAX_ANNULUS_BOX:
+            assert validate(text, "circling")["b"] == b
+            return
+        with pytest.raises(ConfigError) as err:
+            validate(text, "circling")
+        assert err.value.errors == [
+            f"one field sample's box must hold at most {MAX_ANNULUS_BOX} "
+            f"obstacles on average, got mu_eff (2 (1/b + eps))^2 = {count:.3g}"]
 
     def test_kind_mismatch(self):
         with pytest.raises(ConfigError, match="does not match"):
@@ -392,6 +423,40 @@ class TestMainFlow:
         assert code == 2
         assert "must be positive" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"mu = 1\xff\n")
+        assert main(["operator-sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("parent", ["missing", "a_file"])
+    def test_out_directory_missing_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch, parent):
+        cfg = tmp_path / "a_file"
+        cfg.write_text(SWEEP_CONFIG)
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("ran"))
+        out = tmp_path / parent / "run"
+        assert main(["operator-sweep", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no writable directory '{out.parent}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
+    def test_failed_write_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CONFIG)
+        (tmp_path / "run_dsweep.csv").mkdir()  # the CSV cannot be opened
+        assert main(["operator-sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "run_dsweep.csv" in err
+        assert not (tmp_path / "run_summary.json").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_usage_error(self, tmp_path, capsys, workers):

@@ -293,9 +293,8 @@ def test_box_blocks_continue_one_stream(total, block, seed):
 
 
 def annulus_params(eps, mu_eff, b):
-    return medium.ScalingParams(
-        eps=eps, mu=mu_eff * eps, eta=1.0, mu_eff=mu_eff, b_magnitude=b,
-        larmor_radius=1.0 / b, t_larmor=2.0 * math.pi / b)
+    return medium.ScalingParams(eps=eps, mu=mu_eff * eps, eta=1.0,
+                                b_magnitude=b)
 
 
 def chunk_counts(params, n, seed):

@@ -11,7 +11,7 @@ from maglorentz import operators as ops
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return ks.SpectralGrid(2 * math.pi, 2, 32)
+    return ks.SpectralGrid(2 * math.pi, 32)
 
 
 def lattice(n_x):
@@ -54,21 +54,21 @@ def reality_defect(fld):
 
 class TestGrid:
     def test_wavevectors(self):
-        grid = ks.SpectralGrid(2.0, 1, 8)
+        grid = ks.SpectralGrid(2.0, 8)
         k, k_abs = grid.wavevectors(np.array([(0, 0), (3, -4)]))
         assert np.allclose(k, [[0.0, 0.0], [3 * math.pi, -4 * math.pi]])
         assert np.allclose(k_abs, [0.0, 5 * math.pi])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ks.SpectralGrid(0.0, 2, 32)
+            ks.SpectralGrid(0.0, 32)
         with pytest.raises(ValueError):
-            ks.SpectralGrid(1.0, 2, 4)
+            ks.SpectralGrid(1.0, 4)
 
     @pytest.mark.parametrize("l_box", [math.nan, math.inf, -math.inf])
     def test_non_finite_box_rejected(self, l_box):
         with pytest.raises(ValueError, match="l_box"):
-            ks.SpectralGrid(l_box, 1, 8)
+            ks.SpectralGrid(l_box, 8)
 
 
 class TestInitialField:
@@ -91,17 +91,12 @@ class TestInitialField:
         (0.5, -1, [(-1, 0), (0, 0), (1, 0)]),
         (0.5, 0, [(0, 0)]),
         (0.0, 7, [(0, 0)]),  # no density wave: the mode is not used
+        (0.5, -7, [(-7, 0), (0, 0), (7, 0)]),  # any mode: the CLI bounds it
     ])
     def test_carried_modes(self, small_grid, amplitude, mode, carried):
         f0 = ks.make_initial_field(small_grid, amplitude, mode, 0.3)
         assert f0.modes.tolist() == [list(m) for m in carried]
         assert f0.values_hat.shape == (len(carried), small_grid.n_v)
-
-    def test_mode_outside_lattice(self, small_grid):
-        with pytest.raises(ValueError, match="beyond n_x = 2"):
-            ks.make_initial_field(small_grid, 0.5, 7, 0.0)
-        with pytest.raises(ValueError, match="beyond n_x = 2"):
-            ks.make_initial_field(small_grid, 0.5, -3, 0.0)
 
     def test_one_mode_per_row(self, small_grid):
         with pytest.raises(ValueError, match="one mode"):
@@ -143,15 +138,15 @@ class TestConservation:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(mu=st.floats(0.2, 3.0), eta=st.floats(1.0, 4.0),
            b=st.one_of(st.just(0.0), st.floats(0.1, 8.0)),
-           l_box=st.floats(1.0, 10.0), n_x=st.integers(0, 3),
+           l_box=st.floats(1.0, 10.0), max_mode=st.integers(0, 3),
            n_v=st.sampled_from([8, 16, 32]), mode=st.floats(0.0, 1.0),
            rho_amplitude=st.floats(-0.9, 0.9),
            angle_amplitude=st.floats(-0.9, 0.9))
-    def test_mass_exact_random(self, mu, eta, b, l_box, n_x, n_v, mode,
+    def test_mass_exact_random(self, mu, eta, b, l_box, max_mode, n_v, mode,
                                rho_amplitude, angle_amplitude):
-        grid = ks.SpectralGrid(l_box, n_x, n_v)
+        grid = ks.SpectralGrid(l_box, n_v)
         model = ks.KineticModel(mu, eta, b, grid)
-        f0 = ks.make_initial_field(grid, rho_amplitude, round(mode * n_x),
+        f0 = ks.make_initial_field(grid, rho_amplitude, round(mode * max_mode),
                                    angle_amplitude)
         # past one delay (at least 0.196) whenever B >= 4 and eta = 4
         res = ks.solve(model, f0, 0.3)
@@ -169,7 +164,7 @@ class TestConservation:
         # a field that carries every mode |xi_i| <= n_x, with noise off the
         # datum, evolves the datum's rows bit for bit the same as the datum
         # alone: a field carries only the modes of its datum on this property
-        grid = ks.SpectralGrid(2 * math.pi, n_x, n_v)
+        grid = ks.SpectralGrid(2 * math.pi, n_v)
         model = ks.KineticModel(1.0, 2.0, b, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
         rng = np.random.default_rng(1)
@@ -182,8 +177,7 @@ class TestConservation:
 
     def test_homogeneous_stays_homogeneous(self, small_grid):
         model = ks.KineticModel(1.0, 2.0, 1.0, small_grid)
-        f0, at = on_lattice(ks.make_initial_field(small_grid, 0.0, 0, 0.4),
-                            small_grid.n_x)
+        f0, at = on_lattice(ks.make_initial_field(small_grid, 0.0, 0, 0.4), 2)
         res = ks.solve(model, f0, 0.5)
         hat = res.final.values_hat
         off0 = np.delete(hat, at, axis=0)
@@ -193,7 +187,7 @@ class TestConservation:
 class TestRelaxation:
     def test_harmonic_decay_rates(self):
         # with no spatial structure each harmonic decays at eta^2 |ell_m|
-        grid = ks.SpectralGrid(2 * math.pi, 0, 32)
+        grid = ks.SpectralGrid(2 * math.pi, 32)
         mu, eta = 1.0, 2.0
         model = ks.KineticModel(mu, eta, 0.0, grid)
         f0 = ks.make_initial_field(grid, 0.0, 0, 0.4)
@@ -278,14 +272,14 @@ class TestNoField:
        b=st.one_of(st.just(0.0), st.floats(0.1, 10.0)))
 def test_k_cut_is_the_default(mu, b):
     # the model keeps the operators' truncation, with or without a field
-    model = ks.KineticModel(mu, 2.0, b, ks.SpectralGrid(2 * math.pi, 1, 16))
+    model = ks.KineticModel(mu, 2.0, b, ks.SpectralGrid(2 * math.pi, 16))
     assert model.k_cut == ops.default_k_cut(mu, ops.cyclotron_period(b))
 
 
 class TestSolveArguments:
     @pytest.fixture(scope="class")
     def problem(self):
-        grid = ks.SpectralGrid(2 * math.pi, 1, 16)
+        grid = ks.SpectralGrid(2 * math.pi, 16)
         model = ks.KineticModel(1.0, 2.0, 1.0, grid)
         return model, ks.make_initial_field(grid, 0.5, 1, 0.3)
 
@@ -314,7 +308,7 @@ class TestSolveArguments:
 
 class TestDiagnostics:
     def test_snapshots_and_final_hold_the_carried_rows(self):
-        grid = ks.SpectralGrid(2 * math.pi, 6, 16)
+        grid = ks.SpectralGrid(2 * math.pi, 16)
         model = ks.KineticModel(1.0, 2.0, 1.0, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
         res = ks.solve(model, f0, 0.5, dt=0.01, snapshot_times=[0.0, 0.3])
@@ -328,23 +322,23 @@ class TestDiagnostics:
     def test_norms_of_the_full_lattice(self):
         # the records measure the carried rows; the lattice's other rows
         # are zero and add nothing but rounding
-        grid = ks.SpectralGrid(2 * math.pi, 3, 16)
+        grid = ks.SpectralGrid(2 * math.pi, 16)
         model = ks.KineticModel(1.0, 2.0, 1.0, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
         res = ks.solve(model, f0, 0.2, dt=0.01)
-        final = on_lattice(res.final, grid.n_x)[0]
+        final = on_lattice(res.final, 3)[0]
         hat = final.values_hat.copy()
         hat[:, 0] = 0.0
         assert res.dist_to_avg[-1] == pytest.approx(
             ks.field_norm_hat(hat, grid), rel=1e-15)
-        rho0 = ks.angle_average_modes(on_lattice(f0, grid.n_x)[0])
+        rho0 = ks.angle_average_modes(on_lattice(f0, 3)[0])
         hat[:, 0] = final.values_hat[:, 0] - grid.n_v * ks.heat_reference(
             res.diffusivity, rho0, final.modes, 0.2, grid)
         assert res.dist_to_heat[-1] == pytest.approx(
             ks.field_norm_hat(hat, grid), rel=1e-15)
 
     def test_mass_zero_without_the_zero_mode(self):
-        grid = ks.SpectralGrid(2 * math.pi, 2, 16)
+        grid = ks.SpectralGrid(2 * math.pi, 16)
         model = ks.KineticModel(1.0, 2.0, 1.0, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
         f0.values_hat[row(f0.modes, (0, 0))] = 0.0
@@ -421,8 +415,8 @@ class TestHistory:
 
     def test_guard_counts_stored_rows(self):
         # the ring stores the 3 rows of the datum (0.85 MB); all 6561 rows
-        # of the lattice would need 1.7 GB, over the guard
-        grid = ks.SpectralGrid(2 * math.pi, 40, 64)
+        # of the lattice |xi_i| <= 40 would need 1.7 GB, over the guard
+        grid = ks.SpectralGrid(2 * math.pi, 64)
         model = ks.KineticModel(1.0, 8.0, 4.0, grid)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.3)
         res = ks.solve(model, f0, 0.2)
@@ -462,20 +456,20 @@ class TestHistory:
 
 class TestHeatReference:
     def test_initial_datum(self, small_grid):
-        modes = lattice(small_grid.n_x)
+        modes = lattice(2)
         rho0 = np.linspace(0.1, 1.0, len(modes))
         assert np.array_equal(
             ks.heat_reference(0.3, rho0, modes, 0.0, small_grid), rho0)
 
     def test_zero_mode_constant(self, small_grid):
-        modes = lattice(small_grid.n_x)
+        modes = lattice(2)
         rho0 = np.ones(len(modes))
         out = ks.heat_reference(0.3, rho0, modes, 5.0, small_grid)
         assert out[row(modes, (0, 0))] == 1.0
 
     def test_single_mode_factor(self):
-        grid = ks.SpectralGrid(2 * math.pi, 1, 16)
-        modes = lattice(grid.n_x)
+        grid = ks.SpectralGrid(2 * math.pi, 16)
+        modes = lattice(1)
         rho0 = np.zeros(len(modes))
         i = row(modes, (1, 0))
         rho0[i] = 1.0
@@ -486,7 +480,7 @@ class TestHeatReference:
 class TestHilbertCorrectors:
     def test_constant_profile_zero_correctors(self, small_grid):
         op = ops.build_LG(1.0, 2 * math.pi, 16)
-        modes = lattice(small_grid.n_x)
+        modes = lattice(2)
         rho = np.zeros(len(modes), dtype=complex)
         rho[row(modes, (0, 0))] = 1.0
         corr = ks.hilbert_correctors(rho, modes, op, 1.0,
@@ -498,7 +492,7 @@ class TestHilbertCorrectors:
         # g1 = -(3/(8 mu)) v . grad g0 when the memory vanishes
         mu = 1.0
         op = ops.build_LG(mu, math.inf, 16)
-        modes = lattice(small_grid.n_x)
+        modes = lattice(2)
         rho = np.zeros(len(modes), dtype=complex)
         rho[row(modes, (1, 0))] = 0.5
         corr = ks.hilbert_correctors(rho, modes, op, 0.0,
@@ -512,7 +506,7 @@ class TestHilbertCorrectors:
 
     def test_zero_angular_mean(self, small_grid):
         op = ops.build_LG(1.0, 2 * math.pi, 16)
-        modes = lattice(small_grid.n_x)
+        modes = lattice(2)
         rho = np.zeros(len(modes), dtype=complex)
         rho[row(modes, (1, 1))] = 1.0
         rho[row(modes, (-1, -1))] = 1.0
@@ -525,7 +519,7 @@ class TestHilbertCorrectors:
         # the second corrector equation is solvable only for the induced
         # diffusivity: a mismatched coefficient must be refused
         op = ops.build_LG(1.0, 2 * math.pi, 16)
-        modes = lattice(small_grid.n_x)
+        modes = lattice(2)
         rho = np.zeros(len(modes), dtype=complex)
         rho[row(modes, (1, 0))] = 1.0
         with pytest.raises(ValueError, match="solvability"):
@@ -535,7 +529,7 @@ class TestHilbertCorrectors:
 
 class TestHilbertStudy:
     def test_residual_trend(self):
-        grid = ks.SpectralGrid(2 * math.pi, 1, 32)
+        grid = ks.SpectralGrid(2 * math.pi, 32)
         f0 = ks.make_initial_field(grid, 0.5, 1, 0.2)
         rows = ks.hilbert_residual_study([3.0, 6.0], 1.0, 1.0, grid, f0, 0.3)
         assert rows[1].dist_heat < rows[0].dist_heat

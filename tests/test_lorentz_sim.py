@@ -22,10 +22,7 @@ from geometry_reference import point_to_arc_distances
 
 
 def empty_params(eps=0.05, b=0.0):
-    r = 1.0 / b if b > 0 else math.inf
-    t = 2 * math.pi / b if b > 0 else math.inf
-    return medium.ScalingParams(eps=eps, mu=1.0, eta=1.0, mu_eff=0.0,
-                                b_magnitude=b, larmor_radius=r, t_larmor=t)
+    return medium.ScalingParams(eps=eps, mu=0.0, eta=1.0, b_magnitude=b)
 
 
 def register(ids):
@@ -163,9 +160,8 @@ def make_daisy_field(n_leaves, r=1.0, eps=0.1, phase=-0.9):
     # distance from the orbit center solving the impact-angle relation
     delta = (eps * math.cos(beta)
              + math.sqrt(r * r - eps * eps * math.sin(beta) ** 2))
-    params = medium.ScalingParams(eps=eps, mu=1.0, eta=1.0, mu_eff=0.0,
-                                  b_magnitude=1.0 / r, larmor_radius=r,
-                                  t_larmor=2 * math.pi * r)
+    params = medium.ScalingParams(eps=eps, mu=0.0, eta=1.0,
+                                  b_magnitude=1.0 / r)
     center = np.array([0.0, r])
     obstacle = center + delta * unit_vector(phase)
     return ExplicitField(params, [obstacle], cell_size=4 * r), obstacle
@@ -295,8 +291,7 @@ class TestArcSearch:
            pitch=st.one_of(st.none(), st.floats(0.02, 0.2)))
     def test_matches_concatenated_cells(self, eps, mu, b, seed, u, snap,
                                         alpha, pitch):
-        params = medium.ScalingParams(eps, mu, 1.0, mu / eps, b, 1.0 / b,
-                                      2 * math.pi / b)
+        params = medium.ScalingParams(eps, mu, 1.0, b)
         field_ = ObstacleField(seed, params)
         u = np.array(u)
         x = u * field_.cell_size
@@ -395,9 +390,7 @@ class TestRaySearch:
         # start offset and the leg are sized in mean free paths, so a leg
         # from near the corner of four field cells crosses several of them
         # at low density, and many re-bucketed cells at any density
-        params = medium.ScalingParams(eps, density / eps, 1.0,
-                                      density / eps ** 2, 0.0, math.inf,
-                                      math.inf)
+        params = medium.ScalingParams(eps, density / eps, 1.0, 0.0)
         field_ = ObstacleField(seed, params)
         s = field_.cell_size if pitch is None else pitch * eps
         mfp = eps / (2.0 * density)

@@ -217,7 +217,7 @@ class TestBuildM:
             with pytest.raises(ValueError, match="memory series needs"):
                 entry(1e-300, 1.0, 16)
         with pytest.raises(ValueError, match="memory series needs"):
-            KineticModel(1e-300, 2.0, 1.0, SpectralGrid(2 * math.pi, 1, 16))
+            KineticModel(1e-300, 2.0, 1.0, SpectralGrid(2 * math.pi, 16))
 
     def test_first_memory_multiplier_against_grid_kernel(self):
         mu, period = 1.0, 1.0
