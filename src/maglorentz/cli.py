@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -496,7 +497,10 @@ def main(argv=None) -> int:
         print(f"error: no writable directory '{out_dir}'", file=sys.stderr)
         return 2
     try:
-        return run(config, args.out, args.workers)
+        with warnings.catch_warnings():  # each warning one line, as raised
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return run(config, args.out, args.workers)
     except (OSError, ValueError, RuntimeError, ArithmeticError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

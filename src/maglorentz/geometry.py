@@ -33,7 +33,6 @@ Sign conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,33 +54,6 @@ def normalize_angle(angle: float) -> float:
     if a >= TWO_PI:
         a = 0.0
     return a
-
-
-def unit_vector(angle: float) -> np.ndarray:
-    return np.array([math.cos(angle), math.sin(angle)])
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    """Position plus velocity direction of the unit-speed particle."""
-
-    position: np.ndarray
-    velocity_angle: float
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (2,) or not np.all(np.isfinite(pos)):
-            raise ValueError("position must be a finite 2-vector")
-        if not math.isfinite(self.velocity_angle):
-            raise ValueError("velocity angle must be finite")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(
-            self, "velocity_angle", normalize_angle(self.velocity_angle)
-        )
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return unit_vector(self.velocity_angle)
 
 
 def larmor_center(x: float, y: float, velocity_angle: float,
@@ -256,7 +228,7 @@ def deflection_from_impact(b_norm):
     """
     b = np.asarray(b_norm, dtype=float)
     out = np.abs(b, out=np.empty_like(b))
-    if np.any(out > 1.0):
+    if not np.all(out <= 1.0):
         raise ValueError("normalized impact parameter must lie in [-1, 1]")
     np.arcsin(out, out=out)
     out *= 2.0

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .geometry import (TWO_PI, ParticleState, advance_free, arc_passes_within,
-                       first_arc_hit, first_ray_entry, larmor_center, reflect)
+from .geometry import (TWO_PI, advance_free, arc_passes_within, first_arc_hit,
+                       first_ray_entry, larmor_center, normalize_angle, reflect)
 from .medium import (ObstacleField, ScalingParams, is_admissible_start,
                      scaling_from)
 
@@ -90,33 +90,22 @@ class CollisionEvent:
     kind: EventKind
 
 
-@dataclass(frozen=True)
-class TrajectoryOutcome:
-    """Result of one run; ``near_miss`` is always False without a field."""
+class Trajectory:
+    """One event-driven run: its state while it runs, its record after.
 
-    final_state: ParticleState
-    status: TrajectoryStatus
-    status_time: float
-    events: list
-    sample_times: np.ndarray
-    sample_positions: np.ndarray
-    near_miss: bool
+    ``x``, ``y`` and ``alpha`` end as the final position and velocity
+    angle; ``near_miss`` is always False without a field.
+    """
 
-
-class _Trajectory:
-    """Mutable state of one event-driven run."""
-
-    def __init__(self, field_, start: ParticleState, t_max: float,
-                 sample_times):
+    def __init__(self, field_, start: tuple[float, float, float],
+                 t_max: float, sample_times):
         params = field_.params
         self.field = field_
         self.eps = params.eps
         self.b = params.b_magnitude
         self.radius = params.larmor_radius
         self.t_max = t_max
-        # position and velocity angle, as floats
-        self.x, self.y = start.position.tolist()
-        self.alpha = start.velocity_angle
+        self.x, self.y, self.alpha = start
         self.t = 0.0
         self.events: list[CollisionEvent] = []
         self.prev_id: tuple[int, int, int] | None = None
@@ -132,23 +121,23 @@ class _Trajectory:
         if not (np.all(st >= 0.0) and np.all(st <= t_max)
                 and np.all(np.diff(st) >= 0.0)):
             raise ValueError("sample times must be sorted within [0, t_max]")
-        self.sample_t = st
-        self.sample_pos = np.empty((len(st), 2))
+        self.sample_times = st
+        self.sample_positions = np.empty((len(st), 2))
         self.cursor = 0
         while self.cursor < len(st) and st[self.cursor] == 0.0:
-            self.sample_pos[self.cursor] = self.x, self.y
+            self.sample_positions[self.cursor] = self.x, self.y
             self.cursor += 1
 
     # -- sampling -----------------------------------------------------------
 
     def emit_samples(self, duration: float):
         """Record sample positions falling inside the current leg."""
-        hi = int(np.searchsorted(self.sample_t, self.t + duration,
+        hi = int(np.searchsorted(self.sample_times, self.t + duration,
                                  side="right"))
         for i in range(self.cursor, hi):
-            self.sample_pos[i] = advance_free(
+            self.sample_positions[i] = advance_free(
                 self.x, self.y, self.alpha, self.b,
-                float(self.sample_t[i]) - self.t)[:2]
+                float(self.sample_times[i]) - self.t)[:2]
         self.cursor = hi
 
     def advance(self, duration: float):
@@ -264,15 +253,21 @@ class _Trajectory:
         return None
 
 
-def simulate_trajectory(field_, start: ParticleState, t_max: float,
-                        sample_times=(), max_events: int = DEFAULT_MAX_EVENTS
-                        ) -> TrajectoryOutcome:
-    """Run the exact event-driven dynamics from an admissible start."""
+def simulate_trajectory(field_, start, t_max: float, sample_times=(),
+                        max_events: int = DEFAULT_MAX_EVENTS) -> Trajectory:
+    """Run the exact event-driven dynamics from an admissible start.
+
+    ``start`` is ``(x, y, angle)``, the angle taken modulo 2 pi.
+    """
+    x, y, alpha = map(float, start)
+    if not all(map(math.isfinite, (x, y, alpha))):
+        raise ValueError("start position and angle must be finite")
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
-    if not is_admissible_start(field_, start.position):
+    if not is_admissible_start(field_, (x, y)):
         raise ValueError("start position overlaps an obstacle")
-    tr = _Trajectory(field_, start, t_max, sample_times)
+    tr = Trajectory(field_, (x, y, normalize_angle(alpha)), t_max,
+                    sample_times)
 
     while tr.t < t_max:
         if len(tr.events) >= max_events:
@@ -313,19 +308,14 @@ def simulate_trajectory(field_, start: ParticleState, t_max: float,
 
         tr.run.append((b_signed, n_phase, tr.t, tr.x, tr.y, tr.alpha))
 
-    if tr.cursor < len(tr.sample_t):
+    if tr.cursor < len(tr.sample_times):
         # stragglers within rounding distance of t_max
-        tr.sample_pos[tr.cursor:] = tr.x, tr.y
-        tr.cursor = len(tr.sample_t)
-    final = ParticleState(np.array((tr.x, tr.y)), tr.alpha)
-    return TrajectoryOutcome(
-        final_state=final, status=tr.status,
-        status_time=tr.status_time, events=tr.events,
-        sample_times=tr.sample_t, sample_positions=tr.sample_pos,
-        near_miss=tr.near_miss)
+        tr.sample_positions[tr.cursor:] = tr.x, tr.y
+        tr.cursor = len(tr.sample_times)
+    return tr
 
 
-def _replay_daisy(tr: _Trajectory, closed_at: int):
+def _replay_daisy(tr: Trajectory, closed_at: int):
     """Fill remaining samples by cycling the detected periodic flower."""
     cycle = list(tr.run)[closed_at:]
     durations = []
@@ -333,8 +323,8 @@ def _replay_daisy(tr: _Trajectory, closed_at: int):
         t_next = cycle[i + 1][2] if i + 1 < len(cycle) else tr.t
         durations.append(t_next - leaf[2])
     period = sum(durations)
-    remaining_idx = range(tr.cursor, len(tr.sample_t))
-    targets = list(tr.sample_t[tr.cursor:]) + [tr.t_max]
+    remaining_idx = range(tr.cursor, len(tr.sample_times))
+    targets = list(tr.sample_times[tr.cursor:]) + [tr.t_max]
     out = []
     for st in targets:
         rel = math.fmod(st - tr.t, period) if period > 0 else 0.0
@@ -345,19 +335,19 @@ def _replay_daisy(tr: _Trajectory, closed_at: int):
         x_k, y_k, alpha_k = cycle[k][3:]
         out.append(advance_free(x_k, y_k, alpha_k, tr.b, max(rel, 0.0)))
     for j, i in enumerate(remaining_idx):
-        tr.sample_pos[i] = out[j][:2]
-    tr.cursor = len(tr.sample_t)
+        tr.sample_positions[i] = out[j][:2]
+    tr.cursor = len(tr.sample_times)
     tr.x, tr.y, tr.alpha = out[-1]
     tr.t = tr.t_max
 
 
-def _draw_start(field_, rng) -> ParticleState:
-    """Admissible start with uniform position in one cell, uniform angle."""
+def _draw_start(field_, rng) -> tuple[float, float, float]:
+    """Admissible ``(x, y, angle)``: uniform in one cell, uniform angle."""
     s = field_.cell_size
     for _ in range(10_000):
-        pos = rng.random(2) * s
-        if is_admissible_start(field_, pos):
-            return ParticleState(pos, rng.uniform(0.0, TWO_PI))
+        x, y = (rng.random(2) * s).tolist()
+        if is_admissible_start(field_, (x, y)):
+            return x, y, rng.uniform(0.0, TWO_PI)
     raise RuntimeError("could not draw an admissible start")
 
 
@@ -381,10 +371,11 @@ def _replica_chunk(args):
         except ChatteringError:
             records.append(None)
             continue
-        dx, dy = (out.sample_positions - start.position).T
+        dx, dy = (out.sample_positions - start[:2]).T
         recollided = any(ev.kind is EventKind.RECOLLISION for ev in out.events)
         records.append(((dx * dx + dy * dy).tolist(), out.status,
                         out.status_time, recollided, out.near_miss))
+        del out  # the run holds its field: free the cells before the next
     return records
 
 

@@ -146,19 +146,16 @@ class _CellCache:
             range(int(math.floor(y_lo / s)), int(math.floor(y_hi / s)) + 1))
 
 
-@dataclass(frozen=True)
 class ObstacleField(_CellCache):
     """Deterministic lazy Poisson field keyed by a 64-bit master seed."""
 
-    master_seed: int
-    params: ScalingParams
-
-    def __post_init__(self):
-        object.__setattr__(self, "_cells", {})
-        object.__setattr__(self, "cell_size", default_cell_size(self.params))
+    def __init__(self, master_seed: int, params: ScalingParams):
+        self.master_seed = master_seed
+        self.params = params
+        self._cells = {}
+        self.cell_size = default_cell_size(params)
         # rekeyed for each cell drawn; its own key is never drawn from
-        object.__setattr__(self, "_gen", _rng.generator(
-            self.master_seed, _rng.STREAM_FIELD_CELL))
+        self._gen = _rng.generator(master_seed, _rng.STREAM_FIELD_CELL)
 
     def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
         """Obstacle centers of one cell, identical on every call."""

@@ -2,8 +2,10 @@
 
 * ``larmor_center``, ``advance_free``, ``impact_normal`` and
   ``first_ray_entry`` are the bodies ``maglorentz.geometry`` had when the
-  event loop ran on ``ParticleState``s and 2-element numpy arrays.  The
-  float forms of the package must return bit-identical results.
+  event loop ran on numpy arrays.  They take and return plain values: a
+  position is a 2-element array, a velocity angle a float and a velocity
+  ``direction(angle)``.  The float forms of the package must return
+  bit-identical results.
 * ``exact_reflect`` and ``exact_arc_rows`` evaluate the reflection and the
   arc-disk contacts in 50-digit ``mpmath`` arithmetic from the float
   inputs.  The package's ``reflect`` and ``first_arc_hit`` take their
@@ -22,10 +24,15 @@ import mpmath
 import numpy as np
 
 from maglorentz.geometry import (DEPARTURE_GUARD, GRAZING_TOL, TWO_PI,
-                                 ParticleState, unit_vector)
+                                 normalize_angle)
 
 #: digits of the exact oracles
 DIGITS = 50
+
+
+def direction(angle: float) -> np.ndarray:
+    """The unit vector at ``angle``."""
+    return np.array([math.cos(angle), math.sin(angle)])
 
 
 def larmor_center(position, velocity_angle: float, b_magnitude: float
@@ -37,22 +44,19 @@ def larmor_center(position, velocity_angle: float, b_magnitude: float
         [-math.sin(velocity_angle), math.cos(velocity_angle)])
 
 
-def advance_free(state: ParticleState, b_magnitude: float, tau: float
-                 ) -> ParticleState:
+def advance_free(position, velocity_angle: float, b_magnitude: float,
+                 tau: float) -> tuple[np.ndarray, float]:
+    """``(position, angle)`` after ``tau``, the angle in [0, 2*pi)."""
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError("tau must be finite and nonnegative")
     if b_magnitude == 0.0:
-        return ParticleState(
-            position=state.position + tau * state.velocity,
-            velocity_angle=state.velocity_angle,
-        )
-    center = larmor_center(state.position, state.velocity_angle, b_magnitude)
+        return (position + tau * direction(velocity_angle),
+                normalize_angle(velocity_angle))
+    center = larmor_center(position, velocity_angle, b_magnitude)
     r = 1.0 / b_magnitude
-    phase = state.velocity_angle - 0.5 * math.pi + b_magnitude * tau
-    return ParticleState(
-        position=center + r * unit_vector(phase),
-        velocity_angle=state.velocity_angle + b_magnitude * tau,
-    )
+    phase = velocity_angle - 0.5 * math.pi + b_magnitude * tau
+    return (center + r * direction(phase),
+            normalize_angle(velocity_angle + b_magnitude * tau))
 
 
 def impact_normal(point, center, eps: float) -> np.ndarray:

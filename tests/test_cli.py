@@ -509,6 +509,22 @@ class TestMainFlow:
         assert abs(summary["results"]["p_process"]
                    - summary["results"]["p_process_ref"]) < 0.02
 
+    def test_regime_warning_is_one_line(self, tmp_path, capsys):
+        # mu_eff eps = 0.25: one stderr line, with no file, line number or
+        # source echo
+        cfg = tmp_path / "circ.cfg"
+        text = CIRCLING_CONFIG
+        for key, value in (("mu", "0.25"), ("n_fields", "100"),
+                           ("n_paths", "100")):
+            text = with_key(text, key, value)
+        cfg.write_text(text)
+        assert main(["circling", "--config", str(cfg),
+                     "--out", str(tmp_path / "circ")]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: mu_eff*eps = 0.25 < 1: below the low-density baseline"]
+        assert "cli.py" not in err
+
     def test_summary_round_trips_to_config(self, tmp_path):
         cfg = tmp_path / "circ.cfg"
         cfg.write_text(CIRCLING_CONFIG)

@@ -3,24 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from maglorentz.geometry import (ParticleState, advance_free,
-                                 arc_passes_within, deflection_from_impact,
-                                 first_arc_hit, first_ray_entry,
-                                 larmor_center, reflect, unit_vector)
+from maglorentz.geometry import (advance_free, arc_passes_within,
+                                 deflection_from_impact, first_arc_hit,
+                                 first_ray_entry, larmor_center, reflect)
 
-from geometry_reference import point_to_arc_distances
+from geometry_reference import direction, point_to_arc_distances
 
 TWO_PI = 2.0 * math.pi
 
 
-def state(x, y, alpha):
-    return ParticleState(np.array([x, y], dtype=float), alpha)
-
-
-def advance(st, b, tau):
-    """``advance_free`` from a ParticleState, as a ParticleState."""
-    x, y, alpha = advance_free(*st.position, st.velocity_angle, b, tau)
-    return ParticleState(np.array([x, y]), alpha)
+def position(st):
+    """The position of a state ``(x, y, angle)``, as an array."""
+    return np.array(st[:2])
 
 
 class TestLarmorCenter:
@@ -35,9 +29,9 @@ class TestLarmorCenter:
     def test_distance_is_radius(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            st = state(*rng.normal(size=2), rng.uniform(0, TWO_PI))
-            c = larmor_center(*st.position, st.velocity_angle, 1.0)
-            assert math.hypot(*(c - st.position)) == pytest.approx(1.0, abs=1e-12)
+            st = (*rng.normal(size=2), rng.uniform(0, TWO_PI))
+            c = larmor_center(*st, 1.0)
+            assert math.hypot(*(c - position(st))) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError):
@@ -46,48 +40,50 @@ class TestLarmorCenter:
 
 class TestAdvanceFree:
     def test_full_period_identity(self):
-        st = state(0.3, -1.2, 1.1)
-        out = advance(st, 2.5, TWO_PI / 2.5)
-        assert np.allclose(out.position, st.position, atol=1e-12)
-        assert out.velocity_angle == pytest.approx(st.velocity_angle, abs=1e-12)
+        st = (0.3, -1.2, 1.1)
+        out = advance_free(*st, 2.5, TWO_PI / 2.5)
+        assert np.allclose(out[:2], st[:2], atol=1e-12)
+        assert out[2] == pytest.approx(st[2], abs=1e-12)
 
     def test_half_orbit_antipode(self):
-        out = advance(state(0, 0, 0.0), 1.0, math.pi)
-        assert np.allclose(out.position, [0.0, 2.0], atol=1e-12)
-        assert out.velocity_angle == pytest.approx(math.pi, abs=1e-12)
+        out = advance_free(0.0, 0.0, 0.0, 1.0, math.pi)
+        assert np.allclose(out[:2], [0.0, 2.0], atol=1e-12)
+        assert out[2] == pytest.approx(math.pi, abs=1e-12)
 
     def test_straight_flight(self):
-        out = advance(state(0, 0, 0.0), 0.0, 3.0)
-        assert np.allclose(out.position, [3.0, 0.0])
-        assert out.velocity_angle == 0.0
+        out = advance_free(0.0, 0.0, 0.0, 0.0, 3.0)
+        assert np.allclose(out[:2], [3.0, 0.0])
+        assert out[2] == 0.0
 
     def test_semigroup_and_speed(self):
         rng = np.random.default_rng(1)
         for b in (0.0, 0.7, 3.0):
             for _ in range(40):
-                st = state(*rng.normal(size=2), rng.uniform(0, TWO_PI))
+                st = (*rng.normal(size=2), rng.uniform(0, TWO_PI))
                 t1, t2 = rng.uniform(0, 2, size=2)
-                one = advance(st, b, t1 + t2)
-                two = advance(advance(st, b, t1), b, t2)
-                assert np.allclose(one.position, two.position, atol=1e-12)
-                assert abs(math.remainder(
-                    one.velocity_angle - two.velocity_angle, TWO_PI)) < 1e-12
-                v = one.velocity
-                assert float(v @ v) == pytest.approx(1.0, abs=1e-12)
+                one = advance_free(*st, b, t1 + t2)
+                two = advance_free(*advance_free(*st, b, t1), b, t2)
+                assert np.allclose(one[:2], two[:2], atol=1e-12)
+                assert abs(math.remainder(one[2] - two[2], TWO_PI)) < 1e-12
+                # unit speed: a step of h moves the particle by h
+                h = 1e-6
+                step = advance_free(*one, b, h)
+                assert math.hypot(step[0] - one[0], step[1] - one[1]) == \
+                    pytest.approx(h, rel=1e-6)
 
 
 def hit_oracle(st, b, center, radius, horizon, step=1e-5):
     """Dense time stepping of the signed distance, bisection refinement."""
     def gap(tau):
-        pos = advance(st, b, tau).position
+        pos = position(advance_free(*st, b, tau))
         return math.hypot(*(pos - center)) - radius
 
     taus = np.arange(0.0, horizon + step, step)
     if b == 0.0:
-        pos = st.position + taus[:, None] * st.velocity
+        pos = position(st) + taus[:, None] * direction(st[2])
     else:
-        orbit = larmor_center(*st.position, st.velocity_angle, b)
-        phase = st.velocity_angle - 0.5 * math.pi + b * taus
+        orbit = larmor_center(*st, b)
+        phase = st[2] - 0.5 * math.pi + b * taus
         pos = orbit + np.stack([np.cos(phase), np.sin(phase)], axis=1) / b
     g = np.hypot(pos[:, 0] - center[0], pos[:, 1] - center[1]) - radius
     crossings = np.flatnonzero((g[1:] <= 0.0) & (g[:-1] > 0.0))
@@ -111,34 +107,34 @@ def kernel_hit(st, b, centers, radius, horizon):
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if b == 0.0:
-        return first_ray_entry(centers, st.position, st.velocity, radius,
+        return first_ray_entry(centers, st[:2], direction(st[2]), radius,
                                horizon)
-    orbit = larmor_center(*st.position, st.velocity_angle, b)
-    got = first_arc_hit(centers, orbit, st.velocity_angle, b, radius)
+    orbit = larmor_center(*st, b)
+    got = first_arc_hit(centers, orbit, st[2], b, radius)
     return None if got is None or got[0] > horizon else got
 
 
 def grazing_at(st, b, tau, center, radius):
     """|v.n| at flight time ``tau`` on the disk boundary."""
-    after = advance(st, b, tau)
-    nvec = (after.position - center) / radius
-    return abs(float(after.velocity @ nvec))
+    after = advance_free(*st, b, tau)
+    nvec = (position(after) - center) / radius
+    return abs(float(direction(after[2]) @ nvec))
 
 
 class TestFirstArcDiskHit:
     def test_straight_head_on(self):
-        got = kernel_hit(state(0, 0, 0.0), 0.0, [5.0, 0.0], 0.1, 100.0)
+        got = kernel_hit((0.0, 0.0, 0.0), 0.0, [5.0, 0.0], 0.1, 100.0)
         assert got is not None
         tau, _, n = got
         assert tau == pytest.approx(4.9, abs=1e-12)
         assert np.allclose(n, [-1.0, 0.0], atol=1e-12)
 
     def test_disk_outside_orbit_reach(self):
-        got = kernel_hit(state(0, 0, 0.0), 1.0, [10.0, 10.0], 0.1, 100.0)
+        got = kernel_hit((0.0, 0.0, 0.0), 1.0, [10.0, 10.0], 0.1, 100.0)
         assert got is None
 
     def test_orbit_top_hit_matches_oracle(self):
-        st = state(0, 0, 0.0)
+        st = (0.0, 0.0, 0.0)
         center = np.array([0.0, 2.0])
         got = kernel_hit(st, 1.0, center, 0.1, TWO_PI)
         assert got is not None
@@ -146,7 +142,7 @@ class TestFirstArcDiskHit:
         ref = hit_oracle(st, 1.0, center, 0.1, TWO_PI)
         assert ref is not None
         assert tau == pytest.approx(ref, abs=1e-8)
-        pos = advance(st, 1.0, tau).position
+        pos = position(advance_free(*st, 1.0, tau))
         assert math.hypot(*(pos - center)) == pytest.approx(0.1, abs=1e-12)
         assert np.allclose(n, (pos - center) / 0.1, atol=1e-9)
 
@@ -156,16 +152,17 @@ class TestFirstArcDiskHit:
         n_checked = 0
         for i in range(1000):
             b = 0.0 if i % 3 == 0 else float(rng.uniform(0.8, 8.0))
-            st = state(*rng.normal(scale=0.5, size=2), rng.uniform(0, TWO_PI))
+            st = (*rng.normal(scale=0.5, size=2), rng.uniform(0, TWO_PI))
             # bias half the disks toward the flight path so hits are common
             if i % 2 == 0:
                 horizon0 = TWO_PI / b if b > 0 else 3.0
-                on_path = advance(st, b, rng.uniform(0.1, horizon0)).position
+                on_path = position(
+                    advance_free(*st, b, rng.uniform(0.1, horizon0)))
                 center = on_path + rng.normal(scale=0.1, size=2)
             else:
-                center = st.position + rng.normal(scale=1.0, size=2)
+                center = position(st) + rng.normal(scale=1.0, size=2)
             radius = float(rng.uniform(0.02, 0.3))
-            if math.hypot(*(st.position - center)) <= radius + 1e-3:
+            if math.hypot(*(position(st) - center)) <= radius + 1e-3:
                 continue
             horizon = TWO_PI / b if b > 0 else 3.0
             got = kernel_hit(st, b, center, radius, horizon)
@@ -192,13 +189,13 @@ class TestFirstArcDiskHit:
         n_disks = 6
         n_checked = 0
         for _ in range(40):
-            st = state(*rng.normal(scale=0.5, size=2), rng.uniform(0, TWO_PI))
+            st = (*rng.normal(scale=0.5, size=2), rng.uniform(0, TWO_PI))
             radius = float(rng.uniform(0.02, 0.2))
-            on_path = [advance(st, b, t).position
+            on_path = [advance_free(*st, b, t)[:2]
                        for t in rng.uniform(0.1, horizon, size=n_disks)]
             centers = np.array(on_path) + rng.normal(scale=radius,
                                                      size=(n_disks, 2))
-            if np.min(np.hypot(*(centers - st.position).T)) <= radius + 1e-3:
+            if np.min(np.hypot(*(centers - position(st)).T)) <= radius + 1e-3:
                 continue
             refs = [hit_oracle(st, b, c, radius, horizon) for c in centers]
             singles = [kernel_hit(st, b, c, radius, horizon) for c in centers]
@@ -229,7 +226,7 @@ class TestFirstArcDiskHit:
         eps, max_len = 0.01, 3.0
         for _ in range(200):
             pos = rng.normal(scale=50.0, size=2)
-            v = unit_vector(rng.uniform(0, TWO_PI))
+            v = direction(rng.uniform(0, TWO_PI))
             side = np.array([-v[1], v[0]])
             cells = [pos + np.outer(rng.uniform(0.05, max_len, k), v)
                      + np.outer(rng.uniform(-eps, eps, k), side)
@@ -303,7 +300,7 @@ class TestReflect:
         rng = np.random.default_rng(3)
         for _ in range(200):
             a = rng.uniform(0, TWO_PI)
-            n = unit_vector(rng.uniform(0, TWO_PI))
+            n = direction(rng.uniform(0, TWO_PI))
             assert reflect(reflect(a, *n), *n) == pytest.approx(a, abs=1e-12)
 
     def test_deflection_convention_consistency(self):
@@ -312,9 +309,9 @@ class TestReflect:
         rng = np.random.default_rng(4)
         for _ in range(300):
             a = rng.uniform(0, TWO_PI)
-            v = unit_vector(a)
+            v = direction(a)
             # only approach-side normals qualify: v.n < 0
-            n = unit_vector(rng.uniform(0, TWO_PI))
+            n = direction(rng.uniform(0, TWO_PI))
             if float(v @ n) >= -1e-6:
                 continue
             b = float(v[0] * n[1] - v[1] * n[0])
@@ -343,8 +340,9 @@ class TestDeflection:
                            atol=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            deflection_from_impact(1.2)
+        for b in (1.2, -1.2, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError):
+                deflection_from_impact(b)
 
 
 def self_recollision_angle(delta, larmor_radius, eps):

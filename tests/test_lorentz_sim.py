@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from maglorentz import _rng, medium
 from maglorentz import lorentz_sim as ls
-from maglorentz.geometry import (ParticleState, advance_free, first_arc_hit,
+from maglorentz.geometry import (advance_free, first_arc_hit,
                                  first_ray_entry, impact_normal,
-                                 larmor_center, unit_vector)
+                                 larmor_center, normalize_angle)
 from maglorentz.lorentz_sim import (ChatteringError, EventKind,
                                     TrajectoryStatus, event_rate_study,
                                     msd_estimate, simulate_trajectory)
@@ -18,7 +18,7 @@ from maglorentz.medium import (ObstacleField, is_admissible_start,
                                scaling_from)
 
 from explicit_field import ExplicitField
-from geometry_reference import point_to_arc_distances
+from geometry_reference import direction, point_to_arc_distances
 
 
 def empty_params(eps=0.05, b=0.0):
@@ -27,8 +27,8 @@ def empty_params(eps=0.05, b=0.0):
 
 def register(ids):
     """Trajectory after ``register_hit`` saw ``ids`` in order, and the kinds."""
-    tr = ls._Trajectory(ObstacleField(1, empty_params()),
-                        ParticleState(np.zeros(2), 0.0), 1.0, ())
+    tr = ls.Trajectory(ObstacleField(1, empty_params()), (0.0, 0.0, 0.0),
+                       1.0, ())
     kinds = [tr.register_hit(oid, np.array([float(oid), 0.0]), 0.0, float(i))
              for i, oid in enumerate(ids)]
     return tr, kinds
@@ -62,8 +62,7 @@ class TestObstacleFreeFlight:
     def test_circling_forever(self):
         f = ObstacleField(1, empty_params(b=1.0))
         out = simulate_trajectory(
-            f, ParticleState(np.array([0.0, 0.0]), 0.0), 25.0,
-            np.linspace(0.0, 25.0, 40))
+            f, (0.0, 0.0, 0.0), 25.0, np.linspace(0.0, 25.0, 40))
         assert out.status is TrajectoryStatus.CIRCLING_FOREVER
         assert out.status_time == 0.0
         assert len(out.events) == 0
@@ -76,66 +75,86 @@ class TestObstacleFreeFlight:
 
     def test_ballistic(self):
         f = ObstacleField(1, empty_params(b=0.0))
-        st = ParticleState(np.array([0.5, -0.25]), 0.7)
-        out = simulate_trajectory(f, st, 7.0, [1.0, 3.5, 7.0])
+        out = simulate_trajectory(f, (0.5, -0.25, 0.7), 7.0, [1.0, 3.5, 7.0])
         assert out.status is TrajectoryStatus.COMPLETED
         for t, pos in zip(out.sample_times, out.sample_positions):
-            assert np.allclose(pos, st.position + t * st.velocity, atol=1e-12)
+            assert np.allclose(pos, np.array([0.5, -0.25]) + t * direction(0.7),
+                               atol=1e-12)
 
     @pytest.mark.parametrize("b", [0.0, 1.0])
     def test_sample_at_t_max_is_the_final_position(self, b):
         # samples and the final state come from the one free-flight formula
         f = ObstacleField(1, empty_params(b=b))
-        st = ParticleState(np.array([0.3125, -1.7]), 2.9)
         for t_max in (0.1, 7.0, 123.456):
-            out = simulate_trajectory(f, st, t_max, [0.5 * t_max, t_max])
-            assert out.sample_positions[-1].tolist() == \
-                out.final_state.position.tolist()
+            out = simulate_trajectory(f, (0.3125, -1.7, 2.9), t_max,
+                                      [0.5 * t_max, t_max])
+            assert out.sample_positions[-1].tolist() == [out.x, out.y]
 
 
 class TestSingleObstacle:
     def test_head_on_reversal(self):
         params = empty_params(eps=0.1, b=0.0)
         f = ExplicitField(params, [(5.0, 0.0)], cell_size=1.0)
-        out = simulate_trajectory(
-            f, ParticleState(np.array([0.0, 0.0]), 0.0), 10.0, [10.0])
+        out = simulate_trajectory(f, (0.0, 0.0, 0.0), 10.0, [10.0])
         assert len(out.events) == 1
         event = out.events[0]
         assert event.kind is EventKind.FRESH
         assert event.hit_time == pytest.approx(4.9, abs=1e-12)
         assert abs(event.impact_parameter) < 1e-12
-        assert out.final_state.velocity_angle == pytest.approx(math.pi)
-        assert out.final_state.position[0] == pytest.approx(-0.2, abs=1e-9)
+        assert out.alpha == pytest.approx(math.pi)
+        assert out.x == pytest.approx(-0.2, abs=1e-9)
 
     @pytest.mark.filterwarnings("ignore::maglorentz.medium.RegimeWarning")
     def test_obstacle_larger_than_cell(self):
         # eps = 4 cells: the hit disk's center lies three cell rows off the ray
         f = ExplicitField(scaling_from(0.1, 1.0, 1.0, 0.0), [(1.0, 0.09)],
                           cell_size=0.025)
-        out = simulate_trajectory(
-            f, ParticleState(np.array([0.0, 0.0]), 0.0), 2.0)
+        out = simulate_trajectory(f, (0.0, 0.0, 0.0), 2.0)
         assert len(out.events) == 1
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
     def test_bad_t_max_rejected(self, t_max):
         f = ObstacleField(1, scaling_from(0.05, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="t_max"):
-            simulate_trajectory(
-                f, ParticleState(np.array([0.05, 0.07]), 0.3), t_max)
+            simulate_trajectory(f, (0.05, 0.07, 0.3), t_max)
 
     @pytest.mark.parametrize("times", [[0.5, math.nan], [math.nan],
                                        [-0.1], [1.5], [0.5, 0.2]])
     def test_bad_sample_times_rejected(self, times):
         f = ObstacleField(1, scaling_from(0.05, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="sample times"):
-            simulate_trajectory(
-                f, ParticleState(np.array([0.05, 0.07]), 0.3), 1.0, times)
+            simulate_trajectory(f, (0.05, 0.07, 0.3), 1.0, times)
 
     def test_inadmissible_start_rejected(self):
         params = empty_params(eps=0.5, b=0.0)
         f = ExplicitField(params, [(0.2, 0.0)], cell_size=5.0)
         with pytest.raises(ValueError, match="start"):
-            simulate_trajectory(f, ParticleState(np.array([0.0, 0.0]), 0.0), 1.0)
+            simulate_trajectory(f, (0.0, 0.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("component", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, component, value):
+        f = ObstacleField(1, scaling_from(0.05, 1.0, 1.0, 1.0))
+        start = [0.05, 0.07, 0.3]
+        start[component] = value
+        with pytest.raises(ValueError, match="finite"):
+            simulate_trajectory(f, tuple(start), 1.0)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    @pytest.mark.parametrize("angle", [2 * math.pi, -0.5])
+    def test_start_angle_taken_modulo_a_turn(self, b, angle):
+        # the run from an angle outside [0, 2 pi) is the run from the angle
+        # normalize_angle maps it to, event for event and bit for bit
+        params = scaling_from(0.02, 1.0, 1.0, b)
+        times = np.linspace(0.0, 5.0, 11)
+        got = simulate_trajectory(ObstacleField(404, params),
+                                  (0.05, 0.07, angle), 5.0, times)
+        want = simulate_trajectory(ObstacleField(404, params),
+                                   (0.05, 0.07, normalize_angle(angle)), 5.0,
+                                   times)
+        assert got.events and got.events == want.events
+        assert np.array_equal(got.sample_positions, want.sample_positions)
+        assert (got.x, got.y, got.alpha) == (want.x, want.y, want.alpha)
 
 
 class TestFieldRange:
@@ -148,8 +167,7 @@ class TestFieldRange:
         f = ObstacleField(17, params)
         t_max = 2.0
         x = 2 ** 19 * f.cell_size + t_max + 2 * params.eps
-        out = simulate_trajectory(
-            f, ParticleState(np.array([x, -x]), 0.3), t_max)
+        out = simulate_trajectory(f, (x, -x, 0.3), t_max)
         assert out.events
         assert all(e.obstacle_id[0] >= 2 ** 19 for e in out.events)
 
@@ -163,16 +181,15 @@ def make_daisy_field(n_leaves, r=1.0, eps=0.1, phase=-0.9):
     params = medium.ScalingParams(eps=eps, mu=0.0, eta=1.0,
                                   b_magnitude=1.0 / r)
     center = np.array([0.0, r])
-    obstacle = center + delta * unit_vector(phase)
+    obstacle = center + delta * direction(phase)
     return ExplicitField(params, [obstacle], cell_size=4 * r), obstacle
 
 
 class TestDaisyTrapping:
     def test_periodic_three_daisy(self):
         f, obstacle = make_daisy_field(3)
-        out = simulate_trajectory(
-            f, ParticleState(np.array([0.0, 0.0]), 0.0), 80.0,
-            np.linspace(0.0, 80.0, 33))
+        out = simulate_trajectory(f, (0.0, 0.0, 0.0), 80.0,
+                                  np.linspace(0.0, 80.0, 33))
         assert out.status is TrajectoryStatus.TRAPPED_DAISY
         kinds = [e.kind for e in out.events]
         assert kinds[0] is EventKind.FRESH
@@ -188,8 +205,7 @@ class TestDaisyTrapping:
         # an irrational leaf angle never closes; the cap flags chattering
         f, _ = make_daisy_field(math.pi)  # beta = 2 not a rational turn
         with pytest.raises(ChatteringError):
-            simulate_trajectory(f, ParticleState(np.array([0.0, 0.0]), 0.0),
-                                1e6, max_events=300)
+            simulate_trajectory(f, (0.0, 0.0, 0.0), 1e6, max_events=300)
 
 
 class TestInvariants:
@@ -205,8 +221,7 @@ class TestInvariants:
             times = [e.hit_time for e in out.events]
             assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
             assert all(abs(e.impact_parameter) <= params.eps for e in out.events)
-            v = out.final_state.velocity
-            assert float(v @ v) == pytest.approx(1.0, abs=1e-12)
+            assert 0.0 <= out.alpha < 2 * math.pi
             hits += len(out.events)
         assert hits > 50
 
@@ -221,7 +236,7 @@ class TestInvariants:
             drawn.append((ix, iy))
             return draw(ix, iy)
 
-        object.__setattr__(f, "cell_points", counting)
+        f.cell_points = counting
         start = ls._draw_start(f, _rng.generator(17, _rng.STREAM_START, 0))
         simulate_trajectory(f, start, 4.0)
         assert len(drawn) > 1 and len(drawn) == len(set(drawn))
@@ -240,7 +255,7 @@ class TestInvariants:
         params = scaling_from(0.02, 1.0, 1.0, 1.0)
         f1 = ObstacleField(404, params)
         f2 = ObstacleField(404, params)
-        st = ParticleState(np.array([0.05, 0.07]), 0.3)
+        st = (0.05, 0.07, 0.3)
         a = simulate_trajectory(f1, st, 5.0, [1.0, 5.0])
         b = simulate_trajectory(f2, st, 5.0, [1.0, 5.0])
         assert len(a.events) == len(b.events)
@@ -306,8 +321,8 @@ class TestArcSearch:
         free = not len(pts) or np.min(d2) > eps ** 2
         assert is_admissible_start(field_, x) == free
 
-        start = ParticleState(x, alpha)
-        c = larmor_center(*start.position, start.velocity_angle, b)
+        alpha = normalize_angle(alpha)
+        c = larmor_center(*x.tolist(), alpha, b)
         reach = params.larmor_radius + eps
         pts, owners = concatenated_cells(field_, c[0] - reach, c[0] + reach,
                                          c[1] - reach, c[1] + reach)
@@ -315,8 +330,8 @@ class TestArcSearch:
         if pitch is not None:  # cells of 2% to 20% of the orbit radius
             f = ExplicitField(params, pts,
                               cell_size=pitch * params.larmor_radius)
-        got = ls._Trajectory(f, start, 1.0, ()).next_hit(1.0)
-        want = (first_arc_hit(pts, c, start.velocity_angle, b, eps)
+        got = ls.Trajectory(f, (*x.tolist(), alpha), 1.0, ()).next_hit(1.0)
+        want = (first_arc_hit(pts, c, alpha, b, eps)
                 if len(pts) else None)
         if want is None:
             assert got is None
@@ -338,13 +353,13 @@ class TestArcSearch:
         f = ExplicitField(empty_params(eps=eps, b=1.0), [(0.0, 1.0025)],
                           cell_size=0.01)
         phase = -math.pi / 16
-        start = ParticleState(np.array([math.cos(phase), math.sin(phase)]),
-                              phase + math.pi / 2)
-        got = ls._Trajectory(f, start, 1.0, ()).next_hit(1.0)
+        alpha = phase + math.pi / 2
+        start = (math.cos(phase), math.sin(phase), alpha)
+        got = ls.Trajectory(f, start, 1.0, ()).next_hit(1.0)
         assert got is not None
         length, key, _, c = got
-        want = first_arc_hit(np.array([[0.0, 1.0025]]), np.zeros(2),
-                             start.velocity_angle, 1.0, eps)
+        want = first_arc_hit(np.array([[0.0, 1.0025]]), np.zeros(2), alpha,
+                             1.0, eps)
         assert length == want[0] and key == (0, 100, 0)
         assert c.tolist() == [0.0, 1.0025]
 
@@ -357,8 +372,8 @@ class TestArcSearch:
         far = np.array([math.cos(0.75 * math.pi), math.sin(0.75 * math.pi)])
         f = ExplicitField(empty_params(eps=eps, b=1.0), [(1.0, -eps), far],
                           cell_size=0.05)
-        start = ParticleState(np.array([1.0, 0.0]), math.pi / 2)
-        length, key, _, c = ls._Trajectory(f, start, 1.0, ()).next_hit(1.0)
+        start = (1.0, 0.0, math.pi / 2)
+        length, key, _, c = ls.Trajectory(f, start, 1.0, ()).next_hit(1.0)
         assert length == pytest.approx(0.75 * math.pi - eps, abs=1e-4)
         assert np.array_equal(c, far)
         assert np.array_equal(f.cell(*key[:2])[key[2]], far)
@@ -399,8 +414,8 @@ class TestRaySearch:
             x[axis] = round(x[axis] / s) * s
         max_len = paths * mfp
         for turn in range(8):  # a fan of rays; multiples of pi/4 stay so
-            start = ParticleState(x, alpha + turn * math.pi / 4)
-            v = start.velocity
+            angle = normalize_angle(alpha + turn * math.pi / 4)
+            v = direction(angle)
             end = x + max_len * v
             x_lo, x_hi = sorted((x[0], end[0]))
             y_lo, y_hi = sorted((x[1], end[1]))
@@ -409,7 +424,8 @@ class TestRaySearch:
                 pts, _ = concatenated_cells(f, x_lo - eps, x_hi + eps,
                                             y_lo - eps, y_hi + eps)
                 f = ExplicitField(params, pts, cell_size=s)
-            got = ls._Trajectory(f, start, 1.0, ()).next_hit(max_len)
+            got = ls.Trajectory(f, (*x.tolist(), angle), 1.0,
+                                ()).next_hit(max_len)
             want = None
             for ix in range(math.floor((x_lo - eps) / s),
                             math.floor((x_hi + eps) / s) + 1):
@@ -437,8 +453,8 @@ class TestRaySearch:
         # at (0.245, 0), entered first at 0.145, lies in a cell met later
         f = ExplicitField(empty_params(eps=0.1), [(0.23, 0.095), (0.245, 0.0)],
                           cell_size=0.08)
-        tr = ls._Trajectory(f, ParticleState(np.zeros(2), 0.0), 1.0, ())
-        tau, key, _, c = tr.next_hit(1.0)
+        tau, key, _, c = ls.Trajectory(f, (0.0, 0.0, 0.0), 1.0,
+                                       ()).next_hit(1.0)
         assert tau == pytest.approx(0.145, abs=1e-12)
         assert c.tolist() == [0.245, 0.0]
         assert key == (3, 0, 0)
@@ -479,12 +495,12 @@ class TestNearMissCut:
            excluded=st.one_of(st.none(), st.integers(0, 11)))
     def test_cut_counts_as_the_distance_test(self, eps, b, pos, alpha, sweep,
                                              spots, excluded):
-        start = ParticleState(np.array(pos), alpha)
-        tr = ls._Trajectory(ObstacleField(1, empty_params(eps=eps, b=b)),
-                            start, 1.0, ())
+        alpha = normalize_angle(alpha)
+        tr = ls.Trajectory(ObstacleField(1, empty_params(eps=eps, b=b)),
+                           (*pos, alpha), 1.0, ())
         r = 1.0 / b
-        o = larmor_center(*start.position, start.velocity_angle, b)
-        phase0 = start.velocity_angle - 0.5 * math.pi
+        o = larmor_center(*pos, alpha, b)
+        phase0 = alpha - 0.5 * math.pi
         ids = [(0, 0, i) for i in range(len(spots))]
         for oid, spot in zip(ids, spots):
             c = _near_arc_center(o, r, phase0, sweep, eps, spot)
@@ -501,8 +517,8 @@ class TestNearMissCut:
 
     def test_straight_leg_not_checked(self):
         # a hit center on the leg itself: no near miss without a field
-        tr = ls._Trajectory(ObstacleField(1, empty_params(b=0.0)),
-                            ParticleState(np.zeros(2), 0.0), 1.0, ())
+        tr = ls.Trajectory(ObstacleField(1, empty_params(b=0.0)),
+                           (0.0, 0.0, 0.0), 1.0, ())
         tr.register_hit((0, 0, 0), (0.5, 0.0), 0.0, 0.0)
         tr.register_hit((0, 0, 1), (-1.0, 0.0), 0.0, 0.0)
         tr.check_near_miss(1.0, None)
