@@ -248,8 +248,9 @@ def _green_kubo_rule(config):
                f"< 1, got 2 mu period = {2.0 * mu * period:.3g}")
 
 
-#: the most obstacles one circling field sample may hold on average, which
-#: bounds the draws of one sample; its points are drawn in fixed blocks
+#: the most obstacles the square bounding a circling field sample's annulus
+#: may hold on average.  A sample draws only the tiles covering the annulus,
+#: under 3 times this mean and far less once 1/b >> eps, in fixed blocks
 MAX_ANNULUS_BOX = 10 ** 7
 
 

@@ -8,10 +8,11 @@ taken per path and grid point, and every point's radius goes through
 by ``boltzmann_process._block_jumps`` in blocks of
 ``boltzmann_process.block_paths``.  A path's jump times are sorted by one
 ``lexsort``, and each chunk of annulus samples draws its points in one
-call.  The deflection of an impact is taken from a chain of full-size
-temporaries, where the package works in place.  The package must return
-bit-identical results; ``tests/test_continuum_reference.py`` checks that
-it does.
+call, on the package's tiles (``tests/test_continuum_reference.py``
+checks those against an exact cover).  The deflection of an impact is
+taken from a chain of full-size temporaries, where the package works in
+place.  The package must return bit-identical results;
+``tests/test_continuum_reference.py`` checks that it does.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ import numpy as np
 
 from maglorentz import _rng
 from maglorentz import boltzmann_process as bp
+from maglorentz import medium
 
 
 def phase_chunks(counts, times, theta, t_grid, spin=None, chunk=2500):
@@ -110,20 +112,33 @@ def void_count(pts, counts, r, eps):
     return int(np.count_nonzero(hits[ends] - hits[starts] == 0))
 
 
+def tile_points(u, s, tile_x, tile_y):
+    """The points placed on the tiles from draws ``u`` (m, 3), unblocked."""
+    n = len(tile_x)
+    tile = np.minimum(np.floor(u[:, 0] * n).astype(int), n - 1)
+    return np.column_stack([(tile_x[tile] + u[:, 1]) * s,
+                            (tile_y[tile] + u[:, 2]) * s])
+
+
 def empty_annulus_void(params, n_samples, seed):
-    """Void samples of ``medium.empty_annulus_probability_mc``'s draws."""
+    """Void samples of ``medium.empty_annulus_probability_mc``'s draws.
+
+    The tiles are the package's ``medium._annulus_tiles``; each chunk's
+    points are one ``random((total, 3))`` draw: a tile from column 0, the
+    point's offset in it from columns 1 and 2.
+    """
     r, eps = params.larmor_radius, params.eps
-    half = r + eps
-    lam_box = params.mu_eff * (2.0 * half) ** 2
+    s, tile_x, tile_y = medium._annulus_tiles(r, eps)
+    lam = params.mu_eff * s * s * len(tile_x)
     gen = _rng.generator(seed, _rng.STREAM_ANNULUS)
     void = 0
-    chunk = max(1, min(n_samples, int(2e6 / max(lam_box, 1.0))))
+    chunk = max(1, min(n_samples, 2 ** 15, int(2e6 / max(lam, 1.0))))
     done = 0
     while done < n_samples:
         n = min(chunk, n_samples - done)
-        counts = gen.poisson(lam_box, n)
-        pts = gen.random((int(counts.sum()), 2)) * (2.0 * half) - half
-        void += void_count(pts, counts, r, eps)
+        counts = gen.poisson(lam, n)
+        u = gen.random((int(counts.sum()), 3))
+        void += void_count(tile_points(u, s, tile_x, tile_y), counts, r, eps)
         done += n
     return void
 

@@ -9,17 +9,20 @@ summation, while the grid, the circling fraction, the path count and the
 jump counts behind each run must match exactly.  The package decides
 ``np.hypot`` only on the points of a squared-radius window, drawn and
 counted in blocks, which relies on numpy computing each element to the
-same bits in whatever array it sits.  The deflection of an impact,
+same bits in whatever array it sits; its points are drawn on tiles that
+must list every tile of the grid that meets the annulus, which a
+``Fraction`` oracle checks.  The deflection of an impact,
 computed in place, must give the bits of its chain of temporaries.  Void
 counts and deflections are compared with ``==`` and ``tobytes``.
 """
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maglorentz import _rng
@@ -280,16 +283,97 @@ def test_void_count_on_the_boundaries(r, eps):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(total=st.integers(0, 100), block=st.sampled_from([1, 7, 16, 128]),
        seed=st.integers(0, 2 ** 32))
-def test_box_blocks_continue_one_stream(total, block, seed):
-    # the blocks are the points of one draw, and leave the stream where
-    # that draw does
+def test_tile_blocks_continue_one_stream(total, block, seed):
+    # the blocks are the points of one (total, 3) draw, placed on their
+    # tiles, and leave the stream where that draw does
+    s, tile_x, tile_y = medium._annulus_tiles(1.0, 0.3)
     gen = _rng.generator(seed, _rng.STREAM_ANNULUS)
-    buf = np.empty((block, 2))
-    got = [pts.copy() for pts in medium._box_blocks(gen, total, buf, 1.5)]
+    got = [pts.copy() for pts in medium._tile_blocks(
+        gen, total, np.empty((block, 3)), s, tile_x, tile_y)]
     want = _rng.generator(seed, _rng.STREAM_ANNULUS)
-    pts = want.random((total, 2)) * 3.0 - 1.5
+    pts = ref.tile_points(want.random((total, 3)), s, tile_x, tile_y)
     assert np.concatenate(got + [np.empty((0, 2))]).tobytes() == pts.tobytes()
     assert gen.random() == want.random()
+
+
+class FixedDraws:
+    """A generator stand-in whose ``random(out=)`` hands out fixed rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def random(self, out):
+        out[:] = self.rows[:len(out)]
+        self.rows = self.rows[len(out):]
+        return out
+
+
+def test_tile_pick_stays_on_the_tiles():
+    # the smallest draw takes the first tile and the largest the last
+    s, tile_x, tile_y = medium._annulus_tiles(1.0, 0.3)
+    top = 1.0 - 2.0 ** -53
+    u = np.array([[0.0, 0.0, 0.0], [top, 0.5, 0.25], [0.5, top, top]])
+    (pts,) = medium._tile_blocks(FixedDraws(u), 3, np.empty((3, 3)), s,
+                                 tile_x, tile_y)
+    assert pts.tobytes() == ref.tile_points(u, s, tile_x, tile_y).tobytes()
+    assert pts[:2].tolist() == [[tile_x[0] * s, tile_y[0] * s],
+                                [(tile_x[-1] + 0.5) * s,
+                                 (tile_y[-1] + 0.25) * s]]
+
+
+def square_meets_annulus(x0, x1, y0, y1, lo, hi):
+    """Exactly: does the closed square [x0, x1] x [y0, y1] meet lo < |p| < hi?
+
+    Its distances from the origin fill [near, far], so it meets the open
+    annulus when near < hi and far > lo.  Every argument is a Fraction.
+    """
+    def nearest(a, b):
+        return 0 if a <= 0 <= b else min(abs(a), abs(b))
+
+    near = nearest(x0, x1) ** 2 + nearest(y0, y1) ** 2
+    far = max(abs(x0), abs(x1)) ** 2 + max(abs(y0), abs(y1)) ** 2
+    return near < hi * hi and (lo < 0 or far > lo * lo)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(eps=st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e),
+       ratio=st.floats(-6.0, 7.0).map(lambda e: 10.0 ** e))
+@example(eps=0.5, ratio=0.5)              # R < eps: no inner circle
+@example(eps=0.25, ratio=1.0)             # R = eps
+@example(eps=0.01, ratio=100.0)           # the continuum config's annulus
+@example(eps=2e-161, ratio=5.0)           # squares that underflow
+@example(eps=1e-3, ratio=1e6)             # R / eps >= 1e5: the grid cap binds
+@example(eps=1e-5, ratio=1e5)
+@example(eps=1.0, ratio=3.0)              # tile corners on the outer circle
+@example(eps=1.0, ratio=4.0 + 5e-8)       # (3, 4) just inside the outer one
+@example(eps=1.0, ratio=6.0 - 5e-8)       # (3, 4) just outside the inner one
+def test_tiles_cover_the_annulus(eps, ratio):
+    r = eps * ratio
+    s, tile_x, tile_y = medium._annulus_tiles(r, eps)
+    listed = set(zip(tile_x.tolist(), tile_y.tolist()))
+    assert len(listed) == len(tile_x)
+    assert s == max(eps, 2.0 * (r + eps) / medium._ANNULUS_GRID)
+    # every tile of a grid a tile wider than the outer circle, with its
+    # corners as the floats the points are placed between
+    k = math.ceil((r + eps) / s) + 1
+    assert k <= medium._ANNULUS_GRID // 2 + 2
+    i = np.arange(-k, k, dtype=float)
+    c0, c1 = i * s, (i + 1.0) * s
+    near = np.where(c0 > 0.0, c0, np.where(c1 < 0.0, -c1, 0.0))
+    far = np.maximum(np.abs(c0), np.abs(c1))
+    # hypot has no underflow; a relative 1e-6 far exceeds its rounding, so
+    # a tile outside this band cannot meet the annulus
+    maybe = ((np.hypot(near[:, None], near) <= (r + eps) * (1.0 + 1e-6))
+             & (np.hypot(far[:, None], far) >= (r - eps) * (1.0 - 1e-6)))
+    band = {(i[a], i[b]) for a, b in zip(*np.nonzero(maybe))}
+    # no tile is listed twice or far from the annulus, and every tile of
+    # the band left out misses it exactly
+    assert listed <= band
+    lo, hi = Fraction(r - eps), Fraction(r + eps)
+    for x, y in band - listed:
+        corners = [Fraction(v) for v in (x * s, (x + 1.0) * s,
+                                         y * s, (y + 1.0) * s)]
+        assert not square_meets_annulus(*corners, lo, hi)
 
 
 def annulus_params(eps, mu_eff, b):
@@ -314,11 +398,14 @@ def chunk_counts(params, n, seed):
 
 @pytest.mark.parametrize("eps, mu_eff, b, n", [
     (0.01, 25.0, 1.0, 2000),      # the continuum config's annulus
-    (0.01, 5e4, 1.0, 27),         # about 2e5 points a sample: three chunks,
+    (0.01, 25.0, 1.0, 40000),     # chunks of at most 2^15 samples
+    (0.01, 5e4, 1.0, 27),         # about 1e4 points a sample
+    (0.01, 5e5, 1.0, 45),         # about 1e5 points a sample: three chunks,
                                   # a sample spans about six blocks
     (0.5, 40.0, 4.0, 3000),       # R < eps: no inner circle
     (0.25, 80.0, 4.0, 3000),      # R = eps
-    (2e-3, 200.0, 0.05, 7)])      # a wide annulus, chunks of six samples
+    (2e-3, 200.0, 0.05, 7)])      # a wide annulus: the grid cap sets the
+                                  # tile side, not eps
 def test_annulus_estimate_matches_hypot(eps, mu_eff, b, n):
     params = annulus_params(eps, mu_eff, b)
     for seed in (2026, 7):
@@ -327,9 +414,9 @@ def test_annulus_estimate_matches_hypot(eps, mu_eff, b, n):
 
 
 @pytest.mark.parametrize("eps, mu_eff, b, n, seed, shape", [
-    # about 32 points a sample, so a sample spans several blocks of 7
-    (0.01, 8.0, 1.0, 150, 2026, "several"),
-    # 4,837 points in the one chunk: 691 blocks of 7 exactly
+    # about 8 points a sample, so samples span blocks of 7, and 21 voids
+    (0.01, 40.0, 1.0, 3000, 2026, "several"),
+    # 231 points in the one chunk: 33 blocks of 7 exactly
     (0.01, 8.0, 1.0, 150, 2020, "multiple"),
     # no point in the one chunk: nothing is drawn, every sample is void
     (0.01, 1e-3, 1.0, 3, 2026, "empty")])

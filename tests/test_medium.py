@@ -251,6 +251,16 @@ class TestAdmissibleStart:
         assert len(pts) > 0
         assert not is_admissible_start(f, pts[0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_position_rejected(self, bad, axis):
+        f = ObstacleField(21, scaling_from(0.05, 2.0, 1.0))
+        x = [0.0, 0.0]
+        x[axis] = bad
+        with pytest.raises(ValueError, match="start position must be finite"):
+            is_admissible_start(f, x)
+        assert not f._cells
+
     def test_rejection_rate(self):
         # acceptance fraction of uniform points matches the void probability
         p = scaling_from(0.05, 1.0, 1.0)  # mu_eff = 20
@@ -316,16 +326,33 @@ class TestAnnulusVoid:
         se = math.sqrt(est.closed_form * (1 - est.closed_form) / 100_000)
         assert abs(est.estimate - est.closed_form) < 3 * se
 
-    def test_traced_peak(self):
-        # about 1e6 points a sample, three samples: the points are drawn and
-        # counted in blocks of one small buffer.  1.3 MB at numpy 2.4, where
-        # drawing each two-sample chunk whole peaks at 52.0 MB
-        p = field_params(2.45e5, b=1.0, eps=0.01)
-        assert 0.99e6 < medium.annulus_box_mean(p) < 1e6
+    @staticmethod
+    def traced_peak(params, n):
         tracemalloc.start()
         try:
-            empty_annulus_probability_mc(p, (0.0, 0.0), 3, 1)
-            peak = tracemalloc.get_traced_memory()[1]
+            empty_annulus_probability_mc(params, (0.0, 0.0), n, 1)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+
+    def test_traced_peak(self):
+        # about 1e6 obstacles in the annulus's box a sample, 5e4 on its
+        # tiles, three samples: the points are drawn and counted in blocks
+        # of one small buffer.  1.3 MB at numpy 2.4
+        p = field_params(2.45e5, b=1.0, eps=0.01)
+        assert 0.99e6 < medium.annulus_box_mean(p) < 1e6
+        assert self.traced_peak(p, 3) < 4e6
+
+    def test_traced_peak_wide_annulus(self):
+        # R / eps = 1e6: the grid cap sets the tile side, so the tile grid
+        # is at most 512 tiles across and the table keeps 2,052 of them;
+        # 31k points a sample, where the box held 4e6.  1.1 MB at numpy 2.4
+        p = field_params(1.0, b=1e-3, eps=1e-3)
+        assert p.larmor_radius / p.eps == pytest.approx(1e6)
+        assert self.traced_peak(p, 3) < 4e6
+
+    def test_traced_peak_bench_config(self):
+        # the continuum workload's circling call: chunks of 2^15 samples of
+        # about 5 points.  1.9 MB at numpy 2.4; the box draw took 1.7 MB
+        p = medium.ScalingParams(eps=0.01, mu=0.25, eta=1.0, b_magnitude=1.0)
+        assert self.traced_peak(p, 200_000) < 2.4e6
