@@ -272,6 +272,8 @@ def _vacf_mc(mu, period, n_paths, t_cut, dt_quad, seed, lumped,
             raise ValueError(f"{name} must be positive and finite")
     if not period > 0.0:
         raise ValueError("period must be positive (it may be infinite)")
+    if grid_points(t_cut, dt_quad) < 2:
+        raise ValueError("the grid from 0 to t_cut by dt_quad needs 2 points")
     if lumped and survival_weight(mu, period) == 1.0:
         raise ValueError("mu * period is too small for the lumped process: "
                          "exp(-2 mu period) rounds to 1, so a scatter's "

@@ -230,10 +230,13 @@ MAX_GK_PATH_JUMPS = 4 * 10 ** 6
 
 def _green_kubo_rule(config):
     t_cut, dt = config.get("t_cut"), config.get("dt_quad")
-    if t_cut is not None and dt is not None and dt > 0 \
-            and boltzmann_process.grid_points(t_cut, dt) > MAX_GK_GRID:
-        yield (f"the grid from 0 to 't_cut' by 'dt_quad' must have at most "
-               f"{MAX_GK_GRID} points")
+    if t_cut is not None and dt is not None and t_cut > 0 and dt > 0:
+        # a one-point grid's trapezoid rule integrates over nothing
+        points = boltzmann_process.grid_points(t_cut, dt)
+        if not 2 <= points <= MAX_GK_GRID:
+            bound = "at least 2" if points < 2 else f"at most {MAX_GK_GRID}"
+            yield (f"the grid from 0 to 't_cut' by 'dt_quad' must have "
+                   f"{bound} points")
     mu = config.get("mu")
     if mu is not None and t_cut is not None:
         jumps = 2.0 * mu * t_cut

@@ -1,15 +1,15 @@
 """Event-driven simulation of the test particle among lazy Poisson obstacles.
 
 Exact dynamics: circular-arc (or straight) free flight between events,
-elastic reflection at each impact.  Obstacle queries enumerate only the
-grid cells a flight leg can reach, so trajectories of unbounded extent run
-against the infinite deterministic field of :mod:`maglorentz.medium`.
-The hit geometry and the reflection are those of
-:mod:`maglorentz.geometry`; this module walks the cells, runs the event
-loop and keeps the books.  It keeps that module's one rule: the event loop
-runs on Python floats and ``math``, and numpy does only elementwise
-arithmetic over many rows (the squared displacements of a replica's
-samples) and the statistics over replicas.
+elastic reflection at each impact.  The hit walk asks the field only for
+the obstacles near a flight leg, so trajectories of unbounded extent run
+against the infinite deterministic field of :mod:`maglorentz.medium`,
+whose one query gathers and names them.  The hit geometry and the
+reflection are those of :mod:`maglorentz.geometry`; this module walks the
+legs, runs the event loop and keeps the books.  It keeps that module's
+one rule: the event loop runs on Python floats and ``math``, and numpy
+does only elementwise arithmetic over many rows (the squared displacements
+of a replica's samples) and the statistics over replicas.
 
 Event taxonomy per impact:
 
@@ -170,18 +170,18 @@ class Trajectory:
 
         ``key`` is ``(ix, iy, row)``: the row of ``field.cell(ix, iy)`` hit.
         The leg is walked in pieces, a cell size of a ray or ``ARC_PIECE``
-        of an arc's sweep.  Each piece scans every obstacle of the cells
-        that its bounding box meets, widened by eps and, for an arc, by the
-        piece's sagitta, the farthest the arc strays from its chord, all
-        cells in one kernel call; the boxes of successive pieces overlap,
-        so an obstacle may be scanned twice.  The kernel computes each row
-        alone, so the earliest piece, cell and row wins a tie.  A disk
-        entered at length <= hi has its center within eps of the leg on
-        [0, hi], so the walk stops at the first piece end hi at or past the
-        best hit.  A ray ends at ``max_len``.  An arc walks its whole
-        revolution whatever ``max_len``: None then means the orbit holds no
-        obstacle (exactly periodic motion), so the trajectory is circling
-        forever.
+        of an arc's sweep.  Each piece scans in one kernel call the field's
+        ``points_meeting`` of its bounding box, widened by eps and, for an
+        arc, by the piece's sagitta, the farthest the arc strays from its
+        chord; only a hit better than the best so far is named.  The boxes
+        of successive pieces overlap, so an obstacle may be scanned twice.
+        The kernel computes each row alone, so the earliest piece, cell and
+        row wins a tie.  A disk entered at length <= hi has its center
+        within eps of the leg on [0, hi], so the walk stops at the first
+        piece end hi at or past the best hit.  A ray ends at ``max_len``.
+        An arc walks its whole revolution whatever ``max_len``: None then
+        means the orbit holds no obstacle (exactly periodic motion), so the
+        trajectory is circling forever.
         """
         x, y, alpha, eps, b = self.x, self.y, self.alpha, self.eps, self.b
         field_ = self.field
@@ -200,20 +200,6 @@ class Trajectory:
             def hit(pts):
                 return first_ray_entry(pts, (x, y), v, eps, max_len)
 
-        def scan(x_lo, x_hi, y_lo, y_hi):
-            cells = [(key, field_.cell(*key))
-                     for key in field_.cells_meeting(x_lo, x_hi, y_lo, y_hi)]
-            pts = (cells[0][1] if len(cells) == 1
-                   else np.concatenate([p for _, p in cells]))
-            found = hit(pts) if len(pts) else None
-            if found is None:
-                return None
-            length, k, n = found
-            for key, p in cells:
-                if k < len(p):
-                    return length, (*key, k), n, p[k]
-                k -= len(p)
-
         best = None
         hi = 0.0
         z = advance_free(x, y, alpha, b, hi)
@@ -221,10 +207,13 @@ class Trajectory:
             a = z
             hi = min(hi + step, end)
             z = advance_free(x, y, alpha, b, hi)
-            found = scan(min(a[0], z[0]) - pad, max(a[0], z[0]) + pad,
-                         min(a[1], z[1]) - pad, max(a[1], z[1]) + pad)
+            pts, name = field_.points_meeting(
+                min(a[0], z[0]) - pad, max(a[0], z[0]) + pad,
+                min(a[1], z[1]) - pad, max(a[1], z[1]) + pad)
+            found = hit(pts)
             if found is not None and (best is None or found[0] < best[0]):
-                best = found
+                length, k, n = found
+                best = length, name(k), n, pts[k]
         return best
 
     # -- daisy bookkeeping ---------------------------------------------------
@@ -312,6 +301,7 @@ def simulate_trajectory(field_, start, t_max: float, sample_times=(),
         # stragglers within rounding distance of t_max
         tr.sample_positions[tr.cursor:] = tr.x, tr.y
         tr.cursor = len(tr.sample_times)
+    tr.field = None  # the finished run keeps no cells
     return tr
 
 
@@ -366,17 +356,18 @@ def _replica_chunk(args):
         rng = _rng.generator(seed, _rng.STREAM_START, *start_key, r)
         start = _draw_start(field_, rng)
         try:
-            out = simulate_trajectory(field_, start, t_max, sample_times,
-                                      max_events=max_events)
+            records.append(_replica_record(start, simulate_trajectory(
+                field_, start, t_max, sample_times, max_events=max_events)))
         except ChatteringError:
             records.append(None)
-            continue
-        dx, dy = (out.sample_positions - start[:2]).T
-        recollided = any(ev.kind is EventKind.RECOLLISION for ev in out.events)
-        records.append(((dx * dx + dy * dy).tolist(), out.status,
-                        out.status_time, recollided, out.near_miss))
-        del out  # the run holds its field: free the cells before the next
     return records
+
+
+def _replica_record(start, out):
+    dx, dy = (out.sample_positions - start[:2]).T
+    recollided = any(ev.kind is EventKind.RECOLLISION for ev in out.events)
+    return ((dx * dx + dy * dy).tolist(), out.status, out.status_time,
+            recollided, out.near_miss)
 
 
 def _run_replicas(rungs, n_replicas: int, sample_times, t_max: float,
@@ -511,7 +502,7 @@ def event_rate_study(eps_list, eta_rule, mu: float, b_magnitude: float,
     etas = [float(eta_rule(eps)) if callable(eta_rule) else float(eta_rule)
             for eps in eps_arr]
     rungs = [(scaling_from(eps, mu, eta, b_magnitude), (0xE5, i), (i,))
-             for i, (eps, eta) in enumerate(zip(eps_arr, etas))]
+             for i, (eps, eta) in enumerate(zip(eps_arr.tolist(), etas))]
     records = _run_replicas(rungs, n_replicas, (), t, seed, workers,
                             max_events)
     rows = []

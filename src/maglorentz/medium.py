@@ -10,8 +10,8 @@ area queried, and it rekeys one Philox generator to each cell's stream
 for that cell's draw, so it is not to be shared between threads; each
 replica gets its own.
 Every cell holds ``CELL_COUNT`` obstacles on average, at any field
-strength, and keeps its draw order; a search scans each cell it reaches
-whole.
+strength, and keeps its draw order; every search asks
+``ObstacleField.points_meeting`` for the cells meeting a rectangle.
 
 Obstacles may overlap each other; the underlying measure is pure Poisson
 with no hard-core thinning.  A Poisson field restricted to disjoint
@@ -21,7 +21,6 @@ draws each sample's obstacles only on the tiles that cover the annulus.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -90,6 +89,8 @@ def scaling_from(eps: float, mu: float, eta: float, b_magnitude: float = 0.0
     if not 0.0 <= b_magnitude < math.inf:
         raise ValueError("field magnitude must be finite and nonnegative")
     params = ScalingParams(eps, mu, eta, b_magnitude)
+    if not math.isfinite(params.mu_eff):
+        raise ValueError(f"mu_eff = eta mu / eps = {params.mu_eff} must be finite")
     if params.dilute_number > 0.1:
         warnings.warn(
             f"mu_eff*eps^2 = {params.dilute_number:.3g} > 0.1: gas is not dilute",
@@ -122,34 +123,15 @@ def default_cell_size(params: ScalingParams) -> float:
     return 10.0 * params.eps
 
 
-class _CellCache:
-    """Memo of drawn cells; every obstacle query.
+class ObstacleField:
+    """Deterministic lazy Poisson field keyed by a 64-bit master seed.
 
-    Row k of ``cell(ix, iy)`` is the obstacle keyed ``(ix, iy, k)``, in
-    draw order.  Every query reads through ``cell``, so a replica's start
-    check and its flight draw each cell once.  ``cells_meeting`` is the
-    one cell enumeration of every search (the hit walk and the start
-    check); it holds for any cell size.  Subclasses set ``_cells`` to an
-    empty dict and provide ``cell_size`` and ``cell_points``.
+    Row k of ``cell(ix, iy)``, the memo every query reads, is the obstacle
+    keyed ``(ix, iy, k)``, so a replica's start check and its flight draw
+    each cell once.  ``points_meeting`` is the one query of every search,
+    for any cell size.  Another field overrides ``cell_points`` and sets
+    ``params``, ``cell_size`` and an empty ``_cells`` itself.
     """
-
-    def cell(self, ix: int, iy: int) -> np.ndarray:
-        """Obstacle centers of one cell, the same object on every call."""
-        pts = self._cells.get((ix, iy))
-        if pts is None:
-            pts = self._cells[ix, iy] = self.cell_points(ix, iy)
-        return pts
-
-    def cells_meeting(self, x_lo, x_hi, y_lo, y_hi):
-        """(ix, iy) of every cell meeting the rectangle, ix outer, iy inner."""
-        s = self.cell_size
-        return itertools.product(
-            range(int(math.floor(x_lo / s)), int(math.floor(x_hi / s)) + 1),
-            range(int(math.floor(y_lo / s)), int(math.floor(y_hi / s)) + 1))
-
-
-class ObstacleField(_CellCache):
-    """Deterministic lazy Poisson field keyed by a 64-bit master seed."""
 
     def __init__(self, master_seed: int, params: ScalingParams):
         self.master_seed = master_seed
@@ -161,12 +143,9 @@ class ObstacleField(_CellCache):
 
     def cell_points(self, cell_x: int, cell_y: int) -> np.ndarray:
         """Obstacle centers of one cell, identical on every call."""
-        lam = self.params.mu_eff * self.cell_size ** 2
-        if lam == 0.0:
-            return _EMPTY_POINTS
         gen = _rng.rekey(self._gen, self.master_seed, _rng.STREAM_FIELD_CELL,
                          cell_x, cell_y)
-        count = int(gen.poisson(lam))
+        count = int(gen.poisson(self.params.mu_eff * self.cell_size ** 2))
         if count == 0:
             return _EMPTY_POINTS
         pts = gen.random((count, 2))
@@ -174,6 +153,36 @@ class ObstacleField(_CellCache):
         pts[:, 1] += cell_y
         pts *= self.cell_size
         return pts
+
+    def cell(self, ix: int, iy: int) -> np.ndarray:
+        """Obstacle centers of one cell, the same object on every call."""
+        pts = self._cells.get((ix, iy))
+        if pts is None:
+            pts = self._cells[ix, iy] = self.cell_points(ix, iy)
+        return pts
+
+    def points_meeting(self, x_lo, x_hi, y_lo, y_hi):
+        """(centers, name) of every obstacle of the cells meeting a rectangle.
+
+        The cells go ix outer, iy inner, each whole in draw order, stacked
+        into one array (one cell is returned uncopied).  ``name(k)`` is row
+        k's key ``(ix, iy, row)``; it walks the cells only when called.
+        """
+        s = self.cell_size
+        ys = range(math.floor(y_lo / s), math.floor(y_hi / s) + 1)
+        cells = [(ix, iy, self.cell(ix, iy))
+                 for ix in range(math.floor(x_lo / s), math.floor(x_hi / s) + 1)
+                 for iy in ys]
+
+        def name(k):
+            for ix, iy, pts in cells:
+                if k < len(pts):
+                    return ix, iy, k
+                k -= len(pts)
+
+        if len(cells) == 1:
+            return cells[0][2], name
+        return np.concatenate([pts for _, _, pts in cells]), name
 
 
 def is_admissible_start(field_, x) -> bool:
@@ -186,14 +195,10 @@ def is_admissible_start(field_, x) -> bool:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"start position must be finite, got ({x}, {y})")
     eps = field_.params.eps
-    for ix, iy in field_.cells_meeting(x - eps, x + eps, y - eps, y + eps):
-        pts = field_.cell(ix, iy)
-        if len(pts):
-            dx = pts[:, 0] - x
-            dy = pts[:, 1] - y
-            if np.min(dx * dx + dy * dy) <= eps * eps:
-                return False
-    return True
+    pts, _ = field_.points_meeting(x - eps, x + eps, y - eps, y + eps)
+    dx = pts[:, 0] - x
+    dy = pts[:, 1] - y
+    return bool(np.all(dx * dx + dy * dy > eps * eps))
 
 
 @dataclass(frozen=True)
@@ -329,8 +334,6 @@ def empty_annulus_probability_mc(params: ScalingParams, center, n_samples: int,
     r = params.larmor_radius
     eps = params.eps
     closed = math.exp(-params.mu_eff * 4.0 * math.pi * r * eps)
-    if params.mu_eff == 0.0:
-        return AnnulusVoidEstimate(1.0, 0.0, 1.0)
     s, tile_x, tile_y = _annulus_tiles(r, eps)
     lam = params.mu_eff * s * s * len(tile_x)
     gen = _rng.generator(seed, _rng.STREAM_ANNULUS)

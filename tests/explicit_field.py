@@ -1,17 +1,18 @@
-"""A hand-laid obstacle field for tests, with the cell interface of
-``medium.ObstacleField``."""
+"""A hand-laid obstacle field for tests: a ``medium.ObstacleField`` whose
+cells hold given centers."""
 
 import math
 
 import numpy as np
 
-from maglorentz.medium import ScalingParams, _CellCache, default_cell_size
+from maglorentz.medium import ObstacleField, ScalingParams, default_cell_size
 
 
-class ExplicitField(_CellCache):
-    """Field with a fixed obstacle list; same interface as ObstacleField.
+class ExplicitField(ObstacleField):
+    """Field with a fixed obstacle list; every query of ObstacleField.
 
     Used for validation runs where the environment must be laid out by hand.
+    It draws nothing, so it has no seed and no generator.
     """
 
     def __init__(self, params: ScalingParams, centers, cell_size: float = 0.0):

@@ -293,6 +293,15 @@ class TestGreenKubo:
             velocity_autocorrelation_paths(1e-9, 1.0, 10, 3.0, 0.1, seed=1,
                                            wandering_only=True)
 
+    def test_one_point_grid_rejected(self):
+        # t_cut = dt_quad / 2 leaves the grid [0], whose trapezoid rule
+        # would halve its one weight twice and report dt_quad / 4
+        for route in (green_kubo_mc, velocity_autocorrelation_paths):
+            with pytest.raises(ValueError, match="needs 2 points"):
+                route(1.0, 1.0, 10, 0.005, 0.01, seed=1)
+        t_cut = math.nextafter(0.005, 1.0)
+        assert len(green_kubo_mc(1.0, 1.0, 10, t_cut, 0.01, seed=1).t_grid) == 2
+
     def test_lumped_refuses_unending_leaves(self):
         # exp(-2 mu period) rounds to 1: a scatter's geometric leaves would
         # have escape probability 0, which numpy's geometric refuses

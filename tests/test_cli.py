@@ -241,6 +241,42 @@ class TestValidate:
             accepted = False
         assert accepted == (built <= MAX_GK_GRID)
 
+    @pytest.mark.parametrize("t_cut", [0.004, 0.005,
+                                       math.nextafter(0.005, 1.0)])
+    def test_green_kubo_grid_needs_two_points(self, tmp_path, capsys, t_cut):
+        # at dt_quad = 0.01, t_cut up to 0.005 leaves the grid [0], whose
+        # trapezoid rule would report dt_quad / 4 for an empty integral;
+        # the next float up builds 2 points
+        text = with_key(with_key(GREEN_KUBO_CONFIG, "t_cut", repr(t_cut)),
+                        "dt_quad", "0.01")
+        cfg = tmp_path / "gk.cfg"
+        cfg.write_text(text)
+        code = main(["green-kubo", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+        if t_cut > 0.005:
+            assert code == 0
+            assert len((tmp_path / "run_vacf.csv").read_text().splitlines()) == 3
+            return
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: the grid from 0 to 't_cut' by 'dt_quad' must have "
+            "at least 2 points\n")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("kind,eps_key", [("msd", "eps"),
+                                              ("scaling-study", "eps_list")])
+    def test_overflowing_intensity_exits_1(self, tmp_path, capsys, kind,
+                                           eps_key):
+        # eta mu / eps overflows to inf: one error line, before any replica
+        text = with_key(BASE_CONFIGS[kind], eps_key, "1e-300")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_key(text, "mu", "1e10"))
+        assert main([kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            "error: mu_eff = eta mu / eps = inf must be finite\n")
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize("mu,t_cut,shown", [
         ("25", "4", None),  # the old cap on a 20,000-path block
         ("5e5", "4", None),  # 2 x 5e5 x 4 = 4e6 jumps a path, the cap
@@ -366,13 +402,13 @@ _RULED = {
 
 
 # keys drawn, for one kind, from ranges on which its rule holds whatever
-# the other keys: a green-kubo grid of at most 9,901 points (t_cut / dt_quad
-# at most 9,900) and mu t_cut at most 1.98e6, and a circling box of at most
-# 10 / 1e-3 x (2 (1 + 1))^2 = 1.6e5 obstacles
+# the other keys: a green-kubo grid of 2 to 9,901 points (t_cut / dt_quad
+# from 1 to 9,900) and mu t_cut at most 1.98e6, and a circling box of at
+# most 10 / 1e-3 x (2 (1 + 1))^2 = 1.6e5 obstacles
 _RULED_BY_KIND = {
     "green-kubo": {"mu": st.floats(0.0, 2e4, exclude_min=True),
-                   "t_cut": st.floats(0.0, 99.0, exclude_min=True),
-                   "dt_quad": st.floats(0.01, 1e6)},
+                   "t_cut": st.floats(1.0, 99.0),
+                   "dt_quad": st.floats(0.01, 1.0)},
     "circling": {"eps": st.floats(1e-3, 1.0), "mu": st.floats(1e-3, 1.0),
                  "eta": st.floats(1.0, 10.0), "b": st.floats(1.0, 1e3)},
 }

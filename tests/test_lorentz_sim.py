@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -241,6 +243,18 @@ class TestInvariants:
         simulate_trajectory(f, start, 4.0)
         assert len(drawn) > 1 and len(drawn) == len(set(drawn))
 
+    def test_finished_run_keeps_no_field(self):
+        # the field and its cells die with the caller's reference, so a
+        # replica loop holds one field at a time
+        f = ObstacleField(_rng.mix(17, 0), scaling_from(0.02, 1.0, 1.0, 1.0))
+        start = ls._draw_start(f, _rng.generator(17, _rng.STREAM_START, 0))
+        out = simulate_trajectory(f, start, 4.0)
+        assert f._cells
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None and len(out.events) > 0
+
     def test_no_self_recollision_without_field(self):
         params = scaling_from(0.05, 1.0, 1.0, 0.0)
         for rep in range(40):
@@ -290,6 +304,16 @@ def concatenated_cells(f, x_lo, x_hi, y_lo, y_hi):
     return np.concatenate([np.empty((0, 2))] + chunks), owners
 
 
+def row_names(owners):
+    """(ix, iy, row) of each row of ``concatenated_cells``'s array."""
+    rows = {}
+    names = []
+    for cell in owners:
+        rows[cell] = rows.get(cell, -1) + 1
+        names.append((*cell, rows[cell]))
+    return names
+
+
 class TestArcSearch:
     """The piece walk finds the hit of one scan of the orbit's whole square.
 
@@ -330,6 +354,15 @@ class TestArcSearch:
         if pitch is not None:  # cells of 2% to 20% of the orbit radius
             f = ExplicitField(params, pts,
                               cell_size=pitch * params.larmor_radius)
+        # the field's one query is the oracle's array, and names its rows
+        box = (c[0] - reach, c[0] + reach, c[1] - reach, c[1] + reach)
+        for g in (field_, f):
+            want_pts, want_owners = concatenated_cells(g, *box)
+            got_pts, name = g.points_meeting(*box)
+            assert got_pts.shape == want_pts.shape
+            assert got_pts.tobytes() == want_pts.tobytes()
+            assert [name(k) for k in range(len(got_pts))] == \
+                row_names(want_owners)
         got = ls.Trajectory(f, (*x.tolist(), alpha), 1.0, ()).next_hit(1.0)
         want = (first_arc_hit(pts, c, alpha, b, eps)
                 if len(pts) else None)

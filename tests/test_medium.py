@@ -72,6 +72,12 @@ class TestScalingParams:
         with pytest.raises(ValueError):
             scaling_from(0.1, 0.0, 1.0)
 
+    def test_overflowing_intensity_rejected(self):
+        # eta mu / eps overflows although each input is finite; the field
+        # would draw its cells at pitch 0
+        with pytest.raises(ValueError, match="mu_eff .* must be finite"):
+            scaling_from(1e-300, 1e10, 1.0)
+
     @pytest.mark.parametrize("args", [
         (math.nan, 1.0, 1.0, 0.0), (1e-3, math.nan, 1.0, 0.0),
         (1e-3, 1.0, math.nan, 0.0), (1e-3, 1.0, 1.0, math.nan),
@@ -152,11 +158,18 @@ class TestObstacleField:
     def test_rectangle_cells_in_order_and_cell_memoized(self):
         f = ObstacleField(9, scaling_from(0.05, 1.0, 1.0))
         s = f.cell_size
-        assert list(f.cells_meeting(-0.5 * s, 1.5 * s, 0.2 * s, 1.2 * s)) == [
-            (ix, iy) for ix in (-1, 0, 1) for iy in (0, 1)]
-        pts = f.cell(0, 1)
-        assert np.array_equal(pts, f.cell_points(0, 1))
-        assert f.cell(0, 1) is pts
+        cells = [(ix, iy) for ix in (-1, 0, 1) for iy in (0, 1)]
+        pts, name = f.points_meeting(-0.5 * s, 1.5 * s, 0.2 * s, 1.2 * s)
+        assert np.array_equal(
+            pts, np.concatenate([f.cell_points(*c) for c in cells]))
+        assert [name(k) for k in range(len(pts))] == [
+            (ix, iy, row) for ix, iy in cells
+            for row in range(len(f.cell_points(ix, iy)))]
+        one = f.cell(0, 1)
+        assert np.array_equal(one, f.cell_points(0, 1))
+        assert f.cell(0, 1) is one
+        # one cell is handed out as it is, not copied
+        assert f.points_meeting(0.1 * s, 0.9 * s, 1.1 * s, 1.9 * s)[0] is one
 
 
 class TestB0Pitch:
@@ -183,12 +196,20 @@ class TestB0Pitch:
             assert np.array_equal(f.cell_points(*key), want)
 
 
+def meeting_cells(field_, x_lo, x_hi, y_lo, y_hi):
+    """(ix, iy) of every cell meeting a rectangle, enumerated here."""
+    s = field_.cell_size
+    return [(ix, iy)
+            for ix in range(math.floor(x_lo / s), math.floor(x_hi / s) + 1)
+            for iy in range(math.floor(y_lo / s), math.floor(y_hi / s) + 1)]
+
+
 def array_form_admissible(field_, x):
     """The start check as it was written on arrays, for comparison."""
     x = np.asarray(x, dtype=float)
     eps = field_.params.eps
-    for ix, iy in field_.cells_meeting(x[0] - eps, x[0] + eps,
-                                       x[1] - eps, x[1] + eps):
+    for ix, iy in meeting_cells(field_, x[0] - eps, x[0] + eps,
+                                x[1] - eps, x[1] + eps):
         pts = field_.cell(ix, iy)
         if len(pts) and np.min(np.sum((pts - x) ** 2, axis=1)) <= eps * eps:
             return False
@@ -290,7 +311,7 @@ class TestVoidProbability:
             # every cell
             pts = np.concatenate([
                 f.cell_points(*key)
-                for key in f.cells_meeting(cx - r, cx + r, cy - r, cy + r)])
+                for key in meeting_cells(f, cx - r, cx + r, cy - r, cy + r)])
             d2 = (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2
             void += bool(len(d2) == 0 or np.min(d2) > r * r)
         p_void = math.exp(-p.mu_eff * math.pi * r * r)
