@@ -128,21 +128,6 @@ def validate(text: str, kind: str) -> dict:
     return {k: config[k] for k in schema if k in config}
 
 
-def config_to_text(config: dict) -> str:
-    """Regenerate a config file body; validate() on it returns ``config``."""
-    lines = []
-    for key, value in config.items():
-        if value is None:
-            continue
-        if isinstance(value, list):
-            lines.append(f"{key} = {','.join(repr(float(v)) for v in value)}")
-        elif isinstance(value, float):
-            lines.append(f"{key} = {value!r}")
-        else:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"

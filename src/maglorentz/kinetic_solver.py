@@ -73,8 +73,10 @@ class _History:
     """Fixed-capacity ring of past angle-mode fields, one per step of ``dt``.
 
     Each field holds ``n_rows`` rows, one per carried mode.  ``solve`` sizes
-    the ring to what the delayed terms can reach, so it is allocated once,
-    before the first step, and never grows.
+    the ring to what the delayed terms can reach, ``min(n_steps + 1,
+    ceil(k_cut delay / dt) + 4)`` steps, so it is allocated once, before
+    the first step, and never grows; a ring above ``_GUARD_BYTES`` (1.5 GB)
+    raises ``MemoryError``.
     """
 
     _GUARD_BYTES = 1_500_000_000
@@ -232,6 +234,7 @@ def step(fld: KineticField, dt: float, model: KineticModel) -> KineticField:
     uses a predictor-corrector start.  The field's history ring, created by
     ``solve``, must have been filled by previous steps of the same spacing:
     a field without history or a different ``dt`` raises ``ValueError``.
+    So ``step(res.final, dt, model)`` continues a ``solve`` bit for bit.
     """
     hist = fld.history
     if hist is None or dt != hist.dt:
@@ -382,11 +385,10 @@ class HilbertCorrectors:
     """Leading corrector fields of the small-1/eta expansion.
 
     ``g1`` and ``g2`` are angle-mode arrays with zero angular mean at every
-    spatial mode; ``g0_modes`` is the underlying spatial profile.  Row i of
-    each belongs to the integer mode ``modes[i]`` they were solved on.
+    spatial mode.  Row i of each belongs to the integer mode ``modes[i]``
+    they were solved on.
     """
 
-    g0_modes: np.ndarray
     g1_hat: np.ndarray
     g2_hat: np.ndarray
 
@@ -428,7 +430,7 @@ def hilbert_correctors(g0_modes: np.ndarray, modes: np.ndarray,
             "diffusivity is not the one induced by the collision operator")
     rhs2_hat[:, 0] = 0.0
     g2_hat = rhs2_hat * inv
-    return HilbertCorrectors(g0_modes, g1_hat, g2_hat)
+    return HilbertCorrectors(g1_hat, g2_hat)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,10 @@ As a measurable stand-in for trajectory-tube interference, each arc is also
 checked for near misses: passing within twice the obstacle radius of a
 previously hit obstacle's center without touching it.  Straight legs
 (B = 0) have no closed orbit and are not checked.  ``advance_free`` is the
-one formula for a point on a leg: the hit walk takes its piece ends and
-the samples their positions from it.
+one formula for a point on a leg: the hit walk takes its piece ends from
+it, and the samples, the end of a leg and a replayed daisy their
+positions.  Both studies, ``msd_estimate`` and ``event_rate_study``, run
+their replicas through ``_run_replicas``.
 """
 
 from __future__ import annotations
@@ -233,7 +235,13 @@ class Trajectory:
         return kind
 
     def daisy_closure(self, b_signed, n_phase):
-        """Index of the matching earlier leaf, or None."""
+        """Index of the matching earlier leaf, or None.
+
+        A leaf matches when its impact parameter and normal phase both lie
+        within ``DAISY_CLOSURE_TOL`` of the new leaf's.  Only the streak's
+        last ``DAISY_MAX_LEAVES`` leaves are kept, a constant and not a
+        config key.
+        """
         for i, (b_old, phase_old, *_) in enumerate(self.run):
             db = abs(b_signed - b_old)
             dphi = abs(math.remainder(n_phase - phase_old, TWO_PI))
@@ -246,7 +254,9 @@ def simulate_trajectory(field_, start, t_max: float, sample_times=(),
                         max_events: int = DEFAULT_MAX_EVENTS) -> Trajectory:
     """Run the exact event-driven dynamics from an admissible start.
 
-    ``start`` is ``(x, y, angle)``, the angle taken modulo 2 pi.
+    ``start`` is ``(x, y, angle)``, the angle taken modulo 2 pi.  The
+    finished ``Trajectory`` is returned without its field, so the field's
+    cells die with the caller's reference.
     """
     x, y, alpha = map(float, start)
     if not all(map(math.isfinite, (x, y, alpha))):
@@ -495,6 +505,8 @@ def event_rate_study(eps_list, eta_rule, mu: float, b_magnitude: float,
     if not b_magnitude > 0.0:
         raise ValueError("the event rate study needs a field, b_magnitude > 0")
     eps_arr = np.asarray(list(eps_list), dtype=float)
+    if len(eps_arr) == 0 or n_replicas < 1:
+        raise ValueError("need at least one radius and one replica")
     if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
         raise ValueError("radii must lie in (0, 1)")
     if np.any(np.diff(eps_arr) >= 0.0):

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from maglorentz import cli, medium
 from maglorentz.cli import (EXPERIMENTS, MAX_ANNULUS_BOX, MAX_GK_PATH_JUMPS,
-                            MAX_GK_GRID, MAX_SWEEP_ROWS, ConfigError,
-                            config_to_text, main, validate)
+                            MAX_GK_GRID, MAX_SWEEP_ROWS, ConfigError, main,
+                            validate)
 
 MSD_CONFIG = """
 # minimal msd experiment
@@ -57,6 +58,21 @@ BASE_CONFIGS = {
     "kinetic": KINETIC_CONFIG, "hilbert": HILBERT_CONFIG,
     "circling": CIRCLING_CONFIG,
 }
+
+
+def config_to_text(config: dict) -> str:
+    """A config file body; validate() on it returns ``config``."""
+    lines = []
+    for key, value in config.items():
+        if value is None:
+            continue
+        if isinstance(value, list):
+            lines.append(f"{key} = {','.join(repr(float(v)) for v in value)}")
+        elif isinstance(value, float):
+            lines.append(f"{key} = {value!r}")
+        else:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def with_key(text, key, value):
@@ -797,3 +813,28 @@ class TestMainFlow:
         exact = ops.diffusion_coefficient(
             ops.build_LG(1.0, 2 * math.pi, 16))
         assert float(d_printed) == exact
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_rows():
+    """The README's key-table and CSV-schema rows, each ``{kind: cells}``."""
+    keys, schemas = {}, {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip("| ").split("|")]
+        if line.startswith("|") and cells[0] in EXPERIMENTS:
+            table = schemas if cells[1].startswith("`*_") else keys
+            assert cells[0] not in table, f"two rows for {cells[0]}"
+            table[cells[0]] = cells[1:]
+    return keys, schemas
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+def test_readme_tables_match_the_schema(kind):
+    keys, schemas = readme_rows()
+    named = re.findall(r"`([^`]+)`", " ".join(keys[kind]))
+    assert set(named) == set(EXPERIMENTS[kind].keys)
+    file, columns = schemas[kind][:2]
+    assert file == f"`*_{EXPERIMENTS[kind].suffix}.csv`"
+    assert columns == f"`{', '.join(EXPERIMENTS[kind].header)}`"

@@ -653,6 +653,12 @@ class TestEventRateStudy:
         with pytest.raises(ValueError):
             event_rate_study([1.5], 1.0, 1.0, 1.0, 1.0, 10, 0)
 
+    @pytest.mark.parametrize("eps_list, n_replicas",
+                             [([], 10), ([4e-3], 0), ([4e-3], -1)])
+    def test_empty_study_refused(self, eps_list, n_replicas):
+        with pytest.raises(ValueError, match="at least one radius and one"):
+            event_rate_study(eps_list, 2.0, 1.0, 1.0, 0.5, n_replicas, seed=9)
+
     def test_no_field_refused_before_any_replica(self, monkeypatch):
         # near misses, the interference count, are only taken on arcs
         def no_run(*args):
